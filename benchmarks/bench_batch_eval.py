@@ -1,39 +1,37 @@
-"""Benchmark: the vectorized batch-evaluation path (feature tables +
+"""Benchmark: the batch-evaluation path (feature tables +
 ``batch_predict`` / ``batch_simulate``) and the array-native GA loop.
 
 Measurements, written to ``benchmarks/results/BENCH_batch_eval.json``:
 
 1. **batch fitness throughput** — one GA-generation-shaped batch of
-   schedule candidates pushed through ``EvaluationEngine`` with
-   ``vectorized=True`` vs ``vectorized=False`` (cold memo each
-   repetition, ``n_workers=1`` so the evaluators themselves are
-   compared, not the pool).  The array path must deliver at least **5x
-   candidates/sec** on the model-only fitness batch, and the results of
-   the two paths must be bit-identical.
+   schedule candidates pushed through ``EvaluationEngine`` (cold memo
+   each repetition, ``n_workers=1`` so the evaluators themselves are
+   compared, not the pool) vs the scalar oracle, ``lower_schedule`` →
+   ``predict_latency`` / ``simulate_cycles`` one candidate at a time.
+   The array path must deliver at least **5x candidates/sec** on the
+   model-only fitness batch, and the results of the two must be
+   bit-identical.
 2. **end-to-end GA-loop throughput** — a whole ``genetic_search_rows``
    run (breed + dedup + memo keys + predict, cold memo each repetition)
-   against the per-candidate object loop on the same budget.  The array
+   against the per-candidate object loop (``genetic_search`` scoring
+   each candidate with the scalar model) on the same budget.  The array
    loop must deliver at least **5x candidates/sec** and the identical
    ranked output (the bit-identity oracle contract).  The batched
-   object loop (``fitness_many``, still object-keyed) is reported too,
-   as the intermediate point.
-3. **tune wall time before/after** — the same full ``Tuner.tune`` run
-   with the scalar and the vectorized engine.  Identical results (the
-   flag is an execution knob), wall-clock reported for both.
-4. **describe memo note** — ``Schedule.describe()`` is memoized on
+   object loop (``fitness_many`` through the engine's object adapter)
+   is reported too, as the intermediate point.
+3. **describe memo note** — ``Schedule.describe()`` is memoized on
    first render; the micro-benchmark records the cold render vs the
    memoized re-read, the win every memo key / dedup key / jitter
    encoding touch of the same immutable schedule collects.
 
-Runnable standalone (``python benchmarks/bench_batch_eval.py
-[--quick]``) and re-exported by ``tests/test_batch_eval_bench.py`` so
-the quick-mode assertions run under the tier-1 command.
+Runnable standalone (``python benchmarks/bench_batch_eval.py``) and
+re-exported by ``tests/test_batch_eval_bench.py`` so the assertions run
+under the tier-1 command.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import random
@@ -41,27 +39,28 @@ import sys
 import time
 
 from repro.engine import EvaluationEngine, MemoCache
-from repro.engine.cache import reset_global_memo
 from repro.explore.genetic import (
     Candidate,
     GeneticConfig,
     genetic_search,
     genetic_search_rows,
 )
-from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.isa.registry import intrinsics_for_target
 from repro.mapping.generation import GenerationOptions, enumerate_mappings
 from repro.mapping.physical import lower_to_physical
 from repro.model import get_hardware
+from repro.model.perf_model import predict_latency
+from repro.schedule.lowering import lower_schedule
 from repro.schedule.space import ScheduleSpace, default_schedule
+from repro.sim.timing import simulate_cycles
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 RESULT_FILE = "BENCH_batch_eval.json"
 
-#: Candidates per fitness batch — a large GA generation.  Kept the same
-#: in quick and full mode: the batch evaluators run in milliseconds, so
-#: the asserted >=5x contract is always measured at a realistic size.
+#: Candidates per fitness batch — a large GA generation: the batch
+#: evaluators run in milliseconds, so the asserted >=5x contract is
+#: measured at a realistic size.
 FITNESS_BATCH = 256
 FITNESS_REPEATS = 5
 MIN_FITNESS_SPEEDUP = 5.0
@@ -72,16 +71,6 @@ MIN_FITNESS_SPEEDUP = 5.0
 GA_LOOP_CONFIG = GeneticConfig(population=256, generations=8, seed=0)
 GA_LOOP_REPEATS = 3
 MIN_GA_LOOP_SPEEDUP = 5.0
-
-QUICK_CONFIG = TunerConfig(
-    population=8,
-    generations=2,
-    measure_top=8,
-    refine_rounds=1,
-    refine_neighbors=4,
-    n_workers=1,
-)
-FULL_CONFIG = TunerConfig(n_workers=1)
 
 
 def _context():
@@ -111,35 +100,57 @@ def _fitness_items(physical, hw, count):
     return items[:count]
 
 
-def _throughput(comp, hw, physical, items, vectorized, measure):
-    """Best-of-N cold-memo throughput (candidates/sec) plus the results
-    themselves, for the bit-identity check."""
+def _scalar_predict(physical, hw, mapping_index, schedule) -> float:
+    """The scalar model oracle for one candidate."""
+    return predict_latency(lower_schedule(physical[mapping_index], schedule), hw).total_us
+
+
+def _scalar_evaluate(physical, hw, items, measure):
+    """The scalar oracle over a batch, one candidate at a time — the same
+    evaluations the removed per-candidate engine path ran."""
+    if not measure:
+        return [_scalar_predict(physical, hw, mi, s) for mi, s in items]
+    results = []
+    for mi, schedule in items:
+        sm = lower_schedule(physical[mi], schedule)
+        results.append(
+            (predict_latency(sm, hw).total_us, simulate_cycles(sm, hw).total_us)
+        )
+    return results
+
+
+def _throughput(run, count):
+    """Best-of-N throughput (candidates/sec) of ``run()`` plus its last
+    results, for the bit-identity check."""
     best_s = float("inf")
     results = None
     for _ in range(FITNESS_REPEATS):
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache(), vectorized=vectorized
-        ) as engine:
-            start = time.perf_counter()
-            if measure:
-                results = engine.measure_many(items)
-            else:
-                results = engine.predict_many(items)
-            best_s = min(best_s, time.perf_counter() - start)
-    return len(items) / best_s, best_s, results
+        start = time.perf_counter()
+        results = run()
+        best_s = min(best_s, time.perf_counter() - start)
+    return count / best_s, best_s, results
 
 
 def run_fitness_throughput() -> dict:
     comp, hw, physical = _context()
     items = _fitness_items(physical, hw, FITNESS_BATCH)
 
+    def engine_run(measure):
+        # A cold memo per repetition: every candidate is evaluated.
+        with EvaluationEngine(
+            comp, physical, hw, n_workers=1, memo=MemoCache()
+        ) as engine:
+            if measure:
+                return engine.measure_many(items)
+            return engine.predict_many(items)
+
     report = {"batch_size": len(items), "num_mappings": len(physical)}
     for measure, label in ((False, "fitness"), (True, "measured")):
         vec_cps, vec_s, vec_results = _throughput(
-            comp, hw, physical, items, vectorized=True, measure=measure
+            lambda: engine_run(measure), len(items)
         )
         sca_cps, sca_s, sca_results = _throughput(
-            comp, hw, physical, items, vectorized=False, measure=measure
+            lambda: _scalar_evaluate(physical, hw, items, measure), len(items)
         )
         report[label] = {
             "vectorized_cand_per_s": vec_cps,
@@ -194,14 +205,14 @@ def run_ga_loop_throughput() -> dict:
         )
     )
     ranked_rows = rows_result.candidates(spaces)
-    # The PR-3-shaped baseline: every candidate bred, keyed and scored
-    # one Python object at a time.
+    # The per-candidate baseline: every candidate bred, keyed and scored
+    # one Python object at a time by the scalar model.
     percand_s, ranked_percand = timed(
         lambda engine: genetic_search(
             physical,
-            fitness=lambda c: engine.predict_many(
-                [(c.mapping_index, c.schedule)]
-            )[0],
+            fitness=lambda c: _scalar_predict(
+                physical, hw, c.mapping_index, c.schedule
+            ),
             config=cfg,
             seeds=seeds,
             spaces=spaces,
@@ -266,58 +277,11 @@ def run_describe_memo_note() -> dict:
     }
 
 
-def _timed_tune(comp, config: TunerConfig) -> tuple[float, object]:
-    reset_global_memo()
-    tuner = Tuner(get_hardware("v100"), config)
-    start = time.perf_counter()
-    result = tuner.tune(comp)
-    return time.perf_counter() - start, result
-
-
-def run_tune_comparison(quick: bool) -> dict:
-    """The full tune loop, scalar engine vs vectorized engine."""
-    if quick:
-        comp = make_operator("GMM", m=64, n=64, k=64)
-        base = QUICK_CONFIG
-        workload = "GMM m=64 n=64 k=64"
-    else:
-        comp = make_operator("C2D", n=1, c=16, k=16, h=14, w=14, r=3, s=3, stride=1)
-        base = FULL_CONFIG
-        workload = "C2D c=16 k=16 h=14 w=14"
-
-    scalar_s, scalar = _timed_tune(
-        comp, dataclasses.replace(base, vectorized=False)
-    )
-    vector_s, vector = _timed_tune(
-        comp, dataclasses.replace(base, vectorized=True)
-    )
-    reset_global_memo()
-
-    def fingerprint(result):
-        return [
-            (t.mapping_index, t.predicted_us, t.measured_us)
-            for t in result.trials
-        ]
-
-    return {
-        "workload": workload,
-        "scalar": {"wall_s": scalar_s, "best_us": scalar.best_us},
-        "vectorized": {"wall_s": vector_s, "best_us": vector.best_us},
-        "identical": (
-            scalar.best_us == vector.best_us
-            and fingerprint(scalar) == fingerprint(vector)
-        ),
-        "speedup": scalar_s / vector_s if vector_s else 0.0,
-    }
-
-
-def run_bench(quick: bool) -> dict:
+def run_bench() -> dict:
     report = {
-        "quick": quick,
         "fitness_throughput": run_fitness_throughput(),
         "ga_loop": run_ga_loop_throughput(),
         "describe_memo": run_describe_memo_note(),
-        "tune": run_tune_comparison(quick),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / RESULT_FILE
@@ -331,7 +295,7 @@ def check_bench(report: dict) -> None:
     for label in ("fitness", "measured"):
         section = fitness[label]
         assert section["identical"], (
-            f"vectorized {label} results diverged from scalar: {section}"
+            f"batch {label} results diverged from the scalar oracle: {section}"
         )
     assert fitness["fitness"]["speedup"] >= MIN_FITNESS_SPEEDUP, (
         f"batch fitness must be >= {MIN_FITNESS_SPEEDUP}x the scalar path, "
@@ -352,22 +316,11 @@ def check_bench(report: dict) -> None:
         f"memoized describe() should beat a fresh render handily: {memo}"
     )
 
-    tune = report["tune"]
-    assert tune["identical"], (
-        f"the vectorized flag changed the tune result: {tune}"
-    )
-    # Wall-clock of the whole tune also includes enumeration, GA state
-    # and trial construction, so the end-to-end win is reported but only
-    # a no-regression floor is asserted.
-    assert tune["speedup"] >= 1.0 - 0.25, (
-        f"vectorized tune slower than scalar beyond tolerance: {tune}"
-    )
-
 
 def test_batch_eval_bench_quick():
-    report = run_bench(quick=True)
+    report = run_bench()
     check_bench(report)
-    fitness, tune = report["fitness_throughput"], report["tune"]
+    fitness = report["fitness_throughput"]
     ga_loop, memo = report["ga_loop"], report["describe_memo"]
     print(
         f"\nfitness batch ({fitness['batch_size']} candidates): "
@@ -382,21 +335,12 @@ def test_batch_eval_bench_quick():
         f"{ga_loop['speedup_vs_batched_objects']:.1f}x vs batched objects)"
         f"\ndescribe memo: {memo['cold_render_us_each']:.2f}us cold vs "
         f"{memo['memoized_us_each']:.3f}us memoized ({memo['speedup']:.0f}x)"
-        f"\ntune {tune['workload']}: scalar {tune['scalar']['wall_s']:.3f}s, "
-        f"vectorized {tune['vectorized']['wall_s']:.3f}s "
-        f"({tune['speedup']:.2f}x, identical={tune['identical']})"
     )
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small tune budget + assertions (the tier-1 configuration)",
-    )
-    args = parser.parse_args(argv)
-    report = run_bench(quick=args.quick)
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    report = run_bench()
     check_bench(report)
     print(json.dumps(report, indent=2))
     print(f"\nwritten to {RESULTS_DIR / RESULT_FILE}")

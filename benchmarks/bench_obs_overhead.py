@@ -60,7 +60,7 @@ WAREHOUSE_RESULT_FILE = "BENCH_warehouse.json"
 #: for a test-suite budget.
 BENCH_CONFIG = TunerConfig(population=8, generations=3)
 
-#: Same budget through the vectorized parallel path: a 2-worker pool
+#: Same budget through the parallel path: a 2-worker pool
 #: with the batching threshold at 1, so the cross-process obs capture
 #: (worker span shipping, metric-delta merging) sits on the measured
 #: path and must obey the same disabled-overhead bound.
@@ -69,7 +69,6 @@ BENCH_CONFIG_PARALLEL = TunerConfig(
     generations=3,
     n_workers=2,
     min_pool_batch=1,
-    vectorized=True,
 )
 
 #: Metric updates issued per simulate_cycles call on the feasible path
@@ -358,7 +357,7 @@ def test_obs_disabled_overhead_under_5_percent():
 
 def test_obs_disabled_overhead_parallel_under_5_percent():
     _report(
-        "vectorized pool",
+        "pool",
         check_disabled_overhead_bound(0.05, BENCH_CONFIG_PARALLEL),
     )
 

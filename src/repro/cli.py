@@ -32,8 +32,8 @@ Subcommands:
   CSV/JSON exports.
 
 Every tuning entry point accepts ``--run-dir`` (write a RunRecord
-manifest per compile), ``--divergence-rate`` (sample vectorized engine
-results back through the scalar oracle), ``--eval-timeout`` /
+manifest per compile), ``--divergence-rate`` (sample engine results
+back through the scalar oracle), ``--eval-timeout`` /
 ``--max-retries`` (fault-tolerance deadlines and retry budget for the
 evaluation pool) and ``--quick`` (small fixed CI budget).
 """
@@ -171,6 +171,22 @@ def _unit_fraction(lo_open: bool):
         if not (low_ok and value <= 1.0):
             bounds = "(0, 1]" if lo_open else "[0, 1]"
             raise argparse.ArgumentTypeError(f"{value} not in {bounds}")
+        return value
+
+    return parse
+
+
+def _int_at_least(low: int):
+    """Argparse type for an integer ``>= low``: rejects out-of-range
+    counts at parse time instead of mid-compile."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
         return value
 
     return parse
@@ -474,7 +490,7 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="N",
         help="evaluation worker processes (default: one per CPU core; "
@@ -496,11 +512,11 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--divergence-rate",
-        type=float,
+        type=_unit_fraction(lo_open=False),
         default=0.0,
         metavar="R",
-        help="fraction of vectorized engine evaluations re-checked "
-        "against the scalar oracle (0 disables the watchdog)",
+        help="fraction of engine evaluations re-checked against the "
+        "scalar oracle, in [0, 1] (0 disables the watchdog)",
     )
     p.add_argument(
         "--eval-timeout",
@@ -513,7 +529,7 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--max-retries",
-        type=int,
+        type=_int_at_least(0),
         default=2,
         metavar="N",
         help="retries per failing evaluation task before it is "

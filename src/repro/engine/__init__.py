@@ -10,7 +10,7 @@ single result:
 * :mod:`repro.engine.cache` — the in-memory memo (predictions +
   measurements) and the persistent on-disk compile cache;
 * :mod:`repro.engine.pool` — a spawn-safe, fault-tolerant process pool
-  evaluating batches of picklable candidate descriptors;
+  evaluating chunks of schedule rows;
 * :mod:`repro.engine.faults` — the fault-tolerance policy (deadlines,
   retry/backoff, respawn, quarantine, degradation) and the
   deterministic fault-injection plan used by the tests;
@@ -36,8 +36,6 @@ from repro.engine.cache import (
 from repro.engine.engine import EvaluationEngine, resolve_workers
 from repro.engine.faults import FaultPlan, FaultPolicy, InjectedFault
 from repro.engine.fingerprint import (
-    candidate_key,
-    candidate_key_from_describe,
     computation_fingerprint,
     hardware_fingerprint,
     mapping_fingerprint,
@@ -54,8 +52,6 @@ __all__ = [
     "InjectedFault",
     "MemoCache",
     "WorkerPool",
-    "candidate_key",
-    "candidate_key_from_describe",
     "compile_cache_for",
     "computation_fingerprint",
     "global_memo",

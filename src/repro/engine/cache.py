@@ -48,9 +48,10 @@ class MemoCache:
 
     Two separate maps because the two values are produced by different
     evaluators and a candidate is frequently predicted long before (or
-    without ever) being measured.  Keys are describe-string keys (object
-    entry points) or row-bytes keys (array entry points); the two kinds
-    coexist in one cache without collisions.  Bounded: when full, the
+    without ever) being measured.  Keys are the engine's candidate row
+    keys (:meth:`~repro.engine.engine.EvaluationEngine.row_keys`): bytes
+    of the context fingerprints plus the canonical schedule row.
+    Bounded: when full, the
     oldest entries are evicted (insertion order), which is plenty for an
     LRU-ish working set without per-get bookkeeping on the hot path.
     """
@@ -59,11 +60,11 @@ class MemoCache:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.predictions: dict[str | bytes, float] = {}
-        self.measurements: dict[str | bytes, float] = {}
+        self.predictions: dict[bytes, float] = {}
+        self.measurements: dict[bytes, float] = {}
         self._lock = threading.Lock()
 
-    def _put(self, table: dict[str | bytes, float], key: str | bytes, value: float) -> None:
+    def _put(self, table: dict[bytes, float], key: bytes, value: float) -> None:
         evicted = 0
         with self._lock:
             if key not in table and len(table) >= self.max_entries:
@@ -81,18 +82,18 @@ class MemoCache:
     # Reads take the same lock as _put: the eviction loop deletes keys,
     # and a lock-free reader could otherwise race it (dict mutation
     # during lookup is only incidentally safe under the current GIL).
-    def get_prediction(self, key: str | bytes) -> float | None:
+    def get_prediction(self, key: bytes) -> float | None:
         with self._lock:
             return self.predictions.get(key)
 
-    def put_prediction(self, key: str | bytes, value: float) -> None:
+    def put_prediction(self, key: bytes, value: float) -> None:
         self._put(self.predictions, key, value)
 
-    def get_measurement(self, key: str | bytes) -> float | None:
+    def get_measurement(self, key: bytes) -> float | None:
         with self._lock:
             return self.measurements.get(key)
 
-    def put_measurement(self, key: str | bytes, value: float) -> None:
+    def put_measurement(self, key: bytes, value: float) -> None:
         self._put(self.measurements, key, value)
 
     def __len__(self) -> int:

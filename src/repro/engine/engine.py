@@ -1,40 +1,36 @@
 """The batch evaluation engine: memoized, optionally process-parallel.
 
 :class:`EvaluationEngine` is the single funnel through which the tuner
-evaluates candidates.  Callers hand it batches of ``(mapping_index,
-schedule)`` items — or, on the row entry points ``predict_rows`` /
-``measure_rows``, a :class:`ScheduleBatch` of raw rows plus a per-row
-mapping-index vector, with no per-candidate objects at all; the engine
+evaluates candidates.  Its currency is rows: a :class:`ScheduleBatch`
+of raw schedule columns plus a per-row mapping-index vector, handed to
+``predict_rows`` / ``measure_rows``.  For every batch the engine
 
-1. computes each item's canonical candidate key (fingerprints of the
-   computation, hardware, mapping, plus the schedule descriptor),
+1. computes each row's canonical memo key in one pass (the per-mapping
+   :func:`candidate_row_prefix` plus the row's raw column bytes),
 2. serves whatever the memo cache already knows,
 3. evaluates the misses — in-process, or on the worker pool when there
    are enough of them to amortise inter-process transfer — and
-4. returns results in submission order.
+4. returns float64 arrays in row order.
 
-Misses take the vectorized path by default (``vectorized=True``): they
-are grouped by mapping, each mapping's :class:`MappingFeatures` table is
-derived once per engine, the group's schedules are encoded as numpy
-arrays (sharing the ``describe()`` strings already rendered for the memo
-keys) and evaluated through ``batch_predict`` / ``batch_simulate``.  On
-the pool the groups ship as array chunks — feature tables are rebuilt
-worker-side from the context, so no per-candidate objects cross the
-process boundary.  Row batches go further: memo keys are raw column
-bytes (:func:`candidate_row_prefix`) computed for the whole batch in
-one pass, chunks are contiguous row *slices* of the caller's arrays
-(``describes=None``; the describe string is rendered lazily only where
-a jitter key needs it), and results come back as float64 arrays.  The
-batch evaluators are bit-identical to the scalar ones
-(``vectorized=False``), so the flag is an execution knob, never a
-results knob.
+Misses are grouped by mapping; each mapping's :class:`MappingFeatures`
+table is derived once per engine and every group is evaluated through
+``batch_predict`` / ``batch_simulate``.  On the pool the groups ship as
+contiguous row slices of the caller's arrays — feature tables are
+rebuilt worker-side from the context, so nothing but ndarray buffers
+crosses the process boundary.
 
-Determinism is the design invariant: all evaluators are pure functions
-of the candidate, batches are reassembled positionally, and the memo
-only short-circuits recomputation of identical values, so ``n_workers=1``
-(pure in-process), ``n_workers=N``, warm-cache and vectorized/scalar
-runs all produce byte-identical results.  Fault recovery preserves the
-same invariant: pooled evaluation runs under a
+``predict_many`` / ``measure_many`` accept ``(mapping_index, Schedule)``
+objects.  They are thin adapters: :meth:`EvaluationEngine.encode_rows`,
+the engine's only object→row boundary, canonicalises each schedule
+(every spatial split materialised) before it is keyed, so an object and
+its row form share one memo entry and one simulator jitter key.
+
+Determinism is the design invariant: the batch evaluators are pure
+functions of the candidate, batches are reassembled positionally, and
+the memo only short-circuits recomputation of identical values, so
+``n_workers=1`` (pure in-process), ``n_workers=N`` and warm-cache runs
+all produce byte-identical results.  Fault recovery preserves the same
+invariant: pooled evaluation runs under a
 :class:`~repro.engine.faults.FaultPolicy` (batch deadlines, bounded
 retry with backoff, pool respawn, per-task quarantine, degradation to
 inline evaluation — see :mod:`repro.engine.pool`), and because every
@@ -48,10 +44,10 @@ hit rates and pool utilisation.  Worker-side spans and counters are
 shipped home and merged by the pool (see :mod:`repro.engine.pool`), so
 pooled evaluation appears in the same trace under per-worker lanes.  A
 sampled *divergence watchdog* (``divergence_rate > 0``) re-runs a
-deterministic fraction of vectorized evaluations through the scalar
-oracle and records parity as ``engine.divergence.*`` — the bit-identity
-contract as a continuously monitored invariant rather than a test-time
-claim.
+deterministic fraction of evaluated rows through the scalar oracle
+(``predict_latency`` / ``simulate_cycles``) and records parity as
+``engine.divergence.*`` — the bit-identity contract as a continuously
+monitored invariant rather than a test-time claim.
 """
 
 from __future__ import annotations
@@ -66,8 +62,6 @@ import numpy as np
 from repro.engine.cache import MemoCache, global_memo
 from repro.engine.faults import FaultPlan, FaultPolicy, fresh_fault_stats
 from repro.engine.fingerprint import (
-    candidate_key,
-    candidate_key_from_describe,
     candidate_row_prefix,
     computation_fingerprint,
     hardware_fingerprint,
@@ -86,7 +80,6 @@ from repro.schedule.features import (
     MappingFeatures,
     ScheduleBatch,
     derive_batch,
-    encode_schedules,
     schedules_from_rows,
     take_rows,
 )
@@ -122,7 +115,6 @@ class EvaluationEngine:
         n_workers: int | None = None,
         memo: MemoCache | None = None,
         min_pool_batch: int = DEFAULT_MIN_POOL_BATCH,
-        vectorized: bool = True,
         divergence_rate: float = 0.0,
         fault_policy: FaultPolicy | None = None,
         fault_plan: FaultPlan | None = None,
@@ -136,11 +128,10 @@ class EvaluationEngine:
         self.hardware = hardware
         self.n_workers = resolve_workers(n_workers)
         self.min_pool_batch = min_pool_batch
-        self.vectorized = vectorized
         self.divergence_rate = divergence_rate
         self.fault_policy = fault_policy or FaultPolicy()
         self.fault_plan = fault_plan
-        #: Running watchdog tally (see :meth:`_watchdog`), readable even
+        #: Running watchdog tally (see :meth:`_watchdog_rows`), readable even
         #: when obs is off.
         self.divergence_stats = {"checked": 0, "mismatched": 0}
         #: Fault-recovery tally; rebound to the pool's live dict when a
@@ -164,20 +155,60 @@ class EvaluationEngine:
         self._row_prefixes: dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
-    def key_of(self, mapping_index: int, schedule: Schedule) -> str:
-        return candidate_key(
-            self.comp_fp, self.hw_fp, self.mapping_fps[mapping_index], schedule
+    def encode_rows(
+        self, items: Sequence[tuple[int, Schedule]]
+    ) -> tuple[np.ndarray, ScheduleBatch]:
+        """Encode ``(mapping_index, schedule)`` pairs as joint-width rows.
+
+        The engine's only object→row boundary.  Every spatial split of
+        the row's mapping is materialised (a split the schedule leaves
+        out reads as the identity split), so rows are canonical: a
+        schedule and its canonical form get the same row key, the same
+        memo entry and the same simulator jitter key.
+        """
+        names_of = {mi: self.features_of(mi).spatial_names for mi, _ in items}
+        joint = max((len(names) for names in names_of.values()), default=0)
+        n = len(items)
+        mi_arr = np.asarray([mi for mi, _ in items], dtype=np.int64)
+        warp = np.ones((n, joint), dtype=np.int64)
+        seq = np.ones((n, joint), dtype=np.int64)
+        stage = np.empty(n, dtype=np.int64)
+        db = np.empty(n, dtype=bool)
+        unroll = np.empty(n, dtype=np.int64)
+        vectorize = np.empty(n, dtype=np.int64)
+        for i, (mi, sched) in enumerate(items):
+            for j, name in enumerate(names_of[mi]):
+                split = sched.split_for(name)
+                warp[i, j] = split.warp
+                seq[i, j] = split.seq
+            stage[i] = sched.reduce_stage
+            db[i] = sched.double_buffer
+            unroll[i] = sched.unroll
+            vectorize[i] = sched.vectorize
+        return mi_arr, ScheduleBatch(
+            warp=warp,
+            seq=seq,
+            reduce_stage=stage,
+            double_buffer=db,
+            unroll=unroll,
+            vectorize=vectorize,
         )
 
     def predict_many(self, items: Sequence[tuple[int, Schedule]]) -> list[float]:
-        """Model predictions (us) for a batch, in submission order."""
-        return [p for p, _ in self._evaluate(items, measure=False)]
+        """Model predictions (us) for schedule objects, in submission
+        order: the :meth:`predict_rows` result of their canonical rows."""
+        predicted, _ = self._evaluate_rows(*self.encode_rows(items), measure=False)
+        return predicted.tolist()
 
     def measure_many(
         self, items: Sequence[tuple[int, Schedule]]
     ) -> list[tuple[float, float]]:
-        """(predicted_us, measured_us) pairs for a batch, in order."""
-        return [(p, m) for p, m in self._evaluate(items, measure=True)]
+        """(predicted_us, measured_us) pairs for schedule objects, in
+        order: the :meth:`measure_rows` result of their canonical rows."""
+        predicted, measured = self._evaluate_rows(
+            *self.encode_rows(items), measure=True
+        )
+        return list(zip(predicted.tolist(), measured.tolist()))
 
     # -- row entry points -----------------------------------------------
     def predict_rows(
@@ -185,12 +216,10 @@ class EvaluationEngine:
     ) -> np.ndarray:
         """Model predictions (us) for batch rows, in row order.
 
-        The row-native twin of :meth:`predict_many`: the caller hands
-        rows (a :class:`ScheduleBatch`, possibly padded to a joint
-        width, plus a per-row mapping index) instead of per-candidate
-        ``(mapping_index, Schedule)`` objects.  Memo keys are computed
-        for the whole batch in one pass (:meth:`row_keys`) and no
-        ``describe()`` string is rendered except lazily for memo-miss
+        The caller hands rows (a :class:`ScheduleBatch`, possibly padded
+        to a joint width, plus a per-row mapping index).  Memo keys are
+        computed for the whole batch in one pass (:meth:`row_keys`) and
+        no ``describe()`` string is rendered except lazily for memo-miss
         rows that reach the simulator's jitter encoding.
         """
         predicted, _ = self._evaluate_rows(mapping_indices, batch, measure=False)
@@ -276,93 +305,15 @@ class EvaluationEngine:
             )
 
     # ------------------------------------------------------------------
-    def _evaluate(
-        self, items: Sequence[tuple[int, Schedule]], measure: bool
-    ) -> list[tuple[float, float | None]]:
-        if not items:
-            return []
-        # Each schedule's describe() string is rendered exactly once: it is
-        # both the schedule half of the memo key and (on the vectorized
-        # path) the jitter-key component shipped in the batch encoding.
-        describes = [sched.describe() for _, sched in items]
-        keys = [
-            candidate_key_from_describe(
-                self.comp_fp, self.hw_fp, self.mapping_fps[mi], describe
-            )
-            for (mi, _), describe in zip(items, describes)
-        ]
-        predictions: list[float | None] = [self.memo.get_prediction(k) for k in keys]
-        measurements: list[float | None] = [
-            self.memo.get_measurement(k) if measure else None for k in keys
-        ]
-
-        # A position is a miss when any requested value is unknown; each
-        # distinct key is evaluated once per batch no matter how often it
-        # repeats within the batch.
-        miss_positions: list[int] = []
-        first_position: dict[str, int] = {}
-        duplicate_of: dict[int, int] = {}
-        for pos, key in enumerate(keys):
-            missing = predictions[pos] is None or (measure and measurements[pos] is None)
-            if not missing:
-                continue
-            if key in first_position:
-                duplicate_of[pos] = first_position[key]
-                continue
-            first_position[key] = pos
-            miss_positions.append(pos)
-
-        hits = len(items) - len(miss_positions) - len(duplicate_of)
-        self._record_batch_stats(len(items), hits, len(miss_positions), measure)
-
-        with _obs_span(
-            "engine.batch",
-            items=len(items),
-            misses=len(miss_positions),
-            measure=measure,
-        ) as batch_span:
-            use_pool = (
-                self.n_workers > 1 and len(miss_positions) >= self.min_pool_batch
-            )
-            batch_span.set(pooled=use_pool, vectorized=self.vectorized)
-            if self.vectorized:
-                results = self._batch_evaluate(
-                    miss_positions, items, describes, measure, use_pool
-                )
-            elif use_pool:
-                results = self._pool_evaluate(
-                    [items[pos] for pos in miss_positions], measure
-                )
-            else:
-                results = [
-                    self._inline_evaluate(items[pos], measure)
-                    for pos in miss_positions
-                ]
-
-        if self.vectorized and self.divergence_rate > 0.0 and miss_positions:
-            self._watchdog(miss_positions, items, keys, results, measure)
-
-        for pos, (predicted, measured) in zip(miss_positions, results):
-            key = keys[pos]
-            predictions[pos] = predicted
-            self.memo.put_prediction(key, predicted)
-            if measure:
-                measurements[pos] = measured
-                self.memo.put_measurement(key, measured)
-        for pos, src in duplicate_of.items():
-            predictions[pos] = predictions[src]
-            measurements[pos] = measurements[src]
-        return list(zip(predictions, measurements))
-
     def _evaluate_rows(
         self,
         mapping_indices: np.ndarray | Sequence[int],
         batch: ScheduleBatch,
         measure: bool,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Row-native twin of :meth:`_evaluate`: same memo discipline,
-        same dedup, same dispatch — keyed by row bytes instead of
-        describe strings, returning float64 arrays in row order."""
+        """The engine's one evaluation body, behind all four entry
+        points: key every row, serve the memo, evaluate each distinct
+        miss once, return float64 arrays in row order."""
         n = len(batch)
         if n == 0:
             empty = np.empty(0, dtype=np.float64)
@@ -374,6 +325,9 @@ class EvaluationEngine:
             self.memo.get_measurement(k) if measure else None for k in keys
         ]
 
+        # A position is a miss when any requested value is unknown; each
+        # distinct key is evaluated once per batch no matter how often it
+        # repeats within the batch.
         miss_positions: list[int] = []
         first_position: dict[bytes, int] = {}
         duplicate_of: dict[int, int] = {}
@@ -399,28 +353,12 @@ class EvaluationEngine:
             use_pool = (
                 self.n_workers > 1 and len(miss_positions) >= self.min_pool_batch
             )
-            batch_span.set(pooled=use_pool, vectorized=self.vectorized, rows=True)
-            if self.vectorized:
-                results = self._batch_evaluate_rows(
-                    miss_positions, mapping_indices, batch, measure, use_pool
-                )
-            else:
-                # Scalar fallback: decode the miss rows into Schedule
-                # objects and reuse the per-candidate paths unchanged.
-                items = list(
-                    zip(
-                        (int(mapping_indices[pos]) for pos in miss_positions),
-                        self._decode_rows(mapping_indices, batch, miss_positions),
-                    )
-                )
-                if use_pool:
-                    results = self._pool_evaluate(items, measure)
-                else:
-                    results = [
-                        self._inline_evaluate(item, measure) for item in items
-                    ]
+            batch_span.set(pooled=use_pool)
+            results = self._eval_grouped(
+                miss_positions, mapping_indices, batch, measure, use_pool
+            )
 
-        if self.vectorized and self.divergence_rate > 0.0 and miss_positions:
+        if self.divergence_rate > 0.0 and miss_positions:
             self._watchdog_rows(
                 miss_positions, mapping_indices, batch, keys, results, measure
             )
@@ -439,62 +377,6 @@ class EvaluationEngine:
         measured_arr = np.array(measurements, dtype=np.float64) if measure else None
         return predicted_arr, measured_arr
 
-    def _decode_rows(
-        self,
-        mapping_indices: np.ndarray,
-        batch: ScheduleBatch,
-        positions: Sequence[int],
-    ) -> list[Schedule]:
-        """Materialize Schedule objects for selected rows (scalar
-        fallback and watchdog oracle); each row decodes against its own
-        mapping's spatial names, ignoring joint-width padding columns."""
-        out: list[Schedule] = []
-        for pos in positions:
-            names = self.features_of(int(mapping_indices[pos])).spatial_names
-            out.extend(schedules_from_rows(names, batch, [pos]))
-        return out
-
-    def _watchdog(
-        self,
-        miss_positions: list[int],
-        items: Sequence[tuple[int, Schedule]],
-        keys: list[str],
-        results: list[tuple[float, float | None]],
-        measure: bool,
-    ) -> None:
-        """Divergence watchdog: re-run a sampled fraction of batch-path
-        evaluations through the scalar oracle and record parity.
-
-        The vectorized evaluators are *claimed* bit-identical to the
-        scalar ones; this turns that claim into a continuously monitored
-        invariant.  Sampling is deterministic per candidate (a CRC of the
-        canonical key against ``divergence_rate``), never drawn from an
-        RNG, so the watchdog cannot perturb exploration and the same
-        candidates are checked on every run.  Parity lands in the
-        ``engine.divergence.{checked,mismatched}`` counters (and the
-        engine's ``divergence_stats`` tally, readable with obs off); a
-        mismatch is recorded, not raised — the batch results stand, the
-        flight recorder flags the broken invariant.
-        """
-        threshold = int(self.divergence_rate * 0x100000000)
-        checked = 0
-        mismatched = 0
-        for pos, result in zip(miss_positions, results):
-            if zlib.crc32(keys[pos].encode()) >= threshold:
-                continue
-            checked += 1
-            oracle = self._inline_evaluate(items[pos], measure)
-            if oracle != result:
-                mismatched += 1
-                with _obs_span(
-                    "engine.divergence.mismatch",
-                    key=keys[pos],
-                    batch=list(result),
-                    oracle=list(oracle),
-                ):
-                    pass
-        self._record_divergence(checked, mismatched)
-
     def _watchdog_rows(
         self,
         miss_positions: list[int],
@@ -504,10 +386,20 @@ class EvaluationEngine:
         results: list[tuple[float, float | None]],
         measure: bool,
     ) -> None:
-        """Row-path divergence watchdog: same contract as
-        :meth:`_watchdog`, with the deterministic sample drawn from the
-        raw row-key bytes and the scalar oracle's Schedule decoded on
-        demand — only for the sampled rows, never the whole batch.
+        """Divergence watchdog: re-run a sampled fraction of evaluated
+        rows through the scalar oracle and record parity.
+
+        The batch evaluators are *claimed* bit-identical to the scalar
+        ones; this turns that claim into a continuously monitored
+        invariant.  Sampling is deterministic per candidate (a CRC of the
+        row key against ``divergence_rate``), never drawn from an RNG, so
+        the watchdog cannot perturb exploration and the same candidates
+        are checked on every run.  Only the sampled rows are decoded into
+        :class:`Schedule` objects.  Parity lands in the
+        ``engine.divergence.{checked,mismatched}`` counters (and the
+        engine's ``divergence_stats`` tally, readable with obs off); a
+        mismatch is recorded, not raised — the batch results stand, the
+        flight recorder flags the broken invariant.
         """
         threshold = int(self.divergence_rate * 0x100000000)
         checked = 0
@@ -517,8 +409,9 @@ class EvaluationEngine:
                 continue
             checked += 1
             mi = int(mapping_indices[pos])
-            (schedule,) = self._decode_rows(mapping_indices, batch, [pos])
-            oracle = self._inline_evaluate((mi, schedule), measure)
+            names = self.features_of(mi).spatial_names
+            (schedule,) = schedules_from_rows(names, batch, [pos])
+            oracle = self._oracle_evaluate(mi, schedule, measure)
             if oracle != result:
                 mismatched += 1
                 with _obs_span(
@@ -547,16 +440,17 @@ class EvaluationEngine:
                 },
             )
 
-    def _inline_evaluate(
-        self, item: tuple[int, Schedule], measure: bool
+    def _oracle_evaluate(
+        self, mapping_index: int, schedule: Schedule, measure: bool
     ) -> tuple[float, float | None]:
-        mapping_index, schedule = item
+        """The scalar oracle: ``predict_latency`` / ``simulate_cycles``
+        of the lowered schedule."""
         sched = lower_schedule(self.physical[mapping_index], schedule)
         predicted = predict_latency(sched, self.hardware).total_us
         measured = simulate_cycles(sched, self.hardware).total_us if measure else None
         return predicted, measured
 
-    # -- vectorized path ------------------------------------------------
+    # -- batch evaluation -----------------------------------------------
     def features_of(self, mapping_index: int) -> MappingFeatures:
         """The mapping's feature table, derived once per engine."""
         features = self._features.get(mapping_index)
@@ -565,31 +459,7 @@ class EvaluationEngine:
             self._features[mapping_index] = features
         return features
 
-    def _batch_evaluate(
-        self,
-        miss_positions: list[int],
-        items: Sequence[tuple[int, Schedule]],
-        describes: list[str],
-        measure: bool,
-        use_pool: bool,
-    ) -> list[tuple[float, float | None]]:
-        """Evaluate the misses through the array path, grouped by mapping.
-
-        Returns results aligned with ``miss_positions``.
-        """
-        return self._eval_grouped(
-            miss_positions,
-            measure,
-            use_pool,
-            mapping_of=lambda pos: items[pos][0],
-            batch_of=lambda mi, positions: encode_schedules(
-                self.features_of(mi),
-                [items[pos][1] for pos in positions],
-                [describes[pos] for pos in positions],
-            ),
-        )
-
-    def _batch_evaluate_rows(
+    def _eval_grouped(
         self,
         miss_positions: list[int],
         mapping_indices: np.ndarray,
@@ -597,39 +467,16 @@ class EvaluationEngine:
         measure: bool,
         use_pool: bool,
     ) -> list[tuple[float, float | None]]:
-        """Row-path :meth:`_batch_evaluate`: each chunk is a zero-copy
-        contiguous row slice of the incoming batch (width-trimmed to its
-        mapping, ``describes=None``) — no per-candidate objects are built
-        and nothing but ndarray buffers crosses the pool boundary."""
-        return self._eval_grouped(
-            miss_positions,
-            measure,
-            use_pool,
-            mapping_of=lambda pos: int(mapping_indices[pos]),
-            batch_of=lambda mi, positions: take_rows(
-                batch, positions, width=len(self.features_of(mi).spatial_names)
-            ),
-        )
-
-    def _eval_grouped(
-        self,
-        miss_positions: list[int],
-        measure: bool,
-        use_pool: bool,
-        mapping_of,
-        batch_of,
-    ) -> list[tuple[float, float | None]]:
-        """Shared grouped dispatch of both batch paths: group the misses
-        by mapping (``mapping_of(pos)``), chunk, encode each chunk as a
-        ScheduleBatch (``batch_of(mapping_index, positions)``), evaluate
-        on the pool or inline, reassemble aligned with ``miss_positions``.
-        """
+        """Evaluate the miss rows grouped by mapping: chunk each group,
+        take each chunk as a zero-copy row slice of the incoming batch
+        (width-trimmed to its mapping), evaluate on the pool or inline,
+        reassemble aligned with ``miss_positions``."""
         groups: dict[int, list[int]] = {}
         for pos in miss_positions:
-            groups.setdefault(mapping_of(pos), []).append(pos)
+            groups.setdefault(int(mapping_indices[pos]), []).append(pos)
 
-        # Each chunk is one parallel work unit; aim for ~4 per worker as
-        # the scalar pool path does so stragglers even out.
+        # Each chunk is one parallel work unit; aim for ~4 per worker so
+        # stragglers even out.
         if use_pool:
             target = max(1, math.ceil(len(miss_positions) / (self.n_workers * 4)))
         else:
@@ -640,7 +487,15 @@ class EvaluationEngine:
                 chunks.append((mapping_index, positions[start : start + target]))
 
         payload = [
-            (mapping_index, batch_of(mapping_index, positions), measure)
+            (
+                mapping_index,
+                take_rows(
+                    batch,
+                    positions,
+                    width=len(self.features_of(mapping_index).spatial_names),
+                ),
+                measure,
+            )
             for mapping_index, positions in chunks
         ]
         if use_pool:
@@ -650,8 +505,8 @@ class EvaluationEngine:
             chunk_results = self._pool.evaluate_groups(payload)
         else:
             chunk_results = [
-                self._eval_batch_inline(features_index, chunk_batch, m)
-                for features_index, chunk_batch, m in payload
+                self._eval_batch_inline(mapping_index, chunk_batch, m)
+                for mapping_index, chunk_batch, m in payload
             ]
 
         by_position: dict[int, tuple[float, float | None]] = {}
@@ -661,7 +516,7 @@ class EvaluationEngine:
         return [by_position[pos] for pos in miss_positions]
 
     def _eval_batch_inline(
-        self, mapping_index: int, batch, measure: bool
+        self, mapping_index: int, batch: ScheduleBatch, measure: bool
     ) -> list[tuple[float, float | None]]:
         features = self.features_of(mapping_index)
         quantities = derive_batch(features, batch)
@@ -688,15 +543,6 @@ class EvaluationEngine:
             # (and the tuner's caller) reads it, even after close().
             self.fault_stats = self._pool.fault_stats
         return self._pool
-
-    def _pool_evaluate(
-        self, items: list[tuple[int, Schedule]], measure: bool
-    ) -> list[tuple[float, float | None]]:
-        self._ensure_pool()
-        payload = [(mi, sched.to_dict(), measure) for mi, sched in items]
-        _obs_metrics.counter("engine.pool.tasks").inc(len(payload))
-        _obs_metrics.counter("engine.pool.batches").inc()
-        return self._pool.evaluate(payload)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

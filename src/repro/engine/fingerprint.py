@@ -20,6 +20,9 @@ evaluation results:
   ``name``) never collide;
 * a mapping fingerprint covers the intrinsic, the matching matrix and the
   physical axis splits, bound to the computation's fingerprint;
+* a candidate key is the bytes of (computation, hardware, mapping)
+  fingerprints plus the candidate's canonical schedule row — the one key
+  kind of the evaluation memo;
 * a tuner-config fingerprint covers the exploration *budget* only —
   execution knobs (``n_workers``, ``cache_dir``, ``run_dir``,
   ``divergence_rate``, and the fault-tolerance knobs ``eval_timeout_s``
@@ -36,11 +39,8 @@ import hashlib
 from repro.ir.compute import ReduceComputation
 from repro.mapping.physical import PhysicalMapping
 from repro.model.hardware_params import HardwareParams
-from repro.schedule.schedule import Schedule
 
 __all__ = [
-    "candidate_key",
-    "candidate_key_from_describe",
     "candidate_row_prefix",
     "computation_fingerprint",
     "hardware_fingerprint",
@@ -88,32 +88,16 @@ def mapping_fingerprint(pm: PhysicalMapping) -> str:
     return _digest("|".join(parts))
 
 
-def candidate_key(comp_fp: str, hw_fp: str, mapping_fp: str, schedule: Schedule) -> str:
-    """Canonical memo key of one evaluated (mapping, schedule) candidate."""
-    return candidate_key_from_describe(comp_fp, hw_fp, mapping_fp, schedule.describe())
-
-
-def candidate_key_from_describe(
-    comp_fp: str, hw_fp: str, mapping_fp: str, describe: str
-) -> str:
-    """``candidate_key`` for a schedule whose ``describe()`` string the
-    caller already rendered (the engine renders each once per batch and
-    shares it between memo keys and the vectorized schedule encoding)."""
-    return f"{comp_fp}|{hw_fp}|{mapping_fp}|{describe}"
-
-
 def candidate_row_prefix(comp_fp: str, hw_fp: str, mapping_fp: str) -> bytes:
-    """Per-mapping prefix of the *row* memo keys used by the engine's
-    batch entry points (``predict_rows`` / ``measure_rows``).
+    """Per-mapping prefix of the candidate memo keys.
 
-    A row key is this prefix plus the raw int64 bytes of the row's
-    width-trimmed columns (warp, seq, reduce_stage, double_buffer,
-    unroll, vectorize) — computable for a whole batch in one pass with
-    no ``describe()`` rendering.  The ``|r:`` tag (and the str/bytes
-    type split) keeps row keys and describe-string keys from ever
-    colliding in a shared :class:`~repro.engine.cache.MemoCache`; rows
-    canonically mean "every split present", which is why the column
-    bytes alone identify the schedule.
+    A candidate key is this prefix plus the raw int64 bytes of the
+    candidate's width-trimmed schedule row (warp, seq, reduce_stage,
+    double_buffer, unroll, vectorize) — computable for a whole batch in
+    one pass with no ``describe()`` rendering.  Rows canonically mean
+    "every split present" (see
+    :meth:`~repro.engine.engine.EvaluationEngine.encode_rows`), which
+    is why the column bytes alone identify the schedule.
     """
     return f"{comp_fp}|{hw_fp}|{mapping_fp}|r:".encode()
 

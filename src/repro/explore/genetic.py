@@ -15,9 +15,9 @@ numpy column operations, and per-row byte keys replace describe-string
 keys for dedup.  Every stochastic decision decodes *pre-drawn uniform
 matrices* from one seeded ``numpy.random.Generator`` with a **fixed
 uniform budget per decision** (see :mod:`repro.schedule.space`), which
-is what makes the scalar object path (``arrays=False`` /
-:func:`genetic_search`) a bit-identical oracle: both paths draw the
-same matrices and decode them with independent implementations, so the
+is what makes the scalar object GA (:func:`genetic_search`) a
+bit-identical oracle of :func:`genetic_search_rows`: both draw the same
+matrices and decode them with independent implementations, so the
 ranked output, the archive order and every tie-break agree exactly.
 """
 

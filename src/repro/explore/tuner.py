@@ -9,9 +9,10 @@ history is what Fig 5's model-validation curves are drawn from.
 
 Every model prediction and simulator measurement flows through one
 :class:`~repro.engine.engine.EvaluationEngine` per tune run: the
-prefilter, the genetic search (via its batch ``fitness_many`` hook), the
+prefilter, the genetic search (:func:`genetic_search_rows`, whose
+population is a :class:`~repro.schedule.features.ScheduleBatch`), the
 measurement pass and the refinement rounds all submit *batches* of
-candidates.  The engine memoizes by canonical candidate fingerprint and,
+schedule rows.  The engine memoizes by canonical candidate key and,
 when ``TunerConfig.n_workers`` allows, evaluates large batches on a
 spawn-safe process pool — with results reassembled in submission order,
 so the tuner's output is byte-identical for any worker count and any
@@ -31,12 +32,7 @@ from repro.engine.fingerprint import (
     hardware_fingerprint,
     tuner_config_fingerprint,
 )
-from repro.explore.genetic import (
-    Candidate,
-    GeneticConfig,
-    genetic_search,
-    genetic_search_rows,
-)
+from repro.explore.genetic import Candidate, GeneticConfig, genetic_search_rows
 from repro.ir.compute import ReduceComputation
 from repro.isa.registry import intrinsics_for_target
 from repro.mapping.generation import GenerationOptions, enumerate_mappings
@@ -50,7 +46,6 @@ from repro.obs.trace import span as _obs_span
 from repro.obs.trace import tracing_enabled as _obs_enabled
 from repro.schedule.features import ScheduleBatch, schedules_from_rows, take_rows
 from repro.schedule.lowering import ScheduledMapping, lower_schedule
-from repro.schedule.schedule import Schedule
 from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, default_schedule
 
 # Tuner progress goes through the structured logger (JSONL on stderr):
@@ -74,28 +69,24 @@ class TunerConfig:
     knobs — they change which candidates are explored, so they are part
     of the tuner-config fingerprint.
 
-    ``n_workers`` / ``min_pool_batch`` / ``vectorized`` / ``ga_arrays``
-    / ``cache_dir`` are execution knobs: they control how fast the same
-    answer is produced, never which answer.  ``n_workers=None`` means
-    "one worker per CPU core" (``os.cpu_count()``); ``n_workers=1``
-    forces pure in-process evaluation.  ``vectorized`` selects the
-    engine's array fast path (feature tables + batch evaluators,
-    bit-identical to the scalar evaluators); ``vectorized=False`` falls
-    back to per-candidate scalar evaluation.  ``ga_arrays`` selects the
-    array-native exploration loop (the population as a
-    :class:`~repro.schedule.features.ScheduleBatch`, row-keyed memo
-    lookups, zero-copy pool handoff); ``ga_arrays=False`` runs the
-    per-candidate object loop, which is the bit-identity oracle — same
-    ranked candidates, same trials, equivalent manifests.  ``cache_dir``
-    opts into the persistent compile cache consulted by
-    :func:`repro.compiler.amos_compile`.
+    ``n_workers`` / ``min_pool_batch`` / ``cache_dir`` are execution
+    knobs: they control how fast the same answer is produced, never
+    which answer.  ``n_workers=None`` means "one worker per CPU core"
+    (``os.cpu_count()``); ``n_workers=1`` forces pure in-process
+    evaluation.  ``cache_dir`` opts into the persistent compile cache
+    consulted by :func:`repro.compiler.amos_compile`.  There is one
+    evaluation path: the population is a
+    :class:`~repro.schedule.features.ScheduleBatch` scored by the
+    engine's batch evaluators, and the scalar ``predict_latency`` /
+    ``simulate_cycles`` remain only as the oracle the watchdog and the
+    tests check it against.
 
     ``run_dir`` / ``divergence_rate`` are flight-recorder knobs (also
     execution-only, excluded from the budget fingerprint): ``run_dir``
     makes every compile/tune write a :class:`~repro.obs.runlog.RunRecord`
     manifest there; ``divergence_rate`` samples that fraction of the
-    engine's vectorized evaluations back through the scalar oracle and
-    records parity as ``engine.divergence.*`` metrics.
+    engine's evaluations back through the scalar oracle and records
+    parity as ``engine.divergence.*`` metrics.
 
     ``eval_timeout_s`` / ``max_retries`` / ``retry_backoff_s`` are the
     fault-tolerance knobs (execution-only too — every recovery path
@@ -119,8 +110,6 @@ class TunerConfig:
     generation_options: GenerationOptions = field(default_factory=GenerationOptions)
     n_workers: int | None = None
     min_pool_batch: int = 16
-    vectorized: bool = True
-    ga_arrays: bool = True
     cache_dir: str | None = None
     run_dir: str | None = None
     divergence_rate: float = 0.0
@@ -179,45 +168,6 @@ class ExplorationResult:
         }
 
 
-def _encode_rows(
-    engine: EvaluationEngine, items: list[tuple[int, Schedule]]
-) -> tuple[np.ndarray, ScheduleBatch]:
-    """Encode (engine mapping index, schedule) pairs as joint-width rows.
-
-    The object→row boundary of the array-native tuner: default-schedule
-    seeds and refinement starting points enter the row world here, with
-    every spatial split materialized (rows are canonical), so their row
-    keys match what the GA's column ops produce for the same schedule.
-    """
-    names_of = {mi: engine.features_of(mi).spatial_names for mi, _ in items}
-    joint = max((len(names) for names in names_of.values()), default=0)
-    n = len(items)
-    mi_arr = np.asarray([mi for mi, _ in items], dtype=np.int64)
-    warp = np.ones((n, joint), dtype=np.int64)
-    seq = np.ones((n, joint), dtype=np.int64)
-    stage = np.empty(n, dtype=np.int64)
-    db = np.empty(n, dtype=bool)
-    unroll = np.empty(n, dtype=np.int64)
-    vectorize = np.empty(n, dtype=np.int64)
-    for i, (mi, sched) in enumerate(items):
-        for j, name in enumerate(names_of[mi]):
-            split = sched.split_for(name)
-            warp[i, j] = split.warp
-            seq[i, j] = split.seq
-        stage[i] = sched.reduce_stage
-        db[i] = sched.double_buffer
-        unroll[i] = sched.unroll
-        vectorize[i] = sched.vectorize
-    return mi_arr, ScheduleBatch(
-        warp=warp,
-        seq=seq,
-        reduce_stage=stage,
-        double_buffer=db,
-        unroll=unroll,
-        vectorize=vectorize,
-    )
-
-
 class Tuner:
     """Joint mapping x schedule tuner for one hardware target."""
 
@@ -247,7 +197,6 @@ class Tuner:
             self.hardware,
             n_workers=self.config.n_workers,
             min_pool_batch=self.config.min_pool_batch,
-            vectorized=self.config.vectorized,
             divergence_rate=self.config.divergence_rate,
             fault_policy=FaultPolicy(
                 eval_timeout_s=self.config.eval_timeout_s,
@@ -268,13 +217,9 @@ class Tuner:
             return list(range(len(physical)))
         with _obs_span("tuner.prefilter", candidates=len(physical), keep=keep):
             items = [(i, default_schedule(pm)) for i, pm in enumerate(physical)]
-            if self.config.ga_arrays:
-                # Row entry point: same candidates, row-keyed memo — so
-                # the GA's later seed evaluations hit the same entries.
-                mi_arr, batch = _encode_rows(engine, items)
-                costs = engine.predict_rows(mi_arr, batch)
-            else:
-                costs = engine.predict_many(items)
+            # Row-keyed like every evaluation, so the GA's later seed
+            # evaluations hit the same memo entries.
+            costs = engine.predict_rows(*engine.encode_rows(items))
             _obs_metrics.counter("model.predictions").inc(len(items))
             scored = sorted(zip(costs, range(len(physical))), key=lambda pair: pair[0])
             return [int(i) for _, i in scored[:keep]]
@@ -406,11 +351,6 @@ class Tuner:
             if log is not None:
                 log.record_sample(predicted, measured)
 
-        def fitness_many(candidates: list[Candidate]) -> list[float]:
-            items = [(selected[c.mapping_index], c.schedule) for c in candidates]
-            _obs_metrics.counter("model.predictions").inc(len(items))
-            return engine.predict_many(items)
-
         def fitness_rows(mapping_indices: np.ndarray, batch) -> np.ndarray:
             # The GA hands prefiltered-space indices; translate to engine
             # indices as one fancy-index, no per-candidate objects.
@@ -423,11 +363,8 @@ class Tuner:
             items = [(selected[c.mapping_index], c.schedule) for c in candidates]
             if not items:
                 return []
-            if self.config.ga_arrays:
-                mi_arr, batch = _encode_rows(engine, items)
-                predicted, measured = engine.measure_rows(mi_arr, batch)
-                return list(zip(predicted.tolist(), measured.tolist()))
-            return engine.measure_many(items)
+            predicted, measured = engine.measure_rows(*engine.encode_rows(items))
+            return list(zip(predicted.tolist(), measured.tolist()))
 
         max_warps = (
             self.hardware.max_warps_per_subcore * self.hardware.subcores_per_core
@@ -461,43 +398,30 @@ class Tuner:
                     mean_us=stats.mean_fitness,
                     diversity=round(stats.diversity, 3),
                 )
-        ga_rows = None
         with _obs_span("tuner.genetic_search", mappings=len(physical)):
-            if self.config.ga_arrays:
-                ga_rows = genetic_search_rows(
-                    physical,
-                    fitness_rows,
-                    config=ga,
-                    seeds=seeds,
-                    spaces=spaces,
-                    on_generation=on_generation,
-                )
-                # Trial-boundary materialization: the only place the
-                # array-native loop builds per-candidate objects.
-                ranked = ga_rows.candidates(spaces)
-            else:
-                ranked = genetic_search(
-                    physical,
-                    config=ga,
-                    seeds=seeds,
-                    spaces=spaces,
-                    on_generation=on_generation,
-                    fitness_many=fitness_many,
-                )
+            ga_rows = genetic_search_rows(
+                physical,
+                fitness_rows,
+                config=ga,
+                seeds=seeds,
+                spaces=spaces,
+                on_generation=on_generation,
+            )
+            # Trial-boundary materialization: the only place the
+            # exploration loop builds per-candidate objects.
+            ranked = ga_rows.candidates(spaces)
 
         def measure_ranked(indices: list[int]) -> list[tuple[float, float]]:
-            """Measure ranked candidates by rank index — as zero-copy row
-            slices of the GA archive in arrays mode."""
+            """Measure ranked candidates by rank index, as zero-copy row
+            slices of the GA archive."""
             if not indices:
                 return []
-            if ga_rows is not None:
-                rows = np.asarray(indices, dtype=np.int64)
-                predicted, measured = engine.measure_rows(
-                    selected_arr[ga_rows.mapping_index[rows]],
-                    take_rows(ga_rows.batch, rows),
-                )
-                return list(zip(predicted.tolist(), measured.tolist()))
-            return measure_candidates([ranked[i][0] for i in indices])
+            rows = np.asarray(indices, dtype=np.int64)
+            predicted, measured = engine.measure_rows(
+                selected_arr[ga_rows.mapping_index[rows]],
+                take_rows(ga_rows.batch, rows),
+            )
+            return list(zip(predicted.tolist(), measured.tolist()))
 
         # Measure on the "hardware": the model's global top plus the best
         # model-ranked candidate of every surviving mapping, so a mapping
@@ -607,9 +531,8 @@ class Tuner:
                 break
 
         # One uniform matrix per refinement round, from a dedicated seeded
-        # generator: both execution modes draw the identical matrices and
-        # decode them with their own implementation (column ops vs the
-        # scalar twins), so refinement steps agree bit-for-bit.
+        # generator, decoded by the space's column ops (bit-identical to
+        # the scalar ``mutate_with_uniforms`` twin).
         rng = np.random.default_rng(self.config.seed + 1)
         _log.info(
             "refining",
@@ -627,52 +550,36 @@ class Tuner:
                     space = spaces[current.mapping_index]
                     k = self.config.refine_neighbors
                     u = rng.random((k, MUTATE_UNIFORMS))
-                    if self.config.ga_arrays:
-                        engine_mi = selected[current.mapping_index]
-                        _, cur = _encode_rows(
-                            engine, [(engine_mi, current.schedule)]
-                        )
-                        base = take_rows(cur, np.zeros(k, dtype=np.int64))
-                        warp, seq, stage, db, un, ve = space.mutate_columns(
-                            base.warp,
-                            base.seq,
-                            base.reduce_stage,
-                            base.double_buffer,
-                            base.unroll,
-                            base.vectorize,
-                            u,
-                        )
-                        nb_batch = ScheduleBatch(
-                            warp=warp,
-                            seq=seq,
-                            reduce_stage=stage,
-                            double_buffer=db,
-                            unroll=un,
-                            vectorize=ve,
-                        )
-                        predicted_arr, measured_arr = engine.measure_rows(
-                            np.full(k, engine_mi, dtype=np.int64), nb_batch
-                        )
-                        # Every neighbor becomes a Trial, so this decode
-                        # is the trial boundary, not a per-candidate loop.
-                        neighbors = [
-                            Candidate(current.mapping_index, sch)
-                            for sch in schedules_from_rows(
-                                space.spatial_names, nb_batch
-                            )
-                        ]
-                        results = list(
-                            zip(predicted_arr.tolist(), measured_arr.tolist())
-                        )
-                    else:
-                        neighbors = [
-                            Candidate(
-                                current.mapping_index,
-                                space.mutate_with_uniforms(current.schedule, u[i]),
-                            )
-                            for i in range(k)
-                        ]
-                        results = measure_candidates(neighbors)
+                    engine_mi = selected[current.mapping_index]
+                    _, cur = engine.encode_rows([(engine_mi, current.schedule)])
+                    base = take_rows(cur, np.zeros(k, dtype=np.int64))
+                    warp, seq, stage, db, un, ve = space.mutate_columns(
+                        base.warp,
+                        base.seq,
+                        base.reduce_stage,
+                        base.double_buffer,
+                        base.unroll,
+                        base.vectorize,
+                        u,
+                    )
+                    nb_batch = ScheduleBatch(
+                        warp=warp,
+                        seq=seq,
+                        reduce_stage=stage,
+                        double_buffer=db,
+                        unroll=un,
+                        vectorize=ve,
+                    )
+                    predicted_arr, measured_arr = engine.measure_rows(
+                        np.full(k, engine_mi, dtype=np.int64), nb_batch
+                    )
+                    # Every neighbor becomes a Trial, so this decode is
+                    # the trial boundary, not a per-candidate loop.
+                    neighbors = [
+                        Candidate(current.mapping_index, sch)
+                        for sch in schedules_from_rows(space.spatial_names, nb_batch)
+                    ]
+                    results = zip(predicted_arr.tolist(), measured_arr.tolist())
                     improved = False
                     for neighbor, (predicted, measured) in zip(neighbors, results):
                         record_measurement(

@@ -428,7 +428,7 @@ class HealthMonitor:
             fired.append(
                 self._warn(
                     "divergence",
-                    f"{data['mismatched']} vectorized/scalar mismatch(es) "
+                    f"{data['mismatched']} batch/scalar mismatch(es) "
                     f"in {data.get('checked', 0)} checked evaluations",
                     mismatched=data["mismatched"],
                 )

@@ -1,28 +1,33 @@
-"""Array-native exploration: the row path vs the object-path oracle.
+"""Array-native exploration: one row path, checked against its oracles.
 
 The GA's native currency is a :class:`ScheduleBatch` plus a mapping-index
-vector; the scalar object loop is kept as a bit-identity *oracle*, not an
-alternative.  These tests enforce the contract end to end:
+vector; the object GA (``genetic_search``) and the scalar evaluators
+(``predict_latency`` / ``simulate_cycles``) are kept as bit-identity
+*oracles*, not alternatives.  These tests enforce the contract end to
+end:
 
 * ``genetic_search_rows`` returns the same ranked candidates (mapping,
   describe string, cost — and tie-break order) as ``genetic_search`` for
   equal (config, seeds, spaces), across seeds;
-* the engine's ``predict_rows`` / ``measure_rows`` equal ``predict_many``
-  / ``measure_many`` bit for bit, memo-hit across entry points, and the
-  row-key scheme is invariant to joint-width padding;
-* a full ``Tuner.tune`` with ``ga_arrays=True`` selects the same best
-  mapping/schedule and produces equivalent manifests (same trials, same
-  cache counters) as ``ga_arrays=False`` for n_workers in {1, 4} on
-  three devices;
-* the divergence watchdog finds zero vectorized-vs-scalar mismatches on
-  the row path, checking the same number of candidates as the object
-  path at rate 1.0;
+* the engine's ``predict_rows`` / ``measure_rows`` equal the scalar
+  oracle bit for bit, the object adapters ``predict_many`` /
+  ``measure_many`` canonicalise schedules before keying (a schedule
+  with a split left out measures as its canonical form and shares its
+  memo entry), and the row-key scheme is invariant to joint-width
+  padding;
+* a full ``Tuner.tune`` reproduces golden results (best latency,
+  mapping, schedule, trial count, a digest of every trial) recorded
+  before the object paths were removed, on three devices at
+  n_workers 1 and 4, with pinned cache counters;
+* the divergence watchdog finds zero batch-vs-scalar mismatches and
+  checks a pinned number of candidates per rate;
 * property-based: every row produced by the vectorized ``sample_columns``
   / ``mutate_columns`` decodes to a schedule the space ``accepts``, on
   every registered device's intrinsics.
 """
 
 import dataclasses
+import hashlib
 import random
 
 import numpy as np
@@ -45,14 +50,18 @@ from repro.explore.genetic import (
     genetic_search_rows,
 )
 from repro.explore.random_search import random_search
-from repro.explore.tuner import Tuner, TunerConfig, _encode_rows
+from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.isa.registry import intrinsics_for_target
 from repro.mapping.generation import GenerationOptions, enumerate_mappings
 from repro.mapping.physical import lower_to_physical
 from repro.model.hardware_params import get_hardware
+from repro.model.perf_model import predict_latency
 from repro.schedule.features import ScheduleBatch, schedules_from_rows, take_rows
+from repro.schedule.lowering import lower_schedule
+from repro.schedule.schedule import DimSplit
 from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, default_schedule
+from repro.sim.timing import simulate_cycles
 
 
 @pytest.fixture(autouse=True)
@@ -196,21 +205,56 @@ class TestEngineRowPath:
         return items
 
     def test_rows_equal_objects_bitwise(self):
+        """Rows through the engine equal the scalar oracle run on the
+        schedule objects they encode."""
         hw, comp, physical, _, _ = _ga_context()
         items = self._items(hw, comp, physical)
         with EvaluationEngine(
             comp, physical, hw, n_workers=1, memo=MemoCache()
         ) as engine:
-            mi_arr, batch = _encode_rows(engine, items)
+            mi_arr, batch = engine.encode_rows(items)
             row_pred = engine.predict_rows(mi_arr, batch)
             row_p, row_m = engine.measure_rows(mi_arr, batch)
+        lowered = [lower_schedule(physical[mi], sched) for mi, sched in items]
+        obj_pred = [predict_latency(sm, hw).total_us for sm in lowered]
+        obj_meas = [simulate_cycles(sm, hw).total_us for sm in lowered]
+        assert row_pred.tolist() == obj_pred
+        assert row_p.tolist() == obj_pred
+        assert row_m.tolist() == obj_meas
+
+    def test_measure_many_canonicalises_a_missing_split(self):
+        """The simulator's jitter is keyed by ``describe()``, so a
+        schedule that leaves a spatial split out would measure
+        differently from its canonical form if it were keyed as is.  The
+        object adapter canonicalises first: it measures exactly the
+        canonical schedule, and the canonical row is then a memo hit."""
+        hw, comp, physical, _, _ = _ga_context()
+        pm = physical[0]
+        name = ScheduleSpace(pm).spatial_names[0]
+        full = default_schedule(pm)
+        stripped = dataclasses.replace(
+            full, splits={k: v for k, v in full.splits.items() if k != name}
+        )
+        canonical = dataclasses.replace(
+            stripped, splits={**stripped.splits, name: DimSplit(1, 1)}
+        )
+        assert stripped.describe() != canonical.describe()
+        sm = lower_schedule(pm, canonical)
+        obs.enable()
         with EvaluationEngine(
             comp, physical, hw, n_workers=1, memo=MemoCache()
         ) as engine:
-            obj_pred = engine.predict_many(items)
-            obj_pairs = engine.measure_many(items)
-        assert row_pred.tolist() == obj_pred
-        assert list(zip(row_p.tolist(), row_m.tolist())) == obj_pairs
+            [(predicted, measured)] = engine.measure_many([(0, stripped)])
+            assert predicted == predict_latency(sm, hw).total_us
+            assert measured == simulate_cycles(sm, hw).total_us
+            registry = obs.get_registry()
+            hits = registry.counter("engine.cache.hit").value
+            misses = registry.counter("engine.cache.miss").value
+            mi_arr, batch = engine.encode_rows([(0, canonical)])
+            rows_p, rows_m = engine.measure_rows(mi_arr, batch)
+            assert registry.counter("engine.cache.hit").value == hits + 1
+            assert registry.counter("engine.cache.miss").value == misses
+        assert (rows_p.tolist(), rows_m.tolist()) == ([predicted], [measured])
 
     def test_row_keys_invariant_to_joint_padding(self):
         """A schedule's memo key must not depend on which batch it rides
@@ -221,7 +265,7 @@ class TestEngineRowPath:
         with EvaluationEngine(
             comp, physical, hw, n_workers=1, memo=MemoCache()
         ) as engine:
-            mi_arr, batch = _encode_rows(engine, items)
+            mi_arr, batch = engine.encode_rows(items)
             pad = np.ones((len(batch), 2), dtype=np.int64)
             padded = ScheduleBatch(
                 warp=np.hstack([batch.warp, pad]),
@@ -234,21 +278,21 @@ class TestEngineRowPath:
             assert engine.row_keys(mi_arr, batch) == engine.row_keys(mi_arr, padded)
 
     def test_rows_and_objects_share_the_memo(self):
-        """Row keys and describe keys address the same logical candidate:
-        a predict_rows pass re-served from a warm memo computes nothing
-        new and still returns the same bits."""
+        """Objects and their rows address the same memo entry: a
+        predict_rows pass after predict_many of the same candidates
+        computes nothing new and returns the same bits."""
         hw, comp, physical, _, _ = _ga_context()
         items = self._items(hw, comp, physical, count=6)
         obs.enable()
         with EvaluationEngine(
             comp, physical, hw, n_workers=1, memo=MemoCache()
         ) as engine:
-            mi_arr, batch = _encode_rows(engine, items)
-            first = engine.predict_rows(mi_arr, batch)
+            first = engine.predict_many(items)
             before = obs.get_registry().counter("engine.cache.miss").value
+            mi_arr, batch = engine.encode_rows(items)
             second = engine.predict_rows(mi_arr, batch)
             after = obs.get_registry().counter("engine.cache.miss").value
-        assert first.tolist() == second.tolist()
+        assert first == second.tolist()
         assert after == before  # all hits on the warm pass
 
     def test_pooled_rows_equal_inline_rows(self):
@@ -257,19 +301,19 @@ class TestEngineRowPath:
         with EvaluationEngine(
             comp, physical, hw, n_workers=1, memo=MemoCache()
         ) as engine:
-            mi_arr, batch = _encode_rows(engine, items)
+            mi_arr, batch = engine.encode_rows(items)
             inline = engine.measure_rows(mi_arr, batch)
         with EvaluationEngine(
             comp, physical, hw, n_workers=4, min_pool_batch=1, memo=MemoCache()
         ) as engine:
-            mi_arr, batch = _encode_rows(engine, items)
+            mi_arr, batch = engine.encode_rows(items)
             pooled = engine.measure_rows(mi_arr, batch)
         assert inline[0].tolist() == pooled[0].tolist()
         assert inline[1].tolist() == pooled[1].tolist()
 
     def test_row_watchdog_zero_mismatches(self):
-        """Full-rate divergence watchdog on the row path: every vectorized
-        row re-checked through the scalar oracle, zero mismatches."""
+        """Full-rate divergence watchdog: every evaluated row re-checked
+        through the scalar oracle, zero mismatches."""
         hw, comp, physical, _, _ = _ga_context()
         items = self._items(hw, comp, physical, count=8)
         obs.enable()
@@ -279,10 +323,9 @@ class TestEngineRowPath:
             hw,
             n_workers=1,
             memo=MemoCache(),
-            vectorized=True,
             divergence_rate=1.0,
         ) as engine:
-            mi_arr, batch = _encode_rows(engine, items)
+            mi_arr, batch = engine.encode_rows(items)
             engine.measure_rows(mi_arr, batch)
         registry = obs.get_registry()
         assert registry.counter("engine.divergence.checked").value == len(items)
@@ -290,7 +333,7 @@ class TestEngineRowPath:
 
 
 # ----------------------------------------------------------------------
-# Tuner: ga_arrays=True vs the object oracle — equivalent manifests
+# Tuner: golden results recorded before the object paths were removed
 # ----------------------------------------------------------------------
 QUICK = dict(
     population=8,
@@ -306,6 +349,42 @@ DEVICES = [
     ("mali_g76", dict(m=32, n=32, k=32)),
     ("xeon_4110", dict(m=32, n=32, k=32)),
 ]
+
+#: Per device at the QUICK budget: best_us, best mapping and schedule
+#: describe(), num_mappings, trial count, and the sha256 of
+#: ``repr(_manifest(result))``.  Recorded while the describe-keyed object
+#: engine path and the object GA loop still existed (identical for both
+#: loops and for n_workers 1 and 4), so any drift of the one remaining
+#: path fails here.
+GOLDEN = {
+    "v100": (
+        3.8424070385118965,
+        "[i1, i2, r1] <- [(i) mod 16, (j) mod 16, (k) mod 16]",
+        "t_i1: warp=2 seq=1; t_i2: warp=2 seq=1; reduce_stage=4; "
+        "double_buffer=True; unroll=1 vectorize=4",
+        3,
+        31,
+        "2aa22116f3ee1fe7cff70c0da2476915c628747966a93d6d2361de047a82b5b6",
+    ),
+    "mali_g76": (
+        10.226575632095058,
+        "[i1, r1] <- [(j) mod 4, (k) mod 4]",
+        "o_i: warp=2 seq=2; t_i1: warp=2 seq=2; reduce_stage=2; "
+        "double_buffer=False; unroll=2 vectorize=2",
+        2,
+        30,
+        "9ddbb5b7c92530edafe645995eab9257c972d345e08d6df0b4f0579d9048ae48",
+    ),
+    "xeon_4110": (
+        1.0906943325557017,
+        "[i1, r1] <- [(j) mod 16, (k) mod 4]",
+        "o_i: warp=1 seq=8; t_i1: warp=1 seq=1; reduce_stage=4; "
+        "double_buffer=True; unroll=4 vectorize=2",
+        1,
+        28,
+        "b68b16d9688ebf64d7e523b66a69578342a348f31e3671bf71254a372055bdab",
+    ),
+}
 
 
 def _manifest(result):
@@ -337,65 +416,80 @@ def _tune(hw_name, params, **overrides):
     )
 
 
+def _pool(n_workers):
+    """Overrides that route every engine batch through an n-worker pool."""
+    return dict(n_workers=n_workers, min_pool_batch=1) if n_workers > 1 else {}
+
+
+#: Candidates the divergence watchdog checks in a v100 tune at the QUICK
+#: budget, per sampling rate (the crc32 sample of the row keys is
+#: deterministic, so the count is too).
+WATCHDOG_CHECKED = {0.0: 0, 0.25: 14, 1.0: 35}
+
+
+def _golden(result):
+    manifest = _manifest(result)
+    digest = hashlib.sha256(repr(manifest).encode()).hexdigest()
+    return (
+        result.best_us,
+        manifest["best_mapping"],
+        manifest["best_schedule"],
+        result.num_mappings,
+        len(result.trials),
+        digest,
+    )
+
+
 class TestTunerGaArrays:
+    """The array-native GA tune (rows from prefilter to refinement) must
+    reproduce the results recorded while the object GA ran beside it.
+    The pool is the one execution knob left: inline and pooled engines
+    give the same answer, counters and watchdog sample."""
+
     @pytest.mark.parametrize("hw_name,params", DEVICES)
     def test_identity_on_three_devices(self, hw_name, params):
-        arrays = _tune(hw_name, params, ga_arrays=True)
-        objects = _tune(hw_name, params, ga_arrays=False)
-        assert _manifest(arrays) == _manifest(objects)
+        assert _golden(_tune(hw_name, params)) == GOLDEN[hw_name]
 
     @pytest.mark.parametrize("n_workers", [1, 4])
     def test_identity_for_worker_counts(self, n_workers):
-        """ga_arrays and n_workers are execution knobs: any combination
-        produces the byte-identical tune result."""
-        hw_name, params = DEVICES[0]
-        arrays = _tune(
-            hw_name, params, ga_arrays=True, n_workers=n_workers, min_pool_batch=1
-        )
-        objects = _tune(
-            hw_name, params, ga_arrays=False, n_workers=n_workers, min_pool_batch=1
-        )
-        baseline = _tune(hw_name, params, ga_arrays=True)
-        assert _manifest(arrays) == _manifest(objects) == _manifest(baseline)
+        """n_workers is an execution knob: every device gives its golden
+        result with every engine batch inline or pooled."""
+        for hw_name, params in DEVICES:
+            got = _golden(_tune(hw_name, params, **_pool(n_workers)))
+            assert got == GOLDEN[hw_name], hw_name
 
     def test_cache_counters_equivalent(self):
-        """Equivalent manifests includes the cache telemetry: the row-keyed
-        memo serves exactly the hits/misses the describe-keyed memo does
-        (prefilter rows seed the entries the GA's seeds re-hit)."""
+        """The cache telemetry is part of the result: prefilter rows seed
+        the memo entries the GA's seeds re-hit, and the pool changes
+        nothing about which rows hit or miss."""
         counters = {}
-        for ga_arrays in (True, False):
+        for n_workers in (1, 4):
             obs.reset()
             obs.enable()
-            _tune("v100", DEVICES[0][1], ga_arrays=ga_arrays)
+            _tune("v100", DEVICES[0][1], **_pool(n_workers))
             registry = obs.get_registry()
-            counters[ga_arrays] = (
+            counters[n_workers] = (
                 registry.counter("engine.cache.hit").value,
                 registry.counter("engine.cache.miss").value,
                 registry.counter("model.predictions").value,
                 registry.counter("tuner.measurements").value,
             )
             obs.disable()
-        assert counters[True] == counters[False]
+        assert counters[1] == counters[4] == (4, 35, 19, 20)
 
-    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    @pytest.mark.parametrize("rate", sorted(WATCHDOG_CHECKED))
     def test_watchdog_parity_across_modes(self, rate):
-        """At the pinned rates (crc32 sampling is keyed differently on the
-        two paths, so only 0.0 and 1.0 compare) the watchdog checks the
-        same number of candidates in both modes and never mismatches."""
-        checked = {}
-        for ga_arrays in (True, False):
+        """Inline and pooled, the watchdog checks the same pinned number
+        of candidates at each rate and never mismatches."""
+        for n_workers in (1, 4):
             obs.reset()
             obs.enable()
-            _tune(
-                "v100", DEVICES[0][1], ga_arrays=ga_arrays, divergence_rate=rate
-            )
+            _tune("v100", DEVICES[0][1], divergence_rate=rate, **_pool(n_workers))
             registry = obs.get_registry()
-            checked[ga_arrays] = registry.counter("engine.divergence.checked").value
+            checked = registry.counter("engine.divergence.checked").value
+            assert checked == WATCHDOG_CHECKED[rate], n_workers
             assert registry.counter("engine.divergence.mismatched").value == 0.0
             obs.disable()
-        assert checked[True] == checked[False]
-        if rate == 1.0:
-            assert checked[True] > 0
 
 
 # ----------------------------------------------------------------------

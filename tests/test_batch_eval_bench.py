@@ -1,10 +1,10 @@
 """Tier-1 wrapper for the batch-evaluation benchmark.
 
-``pyproject.toml`` points pytest at ``tests/`` only, so the quick-mode
-contract of ``benchmarks/bench_batch_eval.py`` — bit-identical results
-between the vectorized and scalar evaluators and at least a 5x
-candidates/sec advantage on a GA-generation-sized fitness batch — is
-re-exported here to run under the tier-1 command as well.
+``pyproject.toml`` points pytest at ``tests/`` only, so the contract of
+``benchmarks/bench_batch_eval.py`` — bit-identical results between the
+batch evaluators and the scalar oracle and at least a 5x candidates/sec
+advantage on a GA-generation-sized fitness batch — is re-exported here
+to run under the tier-1 command as well.
 """
 
 import importlib.util

@@ -83,6 +83,33 @@ class TestTuningFlagBounds:
         assert exc.value.code == 2
         assert "not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--workers", "0", "below the minimum 1"),
+            ("--workers", "-2", "below the minimum 1"),
+            ("--workers", "two", "not an integer"),
+            ("--divergence-rate", "2", "not in [0, 1]"),
+            ("--divergence-rate", "-0.1", "not in [0, 1]"),
+            ("--max-retries", "-1", "below the minimum 0"),
+        ],
+    )
+    def test_execution_flags_out_of_range_rejected(self, capsys, flag, value, message):
+        # Rejected at parse time with a usage message, not mid-compile
+        # with a traceback (or, for --max-retries, silently).
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "GMM", "--params", "m=64", "n=64", "k=64", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
+
+    def test_execution_flag_bounds_inclusive(self):
+        args = build_parser().parse_args([
+            "compile", "GMM", "--params", "m=64", "n=64", "k=64",
+            "--workers", "1", "--divergence-rate", "1.0", "--max-retries", "0",
+        ])
+        assert (args.workers, args.divergence_rate, args.max_retries) == (1, 1.0, 0)
+
 
 class TestCommands:
     def test_list_hardware(self, capsys):

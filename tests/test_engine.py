@@ -96,16 +96,16 @@ class TestFingerprints:
 class TestMemoCache:
     def test_roundtrip_and_separation(self):
         memo = MemoCache()
-        memo.put_prediction("k", 1.0)
-        assert memo.get_prediction("k") == 1.0
-        assert memo.get_measurement("k") is None
+        memo.put_prediction(b"k", 1.0)
+        assert memo.get_prediction(b"k") == 1.0
+        assert memo.get_measurement(b"k") is None
 
     def test_bounded(self):
         memo = MemoCache(max_entries=10)
         for i in range(25):
-            memo.put_prediction(f"k{i}", float(i))
+            memo.put_prediction(f"k{i}".encode(), float(i))
         assert len(memo.predictions) <= 10
-        assert memo.get_prediction("k24") == 24.0
+        assert memo.get_prediction(b"k24") == 24.0
 
 
 class TestCompileCache:
@@ -155,7 +155,9 @@ class TestEvaluationEngine:
         first = engine.predict_many(batch)
         assert first[0] == first[1]
         assert engine.predict_many(batch) == first  # served from memo
-        assert engine.memo.get_prediction(engine.key_of(0, sched)) == first[0]
+        [key] = engine.row_keys(*engine.encode_rows([(0, sched)]))
+        assert isinstance(key, bytes)
+        assert engine.memo.get_prediction(key) == first[0]
 
     def test_measurements_cached_separately(self):
         comp, physical = small_physical()
@@ -164,7 +166,7 @@ class TestEvaluationEngine:
         )
         sched = default_schedule(physical[0])
         engine.predict_many([(0, sched)])
-        key = engine.key_of(0, sched)
+        [key] = engine.row_keys(*engine.encode_rows([(0, sched)]))
         assert engine.memo.get_measurement(key) is None
         [(predicted, measured)] = engine.measure_many([(0, sched)])
         assert engine.memo.get_measurement(key) == measured

@@ -189,11 +189,12 @@ class TestWorkerPoolFaults:
 
 
 class TestEngineFaults:
-    """Fault recovery through the EvaluationEngine front door, vectorized
-    and scalar, against the n_workers=1 inline engine."""
+    """Fault recovery through the EvaluationEngine front door, by rows
+    and through the object adapter, against the n_workers=1 inline
+    engine."""
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_faulted_engine_matches_inline(self, vectorized):
+    @pytest.mark.parametrize("rows", [True, False])
+    def test_faulted_engine_matches_inline(self, rows):
         comp, physical = small_physical()
         hw = get_hardware("v100")
         import random
@@ -205,7 +206,7 @@ class TestEngineFaults:
             items.extend((i, space.sample(rng)) for _ in range(3))
 
         inline = EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache(), vectorized=vectorized
+            comp, physical, hw, n_workers=1, memo=MemoCache()
         )
         expected = inline.measure_many(items)
 
@@ -217,10 +218,16 @@ class TestEngineFaults:
             n_workers=2,
             memo=MemoCache(),
             min_pool_batch=1,
-            vectorized=vectorized,
             fault_plan=plan,
         ) as faulted:
-            assert faulted.measure_many(items) == expected
+            if rows:
+                predicted, measured = faulted.measure_rows(
+                    *faulted.encode_rows(items)
+                )
+                got = list(zip(predicted.tolist(), measured.tolist()))
+            else:
+                got = faulted.measure_many(items)
+            assert got == expected
         assert faulted.fault_stats["task_errors"] == 1
         assert faulted.fault_stats["retries"] == 1
 
@@ -375,15 +382,15 @@ class TestMemoCacheLocking:
         def writer():
             try:
                 for i in range(2000):
-                    memo.put_prediction(f"w{i}", float(i))
+                    memo.put_prediction(f"w{i}".encode(), float(i))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         def reader():
             try:
                 for i in range(2000):
-                    memo.get_prediction(f"w{i % 128}")
-                    memo.get_measurement(f"w{i % 128}")
+                    memo.get_prediction(f"w{i % 128}".encode())
+                    memo.get_measurement(f"w{i % 128}".encode())
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

@@ -150,7 +150,7 @@ def _tune_telemetry(n_workers: int):
     log = ExploreLog()
     tuner = Tuner(
         get_hardware("v100"),
-        fast_config(n_workers=n_workers, min_pool_batch=1, vectorized=True),
+        fast_config(n_workers=n_workers, min_pool_batch=1),
     )
     with use_log(log):
         tuner.tune(small_gemm())
@@ -180,7 +180,7 @@ class TestCrossProcessMerge:
         obs.enable()
         tuner = Tuner(
             get_hardware("v100"),
-            fast_config(n_workers=2, min_pool_batch=1, vectorized=True),
+            fast_config(n_workers=2, min_pool_batch=1),
         )
         tuner.tune(small_gemm())
         spans = obs.get_tracer().spans()
@@ -206,7 +206,7 @@ class TestChromeTrace:
         obs.enable()
         tuner = Tuner(
             get_hardware("v100"),
-            fast_config(n_workers=2, min_pool_batch=1, vectorized=True),
+            fast_config(n_workers=2, min_pool_batch=1),
         )
         tuner.tune(small_gemm())
         path = export_chrome_trace(tmp_path / "trace.json")
@@ -449,14 +449,14 @@ class TestDivergenceWatchdog:
             )
 
     def test_zero_mismatches_on_every_target(self):
-        """Full-rate watchdog over every registered device: the vectorized
-        batch path must agree exactly with the scalar oracle."""
+        """Full-rate watchdog over every registered device: the batch
+        evaluators must agree exactly with the scalar oracle."""
         comp = small_gemm()
         checked_anywhere = 0.0
         for name in list_hardware():
             tuner = Tuner(
                 get_hardware(name),
-                fast_config(n_workers=1, vectorized=True, divergence_rate=1.0),
+                fast_config(n_workers=1, divergence_rate=1.0),
             )
             if not tuner.candidate_mappings(comp):
                 continue  # target cannot map a gemm; nothing to check
