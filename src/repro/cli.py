@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -63,7 +64,7 @@ from repro.mapping.physical import lower_to_physical
 from repro.model import get_hardware, list_hardware
 from repro.obs import events as _events
 from repro.obs.explore_log import ExploreLog, use_log
-from repro.obs.live import EventSocketServer, JsonlSink, watch
+from repro.obs.live import JsonlSink, watch
 from repro.obs.logging import configure_logging
 
 
@@ -176,6 +177,19 @@ def _unit_fraction(lo_open: bool):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """Argparse type for a positive, finite float (a deadline or poll
+    interval): ``0``, negatives, ``nan`` and ``inf`` are rejected at
+    parse time instead of timing out every batch or busy-looping."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{value} is not a positive finite number")
+    return value
+
+
 def _int_at_least(low: int):
     """Argparse type for an integer ``>= low``: rejects out-of-range
     counts at parse time instead of mid-compile."""
@@ -194,37 +208,24 @@ def _int_at_least(low: int):
 
 @contextlib.contextmanager
 def _live_session(args):
-    """Configure logging and (with ``--live`` / ``--live-socket``) turn
-    the telemetry bus on for the command's duration: a crash-safe JSONL
-    event stream in the run dir (what ``repro watch`` tails) and/or a
-    line-protocol socket server for external subscribers."""
+    """Configure logging and (with ``--live``) turn the telemetry bus on
+    for the command's duration, streaming it to a crash-safe JSONL file
+    in the run dir (what ``repro watch`` tails)."""
     configure_logging(quiet=getattr(args, "quiet", False))
-    live = getattr(args, "live", False)
-    live_socket = getattr(args, "live_socket", None)
-    if not live and not live_socket:
+    if not getattr(args, "live", False):
         yield
         return
-    if live and not args.run_dir:
+    if not args.run_dir:
         args.parser.error("--live requires --run-dir (the event stream is written there)")
     was_enabled = _events.events_enabled()
     _events.enable_events()
-    sink = None
-    server = None
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
+    path = Path(args.run_dir) / f"events_{stamp}_{os.getpid()}.jsonl"
+    print(f"live telemetry: {path}", file=sys.stderr)
     try:
-        if live:
-            stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
-            path = Path(args.run_dir) / f"events_{stamp}_{os.getpid()}.jsonl"
-            sink = JsonlSink(path, bus=_events.get_bus())
-            print(f"live telemetry: {path}", file=sys.stderr)
-        if live_socket:
-            server = EventSocketServer(live_socket, bus=_events.get_bus())
-            print(f"event socket: {server.endpoint}", file=sys.stderr)
-        yield
+        with JsonlSink(path, bus=_events.get_bus()):
+            yield
     finally:
-        if server is not None:
-            server.close()
-        if sink is not None:
-            sink.close()
         if not was_enabled:
             _events.disable_events()
 
@@ -520,7 +521,7 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--eval-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="S",
         help="per-batch evaluation deadline in seconds; a batch that "
@@ -551,13 +552,6 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="stream telemetry events to an events_*.jsonl file in "
         "--run-dir (watch it live with `repro watch <run-dir>`)",
-    )
-    p.add_argument(
-        "--live-socket",
-        default=None,
-        metavar="ADDR",
-        help="also serve events on a socket: host:port / port (0 picks a "
-        "free one) for TCP, a filesystem path for a Unix socket",
     )
 
 
@@ -776,13 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "watch",
         help="live terminal dashboard over a run's telemetry: point it at "
-        "an events_*.jsonl file, a run directory (newest stream wins), or "
-        "a host:port event socket",
+        "an events_*.jsonl file or a run directory (newest stream wins)",
     )
-    p.add_argument(
-        "source",
-        help="event stream file, run directory, or host:port socket endpoint",
-    )
+    p.add_argument("source", help="event stream file or run directory")
     p.add_argument(
         "--once",
         action="store_true",
@@ -795,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--interval",
-        type=float,
+        type=_positive_float,
         default=1.0,
         metavar="S",
         help="refresh/poll interval in seconds (default 1.0)",
@@ -805,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("network", help="evaluate a network end to end")
     p.add_argument("network", choices=sorted(NETWORKS))
     p.add_argument("--hardware", default="v100", choices=list_hardware())
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--batch", type=_int_at_least(1), default=1)
     p.add_argument("--baseline", help="compare against a baseline backend")
     _add_tuning_flags(p)
     p.set_defaults(func=_cmd_network, parser=p)

@@ -33,7 +33,6 @@ from repro.isa.registry import intrinsics_for_target
 from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
 from repro.model.hardware_params import HardwareParams, get_hardware
-from repro.obs import events as _obs_events
 from repro.obs import metrics as _obs_metrics
 from repro.obs.explore_log import ExploreLog, current_log, use_log
 from repro.obs.runlog import FlightRecorder, active_recorder
@@ -149,10 +148,6 @@ def _compile_impl(
             )
             if kernel is not None:
                 _obs_metrics.counter("engine.compile_cache.hit").inc()
-                if _obs_events._enabled:
-                    _obs_events.get_bus().publish(
-                        "cache.compile", {"event": "hit", "operator": comp.name}
-                    )
                 compile_span.set(
                     cache_hit=True,
                     used_intrinsics=kernel.used_intrinsics,
@@ -160,10 +155,6 @@ def _compile_impl(
                 )
                 return kernel
             _obs_metrics.counter("engine.compile_cache.miss").inc()
-            if _obs_events._enabled:
-                _obs_events.get_bus().publish(
-                    "cache.compile", {"event": "miss", "operator": comp.name}
-                )
 
         tuner = Tuner(hw, config)
         mappings = tuner.candidate_mappings(comp)

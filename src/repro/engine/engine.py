@@ -40,7 +40,8 @@ returns byte-identical results to a fault-free one.
 Observability: every batch opens an ``engine.batch`` span and feeds the
 ``engine.cache.{hit,miss}`` and ``engine.pool.{tasks,batches}`` counters
 (no-ops while obs is disabled), which is how the benchmarks prove cache
-hit rates and pool utilisation.  Worker-side spans and counters are
+hit rates and pool utilisation; with the event bus on, these counters
+also stream themselves as ``metric.inc`` events.  Worker-side spans and counters are
 shipped home and merged by the pool (see :mod:`repro.engine.pool`), so
 pooled evaluation appears in the same trace under per-worker lanes.  A
 sampled *divergence watchdog* (``divergence_rate > 0``) re-runs a
@@ -73,7 +74,6 @@ from repro.mapping.physical import PhysicalMapping
 from repro.model.batch_model import batch_predict
 from repro.model.hardware_params import HardwareParams
 from repro.model.perf_model import predict_latency
-from repro.obs import events as _obs_events
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import span as _obs_span
 from repro.schedule.features import (
@@ -138,11 +138,6 @@ class EvaluationEngine:
         #: pool starts, so it stays readable after close() (obs on or off).
         self.fault_stats = fresh_fault_stats()
         self.memo = memo if memo is not None else global_memo()
-        #: Always-on liveness tallies behind the ``engine.heartbeat``
-        #: telemetry events (one per batch).
-        self._batch_seq = 0
-        self._memo_hits = 0
-        self._memo_misses = 0
         self.comp_fp = computation_fingerprint(comp)
         self.hw_fp = hardware_fingerprint(hardware)
         self.mapping_fps = [mapping_fingerprint(pm) for pm in self.physical]
@@ -279,32 +274,6 @@ class EvaluationEngine:
         return keys
 
     # ------------------------------------------------------------------
-    def _record_batch_stats(
-        self, n_items: int, hits: int, misses: int, measure: bool
-    ) -> None:
-        _obs_metrics.counter("engine.cache.hit").inc(hits)
-        _obs_metrics.counter("engine.cache.miss").inc(misses)
-        self._batch_seq += 1
-        self._memo_hits += hits
-        self._memo_misses += misses
-        if _obs_events._enabled:
-            # Per-batch hits/misses mirror the engine.cache.{hit,miss}
-            # counter increments exactly, so the stream's cumulative sums
-            # equal the run manifest's cache section.
-            _obs_events.get_bus().publish(
-                "engine.heartbeat",
-                {
-                    "batch": self._batch_seq,
-                    "items": n_items,
-                    "hits": hits,
-                    "misses": misses,
-                    "measure": measure,
-                    "memo_hits": self._memo_hits,
-                    "memo_misses": self._memo_misses,
-                },
-            )
-
-    # ------------------------------------------------------------------
     def _evaluate_rows(
         self,
         mapping_indices: np.ndarray | Sequence[int],
@@ -342,7 +311,10 @@ class EvaluationEngine:
             miss_positions.append(pos)
 
         hits = n - len(miss_positions) - len(duplicate_of)
-        self._record_batch_stats(n, hits, len(miss_positions), measure)
+        # One hit and one miss increment per batch, zero amounts included:
+        # the live stream's cache detector counts batches by them.
+        _obs_metrics.counter("engine.cache.hit").inc(hits)
+        _obs_metrics.counter("engine.cache.miss").inc(len(miss_positions))
 
         with _obs_span(
             "engine.batch",
@@ -421,24 +393,11 @@ class EvaluationEngine:
                     oracle=list(oracle),
                 ):
                     pass
-        self._record_divergence(checked, mismatched)
-
-    def _record_divergence(self, checked: int, mismatched: int) -> None:
         self.divergence_stats["checked"] += checked
         self.divergence_stats["mismatched"] += mismatched
         _obs_metrics.counter("engine.divergence.checked").inc(checked)
         if mismatched:
             _obs_metrics.counter("engine.divergence.mismatched").inc(mismatched)
-        if checked and _obs_events._enabled:
-            _obs_events.get_bus().publish(
-                "engine.divergence",
-                {
-                    "checked": checked,
-                    "mismatched": mismatched,
-                    "total_checked": self.divergence_stats["checked"],
-                    "total_mismatched": self.divergence_stats["mismatched"],
-                },
-            )
 
     def _oracle_evaluate(
         self, mapping_index: int, schedule: Schedule, measure: bool

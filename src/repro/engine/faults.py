@@ -38,6 +38,7 @@ until quarantine/degradation kicks in).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -87,6 +88,16 @@ class FaultPolicy:
     backoff_factor: float = 2.0
     max_pool_deaths: int = 2
     poll_interval_s: float = 0.05
+
+    def __post_init__(self) -> None:
+        # A zero/negative deadline times out every batch; nan silently
+        # disables the deadline (every comparison with it is false).
+        timeout = self.eval_timeout_s
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(
+                f"eval_timeout_s must be a positive finite number or None, "
+                f"got {timeout}"
+            )
 
 
 @dataclass(frozen=True)

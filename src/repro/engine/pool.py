@@ -61,8 +61,11 @@ are re-identified into the parent tracer, re-parented under the caller's
 live span, tagged with a per-worker *lane* (assigned in pid order of
 first appearance) and shifted onto the parent's clock via the wall/perf
 clock-offset pairing; metric deltas fold into the parent registry.
-When obs is disabled nothing is captured and the task payload shape is
-unchanged — the disabled path costs one global check.
+Workers run no event bus: the parent's merge publishes the adopted
+spans (lane-tagged ``span.close``) and counter deltas (``metric.inc``)
+on its own bus, so the live stream has one source.  When obs is
+disabled nothing is captured and the task payload shape is unchanged —
+the disabled path costs one global check.
 """
 
 from __future__ import annotations
@@ -85,7 +88,6 @@ from repro.mapping.physical import PhysicalMapping
 from repro.model.batch_model import batch_predict
 from repro.model.hardware_params import HardwareParams
 from repro.model.perf_model import predict_latency
-from repro.obs import events as _obs_events
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.schedule.features import MappingFeatures, ScheduleBatch, derive_batch
@@ -113,7 +115,7 @@ _FEATURES: dict[int, MappingFeatures] = {}
 _KILL_EXIT_CODE = 87
 
 
-def _init_worker(payload: bytes, obs_enabled: bool, events_enabled: bool = False) -> None:
+def _init_worker(payload: bytes, obs_enabled: bool) -> None:
     global _CONTEXT, _FAULT_PLAN
     physical, hardware, plan = pickle.loads(payload)
     _CONTEXT = (physical, hardware)
@@ -121,11 +123,6 @@ def _init_worker(payload: bytes, obs_enabled: bool, events_enabled: bool = False
     _FEATURES.clear()
     if obs_enabled:
         _obs_trace.enable_tracing()
-    if events_enabled:
-        # Worker-side events buffer locally and ship home per task in the
-        # obs payload; the parent re-publishes them via EventBus.adopt.
-        _obs_events.enable_events()
-        _obs_events.get_bus().buffering = True
 
 
 def _context() -> tuple[list[PhysicalMapping], HardwareParams]:
@@ -134,9 +131,9 @@ def _context() -> tuple[list[PhysicalMapping], HardwareParams]:
     return _CONTEXT
 
 
-#: (pid, clock_offset_s, span payloads, metric deltas, events) — one per
-#: task when obs and/or the event bus is on in the worker, else None.
-ObsPayload = tuple[int, float, list[dict], list[dict], list[dict]]
+#: (pid, clock_offset_s, span payloads, metric deltas) — one per task
+#: when obs is on in the worker, else None.
+ObsPayload = tuple[int, float, list[dict], list[dict]]
 
 #: What a worker returns per task: ("ok", result, obs) | ("err", msg, obs).
 TaskOutcome = tuple[str, Any, ObsPayload | None]
@@ -163,7 +160,7 @@ def _run_task(fn: Callable[[Any], Any], task: Task) -> TaskOutcome:
     elif action == "hang":
         time.sleep(plan.hang_s)
 
-    if not _obs_trace.tracing_enabled() and not _obs_events._enabled:
+    if not _obs_trace.tracing_enabled():
         try:
             if action == "raise":
                 raise InjectedFault(f"injected fault on task {seq}")
@@ -173,9 +170,7 @@ def _run_task(fn: Callable[[Any], Any], task: Task) -> TaskOutcome:
 
     tracer = _obs_trace.get_tracer()
     registry = _obs_metrics.get_registry()
-    bus = _obs_events.get_bus()
     tracer.drain()  # anything left over belongs to no task
-    bus.drain()
     base = registry.snapshot()
     status, value = "ok", None
     try:
@@ -196,7 +191,6 @@ def _run_task(fn: Callable[[Any], Any], task: Task) -> TaskOutcome:
             _obs_trace.clock_offset_s(),
             spans,
             registry.diff(base),
-            bus.drain() if _obs_events._enabled else [],
         )
     return status, value, payload
 
@@ -289,8 +283,6 @@ class WorkerPool:
         #: tracer in the initializer, so toggling obs after the pool is
         #: up does not retroactively change what workers collect.
         self.obs_enabled = _obs_trace.tracing_enabled()
-        #: Same capture-at-creation rule for the event bus.
-        self.events_enabled = _obs_events.events_enabled()
         #: pid -> lane number, in order of first appearance (lane 0 is
         #: the parent process; workers get 1..n).  Survives respawns, so
         #: replacement workers get fresh lanes.
@@ -322,7 +314,7 @@ class WorkerPool:
         self._pool = multiprocessing.get_context("spawn").Pool(
             processes=self.n_workers,
             initializer=_init_worker,
-            initargs=(self._payload, self.obs_enabled, self.events_enabled),
+            initargs=(self._payload, self.obs_enabled),
         )
         # The worker Process objects, held for death detection.  A pool
         # worker never exits on its own (no maxtasksperchild), so any
@@ -339,22 +331,23 @@ class WorkerPool:
 
     def _merge_payloads(self, payloads: Sequence[ObsPayload | None]) -> None:
         """Adopt worker span trees and metric deltas into the parent's
-        tracer/registry, under the caller's live span."""
+        tracer/registry, under the caller's live span (both merges also
+        publish what they adopt when the event bus is on)."""
         tracer = _obs_trace.get_tracer()
         registry = _obs_metrics.get_registry()
         parent_id = _obs_trace.current_span_id()
         parent_offset = _obs_trace.clock_offset_s()
-        bus = _obs_events.get_bus()
         for payload in payloads:
             if payload is None:
                 continue
-            pid, worker_offset, spans, deltas, events = payload
-            shift_s = worker_offset - parent_offset
-            lane = self.lane_of(pid)
-            tracer.merge(spans, parent_id=parent_id, lane=lane, shift_s=shift_s)
+            pid, worker_offset, spans, deltas = payload
+            tracer.merge(
+                spans,
+                parent_id=parent_id,
+                lane=self.lane_of(pid),
+                shift_s=worker_offset - parent_offset,
+            )
             registry.merge(deltas)
-            if events and _obs_events._enabled:
-                bus.adopt(events, shift_s=shift_s, lane=lane)
 
     # -- evaluation -----------------------------------------------------
     def evaluate(
@@ -436,7 +429,7 @@ class WorkerPool:
                     failed.append(i)
                     attempts[i] += 1
                     self._count("task_errors")
-            if self.obs_enabled or self.events_enabled:
+            if self.obs_enabled:
                 self._merge_payloads(payloads)
             pending = failed
             if pending:
@@ -528,13 +521,6 @@ class WorkerPool:
     def _count(self, name: str, amount: int = 1) -> None:
         self.fault_stats[name] += amount
         _obs_metrics.counter(f"engine.fault.{name}").inc(amount)
-        if _obs_events._enabled:
-            # Parent-side only: fault recovery runs in the parent, so a
-            # fault-free run emits no engine.fault events at any worker
-            # count and the stream's sums equal the manifest's faults.
-            _obs_events.get_bus().publish(
-                "engine.fault", {"name": name, "amount": amount}
-            )
 
     def _teardown(self) -> None:
         if self._pool is not None:

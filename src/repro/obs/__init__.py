@@ -1,10 +1,15 @@
 """repro.obs — observability for the compile-explore-simulate pipeline.
 
-Three layers, all zero-dependency and near-free when disabled:
+Zero-dependency modules, all near-free when disabled:
 
 * :mod:`repro.obs.trace` — nested wall-time spans (where time goes);
 * :mod:`repro.obs.metrics` — counters / gauges / histograms (how often,
   how distributed);
+* :mod:`repro.obs.events` — the live event stream: span closes, counter
+  increments, funnel stages and GA generations as typed records;
+* :mod:`repro.obs.live` — the JSONL sink behind ``--live``, the health
+  detectors and the ``repro watch`` dashboard over that stream;
+* :mod:`repro.obs.logging` — the structured, rate-limited logger;
 * :mod:`repro.obs.explore_log` — per-tune-run telemetry: the mapping
   funnel, genetic-search convergence, and paired model/simulator samples
   (the signals behind the paper's Fig 5 and Table 6);
@@ -55,7 +60,6 @@ from repro.obs.events import (
 from repro.obs.explore_log import ExploreLog, FunnelCounts, current_log, use_log
 from repro.obs.export import export_jsonl, load_jsonl, render_report
 from repro.obs.live import (
-    EventSocketServer,
     HealthConfig,
     HealthMonitor,
     JsonlSink,
@@ -63,7 +67,6 @@ from repro.obs.live import (
     attach_health_monitor,
     load_events,
     render_dashboard,
-    subscribe_events,
 )
 from repro.obs.logging import (
     StructuredLogger,
@@ -119,7 +122,6 @@ __all__ = [
     "EVENT_TYPES",
     "Event",
     "EventBus",
-    "EventSocketServer",
     "ExploreLog",
     "FlightRecorder",
     "FunnelCounts",
@@ -183,7 +185,6 @@ __all__ = [
     "set_log_level",
     "set_log_stream",
     "span",
-    "subscribe_events",
     "theil_sen",
     "traced",
     "tracing",

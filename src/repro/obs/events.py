@@ -3,10 +3,10 @@
 Manifests and JSONL traces (:mod:`repro.obs.runlog` / ``export``) are
 *post-hoc*: they tell you what a tune did after it finished.  The bus is
 the live counterpart — instrumented code publishes small typed events
-(run start/end, funnel transitions, GA generations, engine heartbeats
-with cache rollups, fault occurrences, health warnings) as they happen,
-and any number of in-process subscribers (JSONL file sinks, socket
-servers, the ``repro watch`` dashboard, tests) observe them mid-run.
+(run start/end, funnel transitions, GA generations, span closes, counter
+increments, health warnings) as they happen, and any number of
+in-process subscribers (the JSONL sink behind ``--live``, the health
+monitor, tests) observe them mid-run; ``repro watch`` tails the sink.
 
 Design constraints mirror the tracer's:
 
@@ -17,13 +17,13 @@ Design constraints mirror the tracer's:
 2. **Leaf module.**  ``repro.obs.trace`` publishes span-close events, so
    this module must not import trace (or anything else in ``repro``) —
    correlation hooks are injected (``_span_id_provider``) instead.
-3. **Cross-process mergeable.**  Events are stamped with the local
+3. **Parent-side only.**  Events are stamped with the local
    ``perf_counter`` clock (``t_s``) plus the derived wall time
-   (``t_wall``).  Worker-side events buffer locally and ship home in the
-   per-task obs payload; the parent re-publishes them through
-   :meth:`EventBus.adopt`, shifting ``t_s`` by the same wall/perf clock
-   offset pairing ``Tracer.merge`` uses for spans and tagging the worker
-   lane — one timeline, whatever the process count.
+   (``t_wall``).  Pool workers run no bus: their spans and counter
+   deltas ship home in the per-task obs payload, and the parent's
+   ``Tracer.merge`` / ``MetricsRegistry.merge`` publish them
+   (``span.close`` tagged with the worker lane, ``metric.inc`` through
+   ``Counter.inc``) — one stream, whatever the process count.
 
 Events are plain dicts on the wire (JSON-ready); :class:`Event` is the
 typed construction/validation surface.  ``EVENT_SCHEMA`` versions the
@@ -55,7 +55,7 @@ __all__ = [
 
 #: Envelope layout version; bump on incompatible changes.  Consumers
 #: skip events carrying another schema instead of misreading them.
-EVENT_SCHEMA = 1
+EVENT_SCHEMA = 2
 
 #: Known event types -> required keys inside ``data``.  The registry is
 #: the validation contract for sinks and the ``watch --validate`` CI
@@ -71,22 +71,14 @@ EVENT_TYPES: dict[str, tuple[str, ...]] = {
     "funnel.stage": ("stage", "count", "total"),
     # Genetic-search convergence, one per generation.
     "ga.generation": ("generation", "best_fitness", "mean_fitness", "population"),
-    # Engine liveness + per-batch cache rollup, one per engine batch.
-    "engine.heartbeat": ("batch", "items", "hits", "misses", "memo_hits", "memo_misses"),
-    # One per fault-recovery action (engine.fault.* counter increments).
-    "engine.fault": ("name", "amount"),
-    # Divergence-watchdog verdict for one batch.
-    "engine.divergence": ("checked", "mismatched"),
-    # Persistent compile-cache consultation.
-    "cache.compile": ("event",),
-    # Metric-registry delta snapshot (run end, plus on demand).
-    "metric.delta": ("deltas",),
+    # One per increment of a streamed counter (engine.* / obs.health.*):
+    # memo and compile-cache hits/misses, divergence checks, fault
+    # recoveries, pool dispatch, health-detector fires.
+    "metric.inc": ("name", "amount"),
     # Health-monitor detections.
     "health.warning": ("detector", "message"),
     # Structured-logger records republished at WARNING+.
     "log": ("level", "msg"),
-    # Socket-server greeting so subscribers can sanity-check the schema.
-    "stream.hello": (),
 }
 
 #: Injected by repro.obs.trace at import (this module must stay a leaf):
@@ -103,11 +95,11 @@ def _wall_offset_s() -> float:
 class Event:
     """One telemetry event.
 
-    ``t_s`` is a local ``perf_counter`` timestamp (rebased when the
-    event crosses a process boundary); ``t_wall`` the derived wall time
-    sinks and dashboards display.  ``lane`` distinguishes pool workers
-    (parent is None, workers 1..n in pid order, same assignment as span
-    lanes); ``seq`` is the publishing bus's monotonic sequence number.
+    ``t_s`` is a local ``perf_counter`` timestamp; ``t_wall`` the derived
+    wall time sinks and dashboards display.  ``lane`` marks a pool
+    worker's span (parent is None, workers 1..n in pid order, same
+    assignment as span lanes); ``seq`` is the bus's monotonic sequence
+    number.
     """
 
     type: str
@@ -182,10 +174,6 @@ class EventBus:
     JSON-ready wire form).  A raising subscriber never breaks the
     publisher: its exception is swallowed and tallied in ``errors`` —
     telemetry must not alter the computation it observes.
-
-    ``buffering`` is the worker-side mode: published events also
-    accumulate in an internal buffer that :meth:`drain` empties, which
-    is how per-task events piggyback on the pool's obs payload.
     """
 
     def __init__(self) -> None:
@@ -193,8 +181,6 @@ class EventBus:
         self._subscribers: dict[int, Callable[[dict[str, Any]], None]] = {}
         self._next_token = 0
         self._seq = 0
-        self._buffer: list[dict[str, Any]] = []
-        self.buffering = False
         #: Current run id (set by the flight recorder for the run's
         #: duration) stamped onto every published event.
         self.run_id = ""
@@ -221,7 +207,6 @@ class EventBus:
         data: dict[str, Any] | None = None,
         *,
         lane: int | None = None,
-        run_id: str | None = None,
     ) -> dict[str, Any]:
         """Stamp and dispatch one event; returns its dict form."""
         t_s = time.perf_counter()
@@ -229,6 +214,7 @@ class EventBus:
         with self._lock:
             seq = self._seq
             self._seq += 1
+            subscribers = list(self._subscribers.values())
         event = Event(
             type=type,
             t_s=t_s,
@@ -237,71 +223,22 @@ class EventBus:
             pid=os.getpid(),
             data=data or {},
             lane=lane,
-            run_id=self.run_id if run_id is None else run_id,
+            run_id=self.run_id,
             span_id=span_id,
         ).to_dict()
-        self._dispatch(event)
-        return event
-
-    def adopt(
-        self,
-        events: list[dict[str, Any]],
-        shift_s: float = 0.0,
-        lane: int | None = None,
-    ) -> list[dict[str, Any]]:
-        """Re-publish foreign events (shipped home from a pool worker).
-
-        Mirrors ``Tracer.merge``: timestamps are shifted by ``shift_s``
-        (worker clock offset minus parent clock offset) onto this
-        process's perf-counter timeline, wall times are recomputed from
-        the rebased ``t_s``, the worker's lane is tagged, sequence
-        numbers are re-assigned from this bus (arrival order), and an
-        empty run id inherits the bus's current run.  The worker pid and
-        span id are kept — they identify where the event happened.
-        """
-        adopted = []
-        for src in events:
-            event = dict(src)
-            event["t_s"] = src["t_s"] + shift_s
-            event["t_wall"] = event["t_s"] + _wall_offset_s()
-            if lane is not None:
-                event["lane"] = lane
-            if not event.get("run_id"):
-                event["run_id"] = self.run_id
-            with self._lock:
-                event["seq"] = self._seq
-                self._seq += 1
-            self._dispatch(event)
-            adopted.append(event)
-        return adopted
-
-    def _dispatch(self, event: dict[str, Any]) -> None:
-        with self._lock:
-            if self.buffering:
-                self._buffer.append(event)
-            subscribers = list(self._subscribers.values())
         for fn in subscribers:
             try:
                 fn(event)
             except Exception:
                 self.errors += 1
-
-    # -- worker-side buffering ------------------------------------------
-    def drain(self) -> list[dict[str, Any]]:
-        """Return buffered events and forget them (seq keeps counting)."""
-        with self._lock:
-            drained = self._buffer
-            self._buffer = []
-        return drained
+        return event
 
     def clear(self) -> None:
-        """Drop buffered events, subscribers and state (seq restarts)."""
+        """Drop subscribers and state (seq restarts)."""
         with self._lock:
-            self._buffer = []
             self._subscribers.clear()
             self._seq = 0
             self._next_token = 0
-            self.buffering = False
             self.run_id = ""
             self.errors = 0
 
@@ -334,7 +271,7 @@ def get_bus() -> EventBus:
 
 
 def reset_events() -> None:
-    """Drop all bus state (subscribers, buffer, run id); toggle unchanged."""
+    """Drop all bus state (subscribers, run id); toggle unchanged."""
     _bus.clear()
 
 

@@ -6,10 +6,6 @@ Everything here consumes the event bus (:mod:`repro.obs.events`):
   using the same crash-safe O_APPEND single-``write`` discipline as the
   compile cache: a crash can tear at most the final line, and
   :func:`load_events` resynchronises past torn lines instead of dying.
-* :class:`EventSocketServer` — a line-protocol TCP/Unix socket server;
-  external clients connect mid-run, receive a ``stream.hello`` greeting
-  and then every event as one JSON line.  A slow or dead client is
-  dropped, never waited on — telemetry must not stall the tune.
 * :class:`HealthMonitor` — pure, replayable detectors over the event
   stream: no-progress intervals, fitness stagnation over k generations,
   cache-hit-rate collapse after warm-up, divergence-watchdog spikes.
@@ -17,35 +13,36 @@ Everything here consumes the event bus (:mod:`repro.obs.events`):
   detections as ``health.warning`` events and ``obs.health.*`` counters
   (which the flight recorder folds into the run manifest).
 * :class:`WatchState` + :func:`render_dashboard` — the aggregation and
-  terminal rendering behind ``python -m repro watch <run-dir|socket>``:
+  terminal rendering behind ``python -m repro watch <run-dir>``:
   generation fitness/diversity, the mapping funnel, cache hit rates,
   pool/fault counters, health warnings and an ETA from budget progress.
 
-The cumulative counters a finished stream aggregates (funnel, memo
-cache, faults) are *identical by construction* to the run manifest's
-sections: both sides sum the same per-event deltas.
+Counted facts reach the stream only as ``metric.inc`` events published
+by ``Counter.inc`` itself.  :class:`WatchState` sums them per counter
+name and derives its cache/divergence/faults/health sections through
+:func:`repro.obs.runlog.counter_sections` — the function the manifest
+uses — so a finished stream and its manifest agree by definition.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import socket
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.events import EVENT_SCHEMA, validate_event
 from repro.obs.explore_log import FUNNEL_STAGES
 from repro.obs.logging import get_logger
+from repro.obs.runlog import counter_sections
 
 __all__ = [
-    "EventSocketServer",
     "HealthConfig",
     "HealthMonitor",
     "JsonlSink",
@@ -117,12 +114,18 @@ def load_events(path: str | os.PathLike) -> tuple[list[dict[str, Any]], int]:
     live ``watch`` over an in-flight file must not crash on a partial
     line.
     """
-    events: list[dict[str, Any]] = []
-    skipped = 0
     try:
         raw = Path(path).read_bytes()
     except OSError:
         return [], 0
+    return _parse_lines(raw)
+
+
+def _parse_lines(raw: bytes) -> tuple[list[dict[str, Any]], int]:
+    """Events of this schema in ``raw`` JSONL bytes, plus the number of
+    other non-blank lines (unparseable or another schema)."""
+    events: list[dict[str, Any]] = []
+    skipped = 0
     for line in raw.split(b"\n"):
         if not line.strip():
             continue
@@ -153,196 +156,8 @@ def find_event_stream(source: str | os.PathLike) -> Path:
             )
         return streams[-1]
     raise FileNotFoundError(
-        f"no runs/events found: {p} is not an event stream, run directory "
-        "or socket endpoint"
+        f"no runs/events found: {p} is not an event stream or run directory"
     )
-
-
-# ----------------------------------------------------------------------
-# Socket server sink (line protocol)
-# ----------------------------------------------------------------------
-class EventSocketServer:
-    """Stream events to external subscribers over a TCP or Unix socket.
-
-    ``address`` is ``"host:port"`` / ``"port"`` for TCP (port 0 picks a
-    free one; see :attr:`endpoint`) or a filesystem path for a Unix
-    socket.  Each client receives a ``stream.hello`` line (schema
-    handshake) and then every event as one JSON line.  Writes use a
-    short timeout; a client that cannot keep up is dropped so the
-    publishing thread — the tune itself — never blocks on telemetry.
-    """
-
-    def __init__(
-        self,
-        address: str,
-        bus: _events.EventBus | None = None,
-        timeout_s: float = 1.0,
-    ):
-        self.timeout_s = timeout_s
-        self._lock = threading.Lock()
-        self._clients: list[socket.socket] = []
-        self._closed = False
-        self._unix_path: Path | None = None
-        if _looks_like_tcp(address):
-            host, port = _parse_tcp(address)
-            self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._server.bind((host, port))
-            bound = self._server.getsockname()
-            self.endpoint = f"{bound[0]}:{bound[1]}"
-        else:
-            self._unix_path = Path(address)
-            if self._unix_path.exists():
-                self._unix_path.unlink()
-            self._server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._server.bind(str(self._unix_path))
-            self.endpoint = str(self._unix_path)
-        self._server.listen(8)
-        self._server.settimeout(0.2)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-event-socket", daemon=True
-        )
-        self._accept_thread.start()
-        self._bus = bus
-        self._token = bus.subscribe(self) if bus is not None else None
-
-    def _accept_loop(self) -> None:
-        hello = (
-            json.dumps(
-                _events.get_bus().publish("stream.hello", {"endpoint": self.endpoint})
-                if _events.events_enabled()
-                else {
-                    "type": "stream.hello",
-                    "t_s": time.perf_counter(),
-                    "t_wall": time.time(),
-                    "seq": -1,
-                    "pid": os.getpid(),
-                    "data": {"endpoint": self.endpoint},
-                    "lane": None,
-                    "run_id": "",
-                    "span_id": None,
-                    "schema": EVENT_SCHEMA,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        ).encode()
-        while not self._closed:
-            try:
-                client, _ = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            client.settimeout(self.timeout_s)
-            try:
-                client.sendall(hello)
-            except OSError:
-                client.close()
-                continue
-            with self._lock:
-                self._clients.append(client)
-
-    def __call__(self, event: dict[str, Any]) -> None:
-        line = (json.dumps(event, sort_keys=True, default=str) + "\n").encode()
-        with self._lock:
-            clients = list(self._clients)
-        dead = []
-        for client in clients:
-            try:
-                client.sendall(line)
-            except (OSError, socket.timeout):
-                dead.append(client)
-        if dead:
-            with self._lock:
-                for client in dead:
-                    if client in self._clients:
-                        self._clients.remove(client)
-                    client.close()
-
-    @property
-    def n_clients(self) -> int:
-        with self._lock:
-            return len(self._clients)
-
-    def close(self) -> None:
-        if self._token is not None and self._bus is not None:
-            self._bus.unsubscribe(self._token)
-            self._token = None
-        self._closed = True
-        try:
-            self._server.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=2.0)
-        with self._lock:
-            for client in self._clients:
-                client.close()
-            self._clients.clear()
-        if self._unix_path is not None and self._unix_path.exists():
-            try:
-                self._unix_path.unlink()
-            except OSError:
-                pass
-
-    def __enter__(self) -> "EventSocketServer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def _looks_like_tcp(address: str) -> bool:
-    if address.isdigit():
-        return True
-    host, sep, port = address.rpartition(":")
-    return bool(sep) and port.isdigit() and "/" not in host
-
-
-def _parse_tcp(address: str) -> tuple[str, int]:
-    if address.isdigit():
-        return "127.0.0.1", int(address)
-    host, _, port = address.rpartition(":")
-    return host or "127.0.0.1", int(port)
-
-
-def subscribe_events(
-    address: str, timeout_s: float | None = None
-) -> Iterator[dict[str, Any]]:
-    """Connect to an :class:`EventSocketServer` and yield events.
-
-    Terminates when the server closes the connection (run over) or a
-    read times out (``timeout_s``).
-    """
-    if _looks_like_tcp(address):
-        host, port = _parse_tcp(address)
-        sock = socket.create_connection((host, port), timeout=timeout_s)
-    else:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout_s)
-        sock.connect(address)
-    try:
-        buffer = b""
-        while True:
-            try:
-                chunk = sock.recv(65536)
-            except socket.timeout:
-                return
-            if not chunk:
-                return
-            buffer += chunk
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
-                if not line.strip():
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(event, dict) and event.get("schema") == EVENT_SCHEMA:
-                    yield event
-    finally:
-        sock.close()
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +172,7 @@ class HealthConfig:
     the best finite fitness of the last k generations must improve on
     the best before them by ``stagnation_rel_tol`` (relative) or the
     search is flagged stagnant.  Cache collapse: once the rolling hit
-    rate over the last ``cache_window`` heartbeats has ever reached
+    rate over the last ``cache_window`` engine batches has ever reached
     ``cache_warm_rate``, dropping below ``cache_collapse_rate`` flags a
     collapse (a cold start is not a collapse).  Any divergence-watchdog
     mismatch is flagged immediately.
@@ -381,18 +196,27 @@ class HealthMonitor:
     detector is latched: it fires once per episode and re-arms when the
     condition clears, so a render loop polling every second does not
     emit a warning per tick.
+
+    The cache and divergence detectors read ``metric.inc`` records.  The
+    engine increments ``engine.cache.hit`` then ``engine.cache.miss``
+    once per batch (zero amounts included), so each miss record closes
+    one batch of the cache window; ``engine.divergence.checked`` precedes
+    any ``engine.divergence.mismatched`` of the same batch.  The
+    detectors' own ``obs.health.*`` records are ignored.
     """
 
     #: Event types that never count as (or affect) health signals.
-    IGNORED_TYPES = frozenset({"health.warning", "log", "stream.hello", "metric.delta"})
+    IGNORED_TYPES = frozenset({"health.warning", "log"})
 
     def __init__(self, config: HealthConfig | None = None):
         self.config = config or HealthConfig()
         self.last_progress_wall: float | None = None
         self.best_history: list[float] = []  # per-generation best (inf for none)
-        self._heartbeats: deque[tuple[float, float]] = deque(
+        self._batches: deque[tuple[float, float]] = deque(
             maxlen=self.config.cache_window
         )
+        self._batch_hits = 0.0
+        self._last_checked = 0.0
         self._best_rate = 0.0
         self._latched: set[str] = set()
         self.warnings: list[dict[str, Any]] = []
@@ -401,10 +225,13 @@ class HealthMonitor:
     def observe(self, event: dict[str, Any]) -> list[dict[str, Any]]:
         """Consume one event; returns newly fired warnings (usually [])."""
         etype = event.get("type")
-        if etype in self.IGNORED_TYPES or not isinstance(event.get("data"), dict):
+        data = event.get("data")
+        if etype in self.IGNORED_TYPES or not isinstance(data, dict):
+            return []
+        name = data.get("name", "") if etype == "metric.inc" else ""
+        if name.startswith("obs.health."):
             return []
         t_wall = event.get("t_wall", 0.0)
-        data = event["data"]
         fired: list[dict[str, Any]] = []
 
         gap = self._progress_gap(t_wall)
@@ -420,17 +247,23 @@ class HealthMonitor:
         self.last_progress_wall = t_wall
         self._latched.discard("no_progress")  # progress resumed; re-arm
 
+        amount = data.get("amount", 0)
         if etype == "ga.generation":
             fired.extend(self._observe_generation(data))
-        elif etype == "engine.heartbeat":
-            fired.extend(self._observe_heartbeat(data))
-        elif etype == "engine.divergence" and data.get("mismatched", 0) > 0:
+        elif name == "engine.cache.hit":
+            self._batch_hits = float(amount)
+        elif name == "engine.cache.miss":
+            fired.extend(self._observe_batch(self._batch_hits, float(amount)))
+            self._batch_hits = 0.0
+        elif name == "engine.divergence.checked":
+            self._last_checked = amount
+        elif name == "engine.divergence.mismatched" and amount > 0:
             fired.append(
                 self._warn(
                     "divergence",
-                    f"{data['mismatched']} batch/scalar mismatch(es) "
-                    f"in {data.get('checked', 0)} checked evaluations",
-                    mismatched=data["mismatched"],
+                    f"{amount} batch/scalar mismatch(es) "
+                    f"in {self._last_checked} checked evaluations",
+                    mismatched=amount,
                 )
             )
         self.warnings.extend(fired)
@@ -484,14 +317,12 @@ class HealthMonitor:
             )
         ]
 
-    def _observe_heartbeat(self, data: dict[str, Any]) -> list[dict[str, Any]]:
-        self._heartbeats.append(
-            (float(data.get("hits", 0)), float(data.get("misses", 0)))
-        )
-        if len(self._heartbeats) < self.config.cache_min_heartbeats:
+    def _observe_batch(self, hits: float, misses: float) -> list[dict[str, Any]]:
+        self._batches.append((hits, misses))
+        if len(self._batches) < self.config.cache_min_heartbeats:
             return []
-        hits = sum(h for h, _ in self._heartbeats)
-        total = hits + sum(m for _, m in self._heartbeats)
+        hits = sum(h for h, _ in self._batches)
+        total = hits + sum(m for _, m in self._batches)
         if not total:
             return []
         rate = hits / total
@@ -556,9 +387,12 @@ def attach_health_monitor(
 class WatchState:
     """Cumulative view of one event stream, updated event by event.
 
-    The counter aggregates (``funnel``, ``memo_hits``/``memo_misses``,
-    ``faults``) sum exactly the per-event deltas the manifest's sections
-    sum, so a finished stream and its run manifest agree to the digit.
+    ``counters`` sums the stream's ``metric.inc`` events per counter
+    name; :meth:`sections` maps them to the manifest's ``cache`` /
+    ``divergence`` / ``faults`` / ``health`` sections with the manifest's
+    own function, and ``funnel`` sums the ``funnel.stage`` counts the
+    manifest's funnel holds, so a finished stream and its run manifest
+    agree to the digit.
     """
 
     run_id: str = ""
@@ -570,17 +404,12 @@ class WatchState:
     ended: dict[str, Any] | None = None
     funnel: dict[str, int] = field(default_factory=dict)
     generations: list[dict[str, Any]] = field(default_factory=list)
+    counters: dict[str, float] = field(default_factory=dict)
+    #: Engine batches seen: one ``engine.cache.miss`` record per batch.
     heartbeats: int = 0
-    memo_hits: int = 0
-    memo_misses: int = 0
-    compile_cache: dict[str, int] = field(default_factory=dict)
-    faults: dict[str, float] = field(default_factory=dict)
-    divergence_checked: int = 0
-    divergence_mismatched: int = 0
     lanes: set = field(default_factory=set)
     warnings: list[dict[str, Any]] = field(default_factory=list)
     log_tail: deque = field(default_factory=lambda: deque(maxlen=5))
-    metric_deltas: list[dict[str, Any]] = field(default_factory=list)
     events_seen: int = 0
     invalid_events: int = 0
     last_t_wall: float | None = None
@@ -610,27 +439,15 @@ class WatchState:
             self.funnel[stage] = self.funnel.get(stage, 0) + int(data.get("count", 0))
         elif etype == "ga.generation":
             self.generations.append(data)
-        elif etype == "engine.heartbeat":
-            self.heartbeats += 1
-            self.memo_hits += int(data.get("hits", 0))
-            self.memo_misses += int(data.get("misses", 0))
-        elif etype == "cache.compile":
-            key = str(data.get("event", "?"))
-            self.compile_cache[key] = self.compile_cache.get(key, 0) + 1
-        elif etype == "engine.fault":
-            name = str(data.get("name", "?"))
-            self.faults[name] = self.faults.get(name, 0.0) + float(
-                data.get("amount", 1)
-            )
-        elif etype == "engine.divergence":
-            self.divergence_checked += int(data.get("checked", 0))
-            self.divergence_mismatched += int(data.get("mismatched", 0))
+        elif etype == "metric.inc":
+            name = str(data["name"])
+            self.counters[name] = self.counters.get(name, 0.0) + data["amount"]
+            if name == "engine.cache.miss":
+                self.heartbeats += 1
         elif etype == "health.warning":
             self.warnings.append(data)
         elif etype == "log":
             self.log_tail.append(data)
-        elif etype == "metric.delta":
-            self.metric_deltas = list(data.get("deltas") or [])
 
     def apply_all(self, events: Sequence[dict[str, Any]]) -> "WatchState":
         for event in events:
@@ -638,10 +455,15 @@ class WatchState:
         return self
 
     # -- derived --------------------------------------------------------
+    def sections(self) -> dict[str, dict[str, float]]:
+        """The manifest's counter sections, folded from this stream."""
+        return counter_sections(self.counters)
+
     @property
     def memo_hit_rate(self) -> float | None:
-        total = self.memo_hits + self.memo_misses
-        return self.memo_hits / total if total else None
+        cache = self.sections()["cache"]
+        total = cache["memo_hits"] + cache["memo_misses"]
+        return cache["memo_hits"] / total if total else None
 
     def eta_s(self, now_wall: float | None = None) -> float | None:
         """Rough remaining time from GA budget progress (None once the
@@ -664,6 +486,10 @@ def _fmt_span(us: float) -> str:
     if us >= 1e3:
         return f"{us / 1e3:.2f}ms"
     return f"{us:.1f}us"
+
+
+def _fmt_count(value: float) -> str:
+    return str(int(value)) if float(value).is_integer() else str(value)
 
 
 def _fmt_fitness(value: Any) -> str:
@@ -736,30 +562,34 @@ def render_dashboard(state: WatchState, now_wall: float | None = None) -> str:
 
     lines.append("")
     lines.append("-- engine --")
+    sections = state.sections()
+    cache = sections["cache"]
     rate = state.memo_hit_rate
     if rate is not None:
+        hits = _fmt_count(cache["memo_hits"])
+        total = _fmt_count(cache["memo_hits"] + cache["memo_misses"])
         lines.append(
-            f"  memo cache hit rate: {rate:.1%} "
-            f"({state.memo_hits}/{state.memo_hits + state.memo_misses}) "
+            f"  memo cache hit rate: {rate:.1%} ({hits}/{total}) "
             f"over {state.heartbeats} batches"
         )
     else:
-        lines.append("  (no engine heartbeats yet)")
-    if state.compile_cache:
-        hits = state.compile_cache.get("hit", 0)
-        misses = state.compile_cache.get("miss", 0)
-        lines.append(f"  compile cache: {hits} hit(s), {misses} miss(es)")
+        lines.append("  (no engine batches yet)")
+    if cache["compile_cache_hits"] or cache["compile_cache_misses"]:
+        lines.append(
+            f"  compile cache: {_fmt_count(cache['compile_cache_hits'])} hit(s), "
+            f"{_fmt_count(cache['compile_cache_misses'])} miss(es)"
+        )
     if state.lanes:
         lines.append(f"  pool lanes seen: {len(state.lanes)}")
-    if state.divergence_checked:
+    divergence = sections["divergence"]
+    if divergence["checked"]:
         lines.append(
-            f"  divergence watchdog: {state.divergence_mismatched} mismatch(es) "
-            f"in {state.divergence_checked} checked"
+            f"  divergence watchdog: {_fmt_count(divergence['mismatched'])} "
+            f"mismatch(es) in {_fmt_count(divergence['checked'])} checked"
         )
-    if state.faults:
+    if sections["faults"]:
         parts = ", ".join(
-            f"{name}={int(v) if float(v).is_integer() else v}"
-            for name, v in sorted(state.faults.items())
+            f"{name}={_fmt_count(v)}" for name, v in sorted(sections["faults"].items())
         )
         lines.append(f"  faults: {parts}")
     else:
@@ -807,17 +637,7 @@ def _tail_file(path: Path, offset: int) -> tuple[list[dict[str, Any]], int]:
     complete, sep, _rest = raw.rpartition(b"\n")
     if not sep:
         return [], offset
-    events = []
-    for line in complete.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(event, dict) and event.get("schema") == EVENT_SCHEMA:
-            events.append(event)
-    return events, offset + len(complete) + 1
+    return _parse_lines(complete)[0], offset + len(complete) + 1
 
 
 def watch(
@@ -830,49 +650,23 @@ def watch(
 ) -> int:
     """``python -m repro watch`` engine; returns a process exit code.
 
-    ``source`` is an event-stream file, a run directory (newest
-    ``events_*.jsonl`` wins) or a ``host:port`` socket endpoint.  With
-    ``once`` the current state is rendered exactly once (CI snapshot
-    mode); ``validate`` additionally schema-checks every event and fails
-    the exit code on violations.  ``max_updates`` bounds the follow loop
-    (tests); interactive runs follow until interrupted.
+    ``source`` is an event-stream file or a run directory (newest
+    ``events_*.jsonl`` wins).  With ``once`` the current state is
+    rendered exactly once (CI snapshot mode); ``validate`` additionally
+    schema-checks every event and fails the exit code on violations.
+    ``max_updates`` bounds the follow loop (tests); interactive runs
+    follow until interrupted.
     """
-    is_socket = _looks_like_tcp(source) and not Path(source).exists()
     problems: list[str] = []
     state = WatchState()
-
-    if is_socket:
-        updates = 0
-        try:
-            for event in subscribe_events(source, timeout_s=interval_s * 10):
-                if validate:
-                    problems.extend(
-                        f"seq {event.get('seq')}: {p}" for p in validate_event(event)
-                    )
-                state.apply(event)
-                if event["type"] in ("run.end", "ga.generation", "run.start"):
-                    if not once:
-                        out("\x1b[2J\x1b[H" + render_dashboard(state))
-                    updates += 1
-                    if max_updates is not None and updates >= max_updates:
-                        break
-                if once and event["type"] == "run.end":
-                    break
-        except KeyboardInterrupt:
-            pass
-        except OSError as exc:
-            out(f"watch: cannot subscribe to {source}: {exc}")
-            return 1
-        out(render_dashboard(state))
-        return _finish_watch(state, problems, validate, out)
-
     try:
         path = find_event_stream(source)
-    except FileNotFoundError as exc:
+        raw = path.read_bytes()
+    except OSError as exc:
         out(f"watch: {exc}")
         return 1
 
-    events, skipped = load_events(path)
+    events, skipped = _parse_lines(raw)
     if validate:
         for event in events:
             problems.extend(
@@ -886,12 +680,19 @@ def watch(
         # dashboard — a green "waiting for run.start" snapshot would hide
         # a tune that never emitted anything.
         if not state.events_seen and not state.invalid_events:
-            out(f"watch: no runs/events found in {path} (stream is empty)")
+            detail = (
+                f"{skipped} unreadable or other-schema line(s)"
+                if skipped
+                else "stream is empty"
+            )
+            out(f"watch: no runs/events found in {path} ({detail})")
             return 1
         out(render_dashboard(state))
         return _finish_watch(state, problems, validate, out)
 
-    offset = path.stat().st_size
+    # Follow from the end of the last whole line: a line still being
+    # written is read once it is complete, never skipped.
+    offset = raw.rfind(b"\n") + 1
     monitor = HealthMonitor()
     for event in events:
         monitor.observe(event)

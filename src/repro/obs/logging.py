@@ -27,8 +27,8 @@ an ``atexit`` hook (:func:`flush_suppressed`) emits one final summary
 record per (level, message) key, marked ``suppressed_final``.
 
 Records at WARNING and above are additionally republished as ``log``
-events on the telemetry bus (when it is enabled), so dashboards and
-socket subscribers see problems without tailing stderr.
+events on the telemetry bus (when it is enabled), so the live stream
+and ``repro watch`` show problems without tailing stderr.
 """
 
 from __future__ import annotations

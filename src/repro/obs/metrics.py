@@ -9,6 +9,12 @@ Like the tracer, every recording call is gated on the module-global obs
 switch in :mod:`repro.obs.trace` via the helpers ``counter``/``gauge``/
 ``histogram`` returning a shared no-op when disabled, so hot paths stay
 unconditionally instrumented with near-zero disabled cost.
+
+Counters are also the live stream's only source of counted facts: while
+the event bus is on, every :meth:`Counter.inc` of a *streamed* counter
+(``engine.*`` / ``obs.health.*``) publishes one ``metric.inc`` event
+``{name, amount}`` — tracing on or off — so the stream and the run
+manifest fold the very same increments.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import bisect
 import threading
 from typing import Any, Sequence
 
+from repro.obs import events as _events
 from repro.obs import trace as _trace
 
 __all__ = [
@@ -31,21 +38,35 @@ __all__ = [
 ]
 
 
+#: Counter-name prefixes whose increments are streamed as ``metric.inc``
+#: events: the engine's cache/divergence/fault/pool counts and the health
+#: detectors' fire counts — exactly what the manifest's counter sections
+#: and the live view fold (see :func:`repro.obs.runlog.counter_sections`).
+STREAMED_PREFIXES = ("engine.", "obs.health.")
+
+
 class Counter:
     """Monotonically increasing count."""
 
-    __slots__ = ("name", "_value", "_lock")
+    __slots__ = ("name", "_value", "_lock", "_streamed")
 
     def __init__(self, name: str):
         self.name = name
         self._value = 0.0
         self._lock = threading.Lock()
+        self._streamed = name.startswith(STREAMED_PREFIXES)
 
     def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount``; a streamed counter also publishes it (zero
+        amounts included, so per-batch records keep their cadence)."""
         if amount < 0:
             raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
+        if self._streamed and _events._enabled:
+            _events.get_bus().publish(
+                "metric.inc", {"name": self.name, "amount": amount}
+            )
 
     @property
     def value(self) -> float:
@@ -315,8 +336,9 @@ class MetricsRegistry:
 
     def merge(self, deltas: Sequence[dict[str, Any]]) -> None:
         """Fold diff records from another registry (e.g. a pool worker)
-        into this one: counters add, gauges last-write-win, histograms
-        merge bucket-by-bucket."""
+        into this one: counters add (through :meth:`Counter.inc`, so a
+        worker's streamed counters reach the live stream like local
+        ones), gauges last-write-win, histograms merge bucket-by-bucket."""
         for record in deltas:
             name = record["name"]
             kind = record.get("kind")
@@ -350,10 +372,14 @@ def get_registry() -> MetricsRegistry:
 
 
 def counter(name: str):
-    """Hot-path accessor: the named counter, or a no-op when obs is off."""
-    if not _trace._enabled:
-        return _NULL_METRIC
-    return _registry.counter(name)
+    """Hot-path accessor: the named counter, or a no-op when obs is off.
+
+    A streamed counter is live whenever the event bus is on, even with
+    tracing off: the stream must see every increment the manifest would.
+    """
+    if _trace._enabled or (_events._enabled and name.startswith(STREAMED_PREFIXES)):
+        return _registry.counter(name)
+    return _NULL_METRIC
 
 
 def gauge(name: str):

@@ -51,6 +51,7 @@ __all__ = [
     "FlightRecorder",
     "RunRecord",
     "compare_runs",
+    "counter_sections",
     "load_runs",
     "render_comparison",
     "write_run",
@@ -206,6 +207,38 @@ _CACHE_COUNTERS = {
 }
 
 
+def counter_sections(counters: dict[str, float]) -> dict[str, dict[str, float]]:
+    """The run manifest's counter-derived sections from counter totals.
+
+    ``counters`` maps counter name to its total over the run.  The flight
+    recorder passes registry diffs; the live view
+    (:class:`repro.obs.live.WatchState`) passes the sum of the stream's
+    ``metric.inc`` events — one mapping, so a finished stream and its
+    manifest agree by definition.  Returns ``cache``, ``divergence``,
+    ``faults`` and ``health`` (the last two hold non-zero counters only).
+    """
+
+    def prefixed(prefix: str) -> dict[str, float]:
+        return {
+            name[len(prefix):]: value
+            for name, value in counters.items()
+            if name.startswith(prefix) and value
+        }
+
+    return {
+        "cache": {
+            label: counters.get(metric, 0.0)
+            for label, metric in _CACHE_COUNTERS.items()
+        },
+        "divergence": {
+            "checked": counters.get("engine.divergence.checked", 0.0),
+            "mismatched": counters.get("engine.divergence.mismatched", 0.0),
+        },
+        "faults": prefixed("engine.fault."),
+        "health": prefixed("obs.health."),
+    }
+
+
 class FlightRecorder:
     """Record one compile/tune run into a :class:`RunRecord` manifest.
 
@@ -246,7 +279,6 @@ class FlightRecorder:
         self._t0 = 0.0
         self.run_id = ""
         self.created_at = ""
-        self._deltas: list[dict[str, Any]] = []
         self._prior_bus_run_id: str | None = None
         self._health_monitor = None
 
@@ -327,9 +359,7 @@ class FlightRecorder:
             if exc_type is None:
                 self.record = self._build(wall_s)
                 if _events.events_enabled():
-                    bus = _events.get_bus()
-                    bus.publish("metric.delta", {"deltas": self._deltas})
-                    bus.publish(
+                    _events.get_bus().publish(
                         "run.end",
                         {
                             "status": "ok",
@@ -368,7 +398,6 @@ class FlightRecorder:
     # -- assembly ------------------------------------------------------
     def _build(self, wall_s: float) -> RunRecord:
         deltas = _metrics.get_registry().diff(self._base_metrics)
-        self._deltas = deltas
         counters = {
             d["name"]: d["value"] for d in deltas if d["kind"] == "counter"
         }
@@ -382,25 +411,9 @@ class FlightRecorder:
             for st in aggregate_spans(spans)
         }
         critical = _trace.critical_path(spans)
-        cache = {
-            label: counters.get(metric, 0.0)
-            for label, metric in _CACHE_COUNTERS.items()
-        }
+        sections = counter_sections(counters)
+        cache = sections["cache"]
         submitted = cache["memo_hits"] + cache["memo_misses"]
-        divergence = {
-            "checked": counters.get("engine.divergence.checked", 0.0),
-            "mismatched": counters.get("engine.divergence.mismatched", 0.0),
-        }
-        faults = {
-            name[len("engine.fault."):]: value
-            for name, value in counters.items()
-            if name.startswith("engine.fault.") and value
-        }
-        health = {
-            name[len("obs.health."):]: value
-            for name, value in counters.items()
-            if name.startswith("obs.health.") and value
-        }
         quality = {
             k: v
             for k, v in self.log.model_quality().items()
@@ -419,12 +432,9 @@ class FlightRecorder:
             candidates_per_sec=submitted / wall_s if wall_s > 0 else 0.0,
             phases=phases,
             funnel=self.log.funnel.to_dict(),
-            cache=cache,
-            divergence=divergence,
-            faults=faults,
-            health=health,
             critical_path=critical,
             model_quality=quality,
+            **sections,
         )
 
 

@@ -136,6 +136,16 @@ _NULL_SPAN = _NullSpan()
 _EVENT_SPAN_PREFIXES = ("compile", "tuner.", "engine.", "worker.")
 
 
+def _publish_close(s: Span, lane: int | None = None) -> None:
+    # Streamed span-close events cover only the coarse pipeline stages
+    # (the curated prefixes): per-candidate micro-spans would swamp
+    # sinks without telling a dashboard anything new.
+    if _events._enabled and s.name.startswith(_EVENT_SPAN_PREFIXES):
+        _events.get_bus().publish(
+            "span.close", {"name": s.name, "duration_us": s.duration_us}, lane=lane
+        )
+
+
 class Tracer:
     """Collects spans from any number of threads."""
 
@@ -180,13 +190,7 @@ class Tracer:
                 pass
         with self._lock:
             self._spans.append(s)
-        # Streamed span-close events cover only the coarse pipeline stages
-        # (the curated prefixes): per-candidate micro-spans would swamp
-        # sinks without telling a dashboard anything new.
-        if _events._enabled and s.name.startswith(_EVENT_SPAN_PREFIXES):
-            _events.get_bus().publish(
-                "span.close", {"name": s.name, "duration_us": s.duration_us}
-            )
+        _publish_close(s)
 
     # -- public --------------------------------------------------------
     def spans(self) -> list[Span]:
@@ -222,7 +226,9 @@ class Tracer:
         roots of the payload are re-parented under ``parent_id`` (the
         caller's live span, typically), every span is tagged with its
         ``lane``, and start/end times are shifted by ``shift_s`` onto this
-        process's clock.  Returns the adopted spans.
+        process's clock.  Adopted spans are published as lane-tagged
+        ``span.close`` events under the same prefix rule as local ones.
+        Returns the adopted spans.
         """
         if not payload:
             return []
@@ -252,6 +258,8 @@ class Tracer:
             )
         with self._lock:
             self._spans.extend(adopted)
+        for s in adopted:
+            _publish_close(s, lane)
         return adopted
 
     def clear(self) -> None:

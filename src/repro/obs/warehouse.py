@@ -128,21 +128,33 @@ def _summarise_events(events: list[dict[str, Any]], stream: str) -> dict[str, An
     aggregation — enough for cache/fault efficiency timelines and health
     history without storing every event twice (the stream itself stays
     in the run directory; the warehouse is derived, not a second copy).
+    Counts come from the manifest's own section mapping
+    (:meth:`WatchState.sections`).
     """
     state = WatchState().apply_all(events)
+    sections = state.sections()
+    cache = sections["cache"]
+    compile_cache = {
+        event: count
+        for event, count in (
+            ("hit", cache["compile_cache_hits"]),
+            ("miss", cache["compile_cache_misses"]),
+        )
+        if count
+    }
     return {
         "stream": stream,
         "events": state.events_seen,
         "invalid_events": state.invalid_events,
         "heartbeats": state.heartbeats,
-        "memo_hits": state.memo_hits,
-        "memo_misses": state.memo_misses,
-        "compile_cache": dict(state.compile_cache),
+        "memo_hits": cache["memo_hits"],
+        "memo_misses": cache["memo_misses"],
+        "compile_cache": compile_cache,
         "generations": len(state.generations),
         "lanes": sorted(state.lanes),
-        "faults": dict(state.faults),
-        "divergence_checked": state.divergence_checked,
-        "divergence_mismatched": state.divergence_mismatched,
+        "faults": sections["faults"],
+        "divergence_checked": sections["divergence"]["checked"],
+        "divergence_mismatched": sections["divergence"]["mismatched"],
         "warnings": [w.get("detector", "?") for w in state.warnings],
     }
 

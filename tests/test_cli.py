@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import FaultPolicy
 
 
 class TestParsing:
@@ -92,6 +93,13 @@ class TestTuningFlagBounds:
             ("--divergence-rate", "2", "not in [0, 1]"),
             ("--divergence-rate", "-0.1", "not in [0, 1]"),
             ("--max-retries", "-1", "below the minimum 0"),
+            # A non-positive deadline times out every pool batch; nan
+            # silently turns the deadline off.
+            ("--eval-timeout", "0", "not a positive finite number"),
+            ("--eval-timeout", "-1", "not a positive finite number"),
+            ("--eval-timeout", "nan", "not a positive finite number"),
+            ("--eval-timeout", "inf", "not a positive finite number"),
+            ("--eval-timeout", "soon", "not a number"),
         ],
     )
     def test_execution_flags_out_of_range_rejected(self, capsys, flag, value, message):
@@ -107,8 +115,37 @@ class TestTuningFlagBounds:
         args = build_parser().parse_args([
             "compile", "GMM", "--params", "m=64", "n=64", "k=64",
             "--workers", "1", "--divergence-rate", "1.0", "--max-retries", "0",
+            "--eval-timeout", "0.5",
         ])
         assert (args.workers, args.divergence_rate, args.max_retries) == (1, 1.0, 0)
+        assert args.eval_timeout == 0.5
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # -1 crashed in time.sleep; 0 busy-looped.
+            (["watch", "runs", "--interval", "-1"], "not a positive finite number"),
+            (["watch", "runs", "--interval", "0"], "not a positive finite number"),
+            (["watch", "runs", "--interval", "nan"], "not a positive finite number"),
+            # 0 ended in a ValueError traceback.
+            (["network", "resnet18", "--batch", "0"], "below the minimum 1"),
+            (["network", "resnet18", "--batch", "-4"], "below the minimum 1"),
+        ],
+    )
+    def test_command_numeric_flags_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+    def test_fault_policy_rejects_bad_eval_timeout(self, timeout):
+        # The same check for library callers that bypass the CLI.
+        with pytest.raises(ValueError, match="eval_timeout_s"):
+            FaultPolicy(eval_timeout_s=timeout)
+        assert FaultPolicy(eval_timeout_s=None).eval_timeout_s is None
+        assert FaultPolicy(eval_timeout_s=2.5).eval_timeout_s == 2.5
 
 
 class TestCommands:

@@ -1,17 +1,20 @@
 """Live telemetry bus: events, structured logs, sinks, watch, health.
 
-Covers the PR's contracts:
+Covers these contracts:
 
-* the EventBus publishes schema-valid, correlated events; adopt() rebases
-  foreign timestamps exactly like ``Tracer.merge`` shifts spans;
+* the EventBus publishes schema-valid, correlated events; counters
+  publish their own increments as ``metric.inc`` (tracing on or off) and
+  ``Tracer.merge`` publishes adopted worker spans as lane-tagged
+  ``span.close`` events;
 * event streams are worker-count invariant — n_workers 1 vs 4 yield the
   same deterministic event multiset (modulo pid/lane/seq/timestamps) and
-  the pooled run additionally shows lane-tagged worker events;
+  the pooled run additionally shows lane-tagged worker spans;
 * events round-trip through the crash-safe JSONL sink (torn tail lines
-  are skipped, not fatal) and through the socket server;
-* a quick tune with the bus on yields a stream whose cumulative funnel /
-  memo-cache / fault sums exactly match the run manifest's sections, and
-  ``repro watch --once --validate`` renders it with exit 0;
+  are skipped, not fatal) and ``watch`` follows a growing stream;
+* tunes with the bus on yield streams whose funnel and counter sections
+  (cache, compile cache, divergence, faults, health) exactly match the
+  run manifests, and ``repro watch --once --validate`` renders them with
+  exit 0;
 * the structured logger filters by level (explicit > REPRO_LOG_LEVEL >
   WARNING), rate-limits repeats, attaches run/span correlation, and
   republishes WARNING+ records on the bus;
@@ -24,16 +27,14 @@ Covers the PR's contracts:
 import io
 import json
 import os
-import socket as socket_mod
-import threading
 import time
-from pathlib import Path
 
 import pytest
 
 import repro.obs as obs
 from repro.cli import main as cli_main
-from repro.engine import reset_compile_caches, reset_global_memo
+from repro.compiler import amos_compile
+from repro.engine import FaultPlan, reset_compile_caches, reset_global_memo
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.model import get_hardware
@@ -41,14 +42,13 @@ from repro.obs import events as events_mod
 from repro.obs import logging as logging_mod
 from repro.obs.events import EVENT_SCHEMA, EVENT_TYPES, EventBus, validate_event
 from repro.obs.live import (
-    EventSocketServer,
     HealthConfig,
     HealthMonitor,
     JsonlSink,
     WatchState,
     load_events,
     render_dashboard,
-    subscribe_events,
+    watch,
 )
 from repro.obs.logging import StructuredLogger, get_logger
 from repro.obs.runlog import load_runs, write_run, RunRecord
@@ -112,13 +112,13 @@ class TestEventBus:
     def test_publish_stamps_envelope(self):
         events_mod.enable_events()
         seen = collect_bus()
-        event = events_mod.emit("engine.fault", {"name": "retries", "amount": 2})
+        event = events_mod.emit("metric.inc", {"name": "engine.fault.retries", "amount": 2})
         assert seen == [event]
         assert validate_event(event) == []
         assert event["pid"] == os.getpid()
         assert event["schema"] == EVENT_SCHEMA
         assert event["seq"] == 0
-        second = events_mod.emit("engine.fault", name="retries", amount=1)
+        second = events_mod.emit("metric.inc", name="engine.fault.retries", amount=1)
         assert second["seq"] == 1
         assert second["data"]["amount"] == 1
 
@@ -135,21 +135,9 @@ class TestEventBus:
                 "mean_fitness": 2.0,
                 "population": 8,
             },
-            "engine.heartbeat": {
-                "batch": 1,
-                "items": 8,
-                "hits": 0,
-                "misses": 8,
-                "memo_hits": 0,
-                "memo_misses": 8,
-            },
-            "engine.fault": {"name": "retries", "amount": 1},
-            "engine.divergence": {"checked": 4, "mismatched": 0},
-            "cache.compile": {"event": "hit"},
-            "metric.delta": {"deltas": []},
+            "metric.inc": {"name": "engine.cache.hit", "amount": 0},
             "health.warning": {"detector": "stagnation", "message": "stuck"},
             "log": {"level": "warning", "msg": "boom"},
-            "stream.hello": {},
         }
         assert set(samples) == set(EVENT_TYPES)
         for etype, data in samples.items():
@@ -177,43 +165,90 @@ class TestEventBus:
         assert len(seen) == 1 and bus.errors == 1
 
     def test_adopt_rebases_clocks_and_tags_lane(self):
+        """Worker spans reach the stream through ``Tracer.merge``: adopted
+        spans are rebased onto the parent clock, and those passing the
+        span-close prefix rule are published tagged with the worker lane
+        and the parent's run id."""
         events_mod.enable_events()
         bus = events_mod.get_bus()
         bus.run_id = "parent-run"
         seen = collect_bus()
-        foreign = {
-            "type": "span.close",
-            "t_s": 5.0,
-            "t_wall": 1000.0,
-            "seq": 17,
-            "pid": 4242,
-            "data": {"name": "worker.eval", "duration_us": 3.0},
-            "lane": None,
-            "run_id": "",
-            "span_id": 9,
-            "schema": EVENT_SCHEMA,
-        }
-        (adopted,) = bus.adopt([foreign], shift_s=100.0, lane=2)
-        assert seen == [adopted]
-        assert adopted["t_s"] == pytest.approx(105.0)
-        # t_wall is recomputed from the rebased t_s on the local clock.
-        assert adopted["t_wall"] == pytest.approx(
-            105.0 + (time.time() - time.perf_counter()), abs=1.0
-        )
-        assert adopted["lane"] == 2
-        assert adopted["run_id"] == "parent-run"
-        assert adopted["pid"] == 4242  # provenance kept
-        assert adopted["seq"] == 0  # re-sequenced by the adopting bus
+        payload = [
+            {"name": "worker.eval_group", "span_id": 9, "parent_id": None,
+             "start_s": 5.0, "end_s": 5.000003, "attrs": {}},
+            # Per-candidate micro-span: adopted, but not streamed.
+            {"name": "sim.detail", "span_id": 10, "parent_id": 9,
+             "start_s": 5.000001, "end_s": 5.000002, "attrs": {}},
+        ]
+        adopted = obs.get_tracer().merge(payload, lane=2, shift_s=100.0)
+        assert [s.name for s in adopted] == ["worker.eval_group", "sim.detail"]
+        assert adopted[0].start_s == pytest.approx(105.0)
+        (event,) = seen
+        assert event["type"] == "span.close"
+        assert event["data"]["name"] == "worker.eval_group"
+        assert event["data"]["duration_us"] == pytest.approx(3.0)
+        assert event["lane"] == 2
+        assert event["run_id"] == "parent-run"
+        assert event["pid"] == os.getpid()  # published by the parent
+        assert validate_event(event) == []
 
     def test_buffering_drain(self):
+        """The bus keeps no worker-side buffer: worker counter deltas reach
+        the stream through ``MetricsRegistry.merge`` -> ``Counter.inc``,
+        streamed names only."""
         events_mod.enable_events()
-        bus = events_mod.get_bus()
-        bus.buffering = True
-        events_mod.emit("run.end", {"status": "ok"})
-        events_mod.emit("run.end", {"status": "ok"})
-        drained = bus.drain()
-        assert [e["seq"] for e in drained] == [0, 1]
-        assert bus.drain() == []
+        assert not hasattr(events_mod.get_bus(), "drain")
+        seen = collect_bus()
+        obs.get_registry().merge(
+            [
+                {"kind": "counter", "name": "engine.cache.hit", "value": 3.0},
+                {"kind": "counter", "name": "sim.runs", "value": 7.0},
+            ]
+        )
+        assert [(e["type"], e["data"]) for e in seen] == [
+            ("metric.inc", {"name": "engine.cache.hit", "amount": 3.0})
+        ]
+
+    def test_counters_publish_themselves(self):
+        """``Counter.inc`` publishes every increment of a streamed counter
+        (zero amounts included) with tracing off; other counters stay
+        silent, and nothing publishes while the bus is off."""
+        assert not obs.enabled()
+        seen = collect_bus()
+        obs.counter("engine.cache.hit").inc(2)  # bus off: no-op
+        assert seen == []
+        events_mod.enable_events()
+        obs.counter("engine.cache.hit").inc(0)
+        obs.counter("obs.health.stagnation").inc()
+        obs.counter("sim.runs").inc()
+        assert [(e["type"], e["data"]) for e in seen] == [
+            ("metric.inc", {"name": "engine.cache.hit", "amount": 0}),
+            ("metric.inc", {"name": "obs.health.stagnation", "amount": 1.0}),
+        ]
+
+    def test_counters_stream_with_tracing_off(self):
+        """A pooled tune with only the bus on still streams its memo-cache,
+        divergence and fault counts."""
+        events_mod.enable_events()
+        seen = collect_bus()
+        config = fast_config(
+            n_workers=2,
+            min_pool_batch=1,
+            divergence_rate=1.0,
+            fault_plan=FaultPlan(raise_on=(0,)),
+            retry_backoff_s=0.0,
+        )
+        Tuner(get_hardware("v100"), config).tune(small_gemm())
+        assert not obs.enabled()
+        totals: dict[str, float] = {}
+        for event in seen:
+            if event["type"] == "metric.inc":
+                name = event["data"]["name"]
+                totals[name] = totals.get(name, 0.0) + event["data"]["amount"]
+        assert totals["engine.cache.miss"] > 0
+        assert totals["engine.divergence.checked"] > 0
+        assert totals["engine.fault.task_errors"] == 1
+        assert totals["engine.fault.retries"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -255,60 +290,57 @@ class TestJsonlSink:
 
 
 # ----------------------------------------------------------------------
-# Socket server
+# The live view: `watch` following a growing JSONL stream
 # ----------------------------------------------------------------------
 class TestSocketServer:
-    def test_tcp_subscribe_receives_hello_and_events(self):
+    """The socket server is gone; ``watch`` over the ``--live`` JSONL sink
+    is the one live view, so these check that it follows a stream that
+    is still being written."""
+
+    def test_tcp_subscribe_receives_hello_and_events(self, tmp_path):
         events_mod.enable_events()
-        with EventSocketServer("127.0.0.1:0", bus=events_mod.get_bus()) as server:
-            received = []
-            done = threading.Event()
+        run_dir = tmp_path / "runs"
+        with JsonlSink(run_dir / "events_live.jsonl", bus=events_mod.get_bus()):
+            events_mod.emit("run.start", kind="tune", operator="gemm", hardware="v100")
+            frames = []
 
-            def client():
-                for event in subscribe_events(server.endpoint, timeout_s=10.0):
-                    received.append(event)
-                    if len(received) >= 3:
-                        break
-                done.set()
+            def out(text):
+                frames.append(text)
+                if len(frames) == 1:  # the run progresses mid-watch
+                    events_mod.emit("metric.inc", name="engine.cache.hit", amount=1)
+                    events_mod.emit("metric.inc", name="engine.cache.miss", amount=3)
+                    events_mod.emit("run.end", {"status": "ok"})
 
-            thread = threading.Thread(target=client, daemon=True)
-            thread.start()
-            deadline = time.time() + 10.0
-            while server.n_clients == 0 and time.time() < deadline:
-                time.sleep(0.01)
-            assert server.n_clients == 1
-            events_mod.emit("run.start", kind="tune", operator="g", hardware="v")
-            events_mod.emit("run.end", {"status": "ok"})
-            assert done.wait(10.0)
-            assert received[0]["type"] == "stream.hello"
-            assert [e["type"] for e in received[1:]] == ["run.start", "run.end"]
+            code = watch(str(run_dir), interval_s=0.01, out=out, max_updates=10)
+        assert code == 0
+        assert len(frames) == 2  # stops once run.end has been followed
+        assert "status: running" in frames[0]
+        assert "status: finished (ok)" in frames[1]
+        assert "memo cache hit rate: 25.0% (1/4) over 1 batches" in frames[1]
 
     def test_unix_socket(self, tmp_path):
-        if not hasattr(socket_mod, "AF_UNIX"):
-            pytest.skip("no AF_UNIX on this platform")
         events_mod.enable_events()
-        addr = str(tmp_path / "events.sock")
-        with EventSocketServer(addr, bus=events_mod.get_bus()) as server:
-            assert server.endpoint == addr
-            received = []
-            done = threading.Event()
+        path = tmp_path / "events_live.jsonl"
+        with JsonlSink(path, bus=events_mod.get_bus()):
+            events_mod.emit("run.start", kind="tune", operator="gemm", hardware="v100")
+        line = path.read_bytes()
+        end = line.replace(b'"run.start"', b'"run.end"').replace(
+            b'"data": {', b'"data": {"status": "ok", ', 1
+        )
+        with path.open("ab") as stream:
+            stream.write(end[:20])  # a writer caught mid-line
+        frames = []
 
-            def client():
-                for event in subscribe_events(addr, timeout_s=10.0):
-                    received.append(event)
-                    if len(received) >= 2:
-                        break
-                done.set()
+        def out(text):
+            frames.append(text)
+            if len(frames) == 1:
+                with path.open("ab") as stream:
+                    stream.write(end[20:])  # ...finishes the line
 
-            thread = threading.Thread(target=client, daemon=True)
-            thread.start()
-            deadline = time.time() + 10.0
-            while server.n_clients == 0 and time.time() < deadline:
-                time.sleep(0.01)
-            events_mod.emit("run.end", {"status": "ok"})
-            assert done.wait(10.0)
-            assert [e["type"] for e in received] == ["stream.hello", "run.end"]
-        assert not Path(addr).exists()  # cleaned up on close
+        assert watch(str(path), interval_s=0.01, out=out, max_updates=10) == 0
+        # The torn tail was left for the next poll, never half-parsed.
+        assert "status: running" in frames[0]
+        assert "status: finished (ok)" in frames[-1]
 
 
 # ----------------------------------------------------------------------
@@ -417,6 +449,22 @@ def _gen(i, best, t_wall=0.0):
     )
 
 
+def _inc(name, amount, t_wall=0.0):
+    return _ev("metric.inc", {"name": name, "amount": amount}, t_wall)
+
+
+def _batch(hits, misses, t_wall=0.0):
+    """One engine batch as the engine streams it: hit then miss record."""
+    return [
+        _inc("engine.cache.hit", hits, t_wall),
+        _inc("engine.cache.miss", misses, t_wall),
+    ]
+
+
+def _observe_all(monitor, events):
+    return [w for event in events for w in monitor.observe(event)]
+
+
 class TestHealthMonitor:
     def test_silent_on_healthy_stream(self):
         monitor = HealthMonitor(HealthConfig(stagnation_generations=3))
@@ -424,22 +472,13 @@ class TestHealthMonitor:
         for i in range(10):
             # steadily improving, closely spaced, warm cache
             fired += monitor.observe(_gen(i, 100.0 - 10 * i, t_wall=i * 1.0))
-            fired += monitor.observe(
-                _ev(
-                    "engine.heartbeat",
-                    {
-                        "batch": i,
-                        "items": 8,
-                        "hits": 6,
-                        "misses": 2,
-                        "memo_hits": 6 * (i + 1),
-                        "memo_misses": 2 * (i + 1),
-                    },
-                    i * 1.0 + 0.5,
-                )
-            )
+            fired += _observe_all(monitor, _batch(6, 2, i * 1.0 + 0.5))
         assert fired == []
         assert monitor.warnings == []
+        # The detectors' own counters are not health signals: a late
+        # obs.health.* record neither counts as progress nor fires.
+        assert monitor.observe(_inc("obs.health.stagnation", 1, 500.0)) == []
+        assert monitor.last_progress_wall == 9.5
 
     def test_stagnation_fires_once_and_rearms_on_improvement(self):
         monitor = HealthMonitor(HealthConfig(stagnation_generations=3))
@@ -475,44 +514,23 @@ class TestHealthMonitor:
         cold = HealthMonitor(config)
         fired = []
         for i in range(12):  # all misses from the start: cold, not collapsed
-            fired += cold.observe(
-                _ev(
-                    "engine.heartbeat",
-                    {"batch": i, "items": 8, "hits": 0, "misses": 8,
-                     "memo_hits": 0, "memo_misses": 8 * (i + 1)},
-                    float(i),
-                )
-            )
+            fired += _observe_all(cold, _batch(0, 8, float(i)))
         assert fired == []
 
         warm = HealthMonitor(config)
         fired = []
         for i in range(6):  # warm up above cache_warm_rate
-            fired += warm.observe(
-                _ev(
-                    "engine.heartbeat",
-                    {"batch": i, "items": 8, "hits": 7, "misses": 1,
-                     "memo_hits": 0, "memo_misses": 0},
-                    float(i),
-                )
-            )
+            fired += _observe_all(warm, _batch(7, 1, float(i)))
         for i in range(6, 14):  # then collapse
-            fired += warm.observe(
-                _ev(
-                    "engine.heartbeat",
-                    {"batch": i, "items": 8, "hits": 0, "misses": 8,
-                     "memo_hits": 0, "memo_misses": 0},
-                    float(i),
-                )
-            )
+            fired += _observe_all(warm, _batch(0, 8, float(i)))
         assert [w["detector"] for w in fired] == ["cache_collapse"]
 
     def test_divergence_spike_warns(self):
         monitor = HealthMonitor()
-        fired = monitor.observe(
-            _ev("engine.divergence", {"checked": 10, "mismatched": 2}, 0.0)
-        )
+        assert monitor.observe(_inc("engine.divergence.checked", 10)) == []
+        fired = monitor.observe(_inc("engine.divergence.mismatched", 2))
         assert [w["detector"] for w in fired] == ["divergence"]
+        assert fired[0]["message"] == "2 batch/scalar mismatch(es) in 10 checked evaluations"
 
     def test_bus_attached_monitor_republishes_and_counts(self):
         events_mod.enable_events()
@@ -533,23 +551,29 @@ class TestHealthMonitor:
             if d["kind"] == "counter"
         }
         assert counters.get("obs.health.stagnation") == 1
+        # The fire count streams itself, and the monitor ignores it.
+        health_incs = [
+            e for e in seen
+            if e["type"] == "metric.inc" and e["data"]["name"].startswith("obs.health.")
+        ]
+        assert [e["data"] for e in health_incs] == [
+            {"name": "obs.health.stagnation", "amount": 1.0}
+        ]
         attached.close()
 
 
 # ----------------------------------------------------------------------
 # Worker-count invariance
 # ----------------------------------------------------------------------
-#: Event families emitted by deterministic parent-side code: identical
-#: multisets for any worker count.  span.close and metric.delta depend on
+#: Event families emitted by deterministic code: identical multisets for
+#: any worker count.  span.close and the engine.pool.* counters depend on
 #: the execution shape (pool vs inline) and are excluded by design.
 DETERMINISTIC_TYPES = (
     "run.start",
     "run.end",
     "funnel.stage",
     "ga.generation",
-    "engine.heartbeat",
-    "engine.fault",
-    "cache.compile",
+    "metric.inc",
 )
 
 
@@ -559,6 +583,8 @@ def _normalize(events):
         if event["type"] not in DETERMINISTIC_TYPES:
             continue
         data = dict(event["data"])
+        if event["type"] == "metric.inc" and data["name"].startswith("engine.pool."):
+            continue
         if event["type"] == "run.end":
             # pool_{tasks,batches} counters depend on pooling; the memo
             # and compile-cache sections must not.
@@ -593,47 +619,44 @@ class TestWorkerCountInvariance:
             outcomes[n] = result.best_us
         assert outcomes[1] == outcomes[4]
         assert _normalize(streams[1]) == _normalize(streams[4])
-        # The pooled run must actually exercise the piggyback protocol:
-        # adopted worker events carry a lane tag and a worker pid.
-        lanes = {e["lane"] for e in streams[4] if e["lane"] is not None}
-        assert lanes, "no worker events were adopted across the pool boundary"
-        worker_pids = {
-            e["pid"] for e in streams[4] if e["lane"] is not None
-        }
-        assert os.getpid() not in worker_pids
-        # Adopted events inherit the run id stamped by the recorder.
+        assert any(e["type"] == "metric.inc" for e in streams[1])
+        # The pooled run's worker spans reach the stream through the
+        # parent's Tracer.merge: lane-tagged span.close events, published
+        # by the parent under the recorder's run id.  Nothing else is
+        # lane-tagged, and the inline run has no lanes at all.
         adopted = [e for e in streams[4] if e["lane"] is not None]
+        assert adopted, "no worker spans were merged across the pool boundary"
+        assert {e["type"] for e in adopted} == {"span.close"}
+        assert all(e["data"]["name"].startswith("worker.") for e in adopted)
+        assert {e["pid"] for e in adopted} == {os.getpid()}
         assert all(e["run_id"] for e in adopted)
+        assert all(e["lane"] is None for e in streams[1])
 
 
 # ----------------------------------------------------------------------
 # End-to-end acceptance: --live stream == manifest, watch renders it
 # ----------------------------------------------------------------------
+def _nonzero(counts):
+    return {k: v for k, v in counts.items() if v}
+
+
 class TestLiveAcceptance:
     def test_live_tune_stream_matches_manifest_and_watch_renders(
         self, tmp_path, capsys
     ):
+        """Every run's stream folds to its manifest: a pooled compile with
+        the divergence watchdog on every row (compile-cache miss), the
+        same compile again (compile-cache hit), and a tune under an
+        injected fault plan."""
         run_dir = tmp_path / "runs"
-        code = cli_main(
-            [
-                "compile",
-                "GMM",
-                "--hardware",
-                "v100",
-                "--quick",
-                "--quiet",
-                "--workers",
-                "2",
-                "--params",
-                "m=64",
-                "n=64",
-                "k=64",
-                "--run-dir",
-                str(run_dir),
-                "--live",
-            ]
-        )
-        assert code == 0
+        argv = [
+            "compile", "GMM", "--hardware", "v100", "--quick", "--quiet",
+            "--workers", "2", "--divergence-rate", "1.0",
+            "--params", "m=64", "n=64", "k=64",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--run-dir", str(run_dir), "--live",
+        ]
+        assert cli_main(argv) == 0
         streams = list(run_dir.glob("events_*.jsonl"))
         assert len(streams) == 1
         events, skipped = load_events(streams[0])
@@ -647,23 +670,58 @@ class TestLiveAcceptance:
         assert events[0]["type"] == "run.start"
         assert events[-1]["type"] == "run.end"
 
-        runs = load_runs(run_dir)
-        assert len(runs) == 1
-        manifest = runs[0]
-        assert manifest.run_id in run_ids
-        state = WatchState().apply_all(events)
-        # Cumulative stream counters == manifest sections, to the digit.
-        assert state.funnel == manifest.funnel
-        assert state.memo_hits == manifest.cache["memo_hits"]
-        assert state.memo_misses == manifest.cache["memo_misses"]
-        assert dict(state.faults) == manifest.faults
-        assert state.ended is not None and state.ended["status"] == "ok"
+        # Manifests mint run ids from second-resolution stamps: let the
+        # identical second compile get its own.
+        time.sleep(1.1)
+        assert cli_main(argv) == 0
+        events_mod.enable_events()
+        with JsonlSink(run_dir / "events_faults.jsonl", bus=events_mod.get_bus()):
+            reset_global_memo()  # cold memo, so the pool sees task 0
+            Tuner(
+                get_hardware("v100"),
+                fast_config(
+                    n_workers=2,
+                    min_pool_batch=1,
+                    run_dir=str(run_dir),
+                    fault_plan=FaultPlan(raise_on=(0,)),
+                    retry_backoff_s=0.0,
+                ),
+            ).tune(small_gemm())
+        events_mod.disable_events()
 
-        dashboard = render_dashboard(state)
+        by_run: dict[str, list] = {}
+        for stream in run_dir.glob("events_*.jsonl"):
+            for event in load_events(stream)[0]:
+                by_run.setdefault(event["run_id"], []).append(event)
+        runs = load_runs(run_dir)
+        assert len(runs) == 3
+        for manifest in runs:
+            state = WatchState().apply_all(by_run[manifest.run_id])
+            assert state.invalid_events == 0
+            # Stream folds == manifest sections, to the digit.  (The
+            # manifest lists funnel stages a cache hit never reaches as 0.)
+            assert _nonzero(state.funnel) == _nonzero(manifest.funnel)
+            assert state.sections() == {
+                "cache": manifest.cache,
+                "divergence": manifest.divergence,
+                "faults": manifest.faults,
+                "health": manifest.health,
+            }
+            assert state.ended is not None and state.ended["status"] == "ok"
+        miss_run, hit_run, fault_run = sorted(runs, key=lambda r: r.kind == "tune")
+        miss_state = WatchState().apply_all(by_run[miss_run.run_id])
+        assert miss_state.funnel == miss_run.funnel  # every stage reached
+        assert miss_run.divergence["checked"] > 0
+        assert miss_run.cache["compile_cache_misses"] == 1
+        assert hit_run.cache["compile_cache_hits"] == 1
+        assert fault_run.faults == {"task_errors": 1.0, "retries": 1.0}
+
+        dashboard = render_dashboard(WatchState().apply_all(events))
         assert "gemm on v100" in dashboard
         assert "mapping funnel" in dashboard
+        assert "divergence watchdog: 0 mismatch(es)" in dashboard
 
-        code = cli_main(["watch", str(run_dir), "--once", "--validate"])
+        code = cli_main(["watch", str(streams[0]), "--once", "--validate"])
         assert code == 0
         out = capsys.readouterr().out
         assert "repro watch" in out
@@ -710,6 +768,22 @@ class TestWatch:
         assert state.events_seen == 1
         assert "generation" in render_dashboard(state)
 
+    def test_schema1_stream_counted_not_misread(self, tmp_path, capsys):
+        """A stream written before the metric.inc layout (schema 1) is
+        skipped and counted, never folded into counts it no longer means."""
+        old = {
+            **_ev("engine.heartbeat", {"batch": 1, "hits": 2, "misses": 6}, 1.0),
+            "schema": 1,
+        }
+        state = WatchState()
+        state.apply(old)
+        assert state.invalid_events == 1 and state.counters == {}
+        path = tmp_path / "events_old.jsonl"
+        path.write_text(json.dumps(old) + "\n")
+        assert load_events(path) == ([], 1)
+        assert cli_main(["watch", str(path), "--once", "--validate"]) == 1
+        assert "1 unreadable or other-schema line(s)" in capsys.readouterr().out
+
     def test_dashboard_sections_render(self):
         state = WatchState()
         state.apply(
@@ -720,15 +794,8 @@ class TestWatch:
             )
         )
         state.apply(_ev("funnel.stage", {"stage": "enumerated", "count": 24, "total": 24}, 1.0))
-        state.apply(
-            _ev(
-                "engine.heartbeat",
-                {"batch": 1, "items": 8, "hits": 2, "misses": 6,
-                 "memo_hits": 2, "memo_misses": 6},
-                2.0,
-            )
-        )
-        state.apply(_ev("engine.fault", {"name": "retries", "amount": 3}, 3.0))
+        state.apply_all(_batch(2, 6, 2.0))
+        state.apply(_inc("engine.fault.retries", 3, 3.0))
         state.apply(
             _ev("health.warning", {"detector": "stagnation", "message": "stuck"}, 4.0)
         )

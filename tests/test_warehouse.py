@@ -196,18 +196,14 @@ class TestIngest:
         try:
             bus = events_mod.get_bus()
             bus.run_id = run.run_id
-            heartbeat = {
-                "batch": 0,
-                "items": 4,
-                "hits": 3,
-                "misses": 1,
-                "memo_hits": 3,
-                "memo_misses": 1,
-            }
             with JsonlSink(run_dir / "events_test.jsonl", bus=bus):
-                bus.publish("engine.heartbeat", heartbeat)
+                for hits, misses in ((3, 1), (2, 0)):  # two engine batches
+                    bus.publish("metric.inc", {"name": "engine.cache.hit", "amount": hits})
+                    bus.publish(
+                        "metric.inc", {"name": "engine.cache.miss", "amount": misses}
+                    )
                 bus.publish(
-                    "engine.heartbeat", {**heartbeat, "batch": 1, "hits": 2, "misses": 0}
+                    "metric.inc", {"name": "engine.compile_cache.miss", "amount": 1}
                 )
                 bus.publish("funnel.stage", {"stage": "measured", "count": 4, "total": 4})
         finally:
@@ -220,7 +216,8 @@ class TestIngest:
         digest = warehouse.events_summary(run.run_id)
         assert digest["heartbeats"] == 2
         assert digest["memo_hits"] == 5 and digest["memo_misses"] == 1
-        assert digest["events"] == 3
+        assert digest["compile_cache"] == {"miss": 1}
+        assert digest["events"] == 6
         assert warehouse.stats()["runs_with_events"] == 1
 
 
