@@ -1,7 +1,8 @@
 """Benchmark: the batch-evaluation path (feature tables +
 ``batch_predict`` / ``batch_simulate``) and the array-native GA loop.
 
-Measurements, written to ``benchmarks/results/BENCH_batch_eval.json``:
+Measurements (run as a script, written to
+``benchmarks/results/BENCH_batch_eval.json``):
 
 1. **batch fitness throughput** — one GA-generation-shaped batch of
    schedule candidates pushed through ``EvaluationEngine`` (cold memo
@@ -26,7 +27,7 @@ Measurements, written to ``benchmarks/results/BENCH_batch_eval.json``:
 
 Runnable standalone (``python benchmarks/bench_batch_eval.py``) and
 re-exported by ``tests/test_batch_eval_bench.py`` so the assertions run
-under the tier-1 command.
+under the tier-1 command; the test writes no file.
 """
 
 from __future__ import annotations
@@ -278,15 +279,11 @@ def run_describe_memo_note() -> dict:
 
 
 def run_bench() -> dict:
-    report = {
+    return {
         "fitness_throughput": run_fitness_throughput(),
         "ga_loop": run_ga_loop_throughput(),
         "describe_memo": run_describe_memo_note(),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / RESULT_FILE
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    return report
 
 
 def check_bench(report: dict) -> None:
@@ -342,8 +339,11 @@ def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__).parse_args(argv)
     report = run_bench()
     check_bench(report)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    out = RESULTS_DIR / RESULT_FILE
+    out.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
-    print(f"\nwritten to {RESULTS_DIR / RESULT_FILE}")
+    print(f"\nwritten to {out}")
     return 0
 
 

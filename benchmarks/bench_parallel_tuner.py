@@ -2,7 +2,7 @@
 
 Three measurements, all driven by ``repro.obs`` counters
 (``engine.cache.{hit,miss}``, ``engine.pool.{tasks,batches}``,
-``engine.compile_cache.{hit,miss}``) and written to
+``engine.compile_cache.{hit,miss}``) and, run as a script, written to
 ``benchmarks/results/BENCH_tuner.json``:
 
 1. **serial vs parallel tune** — the same ``Tuner.tune`` run with
@@ -21,7 +21,8 @@ Three measurements, all driven by ``repro.obs`` counters
 
 Runnable standalone (``python benchmarks/bench_parallel_tuner.py
 [--quick]``) and re-exported by ``tests/test_parallel_tuner_bench.py``
-so the quick-mode assertions run under the tier-1 command.
+so the quick-mode assertions run under the tier-1 command; the test
+writes no file.
 """
 
 from __future__ import annotations
@@ -205,10 +206,6 @@ def run_bench(quick: bool) -> dict:
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
         reset_compile_caches()
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / RESULT_FILE
-    out.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
@@ -267,8 +264,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     report = run_bench(quick=args.quick)
     check_bench(report)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    out = RESULTS_DIR / RESULT_FILE
+    out.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
-    print(f"\nwritten to {RESULTS_DIR / RESULT_FILE}")
+    print(f"\nwritten to {out}")
     return 0
 
 

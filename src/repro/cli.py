@@ -11,12 +11,14 @@ Subcommands:
   performance.
 * ``network NAME --hardware HW [--batch N] [--baseline pytorch]`` —
   end-to-end network evaluation, optionally against a baseline.
-* ``profile OP --hardware HW [--params k=v ...] [--out trace.jsonl]
-  [--chrome-trace trace.json]`` — compile with observability enabled;
-  writes a JSONL trace (and optionally a Chrome/Perfetto timeline with
-  per-worker lanes) and prints the human-readable report (span timings,
-  mapping funnel, GA convergence, model-vs-simulator rank accuracy).
-* ``report TRACE`` — re-render the report of a saved JSONL trace.
+* ``profile OP --hardware HW [--params k=v ...] [--run-dir DIR]
+  [--chrome-trace trace.json]`` — ``compile --run-dir DIR --live``
+  (``DIR`` defaults to ``profile_<op>_<hw>``), then print that run's
+  report (span timings, mapping funnel, GA convergence,
+  model-vs-simulator rank accuracy); optionally also a Chrome/Perfetto
+  timeline with per-worker lanes.
+* ``report RUN`` — re-render the report of every run in a run directory
+  (or of one manifest) from its manifest and event stream.
 * ``report --compare BASELINE CURRENT [--history N]`` — diff two
   flight-recorder run sets (directories of ``run_*.json`` manifests
   written via ``--run-dir``, or a telemetry-warehouse corpus on the
@@ -45,7 +47,6 @@ import contextlib
 import math
 import os
 import sys
-import time
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -63,7 +64,6 @@ from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
 from repro.model import get_hardware, list_hardware
 from repro.obs import events as _events
-from repro.obs.explore_log import ExploreLog, use_log
 from repro.obs.live import JsonlSink, watch
 from repro.obs.logging import configure_logging
 
@@ -190,6 +190,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _gate_threshold(text: str) -> float:
+    """Argparse type for a regression-gate threshold: a finite float
+    ``>= 0``.  ``nan`` and ``inf`` would switch the gate off (no drift
+    exceeds them) and a negative one would flag every run."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"{value} is not a finite number >= 0")
+    return value
+
+
 def _int_at_least(low: int):
     """Argparse type for an integer ``>= low``: rejects out-of-range
     counts at parse time instead of mid-compile."""
@@ -274,55 +287,45 @@ def _cmd_network(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    """Compile one operator with observability on; emit trace + report."""
+    """``compile --run-dir DIR --live``, then render the run it recorded."""
     comp = make_operator(args.operator, **_parse_params(args.parser, args.params))
-    hw = get_hardware(args.hardware)
+    args.run_dir = args.run_dir or f"profile_{args.operator}_{args.hardware}"
+    args.live = True
     config = _tuner_config(args)
-
-    was_enabled = obs.enabled()
-    obs.reset()
-    obs.enable()
-    log = ExploreLog(operator=comp.name, hardware=hw.name)
-    start = time.perf_counter()
-    try:
-        with _live_session(args), use_log(log):
-            kernel = amos_compile(comp, hw, config)
-    finally:
-        if not was_enabled:
-            obs.disable()
-    wall_s = time.perf_counter() - start
-
-    out = args.out or f"profile_{args.operator}_{args.hardware}.jsonl"
-    meta = {
-        "operator": comp.name,
-        "hardware": hw.name,
-        "seed": args.seed,
-        "latency_us": kernel.latency_us,
-        "num_mappings": kernel.num_mappings,
-        "used_intrinsics": kernel.used_intrinsics,
-        "wall_s": wall_s,
-    }
-    path = obs.export_jsonl(
-        out,
-        spans=obs.get_tracer().spans(),
-        metrics=obs.get_registry().snapshot(),
-        explore_log=log,
-        meta=meta,
-    )
-    print(obs.render_report(obs.load_jsonl(path)))
-    print(f"\ntrace written to {path} ({wall_s:.2f}s wall)")
+    run_dir = Path(args.run_dir)
+    earlier = set()
+    if run_dir.is_dir():
+        earlier = {run.run_id for run in obs.load_runs(run_dir)}
+    obs.reset()  # the Chrome trace shows this compile only
+    with _live_session(args):
+        amos_compile(comp, args.hardware, config)
+    views = [v for v in obs.load_run_views(run_dir) if v[0].run_id not in earlier]
+    _print_reports(views)
+    wall_s = sum(run.wall_s for run, _ in views)
+    print(f"\nrun recorded in {run_dir} ({wall_s:.2f}s wall)")
     if args.chrome_trace:
         chrome = obs.export_chrome_trace(args.chrome_trace)
         print(f"chrome trace written to {chrome} (open in ui.perfetto.dev)")
     return 0
 
 
+def _print_reports(views) -> None:
+    print("\n\n".join(obs.render_report(run, state) for run, state in views))
+
+
 def _cmd_report(args) -> int:
     if args.compare:
         return _compare_runs(args)
-    if not args.trace:
-        args.parser.error("either a TRACE path or --compare is required")
-    print(obs.render_report(obs.load_jsonl(args.trace)))
+    if not args.run:
+        args.parser.error("either a RUN directory/manifest or --compare is required")
+    try:
+        views = obs.load_run_views(args.run)
+    except FileNotFoundError:
+        args.parser.error(
+            f"no run manifest at {args.run!r} (record one with "
+            "`repro profile` or `--run-dir`)"
+        )
+    _print_reports(views)
     return 0
 
 
@@ -345,8 +348,6 @@ def _compare_runs(args) -> int:
         args.parser.error(f"no runs loaded from baseline {baseline_path!r}")
     if not current:
         args.parser.error(f"no runs loaded from current {current_path!r}")
-    if args.history < 1:
-        args.parser.error("--history must be >= 1")
     thresholds = obs.CompareThresholds(
         max_latency_increase=args.max_latency_increase,
         max_throughput_drop=args.max_throughput_drop,
@@ -586,17 +587,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="compile one operator with tracing/telemetry; write a JSONL "
-        "trace and print the profiling report",
+        help="compile one operator as a recorded live run (default run "
+        "dir profile_<op>_<hw>) and print its profiling report",
     )
     p.add_argument("operator", choices=sorted(OPERATOR_BUILDERS))
     p.add_argument("--hardware", default="v100", choices=list_hardware())
     p.add_argument("--params", nargs="*", default=[], metavar="k=v")
     _add_tuning_flags(p)
-    p.add_argument(
-        "--out",
-        help="trace output path (default profile_<op>_<hw>.jsonl in the cwd)",
-    )
     p.add_argument(
         "--chrome-trace",
         metavar="PATH",
@@ -607,13 +604,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="render a saved JSONL trace, or diff flight-recorder runs "
-        "with --compare",
+        help="render the report of recorded runs, or diff flight-recorder "
+        "runs with --compare",
     )
     p.add_argument(
-        "trace",
+        "run",
         nargs="?",
-        help="path to a trace written by `repro profile`",
+        metavar="RUN",
+        help="run directory (or one run manifest) written by `repro "
+        "profile` or `--run-dir`",
     )
     p.add_argument(
         "--compare",
@@ -624,21 +623,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-latency-increase",
-        type=float,
+        type=_gate_threshold,
         default=0.20,
         metavar="FRAC",
         help="allowed simulated-latency increase vs baseline (default 0.20)",
     )
     p.add_argument(
         "--max-throughput-drop",
-        type=float,
+        type=_gate_threshold,
         default=0.50,
         metavar="FRAC",
         help="allowed candidates/sec drop vs baseline (default 0.50)",
     )
     p.add_argument(
         "--max-accuracy-drop",
-        type=float,
+        type=_gate_threshold,
         default=0.05,
         metavar="ABS",
         help="allowed absolute pairwise-rank-accuracy drop (default 0.05)",
@@ -653,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--history",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         metavar="N",
         help="with --compare: also fit a robust trend over the last N "

@@ -50,7 +50,7 @@ runs ship no plan and skip the check entirely.
 enabled at pool creation, workers enable their own local tracer/metrics
 registry and every task returns an *obs payload* next to its result:
 the task's span tree (:meth:`Span.to_payload` dicts) and the worker
-registry's counter/histogram *deltas* for exactly that task (via the
+registry's counter *deltas* for exactly that task (via the
 atomic ``snapshot()``/``diff()`` pair, so a retried or re-reported task
 can never double-count).  The payload is built in a ``finally`` block,
 so a raising task still drains its tracer and ships its spans home with

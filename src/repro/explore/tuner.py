@@ -155,8 +155,8 @@ class ExplorationResult:
         return flops / (self.best_us * 1e-6) / 1e9 if self.best_us > 0 else 0.0
 
     def summary(self) -> dict:
-        """Plain-dict run summary — the one serialization path shared by
-        the benchmarks and the obs exporters."""
+        """Plain-dict run summary: best latency/GFLOP/s, mapping and
+        trial counts."""
         measured = sum(1 for t in self.trials if t.measured_us is not None)
         return {
             "best_us": self.best_us,

@@ -3,8 +3,7 @@
 Zero-dependency modules, all near-free when disabled:
 
 * :mod:`repro.obs.trace` — nested wall-time spans (where time goes);
-* :mod:`repro.obs.metrics` — counters / gauges / histograms (how often,
-  how distributed);
+* :mod:`repro.obs.metrics` — named counters (how often things happen);
 * :mod:`repro.obs.events` — the live event stream: span closes, counter
   increments, funnel stages and GA generations as typed records;
 * :mod:`repro.obs.live` — the JSONL sink behind ``--live``, the health
@@ -13,11 +12,12 @@ Zero-dependency modules, all near-free when disabled:
 * :mod:`repro.obs.explore_log` — per-tune-run telemetry: the mapping
   funnel, genetic-search convergence, and paired model/simulator samples
   (the signals behind the paper's Fig 5 and Table 6);
-* :mod:`repro.obs.export` — JSONL traces and human-readable reports;
 * :mod:`repro.obs.runlog` — the flight recorder: per-run
   :class:`RunRecord` manifests written by ``amos_compile``/``Tuner.tune``
   (via ``TunerConfig.run_dir``) and the ``compare_runs`` regression
   tracker behind ``python -m repro report --compare``;
+* :mod:`repro.obs.report` — the ``repro profile`` / ``repro report RUN``
+  text report, rendered from one run's manifest and event stream;
 * :mod:`repro.obs.chrome_trace` — Chrome-trace/Perfetto export of the
   merged span timeline, one lane per pool worker;
 * :mod:`repro.obs.warehouse` — the telemetry warehouse: an append-only,
@@ -28,6 +28,9 @@ Zero-dependency modules, all near-free when disabled:
   ``report --compare --history N``, wall-time attribution and
   critical-path aggregation (``python -m repro corpus``).
 
+A run's record is its manifest plus, with ``--live``, its event stream;
+nothing else is written per run.
+
 Everything is off by default.  ``enable()`` flips one module-global
 switch; instrumented hot paths pay one global check when it is off, so
 compilation results are bit-identical with obs enabled or disabled.
@@ -35,7 +38,6 @@ compilation results are bit-identical with obs enabled or disabled.
 
 from repro.obs.analytics import (
     aggregate_critical_paths,
-    cache_timeline,
     compare_runs_with_history,
     corpus_rows,
     detect_trend,
@@ -58,7 +60,6 @@ from repro.obs.events import (
     validate_event,
 )
 from repro.obs.explore_log import ExploreLog, FunnelCounts, current_log, use_log
-from repro.obs.export import export_jsonl, load_jsonl, render_report
 from repro.obs.live import (
     HealthConfig,
     HealthMonitor,
@@ -79,14 +80,11 @@ from repro.obs.logging import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     counter,
-    gauge,
     get_registry,
-    histogram,
 )
+from repro.obs.report import load_run_views, render_report
 from repro.obs.runlog import (
     CompareThresholds,
     FlightRecorder,
@@ -103,7 +101,6 @@ from repro.obs.trace import (
     aggregate_spans,
     clock_offset_s,
     critical_path,
-    critical_paths_by_lane,
     current_span_id,
     disable_tracing,
     enable_tracing,
@@ -125,10 +122,8 @@ __all__ = [
     "ExploreLog",
     "FlightRecorder",
     "FunnelCounts",
-    "Gauge",
     "HealthConfig",
     "HealthMonitor",
-    "Histogram",
     "IngestReport",
     "JsonlSink",
     "MetricsRegistry",
@@ -142,7 +137,6 @@ __all__ = [
     "aggregate_critical_paths",
     "aggregate_spans",
     "attach_health_monitor",
-    "cache_timeline",
     "chrome_trace_events",
     "clock_offset_s",
     "compare_runs",
@@ -151,7 +145,6 @@ __all__ = [
     "corpus_rows",
     "counter",
     "critical_path",
-    "critical_paths_by_lane",
     "current_log",
     "current_span_id",
     "detect_trend",
@@ -163,16 +156,13 @@ __all__ = [
     "enabled",
     "events_enabled",
     "export_chrome_trace",
-    "export_jsonl",
     "flush_suppressed",
-    "gauge",
     "get_bus",
     "get_logger",
     "get_registry",
     "get_tracer",
-    "histogram",
     "load_events",
-    "load_jsonl",
+    "load_run_views",
     "load_runs",
     "log_level",
     "phase_attribution",

@@ -23,9 +23,6 @@ questions one run — or one base-vs-current pair — cannot:
   :func:`aggregate_critical_paths` tallies the heaviest-child span
   chains the flight recorder stamps into each manifest: which phase
   actually bounds tune time, and how consistently.
-* **Cache/fault efficiency timelines** — :func:`cache_timeline` tracks
-  memo hit-rate, eviction pressure, quarantine and divergence across
-  the corpus, with a trend verdict on the hit rate.
 
 All pure functions over already-loaded records; the warehouse does the
 indexed I/O.
@@ -45,7 +42,6 @@ from repro.obs.warehouse import Warehouse
 
 __all__ = [
     "aggregate_critical_paths",
-    "cache_timeline",
     "compare_runs_with_history",
     "corpus_rows",
     "detect_trend",
@@ -303,48 +299,6 @@ def series_trends(
             }
         )
     return rows
-
-
-def cache_timeline(runs: Sequence[RunRecord]) -> dict[str, Any]:
-    """Cache/fault efficiency across a run sequence, oldest first.
-
-    Per run: memo hit rate and eviction pressure, compile-cache
-    consultations, fault totals and quarantines, divergence-watchdog
-    verdicts.  The summary fits a trend over the hit rate — a slowly
-    collapsing cache is a capacity or fingerprint-churn bug long before
-    any single run's health detector fires.
-    """
-    ordered = sorted(runs, key=lambda r: (r.created_at, r.run_id))
-    timeline = []
-    hit_rates = []
-    for run in ordered:
-        rate = _memo_hit_rate(run)
-        if rate is not None:
-            hit_rates.append(rate)
-        timeline.append(
-            {
-                "run_id": run.run_id,
-                "created_at": run.created_at,
-                "memo_hit_rate": rate,
-                "memo_evictions": run.cache.get("memo_evictions", 0.0),
-                "compile_cache_hits": run.cache.get("compile_cache_hits", 0.0),
-                "compile_cache_misses": run.cache.get("compile_cache_misses", 0.0),
-                "faults": sum(run.faults.values()),
-                "quarantined": run.faults.get("quarantined", 0.0),
-                "divergence_checked": run.divergence.get("checked", 0.0),
-                "divergence_mismatched": run.divergence.get("mismatched", 0.0),
-                "health_warnings": sum(run.health.values()),
-            }
-        )
-    return {
-        "timeline": timeline,
-        "hit_rate_trend": detect_trend(hit_rates),
-        "total_faults": sum(entry["faults"] for entry in timeline),
-        "total_mismatches": sum(
-            entry["divergence_mismatched"] for entry in timeline
-        ),
-        "total_evictions": sum(entry["memo_evictions"] for entry in timeline),
-    }
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The telemetry event bus: typed, schema-versioned streaming events.
 
-Manifests and JSONL traces (:mod:`repro.obs.runlog` / ``export``) are
-*post-hoc*: they tell you what a tune did after it finished.  The bus is
+Run manifests (:mod:`repro.obs.runlog`) are *post-hoc*: they tell you
+what a tune did after it finished.  The bus is
 the live counterpart — instrumented code publishes small typed events
 (run start/end, funnel transitions, GA generations, span closes, counter
 increments, health warnings) as they happen, and any number of

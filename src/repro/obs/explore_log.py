@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextvars
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.obs import events as _events
 
@@ -220,6 +220,3 @@ class use_log:
         if self._token is not None:
             _current.reset(self._token)
 
-
-def iter_samples(log: ExploreLog) -> Iterator[tuple[float, float]]:
-    yield from log.samples

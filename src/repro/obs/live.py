@@ -141,6 +141,27 @@ def _parse_lines(raw: bytes) -> tuple[list[dict[str, Any]], int]:
     return events, skipped
 
 
+def events_by_run(
+    directory: str | os.PathLike,
+) -> tuple[dict[str, tuple[str, list[dict[str, Any]]]], int]:
+    """The events of every ``events_*.jsonl`` stream in ``directory``,
+    grouped by run id — ``run_id -> (stream file name, events)`` — and
+    the number of streams read.  Events published outside a recorded run
+    (no run id) are dropped; a run id found in several streams keeps the
+    last stream's events (by name)."""
+    grouped: dict[str, tuple[str, list[dict[str, Any]]]] = {}
+    streams = sorted(Path(directory).glob("events_*.jsonl"))
+    for stream in streams:
+        by_run: dict[str, list[dict[str, Any]]] = {}
+        for event in load_events(stream)[0]:
+            run_id = event.get("run_id")
+            if isinstance(run_id, str) and run_id:
+                by_run.setdefault(run_id, []).append(event)
+        for run_id, events in by_run.items():
+            grouped[run_id] = (stream.name, events)
+    return grouped, len(streams)
+
+
 def find_event_stream(source: str | os.PathLike) -> Path:
     """Resolve a watch source to an event file: a file is itself, a
     directory yields its newest ``events_*.jsonl``."""

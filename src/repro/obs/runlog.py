@@ -462,6 +462,20 @@ class CompareThresholds:
     max_accuracy_drop: float = 0.05
     ignore: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        # nan or inf switch the gate off (no drift exceeds them); a
+        # negative limit flags every run.
+        for name in (
+            "max_latency_increase",
+            "max_throughput_drop",
+            "max_accuracy_drop",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"{name} must be a finite number >= 0, got {value!r}"
+                )
+
 
 def _latest_by_key(runs: Sequence[RunRecord]) -> dict[tuple, RunRecord]:
     latest: dict[tuple, RunRecord] = {}

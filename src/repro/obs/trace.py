@@ -26,7 +26,7 @@ import functools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.obs import events as _events
 
@@ -36,7 +36,6 @@ __all__ = [
     "aggregate_spans",
     "clock_offset_s",
     "critical_path",
-    "critical_paths_by_lane",
     "current_span_id",
     "disable_tracing",
     "enable_tracing",
@@ -377,29 +376,13 @@ class tracing:
 # ----------------------------------------------------------------------
 @dataclass
 class SpanStats:
-    """Aggregate of all spans sharing one name."""
+    """Aggregate of all spans sharing one name: the manifest's
+    ``phases`` entry (mean = total / count)."""
 
     name: str
     count: int
     total_us: float
     self_us: float
-    min_us: float
-    max_us: float
-
-    @property
-    def mean_us(self) -> float:
-        return self.total_us / self.count if self.count else 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "total_us": self.total_us,
-            "self_us": self.self_us,
-            "mean_us": self.mean_us,
-            "min_us": self.min_us,
-            "max_us": self.max_us,
-        }
 
 
 def aggregate_spans(spans: list[Span]) -> list[SpanStats]:
@@ -419,20 +402,12 @@ def aggregate_spans(spans: list[Span]) -> list[SpanStats]:
         self_d = max(0.0, d - child_us.get(s.span_id, 0.0))
         st = stats.get(s.name)
         if st is None:
-            stats[s.name] = SpanStats(s.name, 1, d, self_d, d, d)
+            stats[s.name] = SpanStats(s.name, 1, d, self_d)
         else:
             st.count += 1
             st.total_us += d
             st.self_us += self_d
-            st.min_us = min(st.min_us, d)
-            st.max_us = max(st.max_us, d)
     return sorted(stats.values(), key=lambda st: st.total_us, reverse=True)
-
-
-def iter_children(spans: list[Span], parent_id: int | None) -> Iterator[Span]:
-    for s in spans:
-        if s.parent_id == parent_id:
-            yield s
 
 
 def critical_path(spans: list[Span], max_depth: int = 32) -> list[dict[str, Any]]:
@@ -475,23 +450,3 @@ def critical_path(spans: list[Span], max_depth: int = 32) -> list[dict[str, Any]
         node = max(kids, key=lambda s: s.duration_us) if kids else None
     return path
 
-
-def critical_paths_by_lane(
-    spans: list[Span], max_depth: int = 32
-) -> dict[int | None, list[dict[str, Any]]]:
-    """Per-lane critical paths from one merged span collection.
-
-    ``Tracer.merge`` tags adopted worker spans with a ``lane`` attribute
-    (parent-process spans carry none); splitting on it answers *which
-    phase bounds each worker's wall time*, not just the parent's.  Lane
-    ``None`` is the parent process.  Lanes with no spans are absent.
-    """
-    by_lane: dict[int | None, list[Span]] = {}
-    for s in spans:
-        by_lane.setdefault(s.attrs.get("lane"), []).append(s)
-    return {
-        lane: critical_path(lane_spans, max_depth)
-        for lane, lane_spans in sorted(
-            by_lane.items(), key=lambda kv: (kv[0] is not None, kv[0] or 0)
-        )
-    }

@@ -47,10 +47,10 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from repro.obs import metrics as _metrics
-from repro.obs.live import WatchState, load_events
+from repro.obs.live import WatchState, events_by_run
 from repro.obs.logging import get_logger
 from repro.obs.runlog import RUN_SCHEMA, RunRecord, load_runs
 
@@ -352,18 +352,12 @@ class Warehouse:
         """Digest every ``events_*.jsonl`` under ``source`` per run id."""
         if not source.is_dir():
             return {}, 0
-        summaries: dict[str, dict[str, Any]] = {}
-        streams = sorted(source.glob("events_*.jsonl"))
-        for stream in streams:
-            events, _skipped = load_events(stream)
-            by_run: dict[str, list[dict[str, Any]]] = {}
-            for event in events:
-                run_id = event.get("run_id")
-                if isinstance(run_id, str) and run_id:
-                    by_run.setdefault(run_id, []).append(event)
-            for run_id, run_events in by_run.items():
-                summaries[run_id] = _summarise_events(run_events, stream.name)
-        return summaries, len(streams)
+        grouped, n_streams = events_by_run(source)
+        summaries = {
+            run_id: _summarise_events(events, stream)
+            for run_id, (stream, events) in grouped.items()
+        }
+        return summaries, n_streams
 
     # -- point reads ----------------------------------------------------
     def _read_entry(self, run_id: str) -> dict[str, Any]:
@@ -443,16 +437,6 @@ class Warehouse:
             RunRecord.from_dict(self._read_entry(rid)["manifest"])
             for rid in matched
         ]
-
-    def series_of(self, run_ids: Iterable[str]) -> dict[str, tuple[str, str, str]]:
-        """run id -> series tuple, from the index alone."""
-        wanted = set(run_ids)
-        out: dict[str, tuple[str, str, str]] = {}
-        for skey, ids in self._series.items():
-            for rid in ids:
-                if rid in wanted:
-                    out[rid] = _series_tuple(skey)
-        return out
 
     # -- corpus-level views ---------------------------------------------
     def stats(self) -> dict[str, Any]:

@@ -14,9 +14,8 @@ values rather than ``np.log2``, so no libm discrepancy can creep in.
 The scalar function remains the reference oracle and the equivalence
 suite compares with ``==``.
 
-Telemetry parity: the batch path feeds the same ``sim.*`` counters and
-histograms as per-candidate simulation (aggregated increments; the
-per-element histogram loop only runs while obs is enabled).
+Telemetry parity: the batch path feeds the same ``sim.*`` counters as
+per-candidate simulation, in aggregated increments.
 """
 
 from __future__ import annotations
@@ -181,7 +180,7 @@ def batch_simulate(
         occupancy = np.where(infeasible, 0.0, occupancy)
         jitter_factors = np.where(infeasible, 1.0, jitter_factors)
 
-    _record_metrics(feasible, compute_us, memory_us, shared_us, total_us)
+    _record_metrics(feasible, compute_us, memory_us, shared_us)
 
     return BatchTiming(
         total_us=total_us,
@@ -200,9 +199,8 @@ def _record_metrics(
     compute_us: np.ndarray,
     memory_us: np.ndarray,
     shared_us: np.ndarray,
-    total_us: np.ndarray,
 ) -> None:
-    """Same ``sim.*`` telemetry as n scalar ``simulate_cycles`` calls."""
+    """Same ``sim.*`` counters as n scalar ``simulate_cycles`` calls."""
     n = feasible.shape[0]
     n_feasible = int(feasible.sum())
     _obs_metrics.counter("sim.runs").inc(n)
@@ -211,15 +209,6 @@ def _record_metrics(
     if not (_obs_enabled() and n_feasible):
         return
     idx = np.nonzero(feasible)[0]
-    compute_h = _obs_metrics.histogram("sim.compute_us")
-    memory_h = _obs_metrics.histogram("sim.memory_us")
-    shared_h = _obs_metrics.histogram("sim.shared_us")
-    total_h = _obs_metrics.histogram("sim.total_us")
-    for i in idx:
-        compute_h.observe(compute_us[i])
-        memory_h.observe(memory_us[i])
-        shared_h.observe(shared_us[i])
-        total_h.observe(total_us[i])
     # argmax over the stacked pipelines returns the first maximum, the
     # same tie-break as TimingBreakdown.bound's dict ordering.
     bound_idx = np.argmax(

@@ -175,14 +175,8 @@ def simulate_cycles(
         jitter=jitter_factor,
     )
 
-    # Cycle-component telemetry: how simulated time decomposes into the
-    # compute / global-memory / shared-memory pipelines across a run, and
-    # which pipeline bounded each kernel.  No-ops while obs is disabled.
+    # Which pipeline bounded each kernel.  No-ops while obs is disabled.
     _obs_metrics.counter("sim.runs").inc()
-    _obs_metrics.histogram("sim.compute_us").observe(compute_us)
-    _obs_metrics.histogram("sim.memory_us").observe(memory_us)
-    _obs_metrics.histogram("sim.shared_us").observe(shared_us)
-    _obs_metrics.histogram("sim.total_us").observe(total_us)
     _obs_metrics.counter(f"sim.bound.{breakdown.bound}").inc()
 
     return breakdown

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.engine import FaultPolicy
+from repro.obs import CompareThresholds
 
 
 class TestParsing:
@@ -148,6 +149,48 @@ class TestTuningFlagBounds:
         assert FaultPolicy(eval_timeout_s=2.5).eval_timeout_s == 2.5
 
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            # nan and inf switch the gate off: no drift exceeds them.
+            ("--max-latency-increase", "nan", "not a finite number >= 0"),
+            ("--max-latency-increase", "inf", "not a finite number >= 0"),
+            ("--max-latency-increase", "-0.1", "not a finite number >= 0"),
+            ("--max-throughput-drop", "nan", "not a finite number >= 0"),
+            ("--max-throughput-drop", "-1", "not a finite number >= 0"),
+            ("--max-accuracy-drop", "inf", "not a finite number >= 0"),
+            ("--max-accuracy-drop", "lots", "not a number"),
+            ("--history", "0", "below the minimum 1"),
+            ("--history", "-3", "below the minimum 1"),
+        ],
+    )
+    def test_report_gate_flags_rejected(self, capsys, tmp_path, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--compare", str(tmp_path), str(tmp_path), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
+
+    def test_report_gate_flag_bounds_inclusive(self, tmp_path):
+        args = build_parser().parse_args([
+            "report", "--compare", str(tmp_path), str(tmp_path),
+            "--max-latency-increase", "0", "--max-throughput-drop", "0.5",
+            "--max-accuracy-drop", "0.0", "--history", "1",
+        ])
+        assert (args.max_latency_increase, args.max_accuracy_drop) == (0.0, 0.0)
+        assert args.history == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.01])
+    @pytest.mark.parametrize(
+        "field", ["max_latency_increase", "max_throughput_drop", "max_accuracy_drop"]
+    )
+    def test_compare_thresholds_reject_gate_off_values(self, field, value):
+        # The same check for library callers that bypass the CLI.
+        with pytest.raises(ValueError, match=field):
+            CompareThresholds(**{field: value})
+        assert getattr(CompareThresholds(**{field: 0.0}), field) == 0.0
+
+
 class TestCommands:
     def test_list_hardware(self, capsys):
         assert main(["list-hardware"]) == 0
@@ -204,11 +247,12 @@ class TestCommands:
 class TestProfile:
     def test_profile_writes_trace_and_prints_report(self, capsys, tmp_path):
         import repro.obs as obs
+        from repro.obs import events as obs_events
 
-        out = tmp_path / "trace.jsonl"
+        run_dir = tmp_path / "prof"
         assert main([
             "profile", "GMM", "--hardware", "v100",
-            "--params", "m=64", "n=64", "k=64", "--out", str(out),
+            "--params", "m=64", "n=64", "k=64", "--run-dir", str(run_dir),
         ]) == 0
         report = capsys.readouterr().out
         # The four report sections the acceptance criteria name.
@@ -217,25 +261,77 @@ class TestProfile:
         assert "genetic search convergence" in report
         assert "pairwise rank accuracy" in report
         assert "tuner.tune" in report
+        assert "(no genetic-search generations recorded)" not in report
         # Profiling must not leave observability enabled behind.
         assert not obs.enabled()
+        assert not obs_events.events_enabled()
 
-        data = obs.load_jsonl(out)
-        assert data["meta"]["operator"] == "gemm"
-        assert data["spans"]
-        assert data["samples"]
-        funnel = data["funnel"]
+        # The run's record is a manifest plus a live event stream.
+        assert len(list(run_dir.glob("run_*.json"))) == 1
+        assert len(list(run_dir.glob("events_*.jsonl"))) == 1
+        ((run, state),) = obs.load_run_views(run_dir)
+        assert run.operator == "gemm"
+        assert run.phases
+        assert run.model_quality["num_samples"] >= 2
+        assert state.generations and state.ended["status"] == "ok"
+        funnel = run.funnel
         assert funnel["enumerated"] >= funnel["validated"] >= funnel["measured"] >= 1
 
     def test_report_rerenders_saved_trace(self, capsys, tmp_path):
-        out = tmp_path / "trace.jsonl"
+        run_dir = tmp_path / "prof"
         assert main([
             "profile", "GMM", "--hardware", "v100",
-            "--params", "m=64", "n=64", "k=64", "--out", str(out),
+            "--params", "m=64", "n=64", "k=64", "--run-dir", str(run_dir),
         ]) == 0
         profile_out = capsys.readouterr().out
-        assert main(["report", str(out)]) == 0
+        assert main(["report", str(run_dir)]) == 0
         report_out = capsys.readouterr().out
         # The report command reproduces the profile's report verbatim
-        # (profile additionally prints the trace path afterwards).
+        # (profile additionally prints the run dir afterwards), from the
+        # run dir or from the manifest itself.
         assert report_out.strip() in profile_out
+        assert profile_out.startswith(report_out.strip())
+        (manifest,) = run_dir.glob("run_*.json")
+        assert main(["report", str(manifest)]) == 0
+        assert capsys.readouterr().out == report_out
+
+    def test_profile_defaults_run_dir_and_renders_only_its_run(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["profile", "GMM", "--params", "m=64", "n=64", "k=64", "--quick"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        run_dir = tmp_path / "profile_GMM_v100"
+        assert len(list(run_dir.glob("run_*.json"))) == 1
+        assert main([*argv, "--seed", "1"]) == 0
+        second = capsys.readouterr().out
+        assert len(list(run_dir.glob("run_*.json"))) == 2
+        # Each profile renders its own run; `report DIR` renders both.
+        assert second.count("== AMOS profile:") == 1
+        assert main(["report", str(run_dir)]) == 0
+        assert capsys.readouterr().out.count("== AMOS profile:") == 2
+        assert first.count("== AMOS profile:") == 1
+
+    def test_profile_out_flag_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "profile", "GMM", "--params", "m=64", "n=64", "k=64",
+                "--out", str(tmp_path / "trace.jsonl"),
+            ])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("what", ["missing", "empty_dir", "old_trace"])
+    def test_report_without_a_manifest_exits_2(self, capsys, tmp_path, what):
+        path = tmp_path / "nope"
+        if what == "empty_dir":
+            path.mkdir()
+        elif what == "old_trace":
+            path = tmp_path / "profile_GMM_v100.jsonl"
+            path.write_text('{"type": "meta", "operator": "gemm"}\n{"type": "span"}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"no run manifest at {str(path)!r}" in err
+

@@ -86,8 +86,7 @@ class TestMetricsDeltas:
         reg = MetricsRegistry()
         reg.counter("busy").inc()
         reg.counter("idle").inc()
-        reg.gauge("steady").set(4.0)
-        reg.histogram("quiet").observe(1.0)
+        reg.counter("quiet").inc(0.0)
         base = reg.snapshot()
         reg.counter("busy").inc()
         names = [d["name"] for d in reg.diff(base)]
@@ -108,31 +107,28 @@ class TestMetricsDeltas:
         assert parent.counter("evals").value == 5
 
     def test_histogram_diff_and_merge(self):
-        worker = MetricsRegistry()
+        # Counters are the one metric kind: a histogram-shaped record (an
+        # old worker's payload) is refused by merge, not dropped silently,
+        # and counters merged before it keep their increments.
         parent = MetricsRegistry()
-        parent.histogram("lat").observe(1.0)
-        worker.histogram("lat").observe(100.0)
-        base = worker.snapshot()
-        worker.histogram("lat").observe(2.0)
-        worker.histogram("lat").observe(300.0)
-        (delta,) = worker.diff(base)
-        assert delta["count"] == 2  # 100.0 predates the period
-        parent.merge([delta])
-        merged = parent.histogram("lat")
-        assert merged.count == 3
-        assert merged.sum == pytest.approx(303.0)
+        record = {"kind": "histogram", "name": "lat", "count": 2, "sum": 302.0}
+        with pytest.raises(ValueError, match="unknown metric kind 'histogram'"):
+            parent.merge([{"kind": "counter", "name": "evals", "value": 2.0}, record])
+        assert parent.names() == ["evals"]
+        assert parent.counter("evals").value == 2.0
 
     def test_gauge_diff_carries_current_value(self):
+        # A diff carries counter deltas only, and a gauge-shaped record
+        # is refused by merge.
         reg = MetricsRegistry()
-        reg.gauge("depth").set(2.0)
+        reg.counter("depth").inc(2.0)
         base = reg.snapshot()
-        reg.gauge("depth").set(9.0)
+        reg.counter("depth").inc(7.0)
         (delta,) = reg.diff(base)
-        assert delta["kind"] == "gauge" and delta["value"] == 9.0
+        assert delta == {"kind": "counter", "name": "depth", "value": 7.0}
         other = MetricsRegistry()
-        other.gauge("depth").set(1.0)
-        other.merge([delta])
-        assert other.gauge("depth").value == 9.0  # last write wins
+        with pytest.raises(ValueError, match="unknown metric kind 'gauge'"):
+            other.merge([{"kind": "gauge", "name": "depth", "value": 9.0}])
 
     def test_merge_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown metric kind"):
@@ -143,7 +139,7 @@ class TestMetricsDeltas:
 # Cross-process merge determinism
 # ----------------------------------------------------------------------
 def _tune_telemetry(n_workers: int):
-    """Run one obs-enabled tune; return (funnel, counters, histograms)."""
+    """Run one obs-enabled tune; return (funnel, counters)."""
     obs.reset()
     reset_global_memo()
     obs.enable()
@@ -160,12 +156,8 @@ def _tune_telemetry(n_workers: int):
         for m in snapshot
         if m["kind"] == "counter" and not m["name"].startswith("engine.pool.")
     }
-    histograms = {
-        m["name"]: (m["count"], m["buckets"]) for m in snapshot
-        if m["kind"] == "histogram"
-    }
     obs.disable()
-    return log.funnel.to_dict(), counters, histograms
+    return log.funnel.to_dict(), counters
 
 
 class TestCrossProcessMerge:
@@ -174,7 +166,6 @@ class TestCrossProcessMerge:
         pooled = _tune_telemetry(n_workers=4)
         assert serial[0] == pooled[0]  # funnel counts
         assert serial[1] == pooled[1]  # counters (pool bookkeeping excluded)
-        assert serial[2] == pooled[2]  # histogram counts + buckets
 
     def test_worker_spans_merge_with_lanes_and_parents(self):
         obs.enable()

@@ -10,7 +10,7 @@ import repro.obs as obs
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.model import get_hardware
 from repro.obs.explore_log import ExploreLog, current_log, generation_stats, use_log
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, aggregate_spans
 
 from conftest import make_small_gemm
@@ -109,14 +109,13 @@ class TestDisabledMode:
 
     def test_disabled_metrics_are_noop(self):
         obs.counter("c").inc()
-        obs.gauge("g").set(5)
-        obs.histogram("h").observe(1.0)
+        obs.counter("d").inc(5)
         assert obs.get_registry().names() == []
 
     def test_disabled_returns_shared_singletons(self):
         # The fast path allocates nothing: same object every call.
         assert obs.span("a") is obs.span("b")
-        assert obs.counter("a") is obs.histogram("b")
+        assert obs.counter("a") is obs.counter("b")
 
     def test_toggle_round_trip(self):
         assert not obs.enabled()
@@ -140,46 +139,63 @@ class TestMetrics:
             c.inc(-1)
 
     def test_gauge(self):
+        # Counters are the one metric kind: no gauge accessor anywhere,
+        # and every snapshot record is a counter.
         reg = MetricsRegistry()
-        g = reg.gauge("depth")
-        g.set(4)
-        g.inc()
-        assert g.value == 5.0
+        reg.counter("depth").inc(4)
+        assert reg.snapshot() == [{"kind": "counter", "name": "depth", "value": 4.0}]
+        assert not hasattr(reg, "gauge") and not hasattr(obs, "gauge")
 
     def test_histogram_bucketing(self):
-        h = Histogram("lat", buckets=[1.0, 10.0, 100.0])
-        for v in (0.5, 1.0, 5.0, 50.0, 500.0):
-            h.observe(v)
-        counts = dict(h.bucket_counts())
-        assert counts[1.0] == 2      # 0.5 and 1.0 (bounds are inclusive)
-        assert counts[10.0] == 1     # 5.0
-        assert counts[100.0] == 1    # 50.0
-        assert counts[float("inf")] == 1  # 500.0 overflows
-        assert h.count == 5
-        assert h.sum == pytest.approx(556.5)
-        assert h.mean == pytest.approx(556.5 / 5)
+        # The simulator's batch path records counters only: every row is
+        # one sim.runs and, when feasible, one sim.bound.* increment.
+        obs.enable()
+        tuner = Tuner(get_hardware("v100"), TunerConfig(population=8, generations=2))
+        tuner.tune(make_small_gemm(256, 256, 256))
+        reg = obs.get_registry()
+        sim = {m["name"]: m for m in reg.snapshot() if m["name"].startswith("sim.")}
+        assert {m["kind"] for m in sim.values()} == {"counter"}
+        bounds = [n for n in sim if n.startswith("sim.bound.")]
+        assert bounds and set(sim) <= {"sim.runs", "sim.infeasible", *bounds}
+        feasible = sim["sim.runs"]["value"] - sim.get("sim.infeasible", {}).get(
+            "value", 0.0
+        )
+        assert sum(sim[n]["value"] for n in bounds) == feasible
+        assert not hasattr(obs, "histogram")
 
-    def test_histogram_quantile_and_validation(self):
-        h = Histogram("q", buckets=[1.0, 2.0, 4.0])
-        for v in (0.5, 1.5, 1.5, 3.0):
-            h.observe(v)
-        assert h.quantile(0.25) == 1.0
-        assert h.quantile(1.0) == 3.0  # capped at observed max
-        with pytest.raises(ValueError):
-            Histogram("bad", buckets=[2.0, 1.0])
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
+    def test_histogram_quantile_and_validation(self, tensorcore):
+        # One feasible scalar simulation is exactly two counter updates
+        # (the count the disabled-overhead bench charges per call).
+        from repro.mapping.generation import enumerate_mappings
+        from repro.mapping.physical import lower_to_physical
+        from repro.schedule.lowering import ScheduledMapping
+        from repro.schedule.space import default_schedule
+        from repro.sim.timing import simulate_cycles
+
+        (mapping,) = enumerate_mappings(make_small_gemm(256, 256, 256), tensorcore)
+        phys = lower_to_physical(mapping)
+        obs.enable()
+        timing = simulate_cycles(
+            ScheduledMapping(phys, default_schedule(phys)), get_hardware("v100")
+        )
+        assert obs.get_registry().snapshot() == [
+            {"kind": "counter", "name": f"sim.bound.{timing.bound}", "value": 1.0},
+            {"kind": "counter", "name": "sim.runs", "value": 1.0},
+        ]
 
     def test_registry_type_conflicts_rejected(self):
+        # One kind, so no name can be registered twice as different kinds;
+        # a record of any other kind (an old worker's histogram) is refused.
         reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
+        assert reg.counter("x") is reg.counter("x")
+        with pytest.raises(ValueError, match="unknown metric kind 'histogram'"):
+            reg.merge([{"kind": "histogram", "name": "x", "count": 1}])
+        assert reg.counter("x").value == 0.0
 
     def test_registry_snapshot_sorted(self):
         reg = MetricsRegistry()
         reg.counter("b").inc()
-        reg.gauge("a").set(1)
+        reg.counter("a").inc()
         snap = reg.snapshot()
         assert [m["name"] for m in snap] == ["a", "b"]
 
@@ -223,70 +239,62 @@ class TestExploreLog:
 
 
 class TestJsonlRoundTrip:
-    def test_round_trip(self, tmp_path):
-        with obs.tracing() as tracer:
-            with obs.span("outer", op="gemm"):
-                with obs.span("inner"):
-                    pass
-        obs.enable()
-        obs.counter("calls").inc(3)
-        obs.histogram("lat", buckets=[1.0, 10.0]).observe(5.0)
-        obs.disable()
-        log = ExploreLog(operator="gemm", hardware="v100")
-        log.record_funnel("enumerated", 24)
-        log.record_funnel("validated", 3)
-        log.record_generation(0, [1.0, 2.0, float("inf")], 3)
-        log.record_sample(1.5, 2.5)
-        log.record_sample(float("inf"), 3.0)
+    """A run's only record is its manifest plus its event stream; the
+    report reads both back (there is no separate trace format)."""
 
-        path = obs.export_jsonl(
-            tmp_path / "t.jsonl",
-            spans=tracer.spans(),
-            metrics=obs.get_registry().snapshot(),
-            explore_log=log,
-            meta={"operator": "gemm", "hardware": "v100", "latency_us": 3.5},
+    @staticmethod
+    def record_live_run(run_dir, log):
+        from repro.compiler import amos_compile
+        from repro.obs import events as obs_events
+
+        config = TunerConfig(
+            population=8, generations=3, n_workers=1, run_dir=str(run_dir)
         )
-        # Every line is standalone JSON (inf encoded portably).
-        for line in path.read_text().splitlines():
-            json.loads(line)
+        obs_events.enable_events()
+        try:
+            with obs.JsonlSink(run_dir / "events_t.jsonl", bus=obs_events.get_bus()):
+                with use_log(log):
+                    return amos_compile(make_small_gemm(256, 256, 256), "v100", config)
+        finally:
+            obs_events.disable_events()
 
-        data = obs.load_jsonl(path)
-        assert data["meta"]["operator"] == "gemm"
-        assert {s["name"] for s in data["spans"]} == {"outer", "inner"}
-        outer = next(s for s in data["spans"] if s["name"] == "outer")
-        assert outer["attrs"] == {"op": "gemm"}
-        assert data["funnel"] == {
-            "enumerated": 24, "validated": 3, "prefiltered": 0, "measured": 0,
-        }
-        assert len(data["generations"]) == 1
-        assert data["generations"][0]["best_fitness"] == 1.0
-        assert data["samples"] == [(1.5, 2.5), (float("inf"), 3.0)]
-        metric_names = {m["name"] for m in data["metrics"]}
-        assert {"calls", "lat"} <= metric_names
+    def test_round_trip(self, tmp_path):
+        log = ExploreLog(operator="gemm", hardware="v100")
+        kernel = self.record_live_run(tmp_path, log)
+        ((run, state),) = obs.load_run_views(tmp_path)
+        assert run.latency_us == kernel.latency_us
+        assert run.funnel == log.funnel.to_dict()
+        assert run.model_quality == log.model_quality()
+        # Every generation's stats, infinite fitnesses included, survive
+        # the event stream's JSON lines exactly.
+        assert log.generations
+        assert state.generations == [g.to_dict() for g in log.generations]
+        assert {"compile", "tuner.tune", "tuner.genetic_search"} <= set(run.phases)
+        assert run.critical_path[0]["name"] == "compile"
 
     def test_render_report_from_loaded_trace(self, tmp_path):
-        log = ExploreLog(operator="gemm", hardware="v100")
-        log.record_funnel("enumerated", 10)
-        log.record_funnel("validated", 5)
-        log.record_generation(0, [1.0, 2.0], 2)
-        for p, m in [(1, 10), (2, 20), (3, 15)]:
-            log.record_sample(p, m)
-        path = obs.export_jsonl(
-            tmp_path / "t.jsonl", explore_log=log, meta={"operator": "gemm"}
-        )
-        report = obs.render_report(obs.load_jsonl(path))
+        self.record_live_run(tmp_path, ExploreLog())
+        ((run, state),) = obs.load_run_views(tmp_path)
+        report = obs.render_report(run, state)
         assert "mapping funnel" in report
         assert "enumerated" in report
         assert "pairwise rank accuracy" in report
+        assert "(no genetic-search generations recorded)" not in report
+        assert "-- metrics --" not in report
+        header = next(line for line in report.splitlines() if "calls" in line)
+        assert header.split() == ["span", "calls", "total", "self", "mean"]
+        # A manifest without events still renders; GA rows need the stream.
+        assert "(no genetic-search generations recorded)" in obs.render_report(run)
 
     def test_load_rejects_garbage(self, tmp_path):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\n")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            obs.load_jsonl(bad)
-        bad.write_text('{"type": "mystery"}\n')
-        with pytest.raises(ValueError, match="unknown record type"):
-            obs.load_jsonl(bad)
+        with pytest.raises(FileNotFoundError):
+            obs.load_run_views(tmp_path / "missing")
+        with pytest.raises(FileNotFoundError, match="no run manifest"):
+            obs.load_run_views(tmp_path)
+        trace = tmp_path / "old_trace.jsonl"
+        trace.write_text('{"type": "meta", "operator": "gemm"}\n{"type": "span"}\n')
+        with pytest.raises(FileNotFoundError, match="no run manifest"):
+            obs.load_run_views(trace)
 
 
 class TestTunerIntegration:

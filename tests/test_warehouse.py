@@ -37,7 +37,6 @@ from repro.obs import events as events_mod
 from repro.obs import logging as logging_mod
 from repro.obs.analytics import (
     aggregate_critical_paths,
-    cache_timeline,
     compare_runs_with_history,
     corpus_rows,
     detect_trend,
@@ -48,7 +47,7 @@ from repro.obs.analytics import (
 )
 from repro.obs.live import JsonlSink, watch
 from repro.obs.runlog import CompareThresholds, RunRecord, compare_runs, load_runs, write_run
-from repro.obs.trace import Span, Tracer, critical_path, critical_paths_by_lane
+from repro.obs.trace import Span, Tracer, critical_path
 from repro.obs.warehouse import INDEX_NAME, STORE_NAME, Warehouse
 
 
@@ -335,15 +334,19 @@ class TestAnalytics:
         with pytest.raises(ValueError):
             series_trends(warehouse, "bogus")
 
-    def test_cache_timeline(self):
-        runs = [
-            make_run(i, 100.0, cache={"memo_hits": h, "memo_misses": 10.0 - h})
-            for i, h in enumerate([8.0, 6.0, 4.0, 2.0])
-        ]
-        timeline = cache_timeline(runs)
-        assert len(timeline["timeline"]) == 4
-        assert timeline["hit_rate_trend"]["direction"] == "falling"
-        assert timeline["total_faults"] == 0
+    def test_cache_timeline(self, tmp_path):
+        # The corpus' hit-rate trajectory is a series trend over the
+        # manifests' cache sections.
+        run_dir = tmp_path / "runs"
+        for i, h in enumerate([8.0, 6.0, 4.0, 2.0]):
+            run = make_run(i, 100.0, cache={"memo_hits": h, "memo_misses": 10.0 - h})
+            write_run(run, run_dir)
+        warehouse = Warehouse(tmp_path / "corpus")
+        warehouse.ingest(run_dir)
+        (row,) = series_trends(warehouse, "hit_rate")
+        assert [v for _, v in row["points"]] == [0.8, 0.6, 0.4, 0.2]
+        assert row["trend"]["direction"] == "falling"
+        assert row["best"] == 0.8
 
     def test_phase_attribution_and_critical_paths(self):
         runs = [
@@ -549,15 +552,16 @@ class TestCriticalPath:
         assert [p["name"] for p in critical_path(spans)] == ["stray"]
 
     def test_by_lane_grouping(self):
+        # One critical path over the merged spans: entries from a pool
+        # worker carry their lane, parent-process entries carry none.
         spans = [
             self.span("main", 1, None, 0.0, 1.0),
-            self.span("w0", 2, None, 0.0, 0.4, lane=0),
-            self.span("w1", 3, None, 0.0, 0.6, lane=1),
+            self.span("w0", 2, 1, 0.0, 0.4, lane=0),
+            self.span("w1", 3, 1, 0.0, 0.6, lane=1),
         ]
-        by_lane = critical_paths_by_lane(spans)
-        assert set(by_lane) == {None, 0, 1}
-        assert [p["name"] for p in by_lane[1]] == ["w1"]
-        assert by_lane[1][0]["lane"] == 1
+        path = critical_path(spans)
+        assert [p["name"] for p in path] == ["main", "w1"]
+        assert "lane" not in path[0] and path[1]["lane"] == 1
 
 
 # ----------------------------------------------------------------------
