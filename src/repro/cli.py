@@ -37,7 +37,9 @@ Every tuning entry point accepts ``--run-dir`` (write a RunRecord
 manifest per compile), ``--divergence-rate`` (sample engine results
 back through the scalar oracle), ``--eval-timeout`` /
 ``--max-retries`` (fault-tolerance deadlines and retry budget for the
-evaluation pool) and ``--quick`` (small fixed CI budget).
+evaluation pool, which only ``--workers N`` with ``N > 1`` starts:
+evaluation is in-process by default) and ``--quick`` (small fixed CI
+budget).
 """
 
 from __future__ import annotations
@@ -493,10 +495,10 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers",
         type=_int_at_least(1),
-        default=None,
+        default=1,
         metavar="N",
-        help="evaluation worker processes (default: one per CPU core; "
-        "1 = pure in-process)",
+        help="evaluation worker processes (default: 1, in-process, the "
+        "fastest measured; N > 1 opts into a pool of N spawned workers)",
     )
     p.add_argument(
         "--cache-dir",

@@ -1,4 +1,4 @@
-"""The batch evaluation engine: memoized, optionally process-parallel.
+"""The batch evaluation engine: memoized, in-process by default.
 
 :class:`EvaluationEngine` is the single funnel through which the tuner
 evaluates candidates.  Its currency is rows: a :class:`ScheduleBatch`
@@ -8,9 +8,16 @@ of raw schedule columns plus a per-row mapping-index vector, handed to
 1. computes each row's canonical memo key in one pass (the per-mapping
    :func:`candidate_row_prefix` plus the row's raw column bytes),
 2. serves whatever the memo cache already knows,
-3. evaluates the misses — in-process, or on the worker pool when there
-   are enough of them to amortise inter-process transfer — and
+3. evaluates the misses — in-process, or, when a pool was opted into
+   (``n_workers > 1``), on the worker pool if there are enough of them
+   to amortise inter-process transfer — and
 4. returns float64 arrays in row order.
+
+In-process is the default because it is the fastest configuration
+measured: every compile otherwise spawns and tears down its own pool,
+and on the end-to-end compile benchmark (``perfbench/``, 2 vCPUs) the
+pool's start-up, dispatch and shutdown took 86-91% of a cold ResNet-18
+or MobileNet compile's self-time.
 
 Misses are grouped by mapping; each mapping's :class:`MappingFeatures`
 table is derived once per engine and every group is evaluated through
@@ -96,7 +103,7 @@ DEFAULT_MIN_POOL_BATCH = 16
 
 
 def resolve_workers(n_workers: int | None) -> int:
-    """``None`` means "use every core" (the TunerConfig default)."""
+    """``None`` means "use every core"; 1 (the default) is in-process."""
     if n_workers is None:
         return os.cpu_count() or 1
     if n_workers < 1:
@@ -112,7 +119,7 @@ class EvaluationEngine:
         comp: ReduceComputation,
         physical: Sequence[PhysicalMapping],
         hardware: HardwareParams,
-        n_workers: int | None = None,
+        n_workers: int | None = 1,
         memo: MemoCache | None = None,
         min_pool_batch: int = DEFAULT_MIN_POOL_BATCH,
         divergence_rate: float = 0.0,

@@ -54,12 +54,22 @@ def _digest(text: str) -> str:
 
 
 def computation_fingerprint(comp: ReduceComputation) -> str:
-    """Digest of the computation's full structure."""
+    """Digest of the computation's full structure.
+
+    Memoized on the (frozen) computation, as its access matrix is: every
+    :func:`mapping_fingerprint` binds to it, and a compile-cache hit
+    fingerprints each enumerated mapping.
+    """
+    cached = comp.__dict__.get("_fingerprint")
+    if cached is not None:
+        return cached
     parts = [comp.name, comp.combine, str(comp.reduce)]
     parts.extend(repr(iv) for iv in comp.iter_vars)
     for access in (comp.output, *comp.inputs):
         parts.append(f"{access!r}:{access.tensor.shape}")
-    return _digest("|".join(parts))
+    digest = _digest("|".join(parts))
+    object.__setattr__(comp, "_fingerprint", digest)
+    return digest
 
 
 def hardware_fingerprint(hw: HardwareParams) -> str:

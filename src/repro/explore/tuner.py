@@ -12,11 +12,11 @@ Every model prediction and simulator measurement flows through one
 prefilter, the genetic search (:func:`genetic_search_rows`, whose
 population is a :class:`~repro.schedule.features.ScheduleBatch`), the
 measurement pass and the refinement rounds all submit *batches* of
-schedule rows.  The engine memoizes by canonical candidate key and,
-when ``TunerConfig.n_workers`` allows, evaluates large batches on a
-spawn-safe process pool — with results reassembled in submission order,
-so the tuner's output is byte-identical for any worker count and any
-cache temperature.
+schedule rows.  The engine memoizes by canonical candidate key and
+evaluates in-process by default; with an opt-in ``TunerConfig.n_workers``
+above 1 it evaluates large batches on a spawn-safe process pool — with
+results reassembled in submission order, so the tuner's output is
+byte-identical for any worker count and any cache temperature.
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ class TunerConfig:
 
     ``n_workers`` / ``min_pool_batch`` / ``cache_dir`` are execution
     knobs: they control how fast the same answer is produced, never
-    which answer.  ``n_workers=None`` means "one worker per CPU core"
-    (``os.cpu_count()``); ``n_workers=1`` forces pure in-process
-    evaluation.  ``cache_dir`` opts into the persistent compile cache
+    which answer.  Evaluation runs in-process by default
+    (``n_workers=1``), the fastest configuration measured; the worker
+    pool is opt-in: ``n_workers=N`` spawns ``N`` workers and
+    ``n_workers=None`` one per CPU core (``os.cpu_count()``).  ``cache_dir`` opts into the persistent compile cache
     consulted by :func:`repro.compiler.amos_compile`.  There is one
     evaluation path: the population is a
     :class:`~repro.schedule.features.ScheduleBatch` scored by the
@@ -108,7 +109,7 @@ class TunerConfig:
     refine_neighbors: int = 16
     seed: int = 0
     generation_options: GenerationOptions = field(default_factory=GenerationOptions)
-    n_workers: int | None = None
+    n_workers: int | None = 1
     min_pool_batch: int = 16
     cache_dir: str | None = None
     run_dir: str | None = None
@@ -223,13 +224,6 @@ class Tuner:
             _obs_metrics.counter("model.predictions").inc(len(items))
             scored = sorted(zip(costs, range(len(physical))), key=lambda pair: pair[0])
             return [int(i) for _, i in scored[:keep]]
-
-    def _prefilter(self, physical: list[PhysicalMapping]) -> list[PhysicalMapping]:
-        """Standalone prefilter (kept for callers outside ``tune``)."""
-        if not physical:
-            return []
-        with self._make_engine(physical[0].computation, physical) as engine:
-            return [physical[i] for i in self._prefilter_indices(engine, physical)]
 
     def tune(
         self,

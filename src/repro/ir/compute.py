@@ -46,6 +46,15 @@ REDUCE_INIT: dict[str, float] = {
 }
 
 
+def column_masks(matrix: np.ndarray) -> tuple[int, ...]:
+    """Each column of a 0/1 matrix as an int whose bit ``r`` is row ``r``."""
+    rows = matrix.tolist()
+    return tuple(
+        sum(1 << r for r, row in enumerate(rows) if row[c])
+        for c in range(matrix.shape[1])
+    )
+
+
 @dataclass(frozen=True)
 class ReduceComputation:
     """A reduction-style tensor computation (the AMOS software definition).
@@ -172,6 +181,17 @@ class ReduceComputation:
         matrix.setflags(write=False)
         object.__setattr__(self, "_access_matrix", matrix)
         return matrix
+
+    def access_columns(self) -> tuple[int, ...]:
+        """The columns of :meth:`access_matrix` as ints (bit ``t`` set when
+        tensor ``t`` uses the iteration), memoized the same way; this is
+        the form Algorithm 1's bitmask validation reads."""
+        cached = self.__dict__.get("_access_columns")
+        if cached is not None:
+            return cached
+        columns = column_masks(self.access_matrix())
+        object.__setattr__(self, "_access_columns", columns)
+        return columns
 
     # ------------------------------------------------------------------
     # Reference execution

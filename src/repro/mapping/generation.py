@@ -149,28 +149,23 @@ def _build_candidates(
     return _CandidateSpace(singles, diagonals)
 
 
-def enumerate_mappings(
+def _candidate_choices(
     computation: ReduceComputation,
     intrinsic: Intrinsic,
-    options: GenerationOptions | None = None,
-) -> list[ComputeMapping]:
-    """Enumerate all valid compute mappings for one computation/intrinsic.
-
-    Returns the mappings in a deterministic order (lexicographic over the
-    per-iteration choices).
-    """
-    options = options or GenerationOptions()
+    options: GenerationOptions,
+) -> tuple[list[list[int]], int] | None:
+    """Per software iteration, its admissible choices as bitmasks over
+    the intrinsic iterations: ``0`` (unmapped), one bit (a single target)
+    or two bits (a diagonal pair); plus the mask of intrinsic iterations
+    every candidate must cover.  ``None`` when the operand structures
+    cannot correspond.  The raw candidates are the product of the
+    choice lists, in lexicographic order."""
     space = _build_candidates(computation, intrinsic)
     if space is None:
-        return []
+        return None
     num_sw = len(computation.iter_vars)
-    num_hw = len(intrinsic.compute.iter_vars)
 
-    coverable = {
-        t
-        for t in range(num_hw)
-        if any(t in s for s in space.singles)
-    }
+    coverable = {t for s in space.singles for t in s}
     coverable_by_diag_only = set()
     if options.allow_diagonal:
         for c in range(num_sw):
@@ -179,19 +174,47 @@ def enumerate_mappings(
                     if t not in coverable:
                         coverable_by_diag_only.add(t)
 
-    # Per software iteration choices: None (unmapped), an int (single
-    # target) or a pair (diagonal).  Diagonal choices are admitted only
-    # when they are the sole way to cover some intrinsic iteration
-    # (diagonal-minimality rule).
-    choices: list[list[object]] = []
+    # Diagonal choices are admitted only when they are the sole way to
+    # cover some intrinsic iteration (diagonal-minimality rule).
+    choices: list[list[int]] = []
     for c in range(num_sw):
-        opts: list[object] = [None]
-        opts.extend(space.singles[c])
+        opts = [0]
+        opts.extend(1 << t for t in space.singles[c])
         if options.allow_diagonal:
-            for pair in space.diagonals[c]:
-                if any(t in coverable_by_diag_only for t in pair):
-                    opts.append(pair)
+            for t_s, t_r in space.diagonals[c]:
+                if t_s in coverable_by_diag_only or t_r in coverable_by_diag_only:
+                    opts.append((1 << t_s) | (1 << t_r))
         choices.append(opts)
+
+    # Coverage is mandatory only for intrinsic iterations reachable by a
+    # plain (single-target) mapping.  Iterations reachable only through a
+    # diagonal mapping may also stay padded: for memory-bound operators
+    # the padded variant (e.g. depthwise conv with the channel as a pure
+    # outer loop) is sometimes the faster choice, and both are valid.
+    must_cover = 0
+    for t in coverable:
+        must_cover |= 1 << t
+    return choices, must_cover
+
+
+def enumerate_mappings(
+    computation: ReduceComputation,
+    intrinsic: Intrinsic,
+    options: GenerationOptions | None = None,
+) -> list[ComputeMapping]:
+    """Enumerate all valid compute mappings for one computation/intrinsic.
+
+    Returns the mappings in a deterministic order (lexicographic over the
+    per-iteration choices).  The coverage and unit-stride rules read the
+    choice tuple itself; only the candidates that pass them become a
+    :class:`MatchingMatrix` and go through Algorithm 1.
+    """
+    options = options or GenerationOptions()
+    prepared = _candidate_choices(computation, intrinsic, options)
+    if prepared is None:
+        return []
+    choices, must_cover = prepared
+    num_hw = len(intrinsic.compute.iter_vars)
 
     total = 1
     for opts in choices:
@@ -202,56 +225,50 @@ def enumerate_mappings(
             f"{total} raw candidates, exceeding the bound {options.max_candidates}"
         )
 
-    # Coverage is mandatory only for intrinsic iterations reachable by a
-    # plain (single-target) mapping.  Iterations reachable only through a
-    # diagonal mapping may also stay padded: for memory-bound operators
-    # the padded variant (e.g. depthwise conv with the channel as a pure
-    # outer loop) is sometimes the faster choice, and both are valid.
-    must_cover = set(coverable)
     solo = solo_indexed_iterations(computation)
-    hw_reduce = [t for t, iv in enumerate(intrinsic.compute.iter_vars) if iv.is_reduce]
+    reduce_bits = [
+        1 << t for t, iv in enumerate(intrinsic.compute.iter_vars) if iv.is_reduce
+    ]
 
     results: list[ComputeMapping] = []
-    enumerated = 0
     with _obs_span(
         "mapping.enumerate",
         computation=computation.name,
         intrinsic=intrinsic.name,
     ) as sp:
         for combo in itertools.product(*choices):
-            enumerated += 1
-            data = np.zeros((num_hw, num_sw), dtype=np.int8)
-            for c, choice in enumerate(combo):
-                if choice is None:
-                    continue
-                if isinstance(choice, tuple):
-                    for t in choice:
-                        data[t, c] = 1
-                else:
-                    data[choice, c] = 1
-            y = MatchingMatrix(data)
-            covered = set(y.covered_intrinsic())
-            if not must_cover <= covered:
+            covered = 0
+            for mask in combo:
+                covered |= mask
+            if covered & must_cover != must_cover:
                 continue
-            if options.unit_stride_reduce_rule:
-                bad = False
-                for t in hw_reduce:
-                    group = y.group_of(t)
-                    if len(group) == 1 and group[0] not in solo:
-                        bad = True
-                        break
-                if bad:
-                    continue
+            if options.unit_stride_reduce_rule and not _unit_stride_ok(
+                combo, reduce_bits, solo
+            ):
+                continue
+            y = MatchingMatrix(
+                [[mask >> t & 1 for mask in combo] for t in range(num_hw)]
+            )
             if validate_mapping(computation, intrinsic, y):
                 results.append(ComputeMapping(computation, intrinsic, y))
-        sp.set(enumerated=enumerated, validated=len(results))
-    _obs_metrics.counter("mapping.candidates_enumerated").inc(enumerated)
+        sp.set(enumerated=total, validated=len(results))
+    _obs_metrics.counter("mapping.candidates_enumerated").inc(total)
     _obs_metrics.counter("mapping.mappings_validated").inc(len(results))
     log = _obs_log.current_log()
     if log is not None:
-        log.record_funnel("enumerated", enumerated)
+        log.record_funnel("enumerated", total)
         log.record_funnel("validated", len(results))
     return results
+
+
+def _unit_stride_ok(combo: tuple[int, ...], reduce_bits: list[int], solo: set[int]) -> bool:
+    """The REPRO-RULE on one choice tuple: a reduce intrinsic iteration
+    fed by exactly one software iteration needs a solo-indexed one."""
+    for bit in reduce_bits:
+        group = [c for c, mask in enumerate(combo) if mask & bit]
+        if len(group) == 1 and group[0] not in solo:
+            return False
+    return True
 
 
 def count_mappings(

@@ -19,6 +19,7 @@ accessed by every tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -34,20 +35,33 @@ class MatchingMatrix:
 
     Rows index intrinsic iterations, columns index software iterations;
     both in the canonical order of the computation / compute abstraction.
+    The per-row groups and per-column targets are derived once, at
+    construction, from a read-only copy of the data, so the accessors
+    (called for every candidate by validation and lowering) are plain
+    tuple lookups.
     """
 
     data: np.ndarray  # shape: (num_intrinsic_iters, num_software_iters)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.int8)
+        arr = np.array(self.data, dtype=np.int8)
         if arr.ndim != 2:
             raise ValueError("matching matrix must be 2-D")
-        # Plain comparisons instead of np.isin: _isin builds sorted
-        # lookup structures and dominates the enumeration profile for
-        # these tiny matrices.
-        if not ((arr == 0) | (arr == 1)).all():
+        rows = arr.tolist()
+        if not {v for row in rows for v in row} <= {0, 1}:
             raise ValueError("matching matrix must be binary")
+        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
+        software = range(arr.shape[1])
+        intrinsic = range(arr.shape[0])
+        object.__setattr__(
+            self, "_groups", tuple(tuple(compress(software, row)) for row in rows)
+        )
+        object.__setattr__(
+            self,
+            "_targets",
+            tuple(tuple(compress(intrinsic, col)) for col in arr.T.tolist()),
+        )
 
     @property
     def num_intrinsic(self) -> int:
@@ -59,25 +73,25 @@ class MatchingMatrix:
 
     def targets_of(self, software_index: int) -> tuple[int, ...]:
         """Intrinsic iterations software iteration ``c`` maps to."""
-        return tuple(int(t) for t in np.nonzero(self.data[:, software_index])[0])
+        return self._targets[software_index]
 
     def group_of(self, intrinsic_index: int) -> tuple[int, ...]:
         """Software iterations fused into intrinsic iteration ``t``,
         in canonical (loop-nest) order."""
-        return tuple(int(c) for c in np.nonzero(self.data[intrinsic_index])[0])
+        return self._groups[intrinsic_index]
 
     def mapped_software(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.nonzero(self.data.any(axis=0))[0])
+        return tuple(c for c, targets in enumerate(self._targets) if targets)
 
     def unmapped_software(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.nonzero(~self.data.any(axis=0))[0])
+        return tuple(c for c, targets in enumerate(self._targets) if not targets)
 
     def covered_intrinsic(self) -> tuple[int, ...]:
-        return tuple(int(t) for t in np.nonzero(self.data.any(axis=1))[0])
+        return tuple(t for t, group in enumerate(self._groups) if group)
 
     def diagonal_columns(self) -> tuple[int, ...]:
         """Software iterations mapped to more than one intrinsic iteration."""
-        return tuple(int(c) for c in np.nonzero(self.data.sum(axis=0) > 1)[0])
+        return tuple(c for c, targets in enumerate(self._targets) if len(targets) > 1)
 
     @staticmethod
     def from_groups(

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ir.compute import ReduceComputation
+from repro.ir.compute import ReduceComputation, column_masks
 from repro.isa.intrinsic import Intrinsic
-from repro.mapping.matrices import MatchingMatrix, binary_matmul
+from repro.mapping.matrices import MatchingMatrix
 from repro.obs import metrics as _obs_metrics
 
 
@@ -64,14 +64,34 @@ def validate_matrices(
         software_kinds: per software iteration, True when it is a
             reduction iteration.
         intrinsic_kinds: per intrinsic iteration, True when reduce.
+
+    The matrices are read as column bitmasks (:func:`column_masks`).
     """
-    data = y.data
-    if data.shape != (z.shape[1], x.shape[1]):
+    return _validate_columns(
+        x.shape[0], column_masks(x), z.shape[0], column_masks(z), y,
+        software_kinds, intrinsic_kinds,
+    )
+
+
+def _validate_columns(
+    x_rows: int,
+    x_cols: tuple[int, ...],
+    z_rows: int,
+    z_cols: tuple[int, ...],
+    y: MatchingMatrix,
+    software_kinds: tuple[bool, ...],
+    intrinsic_kinds: tuple[bool, ...],
+) -> ValidationResult:
+    """Algorithm 1 on column bitmasks (bit ``r`` = tensor/operand row
+    ``r``): a column of ``X' = Z * Y`` is the OR of the ``Z`` columns of
+    its targets, a column of ``Z' = X * Y^T`` the OR of the ``X`` columns
+    of its group — the binary matmuls without building them."""
+    if y.data.shape != (len(z_cols), len(x_cols)):
         return ValidationResult(False, "matching matrix shape mismatch")
-    if x.shape[0] != z.shape[0]:
+    if x_rows != z_rows:
         return ValidationResult(
             False,
-            f"software has {x.shape[0]} tensors but intrinsic has {z.shape[0]} operands",
+            f"software has {x_rows} tensors but intrinsic has {z_rows} operands",
         )
 
     # Kind consistency: a reduce software iteration may never feed a
@@ -79,18 +99,15 @@ def validate_matrices(
     # spatial with one reduce intrinsic iteration and the software
     # iteration must be spatial (its reduction role is realised by the
     # diagonal mask).
-    for c in range(data.shape[1]):
-        targets = y.targets_of(c)
-        if not targets:
-            continue
-        target_kinds = {intrinsic_kinds[t] for t in targets}
+    targets_of = [y.targets_of(c) for c in range(len(x_cols))]
+    for c, targets in enumerate(targets_of):
         if len(targets) == 1:
             if software_kinds[c] != intrinsic_kinds[targets[0]]:
                 return ValidationResult(
                     False, f"iteration kind mismatch at software iteration {c}"
                 )
         elif len(targets) == 2:
-            if target_kinds != {True, False}:
+            if intrinsic_kinds[targets[0]] == intrinsic_kinds[targets[1]]:
                 return ValidationResult(
                     False,
                     f"diagonal column {c} must pair one spatial and one reduce "
@@ -100,32 +117,40 @@ def validate_matrices(
                 return ValidationResult(
                     False, f"reduce software iteration {c} cannot map diagonally"
                 )
-        else:
+        elif targets:
             return ValidationResult(
                 False, f"software iteration {c} maps to more than two intrinsic iterations"
             )
 
-    x_prime = binary_matmul(z, data)  # operands(=tensors) x software iters
-    z_prime = binary_matmul(x, data.T)  # tensors(=operands) x intrinsic iters
-
-    mapped = list(y.mapped_software())
-    if mapped and not (x_prime[:, mapped] == x[:, mapped]).all():
-        return ValidationResult(False, "X' != X: software access relationship broken")
-
-    diag_cols = set(y.diagonal_columns())
-    for t in y.covered_intrinsic():
-        expected = z[:, t]
-        got = z_prime[:, t]
-        if (got == expected).all():
+    for c, targets in enumerate(targets_of):
+        if not targets:
             continue
-        # Any excess must be explainable by diagonal columns alone: recompute
-        # Z' for this intrinsic iteration without diagonal columns and the
-        # strict equality must hold.
-        non_diag = [c for c in y.group_of(t) if c not in diag_cols]
-        reduced = np.zeros_like(expected)
-        for c in non_diag:
-            reduced |= x[:, c]
-        excess_ok = ((got >= expected).all() and (reduced <= expected).all())
+        x_prime = 0
+        for t in targets:
+            x_prime |= z_cols[t]
+        if x_prime != x_cols[c]:
+            return ValidationResult(
+                False, "X' != X: software access relationship broken"
+            )
+
+    # The paper's second condition.  On 0/1 matrices that passed the X'
+    # check it cannot reject (a single-target member's X column equals
+    # its target's Z column), but it is Algorithm 1 and stays.
+    diag_cols = {c for c, targets in enumerate(targets_of) if len(targets) > 1}
+    for t in y.covered_intrinsic():
+        expected = z_cols[t]
+        got = 0
+        reduced = 0  # Z' without the diagonal columns
+        for c in y.group_of(t):
+            got |= x_cols[c]
+            if c not in diag_cols:
+                reduced |= x_cols[c]
+        if got == expected:
+            continue
+        # Any excess must be explainable by diagonal columns alone: Z'
+        # must cover Z, and without the diagonal columns it must not
+        # exceed it.
+        excess_ok = not (expected & ~got) and not (reduced & ~expected)
         if not (diag_cols and excess_ok):
             return ValidationResult(
                 False, f"Z' != Z at intrinsic iteration {t}: hardware access broken"
@@ -139,11 +164,16 @@ def validate_mapping(
     matching: MatchingMatrix,
 ) -> ValidationResult:
     """Validate a matching matrix for a computation/intrinsic pair."""
-    x = computation.access_matrix()
-    z = intrinsic.compute.access_matrix()
-    software_kinds = tuple(iv.is_reduce for iv in computation.iter_vars)
-    intrinsic_kinds = tuple(iv.is_reduce for iv in intrinsic.compute.iter_vars)
-    result = validate_matrices(x, z, matching, software_kinds, intrinsic_kinds)
+    hw = intrinsic.compute.computation
+    result = _validate_columns(
+        computation.access_matrix().shape[0],
+        computation.access_columns(),
+        hw.access_matrix().shape[0],
+        hw.access_columns(),
+        matching,
+        tuple(iv.is_reduce for iv in computation.iter_vars),
+        tuple(iv.is_reduce for iv in hw.iter_vars),
+    )
     _obs_metrics.counter("mapping.validation.calls").inc()
     _obs_metrics.counter(
         "mapping.validation.accepted" if result.valid else "mapping.validation.rejected"

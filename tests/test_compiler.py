@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import amos_compile, evaluate_network, get_hardware, make_operator
+from repro.engine.cache import reset_global_memo
+from repro.engine.pool import WorkerPool
 from repro.evaluation import AmosBackend, non_tensor_cost_us
 from repro.explore.tuner import TunerConfig
 from repro.frontends.networks import NetworkOp
@@ -142,3 +144,48 @@ class TestCodegen:
         source = emit_c_kernel(sched, get_hardware("xeon_4110"))
         assert "_mm512_dpbusds_epi32" in source
         assert "#pragma omp parallel" in source
+
+
+class TestDefaultInline:
+    """Evaluation runs in-process unless a worker pool is asked for."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a default compile started a WorkerPool")
+
+        monkeypatch.setattr(WorkerPool, "__init__", refuse)
+        reset_global_memo()  # memo hits would hide the evaluations
+
+    def test_default_compile_starts_no_pool(self, no_pool):
+        kernel = amos_compile(make_operator("C2D", n=1, c=16, k=16, h=8, w=8), "v100")
+        assert kernel.used_intrinsics
+
+    def test_cli_compile_without_workers_starts_no_pool(self, no_pool, capsys):
+        from repro.cli import main
+
+        args = ["compile", "C2D", "--params", "n=1", "c=16", "k=16", "h=8", "w=8"]
+        assert main([*args, "--quick", "--quiet"]) == 0
+        assert "simulated latency" in capsys.readouterr().out
+
+    def test_opt_in_pool_picks_the_same_kernel(self, monkeypatch):
+        comp = make_operator("C2D", n=1, c=16, k=16, h=8, w=8)
+        reset_global_memo()
+        inline = amos_compile(comp, "v100", TunerConfig(seed=5), emit_source=True)
+
+        started = []
+        start = WorkerPool.__init__
+
+        def counting(self, *args, **kwargs):
+            started.append(args)
+            start(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "__init__", counting)
+        reset_global_memo()
+        pooled = amos_compile(
+            comp, "v100", TunerConfig(seed=5, n_workers=2), emit_source=True
+        )
+        assert started  # the pool really evaluated
+        assert pooled.source == inline.source
+        assert pooled.latency_us == inline.latency_us
+        assert pooled.scheduled.schedule.describe() == inline.scheduled.schedule.describe()

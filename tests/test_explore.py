@@ -145,7 +145,10 @@ class TestTuner:
             TunerConfig(population=8, generations=2, prefilter_mappings=4),
         )
         phys = tuner.candidate_mappings(comp)
-        assert len(tuner._prefilter(phys)) == 4
+        with tuner._make_engine(comp, phys) as engine:
+            kept = tuner._prefilter_indices(engine, phys)
+        assert len(kept) == 4
+        assert len(set(kept)) == 4 and all(0 <= i < len(phys) for i in kept)
 
     def test_trials_record_predictions(self, tensorcore):
         tuner = Tuner(get_hardware("v100"), TunerConfig(population=8, generations=3))
