@@ -26,13 +26,15 @@ def collect_pairs():
     per_layer = []
     for layer in RESNET18_CONV_LAYERS[1:7]:  # six mid-network layers
         result = tuner.tune(layer.computation(batch=1))
-        pred = [t.predicted_us for t in result.trials if t.measured_us is not None]
-        meas = [
-            t.measured_us
+        # Pair each trial's prediction with its own measurement before
+        # dropping the infeasible ones, so no pair shifts past them.
+        pairs = [
+            (t.predicted_us, t.measured_us)
             for t in result.trials
             if t.measured_us is not None and t.measured_us != float("inf")
         ]
-        pred = pred[: len(meas)]
+        pred = [p for p, _ in pairs]
+        meas = [m for _, m in pairs]
         if len(meas) >= 5:
             per_layer.append((layer.name, pairwise_accuracy(pred, meas)))
         predicted.extend(pred)

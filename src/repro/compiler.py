@@ -9,9 +9,10 @@ the chosen mapping, schedule, simulated latency and generated source.
 When ``TunerConfig.cache_dir`` is set, compiled kernels are also written
 to (and served from) the persistent compile cache: a repeated compile of
 an identical (computation, hardware, tuner budget) triple skips the whole
-exploration and rebuilds the scheduled mapping from the cached mapping
-fingerprint + schedule descriptor.  Entries whose fingerprints no longer
-match the live objects are ignored, never served.
+exploration: it admits and lowers only the stored matching (one column
+bitmask per software iteration), checks it against the stored mapping
+fingerprint and applies the stored schedule descriptor.  Entries whose
+fingerprints no longer match the live objects are ignored, never served.
 """
 
 from __future__ import annotations
@@ -205,10 +206,12 @@ def _store_in_cache(
 
     Everything needed to *reconstruct* the kernel later is stored by
     fingerprint + descriptor (never by pickling live objects): the chosen
-    intrinsic's name, the winning mapping's fingerprint and the schedule's
-    dict form.  Rebuilding re-enumerates mappings and matches by
-    fingerprint, so a cache written by a different code version that no
-    longer reproduces the mapping simply misses instead of lying.
+    intrinsic's name, the winning mapping's matching (per software
+    iteration, the bitmask of the intrinsic iterations it maps to) and
+    fingerprint, and the schedule's dict form.  Rebuilding admits and
+    lowers only that matching and compares fingerprints, so a cache
+    written by a different code version that no longer reproduces the
+    mapping simply misses instead of lying.
     """
     entry: dict[str, Any] = {
         "comp_fp": computation_fingerprint(comp),
@@ -220,11 +223,17 @@ def _store_in_cache(
         "latency_us": kernel.latency_us,
         "num_mappings": kernel.num_mappings,
         "intrinsic": None,
+        "matching": None,
         "mapping_fp": None,
         "schedule": None,
     }
     if kernel.scheduled is not None:
+        matching = kernel.scheduled.physical.compute.matching
         entry["intrinsic"] = kernel.scheduled.physical.intrinsic.name
+        entry["matching"] = [
+            sum(1 << t for t in matching.targets_of(c))
+            for c in range(matching.num_software)
+        ]
         entry["mapping_fp"] = mapping_fingerprint(kernel.scheduled.physical)
         entry["schedule"] = kernel.scheduled.schedule.to_dict()
     cache.store(
@@ -246,10 +255,13 @@ def _kernel_from_cache(
     """Rebuild a CompiledKernel from a cache entry; None forces a re-tune.
 
     An entry is trusted only as far as its fingerprints go: the stored
-    computation/hardware fingerprints must match the live objects and the
-    stored mapping fingerprint must match a freshly enumerated mapping.
-    Any mismatch (hand-edited file, stale code version, hash collision in
-    the key space) makes this a miss, never a wrong answer.
+    computation/hardware fingerprints must match the live objects, the
+    stored matching must pass the enumeration's admission rules
+    (``enumerate_mappings`` restricted to that one choice tuple) and its
+    lowered mapping must match the stored mapping fingerprint.  Any
+    mismatch (hand-edited file, an entry without a matching, stale code
+    version, hash collision in the key space) makes this a miss, never a
+    wrong answer.
     """
     if entry is None:
         return None
@@ -266,23 +278,23 @@ def _kernel_from_cache(
         return CompiledKernel(comp, None, float(latency), False, num_mappings)
 
     schedule_dict = entry.get("schedule")
-    if not isinstance(schedule_dict, dict):
+    matching = entry.get("matching")
+    if not isinstance(schedule_dict, dict) or not isinstance(matching, list):
         return None
     with _obs_span("compile.cache_rebuild", operator=comp.name):
-        physical = None
-        for intrinsic in intrinsics_for_target(hw.target):
-            if intrinsic.name != entry.get("intrinsic"):
-                continue
-            for mapping in enumerate_mappings(
-                comp, intrinsic, config.generation_options
-            ):
-                pm = lower_to_physical(mapping)
-                if mapping_fingerprint(pm) == entry.get("mapping_fp"):
-                    physical = pm
-                    break
-            if physical is not None:
-                break
-        if physical is None:
+        name = entry.get("intrinsic")
+        intrinsic = next(
+            (i for i in intrinsics_for_target(hw.target) if i.name == name), None
+        )
+        if intrinsic is None:
+            return None
+        rebuilt = enumerate_mappings(
+            comp, intrinsic, config.generation_options, columns=matching
+        )
+        if not rebuilt:
+            return None
+        physical = lower_to_physical(rebuilt[0])
+        if mapping_fingerprint(physical) != entry.get("mapping_fp"):
             return None
         try:
             schedule = Schedule.from_dict(schedule_dict)

@@ -125,8 +125,14 @@ class CompileCache:
 
         {"key": ..., "version": 1, "comp_fp": ..., "hw_fp": ...,
          "config_fp": ..., "used_intrinsics": true, "intrinsic": ...,
-         "mapping_fp": ..., "schedule": {...}, "latency_us": ...,
-         "num_mappings": ...}
+         "matching": [...], "mapping_fp": ..., "schedule": {...},
+         "latency_us": ..., "num_mappings": ...}
+
+    ``matching`` holds one int per software iteration: the bitmask of
+    the intrinsic iterations it maps to.  A hit admits and lowers only
+    that mapping and checks it against ``mapping_fp``; an entry without
+    a usable ``matching`` (one written before the field existed) is a
+    miss that re-tunes and appends the line that then wins.
 
     The full file is loaded into a dict on first use; later entries for
     the same key win (so re-tuning after an invalidation simply appends).

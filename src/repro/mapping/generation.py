@@ -38,8 +38,8 @@ generating the exponentially many hopeless candidates):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -85,10 +85,20 @@ def compound_iterations(computation: ReduceComputation) -> set[int]:
     return compound
 
 
-def solo_indexed_iterations(computation: ReduceComputation) -> set[int]:
+def solo_indexed_iterations(computation: ReduceComputation) -> frozenset[int]:
     """Software iterations that index a dimension alone in *every* access
-    that uses them."""
-    return set(range(len(computation.iter_vars))) - compound_iterations(computation)
+    that uses them.
+
+    Memoized on the (frozen) computation, as its access matrix is:
+    enumeration reads it once per intrinsic, and the affine walk is the
+    expensive part."""
+    cached = computation.__dict__.get("_solo_indexed")
+    if cached is not None:
+        return cached
+    every = frozenset(range(len(computation.iter_vars)))
+    solo = every - compound_iterations(computation)
+    object.__setattr__(computation, "_solo_indexed", solo)
+    return solo
 
 
 def _column_or(z: np.ndarray, targets: Sequence[int]) -> np.ndarray:
@@ -201,6 +211,7 @@ def enumerate_mappings(
     computation: ReduceComputation,
     intrinsic: Intrinsic,
     options: GenerationOptions | None = None,
+    columns: Sequence[int] | None = None,
 ) -> list[ComputeMapping]:
     """Enumerate all valid compute mappings for one computation/intrinsic.
 
@@ -208,6 +219,14 @@ def enumerate_mappings(
     per-iteration choices).  The coverage and unit-stride rules read the
     choice tuple itself; only the candidates that pass them become a
     :class:`MatchingMatrix` and go through Algorithm 1.
+
+    ``columns`` restricts the enumeration to one choice tuple: one
+    intrinsic-iteration bitmask per software iteration (bit ``t`` set
+    when the iteration maps to intrinsic iteration ``t``).  The result is
+    then the one mapping the full enumeration lists for that tuple, or
+    empty when it lists none (a mask outside its iteration's choices, a
+    wrong length, or a tuple the rules reject).  A compile-cache hit
+    rebuilds its stored mapping this way without enumerating the others.
     """
     options = options or GenerationOptions()
     prepared = _candidate_choices(computation, intrinsic, options)
@@ -215,6 +234,13 @@ def enumerate_mappings(
         return []
     choices, must_cover = prepared
     num_hw = len(intrinsic.compute.iter_vars)
+
+    if columns is not None:
+        if len(columns) != len(choices) or not all(
+            type(mask) is int and mask in opts for mask, opts in zip(columns, choices)
+        ):
+            return []
+        choices = [[mask] for mask in columns]
 
     total = 1
     for opts in choices:
@@ -261,7 +287,9 @@ def enumerate_mappings(
     return results
 
 
-def _unit_stride_ok(combo: tuple[int, ...], reduce_bits: list[int], solo: set[int]) -> bool:
+def _unit_stride_ok(
+    combo: tuple[int, ...], reduce_bits: list[int], solo: frozenset[int]
+) -> bool:
     """The REPRO-RULE on one choice tuple: a reduce intrinsic iteration
     fed by exactly one software iteration needs a solo-indexed one."""
     for bit in reduce_bits:

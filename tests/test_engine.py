@@ -18,6 +18,7 @@ from repro.engine import (
     CompileCache,
     EvaluationEngine,
     MemoCache,
+    compile_cache_for,
     computation_fingerprint,
     hardware_fingerprint,
     mapping_fingerprint,
@@ -41,6 +42,8 @@ import repro.obs as obs
 FAST = TunerConfig(
     population=8, generations=2, measure_top=8, refine_rounds=1, refine_neighbors=4
 )
+#: A small 1-D convolution with 6 mappings per Tensor Core intrinsic.
+C1D = dict(n=2, c=4, k=4, length=8, r=3)
 
 
 def small_physical(comp=None):
@@ -331,6 +334,158 @@ class TestPersistentCompileCache:
         # the poisoned entry forced a (deterministic) re-tune
         assert redo.latency_us == cold.latency_us
         assert redo.scheduled.schedule.describe() == cold.scheduled.schedule.describe()
+
+    def test_hit_rebuilds_only_the_stored_mapping(self, tmp_path, monkeypatch):
+        import repro.compiler as compiler
+
+        config = dataclasses.replace(FAST, cache_dir=str(tmp_path))
+        cold = amos_compile(make_operator("C1D", **C1D), "v100", config)
+        assert cold.num_mappings > 1
+        reset_compile_caches()
+        reset_global_memo()
+
+        enumerated = self._only_restricted_enumeration(monkeypatch)
+        lowered = []
+
+        def counting_lower(mapping):
+            lowered.append(mapping)
+            return lower_to_physical(mapping)
+
+        monkeypatch.setattr(compiler, "lower_to_physical", counting_lower)
+        path = tmp_path / CompileCache.FILENAME
+        lines = path.read_text()
+        warm = amos_compile(make_operator("C1D", **C1D), "v100", config)
+        assert path.read_text() == lines  # a hit stores nothing
+        assert enumerated == [([1, 2, 0, 4, 4], 1)]
+        assert len(lowered) == 1
+        assert warm.latency_us == cold.latency_us
+        assert warm.scheduled.schedule.describe() == cold.scheduled.schedule.describe()
+        assert mapping_fingerprint(warm.scheduled.physical) == mapping_fingerprint(
+            cold.scheduled.physical
+        )
+
+    # The stored C1D matching is [1, 2, 0, 4, 4]: n, k, p, c, r on the
+    # intrinsic iterations i1, i2, -, r1, r1.
+    @pytest.mark.parametrize(
+        "matching",
+        [
+            pytest.param([1, 2, 0, 4], id="short"),
+            pytest.param([1, 2, 0, 4, 4, 0], id="long"),
+            pytest.param([1, 2, 0, 4, "4"], id="string-mask"),
+            pytest.param([1, 2, 0, 4, 4.0], id="float-mask"),
+            pytest.param([True, 2, 0, 4, 4], id="bool-mask"),
+            pytest.param([1, 2, 0, 4, None], id="null-mask"),
+            pytest.param({"n": 1}, id="not-a-list"),
+            pytest.param([2, 2, 0, 4, 4], id="outside-choices"),
+            pytest.param([8, 2, 0, 4, 4], id="no-such-target"),
+            pytest.param([1, 0, 0, 4, 4], id="fails-coverage"),
+            pytest.param([1, 2, 0, 0, 4], id="fails-unit-stride"),
+            pytest.param([1, 2, 1, 4, 4], id="another-mapping"),
+        ],
+    )
+    def test_tampered_matching_misses_and_retunes(self, tmp_path, matching):
+        config = dataclasses.replace(FAST, cache_dir=str(tmp_path))
+        cold = amos_compile(make_operator("C1D", **C1D), "v100", config)
+        stored = json.loads((tmp_path / CompileCache.FILENAME).read_text())
+        assert stored["matching"] == [1, 2, 0, 4, 4]
+        self._poison(tmp_path, "matching", matching)
+        redo = self._compile_counting_stores(tmp_path, config)
+        assert redo.latency_us == cold.latency_us
+        assert mapping_fingerprint(redo.scheduled.physical) == stored["mapping_fp"]
+
+    def test_matching_rejected_by_algorithm1_misses(self, tmp_path, monkeypatch):
+        """Algorithm 1 accepts every tuple of admissible choices that the
+        coverage and unit-stride rules keep (the choices are built from
+        the same column signatures), so no stored tuple of a shipped
+        intrinsic can fail it; the validator is made to reject the stored
+        matching instead, for the rebuild and the re-tune alike."""
+        import repro.mapping.generation as generation
+        from repro.mapping.validation import ValidationResult, validate_mapping
+
+        config = dataclasses.replace(FAST, cache_dir=str(tmp_path))
+        cold = amos_compile(make_operator("C1D", **C1D), "v100", config)
+        physical = cold.scheduled.physical
+        stored = (physical.intrinsic.name, physical.compute.matching.data.tobytes())
+        reset_compile_caches()
+        reset_global_memo()
+
+        def rejecting(comp, intrinsic, y):
+            if (intrinsic.name, y.data.tobytes()) == stored:
+                return ValidationResult(False, "rejected by the test")
+            return validate_mapping(comp, intrinsic, y)
+
+        monkeypatch.setattr(generation, "validate_mapping", rejecting)
+        redo = self._compile_counting_stores(tmp_path, config)
+        physical = redo.scheduled.physical
+        served = (physical.intrinsic.name, physical.compute.matching.data.tobytes())
+        assert served != stored
+        assert redo.num_mappings == cold.num_mappings - 1
+
+    def test_entry_without_matching_retunes_once(self, tmp_path, monkeypatch):
+        """An entry in the layout written before ``matching`` existed is an
+        ordinary miss: re-tuned and re-stored once, then served from the
+        new line; no line is counted as skipped."""
+        config = dataclasses.replace(FAST, cache_dir=str(tmp_path))
+        cold = amos_compile(make_operator("C1D", **C1D), "v100", config)
+        path = tmp_path / CompileCache.FILENAME
+        entry = json.loads(path.read_text())
+        del entry["matching"]
+        path.write_text(json.dumps(entry) + "\n")
+        reset_compile_caches()
+        reset_global_memo()
+        redo = self._compile_counting_stores(tmp_path, config)
+        assert compile_cache_for(str(tmp_path)).skipped_lines == 0
+        assert redo.latency_us == cold.latency_us
+
+        reset_compile_caches()
+        reset_global_memo()
+
+        enumerated = self._only_restricted_enumeration(monkeypatch)
+        lines = path.read_text()
+        warm = amos_compile(make_operator("C1D", **C1D), "v100", config)
+        assert path.read_text() == lines
+        assert enumerated == [([1, 2, 0, 4, 4], 1)]
+        assert compile_cache_for(str(tmp_path)).skipped_lines == 0
+        assert warm.latency_us == cold.latency_us
+        assert mapping_fingerprint(warm.scheduled.physical) == mapping_fingerprint(
+            cold.scheduled.physical
+        )
+
+    @staticmethod
+    def _only_restricted_enumeration(monkeypatch):
+        """Make every unrestricted ``enumerate_mappings`` call raise, under
+        each name it is called by; returns the (columns, mappings found)
+        of each restricted call."""
+        import repro.compiler as compiler
+        import repro.explore.tuner as tuner
+        import repro.mapping.generation as generation
+
+        real = generation.enumerate_mappings
+        calls = []
+
+        def restricted_only(comp, intrinsic, options=None, columns=None):
+            if columns is None:
+                raise AssertionError("a cache hit enumerated every mapping")
+            found = real(comp, intrinsic, options, columns=columns)
+            calls.append((list(columns), len(found)))
+            return found
+
+        for module in (compiler, tuner, generation):
+            monkeypatch.setattr(module, "enumerate_mappings", restricted_only)
+        return calls
+
+    def _compile_counting_stores(self, tmp_path, config):
+        """Compile C1D and check that exactly one line was appended (a miss
+        that re-tuned and re-stored)."""
+        path = tmp_path / CompileCache.FILENAME
+        before = len(path.read_text().splitlines())
+        kernel = amos_compile(make_operator("C1D", **C1D), "v100", config)
+        after = path.read_text().splitlines()
+        assert len(after) == before + 1
+        assert json.loads(after[-1])["mapping_fp"] == mapping_fingerprint(
+            kernel.scheduled.physical
+        )
+        return kernel
 
     def test_scalar_fallback_cached(self, tmp_path):
         from repro.ir import Tensor, compute, spatial_axis

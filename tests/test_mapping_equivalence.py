@@ -9,6 +9,10 @@ the matrix formulation they replaced:
   on numpy arrays; the bitmask validator must return the same verdict
   and the same reason for every raw candidate of every Table 6 operator
   on every shipped intrinsic, and for arbitrary 0/1 matrices;
+* ``enumerate_mappings`` restricted to one choice tuple (``columns``),
+  which rebuilds a stored mapping on a compile-cache hit, must admit
+  exactly the tuples the full enumeration lists, as the same mappings,
+  and nothing else;
 * the ordered mapping fingerprints ``enumerate_mappings`` returns for
   those operators and for every tensor op of ResNet-18/50 and MobileNet
   are pinned in ``data/mapping_fingerprints.json``.
@@ -163,6 +167,58 @@ def test_every_raw_candidate_matches_reference():
                 diagonal += bool(y.diagonal_columns())
     assert checked > 10_000
     assert diagonal > 0
+
+
+def _columns(mapping):
+    matching = mapping.matching
+    columns = range(matching.num_software)
+    return tuple(sum(1 << t for t in matching.targets_of(c)) for c in columns)
+
+
+def test_admission_of_one_tuple_matches_enumeration():
+    admitted = rejected = 0
+    for code, comp in _table6_operators():
+        for name in INTRINSICS:
+            intrinsic = get_intrinsic(name)
+            prepared = _candidate_choices(comp, intrinsic, GenerationOptions())
+            if prepared is None:
+                columns = (0,) * len(comp.iter_vars)
+                assert enumerate_mappings(comp, intrinsic, columns=columns) == []
+                continue
+            choices = prepared[0]
+            listed = {
+                _columns(m): mapping_fingerprint(lower_to_physical(m))
+                for m in enumerate_mappings(comp, intrinsic)
+            }
+            for combo in itertools.product(*choices):
+                got = enumerate_mappings(comp, intrinsic, columns=list(combo))
+                if combo in listed:
+                    assert len(got) == 1, (code, name, combo)
+                    fp = mapping_fingerprint(lower_to_physical(got[0]))
+                    assert fp == listed[combo], (code, name, combo)
+                    admitted += 1
+                else:
+                    assert got == [], (code, name, combo)
+                    rejected += 1
+
+            # Outside the choice lists: every other mask of each position,
+            # a bool or a float standing for an admissible int, and tuples
+            # one position too short or too long.
+            base = next(iter(listed), next(itertools.product(*choices)))
+            num_hw = len(intrinsic.compute.iter_vars)
+            bad = [base[:-1], base + (0,), base + (None,), ()]
+            for c, opts in enumerate(choices):
+                for mask in [*range(1 << num_hw), 1 << num_hw, -1]:
+                    if mask not in opts:
+                        bad.append(base[:c] + (mask,) + base[c + 1:])
+                bad.append(base[:c] + (float(base[c]),) + base[c + 1:])
+                if base[c] in (0, 1):
+                    bad.append(base[:c] + (bool(base[c]),) + base[c + 1:])
+            for combo in bad:
+                assert enumerate_mappings(comp, intrinsic, columns=combo) == [], (
+                    code, name, combo,
+                )
+    assert (admitted, rejected) == (4_731, 10_474 - 4_731)
 
 
 @st.composite
