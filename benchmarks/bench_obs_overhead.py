@@ -44,6 +44,7 @@ import time
 import timeit
 from datetime import datetime, timedelta, timezone
 
+import repro.engine.engine as engine
 import repro.obs as obs
 from repro.compiler import amos_compile
 from repro.explore.tuner import TunerConfig
@@ -61,16 +62,11 @@ WAREHOUSE_RESULT_FILE = "BENCH_warehouse.json"
 #: for a test-suite budget.
 BENCH_CONFIG = TunerConfig(population=8, generations=3)
 
-#: Same budget through the parallel path: a 2-worker pool
-#: with the batching threshold at 1, so the cross-process obs capture
-#: (worker span shipping, metric-delta merging) sits on the measured
-#: path and must obey the same disabled-overhead bound.
-BENCH_CONFIG_PARALLEL = TunerConfig(
-    population=8,
-    generations=3,
-    n_workers=2,
-    min_pool_batch=1,
-)
+#: Same budget through the parallel path: a 2-worker pool, run with
+#: ``engine.MIN_POOL_BATCH`` patched to 1 so the cross-process obs
+#: capture (worker span shipping, metric-delta merging) sits on the
+#: measured path and must obey the same disabled-overhead bound.
+BENCH_CONFIG_PARALLEL = TunerConfig(population=8, generations=3, n_workers=2)
 
 #: Metric updates issued per simulate_cycles call on the feasible path
 #: (the sim.runs counter + one sim.bound.* counter).
@@ -352,7 +348,8 @@ def test_obs_disabled_overhead_under_5_percent():
     _report("in-process", check_disabled_overhead_bound(0.05))
 
 
-def test_obs_disabled_overhead_parallel_under_5_percent():
+def test_obs_disabled_overhead_parallel_under_5_percent(monkeypatch):
+    monkeypatch.setattr(engine, "MIN_POOL_BATCH", 1)
     _report(
         "pool",
         check_disabled_overhead_bound(0.05, BENCH_CONFIG_PARALLEL),

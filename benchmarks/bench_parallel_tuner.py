@@ -7,7 +7,7 @@ Three measurements, all driven by ``repro.obs`` counters
 
 1. **serial vs parallel tune** — the same ``Tuner.tune`` run with
    ``n_workers=1`` (pure in-process) and ``n_workers>1`` (process pool
-   for batches of at least ``min_pool_batch`` misses).  The two runs
+   for batches of at least ``engine.MIN_POOL_BATCH`` misses).  The two runs
    must produce identical results — worker count is an execution knob,
    never a search knob.  Wall-clock speedup only materialises on a
    multi-core machine; on a single core the pool threshold keeps small
@@ -62,7 +62,7 @@ QUICK_CONFIG = TunerConfig(
 )
 
 #: Full-mode budget on a mapping-rich operator (C2D enumerates ~100
-#: mappings, so the prefilter batch alone clears ``min_pool_batch``).
+#: mappings, so the prefilter batch alone clears ``engine.MIN_POOL_BATCH``).
 FULL_CONFIG = TunerConfig()
 
 #: A tiny network for the persistent-cache proof: two distinct conv

@@ -35,11 +35,10 @@ Subcommands:
 
 Every tuning entry point accepts ``--run-dir`` (write a RunRecord
 manifest per compile), ``--divergence-rate`` (sample engine results
-back through the scalar oracle), ``--eval-timeout`` /
-``--max-retries`` (fault-tolerance deadlines and retry budget for the
-evaluation pool, which only ``--workers N`` with ``N > 1`` starts:
-evaluation is in-process by default) and ``--quick`` (small fixed CI
-budget).
+back through the scalar oracle), ``--workers N`` (evaluation is
+in-process by default; ``N > 1`` opts into a spawn pool, where a
+raising task or a dead worker fails the command) and ``--quick`` (small
+fixed CI budget).
 """
 
 from __future__ import annotations
@@ -154,8 +153,6 @@ def _tuner_config(args) -> TunerConfig:
         cache_dir=args.cache_dir,
         run_dir=args.run_dir,
         divergence_rate=args.divergence_rate,
-        eval_timeout_s=args.eval_timeout,
-        max_retries=args.max_retries,
         **budget,
     )
 
@@ -180,9 +177,9 @@ def _unit_fraction(lo_open: bool):
 
 
 def _positive_float(text: str) -> float:
-    """Argparse type for a positive, finite float (a deadline or poll
-    interval): ``0``, negatives, ``nan`` and ``inf`` are rejected at
-    parse time instead of timing out every batch or busy-looping."""
+    """Argparse type for a positive, finite float (a poll interval):
+    ``0``, negatives, ``nan`` and ``inf`` are rejected at parse time
+    instead of busy-looping."""
     try:
         value = float(text)
     except ValueError:
@@ -521,23 +518,6 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
         metavar="R",
         help="fraction of engine evaluations re-checked against the "
         "scalar oracle, in [0, 1] (0 disables the watchdog)",
-    )
-    p.add_argument(
-        "--eval-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="S",
-        help="per-batch evaluation deadline in seconds; a batch that "
-        "exceeds it is retried on a fresh pool (default: no deadline — "
-        "dead workers are still detected and recovered)",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=_int_at_least(0),
-        default=2,
-        metavar="N",
-        help="retries per failing evaluation task before it is "
-        "quarantined and re-run inline (default: 2)",
     )
     p.add_argument(
         "--quick",

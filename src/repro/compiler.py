@@ -236,11 +236,7 @@ def _store_in_cache(
         ]
         entry["mapping_fp"] = mapping_fingerprint(kernel.scheduled.physical)
         entry["schedule"] = kernel.scheduled.schedule.to_dict()
-    cache.store(
-        key,
-        entry,
-        torn_write=bool(config.fault_plan and config.fault_plan.corrupt_cache_writes),
-    )
+    cache.store(key, entry)
 
 
 def _kernel_from_cache(

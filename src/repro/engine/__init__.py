@@ -9,19 +9,15 @@ single result:
   computations, hardware, mappings and candidates;
 * :mod:`repro.engine.cache` — the in-memory memo (predictions +
   measurements) and the persistent on-disk compile cache;
-* :mod:`repro.engine.pool` — a spawn-safe, fault-tolerant process pool
-  evaluating chunks of schedule rows;
-* :mod:`repro.engine.faults` — the fault-tolerance policy (deadlines,
-  retry/backoff, respawn, quarantine, degradation) and the
-  deterministic fault-injection plan used by the tests;
+* :mod:`repro.engine.pool` — the opt-in spawn process pool evaluating
+  chunks of schedule rows (a raising task or a dead worker raises);
 * :mod:`repro.engine.engine` — :class:`EvaluationEngine`, the batch
   front door combining all of the above.
 
 Everything is deterministic by construction: results are reassembled in
-submission order, the memo only skips recomputing values that are pure
-functions of their key, and every fault-recovery path re-runs the same
-pure evaluator — so worker count, cache temperature and worker crashes
-can never change what the tuner returns.
+submission order and the memo only skips recomputing values that are
+pure functions of their key, so neither worker count nor cache temperature
+can change what the tuner returns.
 """
 
 from repro.engine.cache import (
@@ -34,7 +30,6 @@ from repro.engine.cache import (
     reset_global_memo,
 )
 from repro.engine.engine import EvaluationEngine, resolve_workers
-from repro.engine.faults import FaultPlan, FaultPolicy, InjectedFault
 from repro.engine.fingerprint import (
     computation_fingerprint,
     hardware_fingerprint,
@@ -47,9 +42,6 @@ __all__ = [
     "CACHE_VERSION",
     "CompileCache",
     "EvaluationEngine",
-    "FaultPlan",
-    "FaultPolicy",
-    "InjectedFault",
     "MemoCache",
     "WorkerPool",
     "compile_cache_for",

@@ -148,12 +148,17 @@ class CompileCache:
     one entry, never the next one glued onto it.  Appends are serialised
     under a lock within the process; cross-process writers at worst
     duplicate work, never corrupt reads.
+
+    ``torn_write`` (crash tests only) makes every :meth:`store` write
+    what a writer killed mid-append leaves behind: the first half of the
+    line, no trailing newline, and the in-memory table untouched.
     """
 
     FILENAME = "compile_cache.jsonl"
 
-    def __init__(self, cache_dir: str):
+    def __init__(self, cache_dir: str, torn_write: bool = False):
         self.cache_dir = cache_dir
+        self.torn_write = torn_write
         self.path = os.path.join(cache_dir, self.FILENAME)
         self._lock = threading.Lock()
         self._entries: dict[str, dict[str, Any]] = {}
@@ -196,17 +201,11 @@ class CompileCache:
     def lookup(self, key: str) -> dict[str, Any] | None:
         return self._entries.get(key)
 
-    def store(self, key: str, entry: dict[str, Any], *, torn_write: bool = False) -> None:
-        """Append one entry.
-
-        ``torn_write`` (fault injection only) simulates a writer crash
-        mid-append: only the first half of the line hits the disk, no
-        trailing newline, and the in-memory table is left untouched —
-        exactly what a killed process would leave behind.
-        """
+    def store(self, key: str, entry: dict[str, Any]) -> None:
+        """Append one entry (see the class docstring for crash safety)."""
         entry = {**entry, "key": key, "version": CACHE_VERSION}
         data = (json.dumps(entry) + "\n").encode("utf-8")
-        if torn_write:
+        if self.torn_write:
             data = data[: max(1, len(data) // 2)]
         with self._lock:
             os.makedirs(self.cache_dir, exist_ok=True)
@@ -219,7 +218,7 @@ class CompileCache:
                     view = view[os.write(fd, view):]
             finally:
                 os.close(fd)
-            if torn_write:
+            if self.torn_write:
                 self._needs_newline = True
             else:
                 self._needs_newline = False

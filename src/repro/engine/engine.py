@@ -36,13 +36,9 @@ Determinism is the design invariant: the batch evaluators are pure
 functions of the candidate, batches are reassembled positionally, and
 the memo only short-circuits recomputation of identical values, so
 ``n_workers=1`` (pure in-process), ``n_workers=N`` and warm-cache runs
-all produce byte-identical results.  Fault recovery preserves the same
-invariant: pooled evaluation runs under a
-:class:`~repro.engine.faults.FaultPolicy` (batch deadlines, bounded
-retry with backoff, pool respawn, per-task quarantine, degradation to
-inline evaluation — see :mod:`repro.engine.pool`), and because every
-recovery path re-runs the same pure function, a fault-ridden run
-returns byte-identical results to a fault-free one.
+all produce byte-identical results.  For the same reason a pooled
+evaluation is never retried: a raising task or a dead worker raises out
+of the batch (see :mod:`repro.engine.pool`).
 
 Observability: every batch opens an ``engine.batch`` span and feeds the
 ``engine.cache.{hit,miss}`` and ``engine.pool.{tasks,batches}`` counters
@@ -68,7 +64,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.engine.cache import MemoCache, global_memo
-from repro.engine.faults import FaultPlan, FaultPolicy, fresh_fault_stats
 from repro.engine.fingerprint import (
     candidate_row_prefix,
     computation_fingerprint,
@@ -98,8 +93,9 @@ from repro.sim.timing import simulate_cycles
 __all__ = ["EvaluationEngine", "resolve_workers"]
 
 #: Smallest miss-batch worth shipping to the pool: below this the
-#: pickle/IPC round trip costs more than the evaluations save.
-DEFAULT_MIN_POOL_BATCH = 16
+#: pickle/IPC round trip costs more than the evaluations save.  Read at
+#: every batch, so tests force the pool by patching it to 1.
+MIN_POOL_BATCH = 16
 
 
 def resolve_workers(n_workers: int | None) -> int:
@@ -121,10 +117,7 @@ class EvaluationEngine:
         hardware: HardwareParams,
         n_workers: int | None = 1,
         memo: MemoCache | None = None,
-        min_pool_batch: int = DEFAULT_MIN_POOL_BATCH,
         divergence_rate: float = 0.0,
-        fault_policy: FaultPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
     ):
         if not 0.0 <= divergence_rate <= 1.0:
             raise ValueError(
@@ -134,16 +127,10 @@ class EvaluationEngine:
         self.physical = list(physical)
         self.hardware = hardware
         self.n_workers = resolve_workers(n_workers)
-        self.min_pool_batch = min_pool_batch
         self.divergence_rate = divergence_rate
-        self.fault_policy = fault_policy or FaultPolicy()
-        self.fault_plan = fault_plan
         #: Running watchdog tally (see :meth:`_watchdog_rows`), readable even
         #: when obs is off.
         self.divergence_stats = {"checked": 0, "mismatched": 0}
-        #: Fault-recovery tally; rebound to the pool's live dict when a
-        #: pool starts, so it stays readable after close() (obs on or off).
-        self.fault_stats = fresh_fault_stats()
         self.memo = memo if memo is not None else global_memo()
         self.comp_fp = computation_fingerprint(comp)
         self.hw_fp = hardware_fingerprint(hardware)
@@ -330,7 +317,7 @@ class EvaluationEngine:
             measure=measure,
         ) as batch_span:
             use_pool = (
-                self.n_workers > 1 and len(miss_positions) >= self.min_pool_batch
+                self.n_workers > 1 and len(miss_positions) >= MIN_POOL_BATCH
             )
             batch_span.set(pooled=use_pool)
             results = self._eval_grouped(
@@ -498,16 +485,7 @@ class EvaluationEngine:
     def _ensure_pool(self) -> WorkerPool:
         if self._pool is None:
             with _obs_span("engine.pool.start", workers=self.n_workers):
-                self._pool = WorkerPool(
-                    self.physical,
-                    self.hardware,
-                    self.n_workers,
-                    policy=self.fault_policy,
-                    fault_plan=self.fault_plan,
-                )
-            # One dict, shared live: the pool mutates it, the engine
-            # (and the tuner's caller) reads it, even after close().
-            self.fault_stats = self._pool.fault_stats
+                self._pool = WorkerPool(self.physical, self.hardware, self.n_workers)
         return self._pool
 
     # ------------------------------------------------------------------
@@ -517,8 +495,8 @@ class EvaluationEngine:
             self._pool = None
 
     def terminate(self) -> None:
-        """Kill the pool without waiting for in-flight work — the exit
-        path for aborted tunes, where a wedged worker must not be joined."""
+        """Shut the pool down without waiting for in-flight work — the
+        exit path for aborted tunes."""
         if self._pool is not None:
             self._pool.terminate()
             self._pool = None

@@ -25,10 +25,11 @@ evaluation results:
   kind of the evaluation memo;
 * a tuner-config fingerprint covers the exploration *budget* only —
   execution knobs (``n_workers``, ``cache_dir``, ``run_dir``,
-  ``divergence_rate``, and the fault-tolerance knobs ``eval_timeout_s``
-  / ``max_retries`` / ``retry_backoff_s`` / ``fault_plan``) are excluded
-  because they cannot change what the tuner returns, only how fast (or
-  how observed, or how fault-resilient) it runs.
+  ``divergence_rate``) are excluded because they cannot change what the
+  tuner returns, only how fast (or how observed) it runs.  Since the
+  digest names its fields explicitly, a field added to or removed from
+  ``TunerConfig`` outside the budget leaves every fingerprint, and so
+  every compile-cache key, unchanged.
 """
 
 from __future__ import annotations

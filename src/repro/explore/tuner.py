@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.engine import EvaluationEngine
-from repro.engine.faults import FaultPlan, FaultPolicy
 from repro.engine.fingerprint import (
     computation_fingerprint,
     hardware_fingerprint,
@@ -69,13 +68,15 @@ class TunerConfig:
     knobs — they change which candidates are explored, so they are part
     of the tuner-config fingerprint.
 
-    ``n_workers`` / ``min_pool_batch`` / ``cache_dir`` are execution
-    knobs: they control how fast the same answer is produced, never
-    which answer.  Evaluation runs in-process by default
-    (``n_workers=1``), the fastest configuration measured; the worker
-    pool is opt-in: ``n_workers=N`` spawns ``N`` workers and
-    ``n_workers=None`` one per CPU core (``os.cpu_count()``).  ``cache_dir`` opts into the persistent compile cache
-    consulted by :func:`repro.compiler.amos_compile`.  There is one
+    ``n_workers`` / ``cache_dir`` are execution knobs: they control how
+    fast the same answer is produced, never which answer.  Evaluation
+    runs in-process by default (``n_workers=1``), the fastest
+    configuration measured; the worker pool is opt-in: ``n_workers=N``
+    spawns ``N`` workers and ``n_workers=None`` one per CPU core
+    (``os.cpu_count()``).  A pooled task that raises, or a worker that
+    dies, raises out of the tune.  ``cache_dir`` opts into the
+    persistent compile cache consulted by
+    :func:`repro.compiler.amos_compile`.  There is one
     evaluation path: the population is a
     :class:`~repro.schedule.features.ScheduleBatch` scored by the
     engine's batch evaluators, and the scalar ``predict_latency`` /
@@ -88,15 +89,6 @@ class TunerConfig:
     manifest there; ``divergence_rate`` samples that fraction of the
     engine's evaluations back through the scalar oracle and records
     parity as ``engine.divergence.*`` metrics.
-
-    ``eval_timeout_s`` / ``max_retries`` / ``retry_backoff_s`` are the
-    fault-tolerance knobs (execution-only too — every recovery path
-    re-runs the same pure evaluator): the per-batch pool deadline in
-    seconds (``None`` disables it; dead workers are still detected), the
-    retry budget per failing task before it is quarantined inline, and
-    the base of the exponential retry backoff.  ``fault_plan`` injects
-    deterministic faults (worker kills, hangs, raises, torn cache
-    writes) — test harness only, never set it in production.
     """
 
     population: int = 32
@@ -110,14 +102,9 @@ class TunerConfig:
     seed: int = 0
     generation_options: GenerationOptions = field(default_factory=GenerationOptions)
     n_workers: int | None = 1
-    min_pool_batch: int = 16
     cache_dir: str | None = None
     run_dir: str | None = None
     divergence_rate: float = 0.0
-    eval_timeout_s: float | None = None
-    max_retries: int = 2
-    retry_backoff_s: float = 0.05
-    fault_plan: FaultPlan | None = None
 
 
 @dataclass
@@ -197,14 +184,7 @@ class Tuner:
             physical,
             self.hardware,
             n_workers=self.config.n_workers,
-            min_pool_batch=self.config.min_pool_batch,
             divergence_rate=self.config.divergence_rate,
-            fault_policy=FaultPolicy(
-                eval_timeout_s=self.config.eval_timeout_s,
-                max_retries=self.config.max_retries,
-                backoff_s=self.config.retry_backoff_s,
-            ),
-            fault_plan=self.config.fault_plan,
         )
 
     def _prefilter_indices(
@@ -305,8 +285,7 @@ class Tuner:
                 )
 
             # The engine's __exit__ closes the pool on success but
-            # *terminates* it when the tune raises — joining a worker
-            # that is wedged mid-task would hang the abort forever.
+            # shuts it down without waiting when the tune raises.
             with self._make_engine(comp, all_physical) as engine:
                 return self._explore(comp, all_physical, engine, log, tune_span)
 

@@ -375,7 +375,7 @@ def corpus_rows(
     operator: str | None = None,
     hardware: str | None = None,
 ) -> list[dict[str, Any]]:
-    """One flat row per run: identity, outcome, cache/fault behaviour,
+    """One flat row per run: identity, outcome, cache behaviour,
     funnel counts and model quality — CSV/JSON-ready."""
     rows = []
     for run in warehouse.query(operator=operator, hardware=hardware):
@@ -399,8 +399,6 @@ def corpus_rows(
             "compile_cache_misses": run.cache.get("compile_cache_misses", 0.0),
             "pool_tasks": run.cache.get("pool_tasks", 0.0),
             "divergence_mismatched": run.divergence.get("mismatched", 0.0),
-            "faults_total": sum(run.faults.values()),
-            "quarantined": run.faults.get("quarantined", 0.0),
             "health_warnings": sum(run.health.values()),
             "critical_phase": (
                 run.critical_path[-1]["name"] if run.critical_path else ""

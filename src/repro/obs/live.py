@@ -15,11 +15,11 @@ Everything here consumes the event bus (:mod:`repro.obs.events`):
 * :class:`WatchState` + :func:`render_dashboard` — the aggregation and
   terminal rendering behind ``python -m repro watch <run-dir>``:
   generation fitness/diversity, the mapping funnel, cache hit rates,
-  pool/fault counters, health warnings and an ETA from budget progress.
+  pool counters, health warnings and an ETA from budget progress.
 
 Counted facts reach the stream only as ``metric.inc`` events published
 by ``Counter.inc`` itself.  :class:`WatchState` sums them per counter
-name and derives its cache/divergence/faults/health sections through
+name and derives its cache/divergence/health sections through
 :func:`repro.obs.runlog.counter_sections` — the function the manifest
 uses — so a finished stream and its manifest agree by definition.
 """
@@ -410,7 +410,7 @@ class WatchState:
 
     ``counters`` sums the stream's ``metric.inc`` events per counter
     name; :meth:`sections` maps them to the manifest's ``cache`` /
-    ``divergence`` / ``faults`` / ``health`` sections with the manifest's
+    ``divergence`` / ``health`` sections with the manifest's
     own function, and ``funnel`` sums the ``funnel.stage`` counts the
     manifest's funnel holds, so a finished stream and its run manifest
     agree to the digit.
@@ -608,13 +608,6 @@ def render_dashboard(state: WatchState, now_wall: float | None = None) -> str:
             f"  divergence watchdog: {_fmt_count(divergence['mismatched'])} "
             f"mismatch(es) in {_fmt_count(divergence['checked'])} checked"
         )
-    if sections["faults"]:
-        parts = ", ".join(
-            f"{name}={_fmt_count(v)}" for name, v in sorted(sections["faults"].items())
-        )
-        lines.append(f"  faults: {parts}")
-    else:
-        lines.append("  faults: none")
 
     lines.append("")
     lines.append("-- health --")

@@ -34,7 +34,7 @@ __all__ = [
 
 
 #: Counter-name prefixes whose increments are streamed as ``metric.inc``
-#: events: the engine's cache/divergence/fault/pool counts and the health
+#: events: the engine's cache/divergence/pool counts and the health
 #: detectors' fire counts — exactly what the manifest's counter sections
 #: and the live view fold (see :func:`repro.obs.runlog.counter_sections`).
 STREAMED_PREFIXES = ("engine.", "obs.health.")
@@ -116,9 +116,8 @@ class MetricsRegistry:
         Returns snapshot-shaped records holding period *deltas*, so a
         delta can be merged into another registry exactly once per period
         — shipping cumulative totals (which double-count when the same
-        worker reports twice, e.g. on a pool retry) is impossible by
-        construction.  Counters with no activity in the period are
-        omitted.
+        worker reports twice) is impossible by construction.  Counters
+        with no activity in the period are omitted.
         """
         before = {record["name"]: record["value"] for record in base}
         deltas: list[dict[str, Any]] = []

@@ -7,7 +7,7 @@ reads those two records and nothing else, so ``repro profile`` and
 ``repro report RUN`` print the same text for a run:
 
 * header, span timings, critical path, mapping funnel, model quality
-  and the engine cache/pool/fault lines come from the manifest;
+  and the engine cache/pool lines come from the manifest;
 * genetic-search convergence comes from the ``ga.generation`` events
   and the compile-cache damage line from the stream's counters.
 """
@@ -111,9 +111,9 @@ def _model_quality_section(quality: dict[str, float]) -> list[str]:
 
 
 def _engine_section(record: RunRecord, skipped_lines: float) -> list[str]:
-    """Cache, pool, watchdog and fault behaviour from the manifest's
-    counter sections; compile-cache damage from the event stream."""
-    cache, faults = record.cache, record.faults
+    """Cache, pool and watchdog behaviour from the manifest's counter
+    sections; compile-cache damage from the event stream."""
+    cache = record.cache
 
     def rate(hits: float, misses: float) -> str:
         total = hits + misses
@@ -149,15 +149,6 @@ def _engine_section(record: RunRecord, skipped_lines: float) -> list[str]:
         lines.append(
             f"  divergence watchdog:     {int(mismatched)} mismatch(es) "
             f"in {int(checked)} sampled re-evaluations"
-        )
-    retries = faults.get("retries", 0.0)
-    respawns = faults.get("respawns", 0.0)
-    quarantined = faults.get("quarantined", 0.0)
-    if retries or respawns or quarantined:
-        lines.append(
-            f"  fault tolerance:         {int(retries)} retried task(s), "
-            f"{int(respawns)} pool respawn(s), "
-            f"{int(quarantined)} quarantined inline"
         )
     if skipped_lines:
         lines.append(

@@ -86,17 +86,16 @@ class RunRecord:
     funnel: dict[str, int] = field(default_factory=dict)
     cache: dict[str, float] = field(default_factory=dict)
     divergence: dict[str, float] = field(default_factory=dict)
-    #: ``engine.fault.*`` counter deltas (retries, respawns, quarantined,
-    #: ...) for this run; empty when the run saw no faults.  Additive to
-    #: the schema: old loaders ignore it, old manifests default to {}.
-    faults: dict[str, float] = field(default_factory=dict)
     #: ``obs.health.*`` counter deltas (detector name -> fire count) from
     #: the live health monitor; empty on healthy runs and when the event
-    #: bus was off.  Additive like ``faults``.
+    #: bus was off.  Additive to the schema: old loaders ignore it, old
+    #: manifests default to {}.  (Manifests from before the pool stopped
+    #: recovering from faults carry a ``faults`` section; ``from_dict``
+    #: drops it like any unknown key.)
     health: dict[str, float] = field(default_factory=dict)
     #: Heaviest-child chain through the run's merged span tree (see
     #: :func:`repro.obs.trace.critical_path`): the stages that bound this
-    #: run's wall time, worker lanes included.  Additive like ``faults``;
+    #: run's wall time, worker lanes included.  Additive like ``health``;
     #: empty when tracing recorded no spans.
     critical_path: list[dict[str, Any]] = field(default_factory=list)
     model_quality: dict[str, float] = field(default_factory=dict)
@@ -214,8 +213,8 @@ def counter_sections(counters: dict[str, float]) -> dict[str, dict[str, float]]:
     recorder passes registry diffs; the live view
     (:class:`repro.obs.live.WatchState`) passes the sum of the stream's
     ``metric.inc`` events — one mapping, so a finished stream and its
-    manifest agree by definition.  Returns ``cache``, ``divergence``,
-    ``faults`` and ``health`` (the last two hold non-zero counters only).
+    manifest agree by definition.  Returns ``cache``, ``divergence`` and
+    ``health`` (the last holds non-zero counters only).
     """
 
     def prefixed(prefix: str) -> dict[str, float]:
@@ -234,7 +233,6 @@ def counter_sections(counters: dict[str, float]) -> dict[str, dict[str, float]]:
             "checked": counters.get("engine.divergence.checked", 0.0),
             "mismatched": counters.get("engine.divergence.mismatched", 0.0),
         },
-        "faults": prefixed("engine.fault."),
         "health": prefixed("obs.health."),
     }
 
@@ -367,7 +365,6 @@ class FlightRecorder:
                             "outcome": self.record.outcome,
                             "funnel": self.record.funnel,
                             "cache": self.record.cache,
-                            "faults": self.record.faults,
                             "health": self.record.health,
                         },
                     )

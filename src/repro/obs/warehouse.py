@@ -125,7 +125,7 @@ def _summarise_events(events: list[dict[str, Any]], stream: str) -> dict[str, An
     """Digest one run's event stream into the warehouse record.
 
     The digest is the corpus-facing subset of :class:`WatchState`'s
-    aggregation — enough for cache/fault efficiency timelines and health
+    aggregation — enough for cache efficiency timelines and health
     history without storing every event twice (the stream itself stays
     in the run directory; the warehouse is derived, not a second copy).
     Counts come from the manifest's own section mapping
@@ -152,7 +152,6 @@ def _summarise_events(events: list[dict[str, Any]], stream: str) -> dict[str, An
         "compile_cache": compile_cache,
         "generations": len(state.generations),
         "lanes": sorted(state.lanes),
-        "faults": sections["faults"],
         "divergence_checked": sections["divergence"]["checked"],
         "divergence_mismatched": sections["divergence"]["mismatched"],
         "warnings": [w.get("detector", "?") for w in state.warnings],

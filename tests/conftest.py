@@ -1,7 +1,9 @@
-"""Shared fixtures: small operator computations used across mapping tests."""
+"""Shared fixtures: small operator computations used across mapping tests,
+and a switch that sends every engine batch of an opted-in pool to it."""
 
 import pytest
 
+import repro.engine.engine as engine_mod
 from repro.ir import Tensor, compute, reduce_axis, spatial_axis
 from repro.isa import get_intrinsic
 
@@ -9,6 +11,13 @@ from repro.isa import get_intrinsic
 @pytest.fixture
 def tensorcore():
     return get_intrinsic("wmma_m16n16k16_f16")
+
+
+@pytest.fixture
+def pool_every_batch(monkeypatch):
+    """With ``n_workers > 1``, evaluate every miss batch on the pool,
+    however small (``n_workers=1`` stays in-process)."""
+    monkeypatch.setattr(engine_mod, "MIN_POOL_BATCH", 1)
 
 
 def make_small_conv2d(n=1, c=3, k=4, p=5, q=5, r=3, s=3, stride=1):

@@ -295,7 +295,7 @@ class TestEngineRowPath:
         assert first == second.tolist()
         assert after == before  # all hits on the warm pass
 
-    def test_pooled_rows_equal_inline_rows(self):
+    def test_pooled_rows_equal_inline_rows(self, pool_every_batch):
         hw, comp, physical, _, _ = _ga_context()
         items = self._items(hw, comp, physical, count=10)
         with EvaluationEngine(
@@ -304,7 +304,7 @@ class TestEngineRowPath:
             mi_arr, batch = engine.encode_rows(items)
             inline = engine.measure_rows(mi_arr, batch)
         with EvaluationEngine(
-            comp, physical, hw, n_workers=4, min_pool_batch=1, memo=MemoCache()
+            comp, physical, hw, n_workers=4, memo=MemoCache()
         ) as engine:
             mi_arr, batch = engine.encode_rows(items)
             pooled = engine.measure_rows(mi_arr, batch)
@@ -416,11 +416,6 @@ def _tune(hw_name, params, **overrides):
     )
 
 
-def _pool(n_workers):
-    """Overrides that route every engine batch through an n-worker pool."""
-    return dict(n_workers=n_workers, min_pool_batch=1) if n_workers > 1 else {}
-
-
 #: Candidates the divergence watchdog checks in a v100 tune at the QUICK
 #: budget, per sampling rate (the crc32 sample of the row keys is
 #: deterministic, so the count is too).
@@ -440,11 +435,13 @@ def _golden(result):
     )
 
 
+@pytest.mark.usefixtures("pool_every_batch")
 class TestTunerGaArrays:
     """The array-native GA tune (rows from prefilter to refinement) must
     reproduce the results recorded while the object GA ran beside it.
     The pool is the one execution knob left: inline and pooled engines
-    give the same answer, counters and watchdog sample."""
+    (every batch on the pool) give the same answer, counters and
+    watchdog sample."""
 
     @pytest.mark.parametrize("hw_name,params", DEVICES)
     def test_identity_on_three_devices(self, hw_name, params):
@@ -455,7 +452,7 @@ class TestTunerGaArrays:
         """n_workers is an execution knob: every device gives its golden
         result with every engine batch inline or pooled."""
         for hw_name, params in DEVICES:
-            got = _golden(_tune(hw_name, params, **_pool(n_workers)))
+            got = _golden(_tune(hw_name, params, n_workers=n_workers))
             assert got == GOLDEN[hw_name], hw_name
 
     def test_cache_counters_equivalent(self):
@@ -466,7 +463,7 @@ class TestTunerGaArrays:
         for n_workers in (1, 4):
             obs.reset()
             obs.enable()
-            _tune("v100", DEVICES[0][1], **_pool(n_workers))
+            _tune("v100", DEVICES[0][1], n_workers=n_workers)
             registry = obs.get_registry()
             counters[n_workers] = (
                 registry.counter("engine.cache.hit").value,
@@ -484,7 +481,7 @@ class TestTunerGaArrays:
         for n_workers in (1, 4):
             obs.reset()
             obs.enable()
-            _tune("v100", DEVICES[0][1], divergence_rate=rate, **_pool(n_workers))
+            _tune("v100", DEVICES[0][1], divergence_rate=rate, n_workers=n_workers)
             registry = obs.get_registry()
             checked = registry.counter("engine.divergence.checked").value
             assert checked == WATCHDOG_CHECKED[rate], n_workers

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.engine import FaultPolicy
+from repro.explore.tuner import TunerConfig
 from repro.obs import CompareThresholds
 
 
@@ -93,19 +93,25 @@ class TestTuningFlagBounds:
             ("--workers", "two", "not an integer"),
             ("--divergence-rate", "2", "not in [0, 1]"),
             ("--divergence-rate", "-0.1", "not in [0, 1]"),
-            ("--max-retries", "-1", "below the minimum 0"),
-            # A non-positive deadline times out every pool batch; nan
-            # silently turns the deadline off.
-            ("--eval-timeout", "0", "not a positive finite number"),
-            ("--eval-timeout", "-1", "not a positive finite number"),
-            ("--eval-timeout", "nan", "not a positive finite number"),
-            ("--eval-timeout", "inf", "not a positive finite number"),
-            ("--eval-timeout", "soon", "not a number"),
+            # The pool's retry budget and batch deadline are gone: any
+            # value is a usage error.  (The ids are the ones these cases
+            # had when the flags checked their bounds.)
+            *(
+                pytest.param(flag, value, f"unrecognized arguments: {flag}", id=case)
+                for flag, value, case in (
+                    ("--max-retries", "-1", "--max-retries--1-below the minimum 0"),
+                    ("--eval-timeout", "0", "--eval-timeout-0-not a positive finite number"),
+                    ("--eval-timeout", "-1", "--eval-timeout--1-not a positive finite number"),
+                    ("--eval-timeout", "nan", "--eval-timeout-nan-not a positive finite number"),
+                    ("--eval-timeout", "inf", "--eval-timeout-inf-not a positive finite number"),
+                    ("--eval-timeout", "soon", "--eval-timeout-soon-not a number"),
+                )
+            ),
         ],
     )
     def test_execution_flags_out_of_range_rejected(self, capsys, flag, value, message):
         # Rejected at parse time with a usage message, not mid-compile
-        # with a traceback (or, for --max-retries, silently).
+        # with a traceback.
         with pytest.raises(SystemExit) as exc:
             main(["compile", "GMM", "--params", "m=64", "n=64", "k=64", flag, value])
         assert exc.value.code == 2
@@ -115,11 +121,9 @@ class TestTuningFlagBounds:
     def test_execution_flag_bounds_inclusive(self):
         args = build_parser().parse_args([
             "compile", "GMM", "--params", "m=64", "n=64", "k=64",
-            "--workers", "1", "--divergence-rate", "1.0", "--max-retries", "0",
-            "--eval-timeout", "0.5",
+            "--workers", "1", "--divergence-rate", "1.0",
         ])
-        assert (args.workers, args.divergence_rate, args.max_retries) == (1, 1.0, 0)
-        assert args.eval_timeout == 0.5
+        assert (args.workers, args.divergence_rate) == (1, 1.0)
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -141,12 +145,20 @@ class TestTuningFlagBounds:
         assert "usage:" in err and message in err
 
     @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
-    def test_fault_policy_rejects_bad_eval_timeout(self, timeout):
-        # The same check for library callers that bypass the CLI.
-        with pytest.raises(ValueError, match="eval_timeout_s"):
-            FaultPolicy(eval_timeout_s=timeout)
-        assert FaultPolicy(eval_timeout_s=None).eval_timeout_s is None
-        assert FaultPolicy(eval_timeout_s=2.5).eval_timeout_s == 2.5
+    def test_fault_policy_rejects_bad_eval_timeout(self, capsys, timeout):
+        # No deadline exists to set: the flag is a usage error for every
+        # value, and library callers get a TypeError.
+        for value in (str(timeout), "2.5"):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "compile", "GMM", "--params", "m=64", "n=64", "k=64",
+                    "--eval-timeout", value,
+                ])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage:" in err and "unrecognized arguments: --eval-timeout" in err
+        with pytest.raises(TypeError, match="eval_timeout_s"):
+            TunerConfig(eval_timeout_s=timeout)
 
 
     @pytest.mark.parametrize(

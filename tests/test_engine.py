@@ -90,10 +90,21 @@ class TestFingerprints:
 
     def test_config_fingerprint_ignores_execution_knobs(self):
         base = TunerConfig(seed=3)
-        same = TunerConfig(seed=3, n_workers=7, cache_dir="/x", min_pool_batch=1)
+        same = TunerConfig(seed=3, n_workers=7, cache_dir="/x", divergence_rate=1.0)
         other = TunerConfig(seed=4)
         assert tuner_config_fingerprint(base) == tuner_config_fingerprint(same)
         assert tuner_config_fingerprint(base) != tuner_config_fingerprint(other)
+
+    def test_config_fingerprint_is_pinned(self):
+        """Compile-cache keys embed this digest: removing execution knobs
+        from TunerConfig must not move it, or every existing cache misses.
+        The literals are the values before the pool's fault knobs went."""
+        from repro.cli import QUICK_BUDGET
+
+        assert tuner_config_fingerprint(TunerConfig()) == "b3dabc654a7d2936"
+        # The --quick budget the CI baseline manifest was recorded with.
+        quick = TunerConfig(**QUICK_BUDGET, divergence_rate=1.0)
+        assert tuner_config_fingerprint(quick) == "8782b0a2866a4d1f"
 
 
 class TestMemoCache:
@@ -175,7 +186,7 @@ class TestEvaluationEngine:
         assert engine.memo.get_measurement(key) == measured
         assert measured > 0 and predicted > 0
 
-    def test_pool_matches_inline(self):
+    def test_pool_matches_inline(self, pool_every_batch):
         """The spawn pool returns exactly what in-process evaluation does."""
         comp, physical = small_physical()
         hw = get_hardware("v100")
@@ -190,7 +201,7 @@ class TestEvaluationEngine:
         inline = EvaluationEngine(comp, physical, hw, n_workers=1, memo=MemoCache())
         expected = inline.measure_many(rng_scheds)
         with EvaluationEngine(
-            comp, physical, hw, n_workers=2, memo=MemoCache(), min_pool_batch=1
+            comp, physical, hw, n_workers=2, memo=MemoCache()
         ) as pooled:
             assert pooled.measure_many(rng_scheds) == expected
 
@@ -234,12 +245,10 @@ class TestGeneticBatchEquivalence:
 
 
 class TestTunerDeterminism:
-    def _tune(self, n_workers, min_pool_batch=16):
+    def _tune(self, n_workers):
         reset_global_memo()
         comp = make_operator("GMM", m=64, n=64, k=64)
-        config = dataclasses.replace(
-            FAST, n_workers=n_workers, min_pool_batch=min_pool_batch
-        )
+        config = dataclasses.replace(FAST, n_workers=n_workers)
         obs.reset()
         obs.enable()
         log = ExploreLog(operator=comp.name, hardware="v100")
@@ -251,11 +260,11 @@ class TestTunerDeterminism:
             obs.reset()
         return result, log
 
-    def test_worker_count_is_not_a_search_knob(self):
-        """n_workers=1 vs n_workers=4 (pool forced via min_pool_batch=1):
+    def test_worker_count_is_not_a_search_knob(self, pool_every_batch):
+        """n_workers=1 vs n_workers=4 (every batch forced onto the pool):
         identical best, trial ordering and telemetry funnel."""
         serial, serial_log = self._tune(n_workers=1)
-        pooled, pooled_log = self._tune(n_workers=4, min_pool_batch=1)
+        pooled, pooled_log = self._tune(n_workers=4)
         assert serial.best_us == pooled.best_us
         assert tune_fingerprint(serial) == tune_fingerprint(pooled)
         assert serial_log.funnel.to_dict() == pooled_log.funnel.to_dict()

@@ -12,7 +12,7 @@ Covers these contracts:
 * events round-trip through the crash-safe JSONL sink (torn tail lines
   are skipped, not fatal) and ``watch`` follows a growing stream;
 * tunes with the bus on yield streams whose funnel and counter sections
-  (cache, compile cache, divergence, faults, health) exactly match the
+  (cache, compile cache, divergence, health) exactly match the
   run manifests, and ``repro watch --once --validate`` renders them with
   exit 0;
 * the structured logger filters by level (explicit > REPRO_LOG_LEVEL >
@@ -34,7 +34,7 @@ import pytest
 import repro.obs as obs
 from repro.cli import main as cli_main
 from repro.compiler import amos_compile
-from repro.engine import FaultPlan, reset_compile_caches, reset_global_memo
+from repro.engine import reset_compile_caches, reset_global_memo
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.model import get_hardware
@@ -112,13 +112,13 @@ class TestEventBus:
     def test_publish_stamps_envelope(self):
         events_mod.enable_events()
         seen = collect_bus()
-        event = events_mod.emit("metric.inc", {"name": "engine.fault.retries", "amount": 2})
+        event = events_mod.emit("metric.inc", {"name": "engine.cache.hit", "amount": 2})
         assert seen == [event]
         assert validate_event(event) == []
         assert event["pid"] == os.getpid()
         assert event["schema"] == EVENT_SCHEMA
         assert event["seq"] == 0
-        second = events_mod.emit("metric.inc", name="engine.fault.retries", amount=1)
+        second = events_mod.emit("metric.inc", name="engine.cache.hit", amount=1)
         assert second["seq"] == 1
         assert second["data"]["amount"] == 1
 
@@ -226,18 +226,12 @@ class TestEventBus:
             ("metric.inc", {"name": "obs.health.stagnation", "amount": 1.0}),
         ]
 
-    def test_counters_stream_with_tracing_off(self):
+    def test_counters_stream_with_tracing_off(self, pool_every_batch):
         """A pooled tune with only the bus on still streams its memo-cache,
-        divergence and fault counts."""
+        divergence and pool counts, and no fault counters."""
         events_mod.enable_events()
         seen = collect_bus()
-        config = fast_config(
-            n_workers=2,
-            min_pool_batch=1,
-            divergence_rate=1.0,
-            fault_plan=FaultPlan(raise_on=(0,)),
-            retry_backoff_s=0.0,
-        )
+        config = fast_config(n_workers=2, divergence_rate=1.0)
         Tuner(get_hardware("v100"), config).tune(small_gemm())
         assert not obs.enabled()
         totals: dict[str, float] = {}
@@ -247,8 +241,8 @@ class TestEventBus:
                 totals[name] = totals.get(name, 0.0) + event["data"]["amount"]
         assert totals["engine.cache.miss"] > 0
         assert totals["engine.divergence.checked"] > 0
-        assert totals["engine.fault.task_errors"] == 1
-        assert totals["engine.fault.retries"] == 1
+        assert totals["engine.pool.batches"] >= 1
+        assert not [name for name in totals if name.startswith("engine.fault.")]
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +594,7 @@ def _normalize(events):
 
 
 class TestWorkerCountInvariance:
-    def test_event_streams_match_1_vs_4_workers(self, tmp_path):
+    def test_event_streams_match_1_vs_4_workers(self, tmp_path, pool_every_batch):
         events_mod.enable_events()
         comp = small_gemm()
         hw = get_hardware("v100")
@@ -611,9 +605,7 @@ class TestWorkerCountInvariance:
             events_mod.reset_events()
             events_mod.enable_events()
             seen = collect_bus()
-            config = fast_config(
-                n_workers=n, min_pool_batch=1, run_dir=str(tmp_path / f"w{n}")
-            )
+            config = fast_config(n_workers=n, run_dir=str(tmp_path / f"w{n}"))
             result = Tuner(hw, config).tune(comp)
             streams[n] = seen
             outcomes[n] = result.best_us
@@ -642,12 +634,12 @@ def _nonzero(counts):
 
 class TestLiveAcceptance:
     def test_live_tune_stream_matches_manifest_and_watch_renders(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, pool_every_batch
     ):
         """Every run's stream folds to its manifest: a pooled compile with
         the divergence watchdog on every row (compile-cache miss), the
-        same compile again (compile-cache hit), and a tune under an
-        injected fault plan."""
+        same compile again (compile-cache hit), and a tune with every
+        batch on the pool.  No manifest has a ``faults`` section."""
         run_dir = tmp_path / "runs"
         argv = [
             "compile", "GMM", "--hardware", "v100", "--quick", "--quiet",
@@ -675,17 +667,11 @@ class TestLiveAcceptance:
         time.sleep(1.1)
         assert cli_main(argv) == 0
         events_mod.enable_events()
-        with JsonlSink(run_dir / "events_faults.jsonl", bus=events_mod.get_bus()):
-            reset_global_memo()  # cold memo, so the pool sees task 0
+        with JsonlSink(run_dir / "events_pooled.jsonl", bus=events_mod.get_bus()):
+            reset_global_memo()  # cold memo, so the pool sees every batch
             Tuner(
                 get_hardware("v100"),
-                fast_config(
-                    n_workers=2,
-                    min_pool_batch=1,
-                    run_dir=str(run_dir),
-                    fault_plan=FaultPlan(raise_on=(0,)),
-                    retry_backoff_s=0.0,
-                ),
+                fast_config(n_workers=2, run_dir=str(run_dir)),
             ).tune(small_gemm())
         events_mod.disable_events()
 
@@ -704,17 +690,18 @@ class TestLiveAcceptance:
             assert state.sections() == {
                 "cache": manifest.cache,
                 "divergence": manifest.divergence,
-                "faults": manifest.faults,
                 "health": manifest.health,
             }
             assert state.ended is not None and state.ended["status"] == "ok"
-        miss_run, hit_run, fault_run = sorted(runs, key=lambda r: r.kind == "tune")
+        miss_run, hit_run, pooled_run = sorted(runs, key=lambda r: r.kind == "tune")
         miss_state = WatchState().apply_all(by_run[miss_run.run_id])
         assert miss_state.funnel == miss_run.funnel  # every stage reached
         assert miss_run.divergence["checked"] > 0
         assert miss_run.cache["compile_cache_misses"] == 1
         assert hit_run.cache["compile_cache_hits"] == 1
-        assert fault_run.faults == {"task_errors": 1.0, "retries": 1.0}
+        assert pooled_run.cache["pool_batches"] >= 1
+        for path in run_dir.glob("run_*.json"):
+            assert "faults" not in json.loads(path.read_text())
 
         dashboard = render_dashboard(WatchState().apply_all(events))
         assert "gemm on v100" in dashboard
@@ -795,6 +782,8 @@ class TestWatch:
         )
         state.apply(_ev("funnel.stage", {"stage": "enumerated", "count": 24, "total": 24}, 1.0))
         state.apply_all(_batch(2, 6, 2.0))
+        # A counter from a stream recorded before the pool stopped
+        # recovering from faults: folded, but no section shows it.
         state.apply(_inc("engine.fault.retries", 3, 3.0))
         state.apply(
             _ev("health.warning", {"detector": "stagnation", "message": "stuck"}, 4.0)
@@ -802,7 +791,7 @@ class TestWatch:
         dashboard = render_dashboard(state, now_wall=5.0)
         assert "enumerated" in dashboard
         assert "25.0%" in dashboard  # memo hit rate 2/8
-        assert "retries=3" in dashboard
+        assert "retries" not in dashboard and "faults" not in dashboard
         assert "WARNING [stagnation]" in dashboard
 
 

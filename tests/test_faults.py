@@ -1,32 +1,41 @@
-"""Fault tolerance: the engine must survive faults without changing results.
+"""Failure handling: the opt-in pool fails loudly, the stores stay crash-safe.
 
-The contract under test is the determinism invariant extended to
-failure: injected worker crashes, hangs, task exceptions and torn cache
-writes may cost retries, pool respawns, quarantines or degradation —
-but the *results* (and, for a full tune, the chosen mapping, schedule
-and latency) must be byte-identical to a fault-free serial run, and the
-recovery actions must be visible in ``fault_stats`` / the flight
-recorder's ``faults`` manifest section.
+Every evaluator is a pure function of the candidate, so a pooled
+evaluation can only return the in-process answer or fail.  The contract
+under test:
 
-Fault injection is deterministic: a :class:`FaultPlan` scripts faults
-against task ordinals, which the pool assigns in submission order (and
-records per batch in ``batch_log``), so every test aims its faults at
-known tasks and the same tasks on every run.
+* a pooled tune (every batch forced onto the pool) is byte-identical to
+  an inline one;
+* a task that raises reaches the caller with its exception type intact,
+  and the pool stays usable;
+* a worker that dies makes the next batch raise ``BrokenProcessPool``
+  promptly — it is not waited on, respawned or re-run inline;
+* the compile cache survives a writer killed mid-append: the torn line
+  costs that one entry and the next append resyncs
+  (``CompileCache(torn_write=True)`` writes what such a crash leaves);
+* run manifests are written atomically and carry no ``faults`` section.
 """
 
 import dataclasses
+import importlib
 import json
+import multiprocessing
 import os
+import random
+import signal
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.compiler as compiler_mod
+import repro.engine as engine_pkg
+import repro.engine.pool as pool_mod
 from repro.compiler import amos_compile
 from repro.engine import (
     CompileCache,
     EvaluationEngine,
-    FaultPlan,
-    FaultPolicy,
     MemoCache,
     reset_compile_caches,
     reset_global_memo,
@@ -42,6 +51,18 @@ from repro.schedule.space import ScheduleSpace
 FAST = TunerConfig(
     population=8, generations=2, measure_top=8, refine_rounds=1, refine_neighbors=4
 )
+
+#: The fault-tolerance knobs the pool no longer has.
+REMOVED_KNOBS = {
+    "eval_timeout_s",
+    "max_retries",
+    "retry_backoff_s",
+    "fault_plan",
+    "min_pool_batch",
+}
+
+#: How long a batch on a pool with a dead worker may take to raise.
+PROMPT_S = 5.0
 
 
 @pytest.fixture(autouse=True)
@@ -69,8 +90,6 @@ def tune_fingerprint(result):
 
 def scalar_items(physical, n=8, measure=True):
     """Picklable scalar task descriptors spread across the mappings."""
-    import random
-
     rng = random.Random(0)
     items = []
     for i in range(n):
@@ -79,26 +98,77 @@ def scalar_items(physical, n=8, measure=True):
     return items
 
 
-class TestFaultPlan:
-    def test_actions_fire_only_below_fault_attempts(self):
-        plan = FaultPlan(kill_on=(1,), hang_on=(2,), raise_on=(3,))
-        assert plan.action_for(1, 0) == "kill"
-        assert plan.action_for(2, 0) == "hang"
-        assert plan.action_for(3, 0) == "raise"
-        assert plan.action_for(0, 0) is None
-        # Default fault_attempts=1: the first retry succeeds.
-        for seq in (1, 2, 3):
-            assert plan.action_for(seq, 1) is None
+def schedule_items(physical, seed, per_mapping=3):
+    """(mapping_index, Schedule) pairs for every mapping."""
+    rng = random.Random(seed)
+    items = []
+    for i, pm in enumerate(physical):
+        space = ScheduleSpace(pm)
+        items.extend((i, space.sample(rng)) for _ in range(per_mapping))
+    return items
 
-    def test_persistent_faults(self):
-        plan = FaultPlan(raise_on=(0,), fault_attempts=99)
-        assert plan.action_for(0, 5) == "raise"
-        assert plan.action_for(1, 5) is None
+
+def kill_one_worker(before: set[int]) -> None:
+    """SIGKILL one pool worker (a child not in ``before``) and reap it."""
+    workers = [p for p in multiprocessing.active_children() if p.pid not in before]
+    assert workers, "the pool started no worker"
+    victim = workers[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=PROMPT_S)
+    assert victim.exitcode == -signal.SIGKILL
+
+
+def refuse_inline(monkeypatch):
+    """Make any parent-side evaluation fail the test (workers import
+    their own, unpatched modules)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluation fell back to the parent process")
+
+    monkeypatch.setattr(pool_mod, "_eval_item_with", refuse)
+    monkeypatch.setattr(pool_mod, "_eval_group_with", refuse)
+    monkeypatch.setattr(EvaluationEngine, "_eval_batch_inline", refuse)
+
+
+class TestFaultPlan:
+    """The scripted fault plan is gone; the one injection left is the
+    compile cache's torn write, set on the cache itself."""
+
+    def entry(self, n):
+        return {"comp_fp": f"c{n}", "hw_fp": "h", "config_fp": "b", "latency_us": n}
+
+    def test_actions_fire_only_below_fault_attempts(self, tmp_path):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.faults")
+        assert not hasattr(engine_pkg, "FaultPlan")
+        assert not hasattr(engine_pkg, "FaultPolicy")
+        # The injection fires only on the cache built with it.
+        torn = CompileCache(str(tmp_path / "torn"), torn_write=True)
+        clean = CompileCache(str(tmp_path / "clean"))
+        torn.store("a", self.entry(1))
+        clean.store("a", self.entry(1))
+        assert torn.lookup("a") is None
+        assert clean.lookup("a") is not None
+        with open(torn.path, "rb") as fh:
+            assert not fh.read().endswith(b"\n")
+        with open(clean.path, "rb") as fh:
+            assert fh.read().endswith(b"\n")
+
+    def test_persistent_faults(self, tmp_path):
+        # Every store of a torn-write cache is torn, not only the first,
+        # and each torn line starts on a line of its own.
+        torn = CompileCache(str(tmp_path), torn_write=True)
+        for n in range(3):
+            torn.store(f"k{n}", self.entry(n))
+        assert len(torn) == 0
+        reloaded = CompileCache(str(tmp_path))
+        assert len(reloaded) == 0
+        assert reloaded.skipped_lines == 3
 
 
 class TestWorkerPoolFaults:
-    """Direct WorkerPool tests: every recovery path, compared against the
-    inline oracle, with its fault_stats tally."""
+    """Direct WorkerPool tests: failures raise in the parent, compared
+    against the inline oracle where a batch succeeds."""
 
     @pytest.fixture(scope="class")
     def oracle(self):
@@ -108,62 +178,78 @@ class TestWorkerPoolFaults:
         expected = [_eval_item_with(physical, hw, item) for item in items]
         return physical, hw, items, expected
 
-    def run_pool(self, oracle, plan, policy=None):
-        physical, hw, items, expected = oracle
-        with WorkerPool(
-            physical, hw, n_workers=2, policy=policy, fault_plan=plan
-        ) as pool:
-            results = pool.evaluate(items)
-            stats = dict(pool.fault_stats)
-            degraded = pool.degraded
-        assert results == expected
-        return stats, degraded
+    def bad_items(self, oracle):
+        """A batch whose third task indexes past the mapping list."""
+        physical, _, items, _ = oracle
+        bad = list(items)
+        _, schedule_dict, measure = bad[2]
+        bad[2] = (len(physical), schedule_dict, measure)
+        return bad
 
     def test_raising_tasks_are_retried(self, oracle):
-        stats, degraded = self.run_pool(oracle, FaultPlan(raise_on=(0, 3)))
-        assert stats["task_errors"] == 2
-        assert stats["retries"] == 2
-        assert stats["respawns"] == 0
-        assert stats["quarantined"] == 0
-        assert not degraded
+        # Not retried any more: the task's own exception type reaches the
+        # caller, on the scalar and on the group path.
+        physical, hw, items, _ = oracle
+        with WorkerPool(physical, hw, n_workers=2) as pool:
+            with pytest.raises(IndexError):
+                pool.evaluate(self.bad_items(oracle))
+            engine = EvaluationEngine(
+                make_operator("GMM", m=64, n=64, k=64), physical, hw, memo=MemoCache()
+            )
+            _, batch = engine.encode_rows(schedule_items(physical, 3, per_mapping=1))
+            with pytest.raises(IndexError):
+                pool.evaluate_groups([(len(physical), batch, True)])
 
     def test_persistent_failure_is_quarantined(self, oracle):
-        policy = FaultPolicy(max_retries=1, backoff_s=0.0)
-        plan = FaultPlan(raise_on=(2,), fault_attempts=99)
-        stats, degraded = self.run_pool(oracle, plan, policy)
-        # initial failure + max_retries retries, then inline quarantine.
-        assert stats["task_errors"] == 2
-        assert stats["retries"] == 1
-        assert stats["quarantined"] == 1
-        assert not degraded
-
-    def test_killed_worker_respawns_pool(self, oracle):
-        stats, degraded = self.run_pool(oracle, FaultPlan(kill_on=(1,)))
-        assert stats["worker_deaths"] >= 1
-        assert stats["respawns"] == 1
-        assert not degraded
-
-    def test_repeated_pool_deaths_degrade_to_inline(self, oracle):
-        plan = FaultPlan(kill_on=(0,), fault_attempts=99)
-        stats, degraded = self.run_pool(oracle, plan)
-        assert degraded
-        assert stats["worker_deaths"] >= 2
-        assert stats["respawns"] == 1
-        assert stats["degraded"] == 1
-
-    def test_hung_task_hits_deadline_and_recovers(self, oracle):
+        # Nothing is quarantined: the failing batch raises, and the next
+        # batch on the same pool is still correct.
         physical, hw, items, expected = oracle
-        warm = len(items)
-        plan = FaultPlan(hang_on=(warm,), hang_s=120.0)
-        with WorkerPool(physical, hw, n_workers=2, fault_plan=plan) as pool:
-            # Warm batch: tasks 0..warm-1, no deadline while workers boot.
+        with WorkerPool(physical, hw, n_workers=2) as pool:
+            with pytest.raises(IndexError):
+                pool.evaluate(self.bad_items(oracle))
             assert pool.evaluate(items) == expected
-            # Hang batch under a deadline the 120s sleep must blow.
-            pool.policy = FaultPolicy(eval_timeout_s=3.0, backoff_s=0.0)
             assert pool.evaluate(items) == expected
-            assert pool.fault_stats["timeouts"] == 1
-            assert pool.fault_stats["respawns"] == 1
-            assert not pool.degraded
+
+    def test_killed_worker_respawns_pool(self, oracle, monkeypatch):
+        # No respawn: the batch after a worker death raises promptly and
+        # nothing is evaluated in the parent instead.
+        physical, hw, items, expected = oracle
+        before = {p.pid for p in multiprocessing.active_children()}
+        with WorkerPool(physical, hw, n_workers=2) as pool:
+            assert pool.evaluate(items) == expected
+            kill_one_worker(before)
+            refuse_inline(monkeypatch)
+            start = time.monotonic()
+            with pytest.raises(BrokenProcessPool):
+                pool.evaluate(items)
+            assert time.monotonic() - start < PROMPT_S
+
+    def test_repeated_pool_deaths_degrade_to_inline(self, pool_every_batch, monkeypatch):
+        # No degradation to inline either: through the engine, every
+        # batch after the death raises; none is evaluated in the parent.
+        comp, physical = small_physical()
+        hw = get_hardware("v100")
+        before = {p.pid for p in multiprocessing.active_children()}
+        with EvaluationEngine(comp, physical, hw, n_workers=2, memo=MemoCache()) as engine:
+            engine.measure_rows(*engine.encode_rows(schedule_items(physical, 1)))
+            kill_one_worker(before)
+            refuse_inline(monkeypatch)
+            for seed in (2, 3):
+                rows = engine.encode_rows(schedule_items(physical, seed))
+                start = time.monotonic()
+                with pytest.raises(BrokenProcessPool):
+                    engine.measure_rows(*rows)
+                assert time.monotonic() - start < PROMPT_S
+
+    def test_hung_task_hits_deadline_and_recovers(self):
+        # The batch deadline and the retry knobs are gone from the config.
+        fields = {f.name for f in dataclasses.fields(TunerConfig)}
+        assert REMOVED_KNOBS.isdisjoint(fields)
+        for knob in sorted(REMOVED_KNOBS):
+            with pytest.raises(TypeError):
+                TunerConfig(**{knob: 1})
+        with pytest.raises(TypeError):
+            TunerConfig(eval_timeout_s=3.0)
 
     def test_exit_terminates_on_exception(self, oracle, monkeypatch):
         physical, hw, _, _ = oracle
@@ -189,113 +275,56 @@ class TestWorkerPoolFaults:
 
 
 class TestEngineFaults:
-    """Fault recovery through the EvaluationEngine front door, by rows
-    and through the object adapter, against the n_workers=1 inline
-    engine."""
+    """A forced pool through the EvaluationEngine front door, by rows and
+    through the object adapter, against the n_workers=1 inline engine."""
 
     @pytest.mark.parametrize("rows", [True, False])
-    def test_faulted_engine_matches_inline(self, rows):
+    def test_faulted_engine_matches_inline(self, rows, pool_every_batch):
         comp, physical = small_physical()
         hw = get_hardware("v100")
-        import random
+        items = schedule_items(physical, 1)
 
-        rng = random.Random(1)
-        items = []
-        for i, pm in enumerate(physical):
-            space = ScheduleSpace(pm)
-            items.extend((i, space.sample(rng)) for _ in range(3))
-
-        inline = EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        )
+        inline = EvaluationEngine(comp, physical, hw, n_workers=1, memo=MemoCache())
         expected = inline.measure_many(items)
 
-        plan = FaultPlan(raise_on=(0,))
         with EvaluationEngine(
-            comp,
-            physical,
-            hw,
-            n_workers=2,
-            memo=MemoCache(),
-            min_pool_batch=1,
-            fault_plan=plan,
-        ) as faulted:
+            comp, physical, hw, n_workers=2, memo=MemoCache()
+        ) as pooled:
             if rows:
-                predicted, measured = faulted.measure_rows(
-                    *faulted.encode_rows(items)
-                )
+                predicted, measured = pooled.measure_rows(*pooled.encode_rows(items))
                 got = list(zip(predicted.tolist(), measured.tolist()))
             else:
-                got = faulted.measure_many(items)
-            assert got == expected
-        assert faulted.fault_stats["task_errors"] == 1
-        assert faulted.fault_stats["retries"] == 1
+                got = pooled.measure_many(items)
+            assert pooled._pool is not None  # the pool really evaluated
+        assert got == expected
 
 
 class TestTuneUnderFaults:
-    """The ISSUE acceptance run: a tune with a raise, a worker kill and a
-    hang injected in three different batches finishes with results
-    byte-identical to a fault-free serial tune, and the recovery shows
-    up in the run manifests."""
-
-    def test_faulted_tune_is_byte_identical(self, tmp_path, monkeypatch):
+    def test_faulted_tune_is_byte_identical(self, tmp_path, pool_every_batch):
+        """A tune with every batch on a 2-worker pool equals the inline
+        tune, and its manifest shows the pool ran and has no ``faults``
+        section."""
         comp = make_operator("GMM", m=64, n=64, k=64)
-        hw_name = "v100"
-        pooled = dataclasses.replace(FAST, n_workers=2, min_pool_batch=1)
-
-        # Reconnaissance: same config, no faults, to learn the pool's
-        # deterministic batch structure (ordinals are stable across runs
-        # because retries keep their ordinals).
-        pools = []
-        orig_init = WorkerPool.__init__
-
-        def record_init(self, *args, **kwargs):
-            orig_init(self, *args, **kwargs)
-            pools.append(self)
-
-        monkeypatch.setattr(WorkerPool, "__init__", record_init)
-        Tuner(get_hardware(hw_name), pooled).tune(comp)
-        monkeypatch.setattr(WorkerPool, "__init__", orig_init)
-        batches = [log for pool in pools for log in pool.batch_log]
-        assert len(batches) >= 3, f"need 3+ pool batches to aim faults: {batches}"
-
-        # The recon run warmed the global memo; a warm memo would turn
-        # every later batch into pure hits and starve the fault plan.
-        reset_global_memo()
-
-        # One fault per batch: a raising task, a killed worker, a hang.
-        plan = FaultPlan(
-            raise_on=(batches[0][0],),
-            kill_on=(batches[1][0],),
-            hang_on=(batches[2][0],),
-            hang_s=120.0,
-        )
-
         serial_dir = tmp_path / "runs_serial"
-        faulted_dir = tmp_path / "runs_faulted"
+        pooled_dir = tmp_path / "runs_pooled"
         serial = dataclasses.replace(FAST, n_workers=1, run_dir=str(serial_dir))
-        faulted = dataclasses.replace(
-            pooled,
-            run_dir=str(faulted_dir),
-            fault_plan=plan,
-            eval_timeout_s=10.0,
-            retry_backoff_s=0.0,
-        )
+        pooled = dataclasses.replace(FAST, n_workers=2, run_dir=str(pooled_dir))
 
-        want = Tuner(get_hardware(hw_name), serial).tune(comp)
+        want = Tuner(get_hardware("v100"), serial).tune(comp)
         reset_global_memo()
-        got = Tuner(get_hardware(hw_name), faulted).tune(comp)
+        got = Tuner(get_hardware("v100"), pooled).tune(comp)
 
         assert tune_fingerprint(got) == tune_fingerprint(want)
         assert got.best_us == want.best_us
         assert got.best.schedule.describe() == want.best.schedule.describe()
 
-        [faulted_run] = load_runs(faulted_dir)
+        [pooled_run] = load_runs(pooled_dir)
         [serial_run] = load_runs(serial_dir)
-        assert faulted_run.faults.get("retries", 0) > 0
-        assert faulted_run.faults.get("respawns", 0) > 0
-        assert serial_run.faults.get("retries", 0) == 0
-        assert serial_run.faults.get("respawns", 0) == 0
+        assert pooled_run.cache["pool_batches"] >= 1
+        assert serial_run.cache["pool_batches"] == 0
+        for run_dir in (serial_dir, pooled_dir):
+            [path] = run_dir.glob("run_*.json")
+            assert "faults" not in json.loads(path.read_text())
 
 
 class TestCompileCacheCrashSafety:
@@ -323,11 +352,12 @@ class TestCompileCacheCrashSafety:
         assert final.skipped_lines == 1  # still just the torn line
 
     def test_injected_torn_write_behaves_like_a_crash(self, tmp_path):
-        cache = CompileCache(str(tmp_path))
-        cache.store("a", self.entry(1), torn_write=True)
+        cache = CompileCache(str(tmp_path), torn_write=True)
+        cache.store("a", self.entry(1))
         # The torn entry is never served, not even by the writer.
         assert cache.lookup("a") is None
         # The writer knows the file ends mid-line and resyncs.
+        cache.torn_write = False
         cache.store("b", self.entry(2))
         assert cache.lookup("b") is not None
 
@@ -336,23 +366,20 @@ class TestCompileCacheCrashSafety:
         assert fresh.lookup("b") is not None
         assert fresh.skipped_lines == 1
 
-    def test_compile_survives_corrupt_cache_writes(self, tmp_path):
+    def test_compile_survives_corrupt_cache_writes(self, tmp_path, monkeypatch):
         comp = make_operator("GMM", m=64, n=64, k=64)
-        corrupting = dataclasses.replace(
-            FAST,
-            n_workers=1,
-            cache_dir=str(tmp_path),
-            fault_plan=FaultPlan(corrupt_cache_writes=True),
-        )
-        clean = dataclasses.replace(FAST, n_workers=1, cache_dir=str(tmp_path))
+        config = dataclasses.replace(FAST, n_workers=1, cache_dir=str(tmp_path))
 
-        first = amos_compile(comp, "v100", corrupting)
+        torn = CompileCache(str(tmp_path), torn_write=True)
+        monkeypatch.setattr(compiler_mod, "compile_cache_for", lambda cache_dir: torn)
+        first = amos_compile(comp, "v100", config)
+        monkeypatch.undo()
         reset_compile_caches()
         reset_global_memo()
 
         # The torn entry must read as a miss; the re-tune must agree with
-        # the faulted run and leave a well-formed entry behind.
-        second = amos_compile(comp, "v100", clean)
+        # the first run and leave a well-formed entry behind.
+        second = amos_compile(comp, "v100", config)
         assert second.latency_us == first.latency_us
         cache = CompileCache(str(tmp_path))
         assert cache.skipped_lines >= 1
@@ -360,7 +387,7 @@ class TestCompileCacheCrashSafety:
 
         reset_compile_caches()
         reset_global_memo()
-        third = amos_compile(comp, "v100", clean)
+        third = amos_compile(comp, "v100", config)
         assert third.latency_us == first.latency_us
 
     def test_manifest_writes_are_atomic(self, tmp_path):
@@ -368,10 +395,12 @@ class TestCompileCacheCrashSafety:
         config = dataclasses.replace(FAST, n_workers=1, run_dir=str(tmp_path))
         Tuner(get_hardware("v100"), config).tune(comp)
         names = os.listdir(tmp_path)
-        assert len([n for n in names if n.startswith("run_")]) == 1
+        runs = [n for n in names if n.startswith("run_")]
+        assert len(runs) == 1
         assert not [n for n in names if n.endswith(".tmp")]
         [record] = load_runs(tmp_path)
-        assert record.faults == {}
+        assert record.run_id
+        assert "faults" not in json.loads((tmp_path / runs[0]).read_text())
 
 
 class TestMemoCacheLocking:

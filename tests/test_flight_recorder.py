@@ -146,7 +146,7 @@ def _tune_telemetry(n_workers: int):
     log = ExploreLog()
     tuner = Tuner(
         get_hardware("v100"),
-        fast_config(n_workers=n_workers, min_pool_batch=1),
+        fast_config(n_workers=n_workers),
     )
     with use_log(log):
         tuner.tune(small_gemm())
@@ -161,17 +161,17 @@ def _tune_telemetry(n_workers: int):
 
 
 class TestCrossProcessMerge:
-    def test_counter_totals_identical_for_any_worker_count(self):
+    def test_counter_totals_identical_for_any_worker_count(self, pool_every_batch):
         serial = _tune_telemetry(n_workers=1)
         pooled = _tune_telemetry(n_workers=4)
         assert serial[0] == pooled[0]  # funnel counts
         assert serial[1] == pooled[1]  # counters (pool bookkeeping excluded)
 
-    def test_worker_spans_merge_with_lanes_and_parents(self):
+    def test_worker_spans_merge_with_lanes_and_parents(self, pool_every_batch):
         obs.enable()
         tuner = Tuner(
             get_hardware("v100"),
-            fast_config(n_workers=2, min_pool_batch=1),
+            fast_config(n_workers=2),
         )
         tuner.tune(small_gemm())
         spans = obs.get_tracer().spans()
@@ -193,11 +193,11 @@ class TestCrossProcessMerge:
 # Chrome trace export
 # ----------------------------------------------------------------------
 class TestChromeTrace:
-    def test_schema_and_worker_lanes(self, tmp_path):
+    def test_schema_and_worker_lanes(self, tmp_path, pool_every_batch):
         obs.enable()
         tuner = Tuner(
             get_hardware("v100"),
-            fast_config(n_workers=2, min_pool_batch=1),
+            fast_config(n_workers=2),
         )
         tuner.tune(small_gemm())
         path = export_chrome_trace(tmp_path / "trace.json")

@@ -700,6 +700,38 @@ class TestCorpusCli:
         assert cli_main(["corpus", "stats", "--corpus", str(corpus), "--check"]) == 1
         assert "problem(s)" in capsys.readouterr().out
 
+    def test_old_manifest_loads_ingests_and_checks(self, tmp_path, capsys):
+        """A manifest recorded before the pool's fault machinery went —
+        with a ``faults`` section and ``eval_timeout_s`` / ``max_retries``
+        / ``fault_plan`` in its ``tuner_config`` (the checked-in CI
+        baseline) — still loads, ingests, passes ``--check``, exports,
+        renders and gates."""
+        baseline = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines" / "ci_baseline.json"
+        data = json.loads(baseline.read_text())
+        assert "faults" in data
+        assert {"eval_timeout_s", "max_retries", "fault_plan"} <= set(data["tuner_config"])
+        run_dir = tmp_path / "old"
+        run_dir.mkdir()
+        (run_dir / "run_old.json").write_text(baseline.read_text())
+
+        [record] = load_runs(run_dir)
+        assert record.run_id == data["run_id"]
+        assert record.latency_us == data["outcome"]["latency_us"]
+        assert not hasattr(record, "faults")
+
+        corpus = str(tmp_path / "corpus")
+        assert cli_main(["corpus", "ingest", str(run_dir), "--corpus", corpus]) == 0
+        assert "1 new run(s)" in capsys.readouterr().out
+        assert cli_main(["corpus", "stats", "--corpus", corpus, "--check"]) == 0
+        assert "store and index consistent" in capsys.readouterr().out
+        csv_path = tmp_path / "rows.csv"
+        assert cli_main(["corpus", "export", "--corpus", corpus, "--csv", str(csv_path)]) == 0
+        assert len(csv_path.read_text().splitlines()) == 2
+        assert cli_main(["report", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "gemm" in out and "fault" not in out
+        assert cli_main(["report", "--compare", corpus, str(run_dir)]) == 0
+
     def test_missing_corpus_is_a_clear_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             cli_main(["corpus", "stats", "--corpus", str(tmp_path / "nope")])
