@@ -34,11 +34,9 @@ Subcommands:
   CSV/JSON exports.
 
 Every tuning entry point accepts ``--run-dir`` (write a RunRecord
-manifest per compile), ``--divergence-rate`` (sample engine results
-back through the scalar oracle), ``--workers N`` (evaluation is
-in-process by default; ``N > 1`` opts into a spawn pool, where a
-raising task or a dead worker fails the command) and ``--quick`` (small
-fixed CI budget).
+manifest per compile), ``--workers N`` (evaluation is in-process by
+default; ``N > 1`` opts into a spawn pool, where a raising task or a
+dead worker fails the command) and ``--quick`` (small fixed CI budget).
 """
 
 from __future__ import annotations
@@ -152,7 +150,6 @@ def _tuner_config(args) -> TunerConfig:
         n_workers=args.workers,
         cache_dir=args.cache_dir,
         run_dir=args.run_dir,
-        divergence_rate=args.divergence_rate,
         **budget,
     )
 
@@ -510,14 +507,6 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="flight-recorder directory; every compile/tune writes a "
         "RunRecord manifest there (see `repro report --compare`)",
-    )
-    p.add_argument(
-        "--divergence-rate",
-        type=_unit_fraction(lo_open=False),
-        default=0.0,
-        metavar="R",
-        help="fraction of engine evaluations re-checked against the "
-        "scalar oracle, in [0, 1] (0 disables the watchdog)",
     )
     p.add_argument(
         "--quick",

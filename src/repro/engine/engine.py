@@ -46,19 +46,17 @@ Observability: every batch opens an ``engine.batch`` span and feeds the
 hit rates and pool utilisation; with the event bus on, these counters
 also stream themselves as ``metric.inc`` events.  Worker-side spans and counters are
 shipped home and merged by the pool (see :mod:`repro.engine.pool`), so
-pooled evaluation appears in the same trace under per-worker lanes.  A
-sampled *divergence watchdog* (``divergence_rate > 0``) re-runs a
-deterministic fraction of evaluated rows through the scalar oracle
-(``predict_latency`` / ``simulate_cycles``) and records parity as
-``engine.divergence.*`` — the bit-identity contract as a continuously
-monitored invariant rather than a test-time claim.
+pooled evaluation appears in the same trace under per-worker lanes.
+The batch evaluators' bit-identity with the scalar oracle
+(``predict_latency`` / ``simulate_cycles`` of the lowered schedule) is
+a test-time contract: the test suite re-checks the rows the engine
+evaluates (``tests/conftest.py``, ``scalar_parity``), not the engine.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import zlib
 from typing import Sequence
 
 import numpy as np
@@ -75,20 +73,16 @@ from repro.ir.compute import ReduceComputation
 from repro.mapping.physical import PhysicalMapping
 from repro.model.batch_model import batch_predict
 from repro.model.hardware_params import HardwareParams
-from repro.model.perf_model import predict_latency
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import span as _obs_span
 from repro.schedule.features import (
     MappingFeatures,
     ScheduleBatch,
     derive_batch,
-    schedules_from_rows,
     take_rows,
 )
-from repro.schedule.lowering import lower_schedule
 from repro.schedule.schedule import Schedule
 from repro.sim.batch_timing import batch_simulate
-from repro.sim.timing import simulate_cycles
 
 __all__ = ["EvaluationEngine", "resolve_workers"]
 
@@ -117,20 +111,11 @@ class EvaluationEngine:
         hardware: HardwareParams,
         n_workers: int | None = 1,
         memo: MemoCache | None = None,
-        divergence_rate: float = 0.0,
     ):
-        if not 0.0 <= divergence_rate <= 1.0:
-            raise ValueError(
-                f"divergence_rate must be in [0, 1], got {divergence_rate}"
-            )
         self.comp = comp
         self.physical = list(physical)
         self.hardware = hardware
         self.n_workers = resolve_workers(n_workers)
-        self.divergence_rate = divergence_rate
-        #: Running watchdog tally (see :meth:`_watchdog_rows`), readable even
-        #: when obs is off.
-        self.divergence_stats = {"checked": 0, "mismatched": 0}
         self.memo = memo if memo is not None else global_memo()
         self.comp_fp = computation_fingerprint(comp)
         self.hw_fp = hardware_fingerprint(hardware)
@@ -324,11 +309,6 @@ class EvaluationEngine:
                 miss_positions, mapping_indices, batch, measure, use_pool
             )
 
-        if self.divergence_rate > 0.0 and miss_positions:
-            self._watchdog_rows(
-                miss_positions, mapping_indices, batch, keys, results, measure
-            )
-
         for pos, (predicted, measured) in zip(miss_positions, results):
             key = keys[pos]
             predictions[pos] = predicted
@@ -342,66 +322,6 @@ class EvaluationEngine:
         predicted_arr = np.array(predictions, dtype=np.float64)
         measured_arr = np.array(measurements, dtype=np.float64) if measure else None
         return predicted_arr, measured_arr
-
-    def _watchdog_rows(
-        self,
-        miss_positions: list[int],
-        mapping_indices: np.ndarray,
-        batch: ScheduleBatch,
-        keys: list[bytes],
-        results: list[tuple[float, float | None]],
-        measure: bool,
-    ) -> None:
-        """Divergence watchdog: re-run a sampled fraction of evaluated
-        rows through the scalar oracle and record parity.
-
-        The batch evaluators are *claimed* bit-identical to the scalar
-        ones; this turns that claim into a continuously monitored
-        invariant.  Sampling is deterministic per candidate (a CRC of the
-        row key against ``divergence_rate``), never drawn from an RNG, so
-        the watchdog cannot perturb exploration and the same candidates
-        are checked on every run.  Only the sampled rows are decoded into
-        :class:`Schedule` objects.  Parity lands in the
-        ``engine.divergence.{checked,mismatched}`` counters (and the
-        engine's ``divergence_stats`` tally, readable with obs off); a
-        mismatch is recorded, not raised — the batch results stand, the
-        flight recorder flags the broken invariant.
-        """
-        threshold = int(self.divergence_rate * 0x100000000)
-        checked = 0
-        mismatched = 0
-        for pos, result in zip(miss_positions, results):
-            if zlib.crc32(keys[pos]) >= threshold:
-                continue
-            checked += 1
-            mi = int(mapping_indices[pos])
-            names = self.features_of(mi).spatial_names
-            (schedule,) = schedules_from_rows(names, batch, [pos])
-            oracle = self._oracle_evaluate(mi, schedule, measure)
-            if oracle != result:
-                mismatched += 1
-                with _obs_span(
-                    "engine.divergence.mismatch",
-                    key=repr(keys[pos]),
-                    batch=list(result),
-                    oracle=list(oracle),
-                ):
-                    pass
-        self.divergence_stats["checked"] += checked
-        self.divergence_stats["mismatched"] += mismatched
-        _obs_metrics.counter("engine.divergence.checked").inc(checked)
-        if mismatched:
-            _obs_metrics.counter("engine.divergence.mismatched").inc(mismatched)
-
-    def _oracle_evaluate(
-        self, mapping_index: int, schedule: Schedule, measure: bool
-    ) -> tuple[float, float | None]:
-        """The scalar oracle: ``predict_latency`` / ``simulate_cycles``
-        of the lowered schedule."""
-        sched = lower_schedule(self.physical[mapping_index], schedule)
-        predicted = predict_latency(sched, self.hardware).total_us
-        measured = simulate_cycles(sched, self.hardware).total_us if measure else None
-        return predicted, measured
 
     # -- batch evaluation -----------------------------------------------
     def features_of(self, mapping_index: int) -> MappingFeatures:

@@ -24,9 +24,9 @@ evaluation results:
   fingerprints plus the candidate's canonical schedule row — the one key
   kind of the evaluation memo;
 * a tuner-config fingerprint covers the exploration *budget* only —
-  execution knobs (``n_workers``, ``cache_dir``, ``run_dir``,
-  ``divergence_rate``) are excluded because they cannot change what the
-  tuner returns, only how fast (or how observed) it runs.  Since the
+  execution knobs (``n_workers``, ``cache_dir``, ``run_dir``) are
+  excluded because they cannot change what the tuner returns, only how
+  fast (or how observed) it runs.  Since the
   digest names its fields explicitly, a field added to or removed from
   ``TunerConfig`` outside the budget leaves every fingerprint, and so
   every compile-cache key, unchanged.
@@ -74,9 +74,20 @@ def computation_fingerprint(comp: ReduceComputation) -> str:
 
 
 def hardware_fingerprint(hw: HardwareParams) -> str:
-    """Digest over every parameter field (not just the device name)."""
+    """Digest over every parameter field (not just the device name).
+
+    Memoized on the (frozen) parameter set like
+    :func:`computation_fingerprint`: every compile and compile-cache
+    lookup keys by it.  ``with_overrides`` builds a new object, so a
+    variant never inherits its parent's digest.
+    """
+    cached = hw.__dict__.get("_fingerprint")
+    if cached is not None:
+        return cached
     items = sorted(dataclasses.asdict(hw).items())
-    return _digest("|".join(f"{k}={v}" for k, v in items))
+    digest = _digest("|".join(f"{k}={v}" for k, v in items))
+    object.__setattr__(hw, "_fingerprint", digest)
+    return digest
 
 
 def mapping_fingerprint(pm: PhysicalMapping) -> str:

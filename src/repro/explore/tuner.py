@@ -80,15 +80,12 @@ class TunerConfig:
     evaluation path: the population is a
     :class:`~repro.schedule.features.ScheduleBatch` scored by the
     engine's batch evaluators, and the scalar ``predict_latency`` /
-    ``simulate_cycles`` remain only as the oracle the watchdog and the
-    tests check it against.
+    ``simulate_cycles`` remain only as the oracle the tests check it
+    against.
 
-    ``run_dir`` / ``divergence_rate`` are flight-recorder knobs (also
-    execution-only, excluded from the budget fingerprint): ``run_dir``
-    makes every compile/tune write a :class:`~repro.obs.runlog.RunRecord`
-    manifest there; ``divergence_rate`` samples that fraction of the
-    engine's evaluations back through the scalar oracle and records
-    parity as ``engine.divergence.*`` metrics.
+    ``run_dir`` is the flight-recorder knob (also execution-only,
+    excluded from the budget fingerprint): it makes every compile/tune
+    write a :class:`~repro.obs.runlog.RunRecord` manifest there.
     """
 
     population: int = 32
@@ -104,7 +101,6 @@ class TunerConfig:
     n_workers: int | None = 1
     cache_dir: str | None = None
     run_dir: str | None = None
-    divergence_rate: float = 0.0
 
 
 @dataclass
@@ -184,7 +180,6 @@ class Tuner:
             physical,
             self.hardware,
             n_workers=self.config.n_workers,
-            divergence_rate=self.config.divergence_rate,
         )
 
     def _prefilter_indices(

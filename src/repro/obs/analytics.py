@@ -398,7 +398,6 @@ def corpus_rows(
             "compile_cache_hits": run.cache.get("compile_cache_hits", 0.0),
             "compile_cache_misses": run.cache.get("compile_cache_misses", 0.0),
             "pool_tasks": run.cache.get("pool_tasks", 0.0),
-            "divergence_mismatched": run.divergence.get("mismatched", 0.0),
             "health_warnings": sum(run.health.values()),
             "critical_phase": (
                 run.critical_path[-1]["name"] if run.critical_path else ""

@@ -72,8 +72,8 @@ EVENT_TYPES: dict[str, tuple[str, ...]] = {
     # Genetic-search convergence, one per generation.
     "ga.generation": ("generation", "best_fitness", "mean_fitness", "population"),
     # One per increment of a streamed counter (engine.* / obs.health.*):
-    # memo and compile-cache hits/misses, divergence checks, pool
-    # dispatch, health-detector fires.
+    # memo and compile-cache hits/misses, pool dispatch, health-detector
+    # fires.
     "metric.inc": ("name", "amount"),
     # Health-monitor detections.
     "health.warning": ("detector", "message"),

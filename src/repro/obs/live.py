@@ -8,7 +8,7 @@ Everything here consumes the event bus (:mod:`repro.obs.events`):
   :func:`load_events` resynchronises past torn lines instead of dying.
 * :class:`HealthMonitor` — pure, replayable detectors over the event
   stream: no-progress intervals, fitness stagnation over k generations,
-  cache-hit-rate collapse after warm-up, divergence-watchdog spikes.
+  cache-hit-rate collapse after warm-up.
   :func:`attach_health_monitor` wires one to the live bus, republishing
   detections as ``health.warning`` events and ``obs.health.*`` counters
   (which the flight recorder folds into the run manifest).
@@ -19,7 +19,7 @@ Everything here consumes the event bus (:mod:`repro.obs.events`):
 
 Counted facts reach the stream only as ``metric.inc`` events published
 by ``Counter.inc`` itself.  :class:`WatchState` sums them per counter
-name and derives its cache/divergence/health sections through
+name and derives its cache/health sections through
 :func:`repro.obs.runlog.counter_sections` — the function the manifest
 uses — so a finished stream and its manifest agree by definition.
 """
@@ -195,8 +195,7 @@ class HealthConfig:
     search is flagged stagnant.  Cache collapse: once the rolling hit
     rate over the last ``cache_window`` engine batches has ever reached
     ``cache_warm_rate``, dropping below ``cache_collapse_rate`` flags a
-    collapse (a cold start is not a collapse).  Any divergence-watchdog
-    mismatch is flagged immediately.
+    collapse (a cold start is not a collapse).
     """
 
     no_progress_s: float = 30.0
@@ -218,12 +217,11 @@ class HealthMonitor:
     condition clears, so a render loop polling every second does not
     emit a warning per tick.
 
-    The cache and divergence detectors read ``metric.inc`` records.  The
-    engine increments ``engine.cache.hit`` then ``engine.cache.miss``
-    once per batch (zero amounts included), so each miss record closes
-    one batch of the cache window; ``engine.divergence.checked`` precedes
-    any ``engine.divergence.mismatched`` of the same batch.  The
-    detectors' own ``obs.health.*`` records are ignored.
+    The cache detector reads ``metric.inc`` records.  The engine
+    increments ``engine.cache.hit`` then ``engine.cache.miss`` once per
+    batch (zero amounts included), so each miss record closes one batch
+    of the cache window.  The detectors' own ``obs.health.*`` records,
+    and counters no detector reads (old streams hold some), are ignored.
     """
 
     #: Event types that never count as (or affect) health signals.
@@ -237,7 +235,6 @@ class HealthMonitor:
             maxlen=self.config.cache_window
         )
         self._batch_hits = 0.0
-        self._last_checked = 0.0
         self._best_rate = 0.0
         self._latched: set[str] = set()
         self.warnings: list[dict[str, Any]] = []
@@ -276,17 +273,6 @@ class HealthMonitor:
         elif name == "engine.cache.miss":
             fired.extend(self._observe_batch(self._batch_hits, float(amount)))
             self._batch_hits = 0.0
-        elif name == "engine.divergence.checked":
-            self._last_checked = amount
-        elif name == "engine.divergence.mismatched" and amount > 0:
-            fired.append(
-                self._warn(
-                    "divergence",
-                    f"{amount} batch/scalar mismatch(es) "
-                    f"in {self._last_checked} checked evaluations",
-                    mismatched=amount,
-                )
-            )
         self.warnings.extend(fired)
         return fired
 
@@ -410,10 +396,9 @@ class WatchState:
 
     ``counters`` sums the stream's ``metric.inc`` events per counter
     name; :meth:`sections` maps them to the manifest's ``cache`` /
-    ``divergence`` / ``health`` sections with the manifest's
-    own function, and ``funnel`` sums the ``funnel.stage`` counts the
-    manifest's funnel holds, so a finished stream and its run manifest
-    agree to the digit.
+    ``health`` sections with the manifest's own function, and ``funnel``
+    sums the ``funnel.stage`` counts the manifest's funnel holds, so a
+    finished stream and its run manifest agree to the digit.
     """
 
     run_id: str = ""
@@ -602,12 +587,6 @@ def render_dashboard(state: WatchState, now_wall: float | None = None) -> str:
         )
     if state.lanes:
         lines.append(f"  pool lanes seen: {len(state.lanes)}")
-    divergence = sections["divergence"]
-    if divergence["checked"]:
-        lines.append(
-            f"  divergence watchdog: {_fmt_count(divergence['mismatched'])} "
-            f"mismatch(es) in {_fmt_count(divergence['checked'])} checked"
-        )
 
     lines.append("")
     lines.append("-- health --")

@@ -34,7 +34,7 @@ __all__ = [
 
 
 #: Counter-name prefixes whose increments are streamed as ``metric.inc``
-#: events: the engine's cache/divergence/pool counts and the health
+#: events: the engine's cache and pool counts and the health
 #: detectors' fire counts — exactly what the manifest's counter sections
 #: and the live view fold (see :func:`repro.obs.runlog.counter_sections`).
 STREAMED_PREFIXES = ("engine.", "obs.health.")

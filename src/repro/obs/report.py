@@ -111,7 +111,7 @@ def _model_quality_section(quality: dict[str, float]) -> list[str]:
 
 
 def _engine_section(record: RunRecord, skipped_lines: float) -> list[str]:
-    """Cache, pool and watchdog behaviour from the manifest's counter
+    """Cache and pool behaviour from the manifest's counter
     sections; compile-cache damage from the event stream."""
     cache = record.cache
 
@@ -142,13 +142,6 @@ def _engine_section(record: RunRecord, skipped_lines: float) -> list[str]:
         lines.append(
             f"  pool batches:            {int(batches)} "
             f"(mean {tasks / batches:.1f} tasks/batch)"
-        )
-    checked = record.divergence.get("checked", 0.0)
-    if checked:
-        mismatched = record.divergence.get("mismatched", 0.0)
-        lines.append(
-            f"  divergence watchdog:     {int(mismatched)} mismatch(es) "
-            f"in {int(checked)} sampled re-evaluations"
         )
     if skipped_lines:
         lines.append(

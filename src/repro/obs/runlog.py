@@ -68,8 +68,8 @@ class RunRecord:
 
     Field groups map to the paper's signals: ``funnel`` is the Sec 5.3 /
     Table 6 mapping funnel, ``model_quality`` the Fig 5 rank-accuracy
-    numbers, ``phases`` the per-stage wall-time split, ``cache`` /
-    ``divergence`` the engine behaviour introduced by the perf PRs.
+    numbers, ``phases`` the per-stage wall-time split, ``cache`` the
+    engine's memo, compile-cache and pool counts.
     """
 
     run_id: str = ""
@@ -85,13 +85,12 @@ class RunRecord:
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
     funnel: dict[str, int] = field(default_factory=dict)
     cache: dict[str, float] = field(default_factory=dict)
-    divergence: dict[str, float] = field(default_factory=dict)
     #: ``obs.health.*`` counter deltas (detector name -> fire count) from
     #: the live health monitor; empty on healthy runs and when the event
     #: bus was off.  Additive to the schema: old loaders ignore it, old
-    #: manifests default to {}.  (Manifests from before the pool stopped
-    #: recovering from faults carry a ``faults`` section; ``from_dict``
-    #: drops it like any unknown key.)
+    #: manifests default to {}.  (Older manifests carry sections this
+    #: record no longer has, such as ``faults``; ``from_dict`` drops them
+    #: like any unknown key.)
     health: dict[str, float] = field(default_factory=dict)
     #: Heaviest-child chain through the run's merged span tree (see
     #: :func:`repro.obs.trace.critical_path`): the stages that bound this
@@ -213,8 +212,8 @@ def counter_sections(counters: dict[str, float]) -> dict[str, dict[str, float]]:
     recorder passes registry diffs; the live view
     (:class:`repro.obs.live.WatchState`) passes the sum of the stream's
     ``metric.inc`` events — one mapping, so a finished stream and its
-    manifest agree by definition.  Returns ``cache``, ``divergence`` and
-    ``health`` (the last holds non-zero counters only).
+    manifest agree by definition.  Returns ``cache`` and ``health`` (the
+    latter holds non-zero counters only).
     """
 
     def prefixed(prefix: str) -> dict[str, float]:
@@ -228,10 +227,6 @@ def counter_sections(counters: dict[str, float]) -> dict[str, dict[str, float]]:
         "cache": {
             label: counters.get(metric, 0.0)
             for label, metric in _CACHE_COUNTERS.items()
-        },
-        "divergence": {
-            "checked": counters.get("engine.divergence.checked", 0.0),
-            "mismatched": counters.get("engine.divergence.mismatched", 0.0),
         },
         "health": prefixed("obs.health."),
     }
@@ -552,17 +547,6 @@ def compare_runs(
                 base_acc - cur_acc,
                 thresholds.max_accuracy_drop,
                 comparison,
-            )
-        if cur.divergence.get("mismatched"):
-            regressions.append(
-                {
-                    "metric": "divergence",
-                    "where": label,
-                    "baseline": 0.0,
-                    "current": cur.divergence["mismatched"],
-                    "drift": cur.divergence["mismatched"],
-                    "limit": 0.0,
-                }
             )
         comparisons.append(comparison)
     return {

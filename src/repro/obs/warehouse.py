@@ -152,8 +152,6 @@ def _summarise_events(events: list[dict[str, Any]], stream: str) -> dict[str, An
         "compile_cache": compile_cache,
         "generations": len(state.generations),
         "lanes": sorted(state.lanes),
-        "divergence_checked": sections["divergence"]["checked"],
-        "divergence_mismatched": sections["divergence"]["mismatched"],
         "warnings": [w.get("detector", "?") for w in state.warnings],
     }
 

@@ -297,7 +297,7 @@ def schedules_from_rows(
 ) -> list[Schedule]:
     """Materialize :class:`Schedule` objects from batch rows (canonical
     full-split form) — the trial-boundary decode of the array-native
-    loop, and the scalar-oracle decode of the divergence watchdog."""
+    loop, and the scalar-oracle decode of the tests' parity check."""
     rows = range(len(batch)) if indices is None else indices
     return [
         Schedule(

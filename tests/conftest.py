@@ -1,11 +1,19 @@
 """Shared fixtures: small operator computations used across mapping tests,
-and a switch that sends every engine batch of an opted-in pool to it."""
+a switch that sends every engine batch of an opted-in pool to it, and
+the batch-versus-scalar parity check of the engine's evaluated rows."""
+
+import zlib
+from dataclasses import dataclass, field
 
 import pytest
 
 import repro.engine.engine as engine_mod
 from repro.ir import Tensor, compute, reduce_axis, spatial_axis
 from repro.isa import get_intrinsic
+from repro.model.perf_model import predict_latency
+from repro.schedule.features import schedules_from_rows
+from repro.schedule.lowering import lower_schedule
+from repro.sim.timing import simulate_cycles
 
 
 @pytest.fixture
@@ -18,6 +26,63 @@ def pool_every_batch(monkeypatch):
     """With ``n_workers > 1``, evaluate every miss batch on the pool,
     however small (``n_workers=1`` stays in-process)."""
     monkeypatch.setattr(engine_mod, "MIN_POOL_BATCH", 1)
+
+
+@dataclass
+class ParityTally:
+    """Rows :func:`scalar_parity` re-checked, and every disagreement as
+    ``(row key, engine result, oracle result)``."""
+
+    checked: int = 0
+    mismatches: list = field(default_factory=list)
+
+
+@pytest.fixture
+def scalar_parity(monkeypatch):
+    """Re-check the rows the engine evaluates against the scalar oracle.
+
+    ``scalar_parity(rate)`` wraps ``EvaluationEngine._eval_grouped`` for
+    the rest of the test, so inline and pooled batches are both seen.
+    A row is sampled when the ``zlib.crc32`` of its memo key is below
+    ``rate * 2**32``: deterministic per candidate, so a tune samples the
+    same rows on every run.  Each sampled row is decoded, lowered and run
+    through ``predict_latency`` (and ``simulate_cycles`` when the batch
+    measures); the pair must equal the engine's result exactly.
+    Returns the :class:`ParityTally`; calling again restarts it.
+    """
+    evaluate = engine_mod.EvaluationEngine._eval_grouped
+
+    def install(rate: float = 1.0) -> ParityTally:
+        tally = ParityTally()
+        threshold = int(rate * 0x100000000)
+
+        def checked(self, miss_positions, mapping_indices, batch, measure, use_pool):
+            results = evaluate(
+                self, miss_positions, mapping_indices, batch, measure, use_pool
+            )
+            keys = self.row_keys(mapping_indices, batch)
+            for pos, result in zip(miss_positions, results):
+                if zlib.crc32(keys[pos]) >= threshold:
+                    continue
+                mi = int(mapping_indices[pos])
+                names = self.features_of(mi).spatial_names
+                (schedule,) = schedules_from_rows(names, batch, [pos])
+                lowered = lower_schedule(self.physical[mi], schedule)
+                oracle = (
+                    predict_latency(lowered, self.hardware).total_us,
+                    simulate_cycles(lowered, self.hardware).total_us
+                    if measure
+                    else None,
+                )
+                tally.checked += 1
+                if oracle != result:
+                    tally.mismatches.append((keys[pos], result, oracle))
+            return results
+
+        monkeypatch.setattr(engine_mod.EvaluationEngine, "_eval_grouped", checked)
+        return tally
+
+    return install
 
 
 def make_small_conv2d(n=1, c=3, k=4, p=5, q=5, r=3, s=3, stride=1):

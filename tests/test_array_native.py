@@ -19,8 +19,9 @@ end:
   mapping, schedule, trial count, a digest of every trial) recorded
   before the object paths were removed, on three devices at
   n_workers 1 and 4, with pinned cache counters;
-* the divergence watchdog finds zero batch-vs-scalar mismatches and
-  checks a pinned number of candidates per rate;
+* the ``scalar_parity`` fixture (``conftest.py``) finds zero
+  batch-vs-scalar mismatches in the rows the engine evaluates, inline
+  and pooled, and samples a pinned number of candidates per rate;
 * property-based: every row produced by the vectorized ``sample_columns``
   / ``mutate_columns`` decodes to a schedule the space ``accepts``, on
   every registered device's intrinsics.
@@ -311,25 +312,19 @@ class TestEngineRowPath:
         assert inline[0].tolist() == pooled[0].tolist()
         assert inline[1].tolist() == pooled[1].tolist()
 
-    def test_row_watchdog_zero_mismatches(self):
-        """Full-rate divergence watchdog: every evaluated row re-checked
-        through the scalar oracle, zero mismatches."""
+    def test_row_watchdog_zero_mismatches(self, scalar_parity):
+        """Every evaluated row re-checked through the scalar oracle, zero
+        mismatches."""
         hw, comp, physical, _, _ = _ga_context()
         items = self._items(hw, comp, physical, count=8)
-        obs.enable()
+        parity = scalar_parity(1.0)
         with EvaluationEngine(
-            comp,
-            physical,
-            hw,
-            n_workers=1,
-            memo=MemoCache(),
-            divergence_rate=1.0,
+            comp, physical, hw, n_workers=1, memo=MemoCache()
         ) as engine:
             mi_arr, batch = engine.encode_rows(items)
             engine.measure_rows(mi_arr, batch)
-        registry = obs.get_registry()
-        assert registry.counter("engine.divergence.checked").value == len(items)
-        assert registry.counter("engine.divergence.mismatched").value == 0.0
+        assert parity.checked == len(items)
+        assert parity.mismatches == []
 
 
 # ----------------------------------------------------------------------
@@ -416,9 +411,10 @@ def _tune(hw_name, params, **overrides):
     )
 
 
-#: Candidates the divergence watchdog checks in a v100 tune at the QUICK
+#: Candidates ``scalar_parity`` checks in a v100 tune at the QUICK
 #: budget, per sampling rate (the crc32 sample of the row keys is
-#: deterministic, so the count is too).
+#: deterministic, so the count is too; the runtime check it replaced
+#: sampled by the same rule and counted the same).
 WATCHDOG_CHECKED = {0.0: 0, 0.25: 14, 1.0: 35}
 
 
@@ -441,7 +437,7 @@ class TestTunerGaArrays:
     reproduce the results recorded while the object GA ran beside it.
     The pool is the one execution knob left: inline and pooled engines
     (every batch on the pool) give the same answer, counters and
-    watchdog sample."""
+    scalar-parity sample."""
 
     @pytest.mark.parametrize("hw_name,params", DEVICES)
     def test_identity_on_three_devices(self, hw_name, params):
@@ -475,18 +471,14 @@ class TestTunerGaArrays:
         assert counters[1] == counters[4] == (4, 35, 19, 20)
 
     @pytest.mark.parametrize("rate", sorted(WATCHDOG_CHECKED))
-    def test_watchdog_parity_across_modes(self, rate):
-        """Inline and pooled, the watchdog checks the same pinned number
-        of candidates at each rate and never mismatches."""
+    def test_watchdog_parity_across_modes(self, rate, scalar_parity):
+        """Inline and pooled, the parity check samples the same pinned
+        number of candidates at each rate and never mismatches."""
         for n_workers in (1, 4):
-            obs.reset()
-            obs.enable()
-            _tune("v100", DEVICES[0][1], divergence_rate=rate, n_workers=n_workers)
-            registry = obs.get_registry()
-            checked = registry.counter("engine.divergence.checked").value
-            assert checked == WATCHDOG_CHECKED[rate], n_workers
-            assert registry.counter("engine.divergence.mismatched").value == 0.0
-            obs.disable()
+            parity = scalar_parity(rate)
+            _tune("v100", DEVICES[0][1], n_workers=n_workers)
+            assert parity.checked == WATCHDOG_CHECKED[rate], n_workers
+            assert parity.mismatches == [], n_workers
 
 
 # ----------------------------------------------------------------------

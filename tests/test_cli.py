@@ -91,14 +91,15 @@ class TestTuningFlagBounds:
             ("--workers", "0", "below the minimum 1"),
             ("--workers", "-2", "below the minimum 1"),
             ("--workers", "two", "not an integer"),
-            ("--divergence-rate", "2", "not in [0, 1]"),
-            ("--divergence-rate", "-0.1", "not in [0, 1]"),
-            # The pool's retry budget and batch deadline are gone: any
-            # value is a usage error.  (The ids are the ones these cases
-            # had when the flags checked their bounds.)
+            # The runtime divergence check, the pool's retry budget and
+            # its batch deadline are gone: any value is a usage error.
+            # (The ids are the ones these cases had when the flags
+            # checked their bounds.)
             *(
                 pytest.param(flag, value, f"unrecognized arguments: {flag}", id=case)
                 for flag, value, case in (
+                    ("--divergence-rate", "2", "--divergence-rate-2-not in [0, 1]"),
+                    ("--divergence-rate", "-0.1", "--divergence-rate--0.1-not in [0, 1]"),
                     ("--max-retries", "-1", "--max-retries--1-below the minimum 0"),
                     ("--eval-timeout", "0", "--eval-timeout-0-not a positive finite number"),
                     ("--eval-timeout", "-1", "--eval-timeout--1-not a positive finite number"),
@@ -121,9 +122,9 @@ class TestTuningFlagBounds:
     def test_execution_flag_bounds_inclusive(self):
         args = build_parser().parse_args([
             "compile", "GMM", "--params", "m=64", "n=64", "k=64",
-            "--workers", "1", "--divergence-rate", "1.0",
+            "--workers", "1",
         ])
-        assert (args.workers, args.divergence_rate) == (1, 1.0)
+        assert args.workers == 1
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -7,6 +7,7 @@ cache state is ignored rather than served.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -32,7 +33,7 @@ from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
-from repro.model import get_hardware
+from repro.model import get_hardware, list_hardware
 from repro.obs.explore_log import ExploreLog, use_log
 from repro.schedule.schedule import Schedule
 from repro.schedule.space import ScheduleSpace, default_schedule
@@ -83,6 +84,27 @@ class TestFingerprints:
         # still tell them apart.
         assert hardware_fingerprint(hw) != hardware_fingerprint(variant)
 
+    def test_hardware_fingerprint_memo_equals_fresh_digest(self):
+        """The digest memoized on the frozen parameter set is the one the
+        unmemoized function computed, so existing compile caches still
+        hit; a ``with_overrides`` variant of a memoized device gets its
+        own digest."""
+
+        def fresh(hw):
+            items = sorted(dataclasses.asdict(hw).items())
+            text = "|".join(f"{k}={v}" for k, v in items)
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        for name in list_hardware():
+            hw = get_hardware(name)
+            assert hardware_fingerprint(hw) == fresh(hw), name
+            assert hw.__dict__["_fingerprint"] == fresh(hw), name
+            variant = hw.with_overrides(clock_ghz=hw.clock_ghz * 2)
+            assert hardware_fingerprint(variant) == fresh(variant), name
+            assert hardware_fingerprint(variant) != hardware_fingerprint(hw), name
+        # Recorded before the digest was memoized.
+        assert hardware_fingerprint(get_hardware("v100")) == "8f4c3b9e2a2e30f4"
+
     def test_mapping_fingerprints_distinct_per_mapping(self):
         _, physical = small_physical()
         fps = {mapping_fingerprint(pm) for pm in physical}
@@ -90,7 +112,7 @@ class TestFingerprints:
 
     def test_config_fingerprint_ignores_execution_knobs(self):
         base = TunerConfig(seed=3)
-        same = TunerConfig(seed=3, n_workers=7, cache_dir="/x", divergence_rate=1.0)
+        same = TunerConfig(seed=3, n_workers=7, cache_dir="/x", run_dir="/y")
         other = TunerConfig(seed=4)
         assert tuner_config_fingerprint(base) == tuner_config_fingerprint(same)
         assert tuner_config_fingerprint(base) != tuner_config_fingerprint(other)
@@ -103,7 +125,7 @@ class TestFingerprints:
 
         assert tuner_config_fingerprint(TunerConfig()) == "b3dabc654a7d2936"
         # The --quick budget the CI baseline manifest was recorded with.
-        quick = TunerConfig(**QUICK_BUDGET, divergence_rate=1.0)
+        quick = TunerConfig(**QUICK_BUDGET)
         assert tuner_config_fingerprint(quick) == "8782b0a2866a4d1f"
 
 

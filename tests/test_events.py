@@ -12,9 +12,11 @@ Covers these contracts:
 * events round-trip through the crash-safe JSONL sink (torn tail lines
   are skipped, not fatal) and ``watch`` follows a growing stream;
 * tunes with the bus on yield streams whose funnel and counter sections
-  (cache, compile cache, divergence, health) exactly match the
-  run manifests, and ``repro watch --once --validate`` renders them with
-  exit 0;
+  (cache, compile cache, health) exactly match the run manifests, and
+  ``repro watch --once --validate`` renders them with exit 0; the
+  ``engine.divergence.*`` records of streams recorded before the runtime
+  divergence check went fold into no section, detector or dashboard
+  line;
 * the structured logger filters by level (explicit > REPRO_LOG_LEVEL >
   WARNING), rate-limits repeats, attaches run/span correlation, and
   republishes WARNING+ records on the bus;
@@ -227,11 +229,12 @@ class TestEventBus:
         ]
 
     def test_counters_stream_with_tracing_off(self, pool_every_batch):
-        """A pooled tune with only the bus on still streams its memo-cache,
-        divergence and pool counts, and no fault counters."""
+        """A pooled tune with only the bus on still streams its memo-cache
+        and pool counts, and no fault or divergence counters; an old
+        stream's divergence counts change no section."""
         events_mod.enable_events()
         seen = collect_bus()
-        config = fast_config(n_workers=2, divergence_rate=1.0)
+        config = fast_config(n_workers=2)
         Tuner(get_hardware("v100"), config).tune(small_gemm())
         assert not obs.enabled()
         totals: dict[str, float] = {}
@@ -240,9 +243,19 @@ class TestEventBus:
                 name = event["data"]["name"]
                 totals[name] = totals.get(name, 0.0) + event["data"]["amount"]
         assert totals["engine.cache.miss"] > 0
-        assert totals["engine.divergence.checked"] > 0
         assert totals["engine.pool.batches"] >= 1
-        assert not [name for name in totals if name.startswith("engine.fault.")]
+        assert not [
+            name
+            for name in totals
+            if name.startswith(("engine.fault.", "engine.divergence."))
+        ]
+        old = [
+            _inc("engine.divergence.checked", 35),
+            _inc("engine.divergence.mismatched", 1),
+        ]
+        sections = WatchState().apply_all(seen).sections()
+        assert WatchState().apply_all(seen + old).sections() == sections
+        assert set(sections) == {"cache", "health"}
 
 
 # ----------------------------------------------------------------------
@@ -520,11 +533,12 @@ class TestHealthMonitor:
         assert [w["detector"] for w in fired] == ["cache_collapse"]
 
     def test_divergence_spike_warns(self):
+        """The divergence detector went with the runtime check: an old
+        stream's mismatch records fire nothing."""
         monitor = HealthMonitor()
         assert monitor.observe(_inc("engine.divergence.checked", 10)) == []
-        fired = monitor.observe(_inc("engine.divergence.mismatched", 2))
-        assert [w["detector"] for w in fired] == ["divergence"]
-        assert fired[0]["message"] == "2 batch/scalar mismatch(es) in 10 checked evaluations"
+        assert monitor.observe(_inc("engine.divergence.mismatched", 2)) == []
+        assert monitor.warnings == []
 
     def test_bus_attached_monitor_republishes_and_counts(self):
         events_mod.enable_events()
@@ -636,14 +650,16 @@ class TestLiveAcceptance:
     def test_live_tune_stream_matches_manifest_and_watch_renders(
         self, tmp_path, capsys, pool_every_batch
     ):
-        """Every run's stream folds to its manifest: a pooled compile with
-        the divergence watchdog on every row (compile-cache miss), the
-        same compile again (compile-cache hit), and a tune with every
-        batch on the pool.  No manifest has a ``faults`` section."""
+        """Every run's stream folds to its manifest: a pooled compile
+        (compile-cache miss), the same compile again (compile-cache hit),
+        and a tune with every batch on the pool.  No manifest has a
+        ``faults`` or ``divergence`` section, and an old stream's
+        divergence records change neither the sections nor the
+        dashboard."""
         run_dir = tmp_path / "runs"
         argv = [
             "compile", "GMM", "--hardware", "v100", "--quick", "--quiet",
-            "--workers", "2", "--divergence-rate", "1.0",
+            "--workers", "2",
             "--params", "m=64", "n=64", "k=64",
             "--cache-dir", str(tmp_path / "cache"),
             "--run-dir", str(run_dir), "--live",
@@ -689,24 +705,34 @@ class TestLiveAcceptance:
             assert _nonzero(state.funnel) == _nonzero(manifest.funnel)
             assert state.sections() == {
                 "cache": manifest.cache,
-                "divergence": manifest.divergence,
                 "health": manifest.health,
             }
             assert state.ended is not None and state.ended["status"] == "ok"
         miss_run, hit_run, pooled_run = sorted(runs, key=lambda r: r.kind == "tune")
         miss_state = WatchState().apply_all(by_run[miss_run.run_id])
         assert miss_state.funnel == miss_run.funnel  # every stage reached
-        assert miss_run.divergence["checked"] > 0
         assert miss_run.cache["compile_cache_misses"] == 1
         assert hit_run.cache["compile_cache_hits"] == 1
         assert pooled_run.cache["pool_batches"] >= 1
         for path in run_dir.glob("run_*.json"):
-            assert "faults" not in json.loads(path.read_text())
+            manifest = json.loads(path.read_text())
+            assert "faults" not in manifest and "divergence" not in manifest
 
         dashboard = render_dashboard(WatchState().apply_all(events))
         assert "gemm on v100" in dashboard
         assert "mapping funnel" in dashboard
-        assert "divergence watchdog: 0 mismatch(es)" in dashboard
+        assert "divergence" not in dashboard
+        old_state = WatchState().apply_all(
+            events[:-1]
+            + [
+                _inc("engine.divergence.checked", 35),
+                _inc("engine.divergence.mismatched", 1),
+            ]
+            + events[-1:]
+        )
+        assert old_state.sections() == miss_state.sections()
+        assert old_state.warnings == []
+        assert "divergence" not in render_dashboard(old_state)
 
         code = cli_main(["watch", str(streams[0]), "--once", "--validate"])
         assert code == 0

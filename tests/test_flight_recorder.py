@@ -10,8 +10,10 @@ Covers the PR's contracts end to end:
 * ``RunRecord`` manifests round-trip and match the in-process ExploreLog;
 * ``compare_runs`` / ``repro report --compare`` flag injected latency
   regressions (non-zero exit) and pass identical runs (zero exit);
-* the divergence watchdog finds zero batch-vs-scalar mismatches on every
-  registered device.
+* the ``scalar_parity`` fixture finds zero batch-vs-scalar mismatches
+  on every registered device, and the engine has no runtime
+  ``divergence_rate`` check left; an old manifest's ``divergence``
+  section is dropped on load and never gates.
 """
 
 import json
@@ -306,7 +308,7 @@ class TestRunRecord:
 # ----------------------------------------------------------------------
 # Regression comparison
 # ----------------------------------------------------------------------
-def _run(latency=10.0, cps=100.0, accuracy=0.9, mismatched=0.0, **kw) -> RunRecord:
+def _run(latency=10.0, cps=100.0, accuracy=0.9, **kw) -> RunRecord:
     return RunRecord(
         run_id=kw.get("run_id", "r1"),
         created_at=kw.get("created_at", "2026-01-01T00:00:00"),
@@ -316,7 +318,6 @@ def _run(latency=10.0, cps=100.0, accuracy=0.9, mismatched=0.0, **kw) -> RunReco
         outcome={"latency_us": latency},
         candidates_per_sec=cps,
         model_quality={"pairwise_accuracy": accuracy},
-        divergence={"checked": 10.0, "mismatched": mismatched},
     )
 
 
@@ -350,9 +351,18 @@ class TestCompareRuns:
         report = compare_runs([_run(accuracy=0.9)], [_run(accuracy=0.8)])
         assert [r["metric"] for r in report["regressions"]] == ["accuracy"]
 
-    def test_divergence_mismatch_always_flagged(self):
-        report = compare_runs([_run()], [_run(mismatched=1.0)])
-        assert [r["metric"] for r in report["regressions"]] == ["divergence"]
+    def test_divergence_mismatch_always_flagged(self, tmp_path):
+        """A manifest recorded while the runtime divergence check existed
+        may report a mismatch; the section is dropped on load, so it
+        neither gates nor shows in the comparison."""
+        old = _run().to_dict()
+        old["divergence"] = {"checked": 10.0, "mismatched": 1.0}
+        (tmp_path / "run_old.json").write_text(json.dumps(old))
+        [current] = load_runs(tmp_path)
+        assert "divergence" not in current.to_dict()
+        report = compare_runs([_run()], [current])
+        assert report["regressions"] == []
+        assert "divergence" not in render_comparison(report)
 
     def test_unmatched_series_is_not_a_regression(self):
         report = compare_runs([_run()], [_run(operator="conv")])
@@ -427,38 +437,35 @@ class TestCompareCli:
 
 
 # ----------------------------------------------------------------------
-# Divergence watchdog
+# Batch-versus-scalar parity (the test-time check that replaced the
+# runtime divergence watchdog)
 # ----------------------------------------------------------------------
 class TestDivergenceWatchdog:
     def test_rate_validation(self):
+        """The engine no longer takes a ``divergence_rate``, nor does the
+        tuner's config carry one: parity is checked by the tests."""
         comp = small_gemm()
         tuner = Tuner(get_hardware("v100"), FAST)
         physical = tuner.candidate_mappings(comp)
-        with pytest.raises(ValueError, match="divergence_rate"):
+        with pytest.raises(TypeError, match="divergence_rate"):
             EvaluationEngine(
-                comp, physical, get_hardware("v100"), divergence_rate=1.5
+                comp, physical, get_hardware("v100"), divergence_rate=1.0
             )
+        with pytest.raises(TypeError, match="divergence_rate"):
+            TunerConfig(divergence_rate=1.0)
 
-    def test_zero_mismatches_on_every_target(self):
-        """Full-rate watchdog over every registered device: the batch
-        evaluators must agree exactly with the scalar oracle."""
+    def test_zero_mismatches_on_every_target(self, scalar_parity):
+        """Every evaluated row of a tune on every registered device: the
+        batch evaluators must agree exactly with the scalar oracle."""
         comp = small_gemm()
-        checked_anywhere = 0.0
+        checked_anywhere = 0
         for name in list_hardware():
-            tuner = Tuner(
-                get_hardware(name),
-                fast_config(n_workers=1, divergence_rate=1.0),
-            )
+            tuner = Tuner(get_hardware(name), fast_config(n_workers=1))
             if not tuner.candidate_mappings(comp):
                 continue  # target cannot map a gemm; nothing to check
-            obs.reset()
             reset_global_memo()
-            obs.enable()
+            parity = scalar_parity(1.0)
             tuner.tune(comp)
-            registry = obs.get_registry()
-            checked = registry.counter("engine.divergence.checked").value
-            mismatched = registry.counter("engine.divergence.mismatched").value
-            obs.disable()
-            assert mismatched == 0.0, f"batch/scalar divergence on {name}"
-            checked_anywhere += checked
+            assert parity.mismatches == [], f"batch/scalar divergence on {name}"
+            checked_anywhere += parity.checked
         assert checked_anywhere > 0

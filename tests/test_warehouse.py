@@ -10,7 +10,9 @@ Covers the PR's contracts:
   one O(corpus) scan that does flag it);
 * crash recovery — a missing/stale/corrupt index rebuilds from the
   store, a torn final line is skipped and resynchronised past;
-* event streams next to the manifests are digested per run id;
+* event streams next to the manifests are digested per run id, and an
+  old stream's ``engine.divergence.*`` records (the runtime divergence
+  check is gone) fire no warning and still validate, ingest and check;
 * ``compare_runs_with_history`` reproduces the pairwise verdict at
   ``history=1`` and flags a 3-run monotone drift the pairwise gate
   misses (the acceptance scenario, synthetic corpora);
@@ -24,6 +26,7 @@ Covers the PR's contracts:
   ``report --compare --history N`` gates through the warehouse.
 """
 
+import dataclasses
 import io
 import json
 import time
@@ -32,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
+from repro.explore.tuner import TunerConfig
 from repro.obs import analytics
 from repro.obs import events as events_mod
 from repro.obs import logging as logging_mod
@@ -185,7 +189,10 @@ class TestIngest:
         assert Warehouse(corpus).run_ids() == ["run0000", "run0001", "run0002"]
         assert Warehouse(corpus).check() == []
 
-    def test_event_stream_digested_per_run(self, tmp_path):
+    def test_event_stream_digested_per_run(self, tmp_path, capsys):
+        """The stream was recorded while the runtime divergence check
+        existed: its ``engine.divergence.*`` records, a mismatch among
+        them, digest into nothing and fire no warning."""
         run = make_run(0, 100.0)
         run_dir = tmp_path / "runs"
         write_run(run, run_dir)
@@ -204,19 +211,34 @@ class TestIngest:
                 bus.publish(
                     "metric.inc", {"name": "engine.compile_cache.miss", "amount": 1}
                 )
+                for name, amount in (
+                    ("engine.divergence.checked", 10),
+                    ("engine.divergence.mismatched", 2),
+                ):
+                    bus.publish("metric.inc", {"name": name, "amount": amount})
                 bus.publish("funnel.stage", {"stage": "measured", "count": 4, "total": 4})
         finally:
             events_mod.disable_events()
             events_mod.reset_events()
 
-        warehouse = Warehouse(tmp_path / "corpus")
-        report = warehouse.ingest(run_dir)
-        assert report.event_streams == 1 and report.runs_with_events == 1
+        assert cli_main(["watch", str(run_dir), "--once", "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert "all schema-valid" in out
+        assert "WARNING" not in out and "divergence" not in out
+
+        corpus = tmp_path / "corpus"
+        assert cli_main(["corpus", "ingest", str(run_dir), "--corpus", str(corpus)]) == 0
+        assert "1 with event streams (1 stream file(s))" in capsys.readouterr().out
+        assert cli_main(["corpus", "stats", "--corpus", str(corpus), "--check"]) == 0
+        assert "store and index consistent" in capsys.readouterr().out
+        warehouse = Warehouse(corpus)
         digest = warehouse.events_summary(run.run_id)
         assert digest["heartbeats"] == 2
         assert digest["memo_hits"] == 5 and digest["memo_misses"] == 1
         assert digest["compile_cache"] == {"miss": 1}
-        assert digest["events"] == 6
+        assert digest["events"] == 8
+        assert digest["warnings"] == []
+        assert not [key for key in digest if "divergence" in key]
         assert warehouse.stats()["runs_with_events"] == 1
 
 
@@ -701,15 +723,20 @@ class TestCorpusCli:
         assert "problem(s)" in capsys.readouterr().out
 
     def test_old_manifest_loads_ingests_and_checks(self, tmp_path, capsys):
-        """A manifest recorded before the pool's fault machinery went —
-        with a ``faults`` section and ``eval_timeout_s`` / ``max_retries``
-        / ``fault_plan`` in its ``tuner_config`` (the checked-in CI
-        baseline) — still loads, ingests, passes ``--check``, exports,
-        renders and gates."""
+        """A manifest recorded before the pool's fault machinery and the
+        runtime divergence check went — with ``faults`` and
+        ``divergence`` sections and ``eval_timeout_s`` / ``max_retries``
+        / ``fault_plan`` / ``divergence_rate`` in its ``tuner_config``
+        (the checked-in CI baseline) — still loads, ingests, passes
+        ``--check``, exports, renders and gates.  ``tuner_config`` is the
+        recorded config, kept verbatim; no field of today's
+        ``TunerConfig`` reads the old keys."""
         baseline = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines" / "ci_baseline.json"
         data = json.loads(baseline.read_text())
         assert "faults" in data
         assert {"eval_timeout_s", "max_retries", "fault_plan"} <= set(data["tuner_config"])
+        assert data["divergence"] == {"checked": 35.0, "mismatched": 0.0}
+        assert data["tuner_config"]["divergence_rate"] == 1.0
         run_dir = tmp_path / "old"
         run_dir.mkdir()
         (run_dir / "run_old.json").write_text(baseline.read_text())
@@ -718,6 +745,11 @@ class TestCorpusCli:
         assert record.run_id == data["run_id"]
         assert record.latency_us == data["outcome"]["latency_us"]
         assert not hasattr(record, "faults")
+        assert not hasattr(record, "divergence")
+        assert "divergence" not in record.to_dict()
+        assert not {"divergence_rate", "eval_timeout_s", "max_retries"} & {
+            f.name for f in dataclasses.fields(TunerConfig)
+        }
 
         corpus = str(tmp_path / "corpus")
         assert cli_main(["corpus", "ingest", str(run_dir), "--corpus", corpus]) == 0
@@ -729,8 +761,9 @@ class TestCorpusCli:
         assert len(csv_path.read_text().splitlines()) == 2
         assert cli_main(["report", str(run_dir)]) == 0
         out = capsys.readouterr().out
-        assert "gemm" in out and "fault" not in out
+        assert "gemm" in out and "fault" not in out and "divergence" not in out
         assert cli_main(["report", "--compare", corpus, str(run_dir)]) == 0
+        assert "no regressions" in capsys.readouterr().out
 
     def test_missing_corpus_is_a_clear_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
