@@ -27,10 +27,12 @@ rebuilt worker-side from the context, so nothing but ndarray buffers
 crosses the process boundary.
 
 ``predict_many`` / ``measure_many`` accept ``(mapping_index, Schedule)``
-objects.  They are thin adapters: :meth:`EvaluationEngine.encode_rows`,
-the engine's only object→row boundary, canonicalises each schedule
-(every spatial split materialised) before it is keyed, so an object and
-its row form share one memo entry and one simulator jitter key.
+objects.  They are thin adapters over :meth:`EvaluationEngine.encode_rows`,
+which hands the objects to the shared row codec of
+:mod:`repro.schedule.features` — the same encoder and key builder the
+genetic search uses.  The codec canonicalises each schedule (every
+spatial split materialised) before it is keyed, so an object and its
+row form share one memo entry and one simulator jitter key.
 
 Determinism is the design invariant: the batch evaluators are pure
 functions of the candidate, batches are reassembled positionally, and
@@ -79,6 +81,8 @@ from repro.schedule.features import (
     MappingFeatures,
     ScheduleBatch,
     derive_batch,
+    encode_rows,
+    row_keys,
     take_rows,
 )
 from repro.schedule.schedule import Schedule
@@ -132,41 +136,14 @@ class EvaluationEngine:
     def encode_rows(
         self, items: Sequence[tuple[int, Schedule]]
     ) -> tuple[np.ndarray, ScheduleBatch]:
-        """Encode ``(mapping_index, schedule)`` pairs as joint-width rows.
-
-        The engine's only object→row boundary.  Every spatial split of
-        the row's mapping is materialised (a split the schedule leaves
-        out reads as the identity split), so rows are canonical: a
-        schedule and its canonical form get the same row key, the same
-        memo entry and the same simulator jitter key.
-        """
-        names_of = {mi: self.features_of(mi).spatial_names for mi, _ in items}
-        joint = max((len(names) for names in names_of.values()), default=0)
-        n = len(items)
-        mi_arr = np.asarray([mi for mi, _ in items], dtype=np.int64)
-        warp = np.ones((n, joint), dtype=np.int64)
-        seq = np.ones((n, joint), dtype=np.int64)
-        stage = np.empty(n, dtype=np.int64)
-        db = np.empty(n, dtype=bool)
-        unroll = np.empty(n, dtype=np.int64)
-        vectorize = np.empty(n, dtype=np.int64)
-        for i, (mi, sched) in enumerate(items):
-            for j, name in enumerate(names_of[mi]):
-                split = sched.split_for(name)
-                warp[i, j] = split.warp
-                seq[i, j] = split.seq
-            stage[i] = sched.reduce_stage
-            db[i] = sched.double_buffer
-            unroll[i] = sched.unroll
-            vectorize[i] = sched.vectorize
-        return mi_arr, ScheduleBatch(
-            warp=warp,
-            seq=seq,
-            reduce_stage=stage,
-            double_buffer=db,
-            unroll=unroll,
-            vectorize=vectorize,
-        )
+        """Encode ``(mapping_index, schedule)`` pairs as joint-width
+        canonical rows through the shared codec
+        (:func:`~repro.schedule.features.encode_rows`): a schedule and its
+        canonical form get the same row key, the same memo entry and the
+        same simulator jitter key."""
+        mapping_indices = np.asarray([mi for mi, _ in items], dtype=np.int64)
+        names = [self.features_of(mi).spatial_names for mi, _ in items]
+        return mapping_indices, encode_rows(names, [sched for _, sched in items])
 
     def predict_many(self, items: Sequence[tuple[int, Schedule]]) -> list[float]:
         """Model predictions (us) for schedule objects, in submission
@@ -221,36 +198,16 @@ class EvaluationEngine:
     def row_keys(
         self, mapping_indices: np.ndarray, batch: ScheduleBatch
     ) -> list[bytes]:
-        """Canonical memo keys of batch rows, computed in one pass.
-
-        Per mapping: the cached :func:`candidate_row_prefix` plus the raw
-        int64 bytes of the row's width-trimmed columns.  Trimming to the
-        mapping's own ``n_spatial`` (populations are padded to the widest
-        mapping's width with identity splits) keeps a schedule's key
-        independent of the batch it rides in.
-        """
-        n = len(batch)
-        keys: list[bytes] = [b""] * n
-        for mi in np.unique(mapping_indices):
-            mi = int(mi)
-            rows = np.nonzero(mapping_indices == mi)[0]
-            d = len(self.features_of(mi).spatial_names)
-            cols = np.column_stack(
-                (
-                    batch.warp[rows, :d],
-                    batch.seq[rows, :d],
-                    batch.reduce_stage[rows],
-                    batch.double_buffer[rows].astype(np.int64),
-                    batch.unroll[rows],
-                    batch.vectorize[rows],
-                )
-            )
-            raw = np.ascontiguousarray(cols).tobytes()
-            stride = cols.shape[1] * 8
-            prefix = self._row_prefix(mi)
-            for k, pos in enumerate(rows):
-                keys[pos] = prefix + raw[k * stride : (k + 1) * stride]
-        return keys
+        """Canonical memo keys of batch rows: the shared
+        :func:`~repro.schedule.features.row_keys` with the cached
+        :func:`candidate_row_prefix` of each row's mapping, splits
+        trimmed to that mapping's own ``n_spatial``."""
+        return row_keys(
+            mapping_indices,
+            batch,
+            self._row_prefix,
+            lambda mi: len(self.features_of(mi).spatial_names),
+        )
 
     # ------------------------------------------------------------------
     def _evaluate_rows(

@@ -118,8 +118,8 @@ def candidate_row_prefix(comp_fp: str, hw_fp: str, mapping_fp: str) -> bytes:
     double_buffer, unroll, vectorize) — computable for a whole batch in
     one pass with no ``describe()`` rendering.  Rows canonically mean
     "every split present" (see
-    :meth:`~repro.engine.engine.EvaluationEngine.encode_rows`), which
-    is why the column bytes alone identify the schedule.
+    :func:`~repro.schedule.features.encode_rows`), which is why the
+    column bytes alone identify the schedule.
     """
     return f"{comp_fp}|{hw_fp}|{mapping_fp}|r:".encode()
 

@@ -10,7 +10,7 @@ from convolutions and matmuls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 from repro.frontends.networks import NetworkOp, expand_ops

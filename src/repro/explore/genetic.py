@@ -7,12 +7,14 @@ mapping) to produce the next generation.  Measurements on the "hardware"
 (our cycle simulator) are reserved for the model-selected top candidates,
 mirroring how AMOS limits expensive on-device runs.
 
-Array-native exploration: the population's native currency is a
-:class:`~repro.schedule.features.ScheduleBatch` (structure-of-arrays
-rows padded to the widest mapping's spatial width) plus a mapping-index
-vector — selection, elitism, schedule mutation and mapping re-draw are
-numpy column operations, and per-row byte keys replace describe-string
-keys for dedup.  Every stochastic decision decodes *pre-drawn uniform
+Array-native exploration: the population is a mapping-index vector plus
+a :class:`~repro.schedule.features.ScheduleBatch` (rows padded to the
+widest mapping's spatial width), built, written, keyed and stacked with
+the shared row codec of :mod:`repro.schedule.features` — the same
+encoder and key builder the evaluation engine uses.  Selection,
+elitism, schedule mutation and mapping re-draw are numpy column
+operations, and per-row byte keys replace describe-string keys for
+dedup.  Every stochastic decision decodes *pre-drawn uniform
 matrices* from one seeded ``numpy.random.Generator`` with a **fixed
 uniform budget per decision** (see :mod:`repro.schedule.space`), which
 is what makes the scalar object GA (:func:`genetic_search`) a
@@ -31,7 +33,16 @@ import numpy as np
 from repro.mapping.physical import PhysicalMapping
 from repro.obs import events as _events
 from repro.obs.explore_log import generation_stats
-from repro.schedule.features import ScheduleBatch, schedules_from_rows, take_rows
+from repro.schedule.features import (
+    ScheduleBatch,
+    blank_rows,
+    encode_rows,
+    row_keys,
+    schedules_from_rows,
+    stack_rows,
+    take_rows,
+    write_rows,
+)
 from repro.schedule.schedule import Schedule
 from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, _pick, _pick_vec
 
@@ -86,8 +97,8 @@ class GAResult:
     """Every evaluated candidate of one GA run, cost-ascending.
 
     The array-native return shape: ``mapping_index[i]`` indexes the
-    mappings list, row ``i`` of ``batch`` (joint-width columns,
-    ``describes=None``) is the schedule, ``costs[i]`` its fitness.
+    mappings list, row ``i`` of ``batch`` (joint-width columns) is the
+    schedule, ``costs[i]`` its fitness.
     Ordering is a stable sort over archive (first-evaluation) order, so
     ties break identically to the object path's stable ``sorted``.
     """
@@ -149,91 +160,20 @@ def _canonical(space: ScheduleSpace, schedule: Schedule) -> Schedule:
     )
 
 
-class _RowPopulation:
-    """Mutable SoA population: joint-width columns + mapping indices."""
-
-    def __init__(self, n: int, joint_width: int):
-        self.mi = np.zeros(n, dtype=np.int64)
-        self.warp = np.ones((n, joint_width), dtype=np.int64)
-        self.seq = np.ones((n, joint_width), dtype=np.int64)
-        self.stage = np.ones(n, dtype=np.int64)
-        self.db = np.zeros(n, dtype=bool)
-        self.unroll = np.ones(n, dtype=np.int64)
-        self.vectorize = np.ones(n, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return self.mi.shape[0]
-
-    def batch(self) -> ScheduleBatch:
-        return ScheduleBatch(
-            warp=self.warp,
-            seq=self.seq,
-            reduce_stage=self.stage,
-            double_buffer=self.db,
-            unroll=self.unroll,
-            vectorize=self.vectorize,
-        )
-
-    def keys(self, widths: Sequence[int]) -> list[bytes]:
-        """Per-row canonical byte keys: mapping index + width-trimmed
-        column bytes — the dedup currency replacing describe strings."""
-        n = len(self)
-        keys: list[bytes] = [b""] * n
-        for mi in np.unique(self.mi):
-            rows = np.nonzero(self.mi == mi)[0]
-            d = widths[int(mi)]
-            cols = np.column_stack(
-                (
-                    self.warp[rows, :d],
-                    self.seq[rows, :d],
-                    self.stage[rows],
-                    self.db[rows].astype(np.int64),
-                    self.unroll[rows],
-                    self.vectorize[rows],
-                )
-            )
-            raw = np.ascontiguousarray(cols).tobytes()
-            stride = cols.shape[1] * 8
-            prefix = int(mi).to_bytes(8, "little")
-            for k, pos in enumerate(rows):
-                keys[pos] = prefix + raw[k * stride : (k + 1) * stride]
-        return keys
-
-    def set_schedule(self, i: int, d: int, schedule: Schedule, names) -> None:
-        for j, name in enumerate(names):
-            split = schedule.split_for(name)
-            self.warp[i, j] = split.warp
-            self.seq[i, j] = split.seq
-        self.stage[i] = schedule.reduce_stage
-        self.db[i] = schedule.double_buffer
-        self.unroll[i] = schedule.unroll
-        self.vectorize[i] = schedule.vectorize
-
-    def fill_samples(
-        self,
-        rows: np.ndarray,
-        mapping_indices: np.ndarray,
-        spaces: Sequence[ScheduleSpace],
-        u: np.ndarray,
-    ) -> None:
-        """Sample fresh schedules into ``rows`` (vectorized per mapping).
-
-        ``u``'s rows align with ``rows``; each mapping group decodes the
-        first ``2 d + 4`` columns of its rows through ``sample_columns``.
-        """
-        self.mi[rows] = mapping_indices
-        for mi in np.unique(mapping_indices):
-            group = np.nonzero(mapping_indices == mi)[0]
-            space = spaces[int(mi)]
-            d = len(space.spatial_names)
-            warp, seq, stage, db, un, ve = space.sample_columns(u[group])
-            target = rows[group]
-            self.warp[np.ix_(target, np.arange(d))] = warp
-            self.seq[np.ix_(target, np.arange(d))] = seq
-            self.stage[target] = stage
-            self.db[target] = db
-            self.unroll[target] = un
-            self.vectorize[target] = ve
+def _write_samples(
+    batch: ScheduleBatch,
+    rows: np.ndarray,
+    mapping_indices: np.ndarray,
+    spaces: Sequence[ScheduleSpace],
+    u: np.ndarray,
+) -> None:
+    """Sample fresh schedules into ``batch`` at ``rows``, one
+    ``sample_columns`` call per mapping group; ``u``'s rows align with
+    ``rows`` and each group decodes its first ``2 d + 4`` columns."""
+    for mi in np.unique(mapping_indices):
+        group = np.nonzero(mapping_indices == mi)[0]
+        samples = ScheduleBatch(*spaces[int(mi)].sample_columns(u[group]))
+        write_rows(batch, rows[group], samples)
 
 
 def genetic_search_rows(
@@ -275,18 +215,31 @@ def genetic_search_rows(
     joint = max(widths, default=0)
     pop_n = config.population
 
-    pop = _RowPopulation(pop_n, joint)
+    def keys_of(mi: np.ndarray, batch: ScheduleBatch) -> list[bytes]:
+        # Dedup keys: the shared row keys, prefixed by the mapping index.
+        return row_keys(
+            mi, batch, lambda m: m.to_bytes(8, "little"), widths.__getitem__
+        )
+
+    pop_mi = np.zeros(pop_n, dtype=np.int64)
+    pop = blank_rows(pop_n, joint)
     seed_list = list(seeds)[:pop_n]
-    for i, cand in enumerate(seed_list):
-        mi = cand.mapping_index
-        pop.mi[i] = mi
-        pop.set_schedule(i, widths[mi], cand.schedule, spaces[mi].spatial_names)
+    seed_rows = np.arange(len(seed_list))
+    pop_mi[seed_rows] = [c.mapping_index for c in seed_list]
+    write_rows(
+        pop,
+        seed_rows,
+        encode_rows(
+            [spaces[c.mapping_index].spatial_names for c in seed_list],
+            [c.schedule for c in seed_list],
+        ),
+    )
     n_fill = pop_n - len(seed_list)
     if n_fill:
         u = rng.random((n_fill, _sample_width(joint)))
         fill_rows = np.arange(len(seed_list), pop_n)
-        fill_mi = _pick_vec(u[:, 0], len(mappings))
-        pop.fill_samples(fill_rows, fill_mi, spaces, u[:, 1:])
+        pop_mi[fill_rows] = _pick_vec(u[:, 0], len(mappings))
+        _write_samples(pop, fill_rows, pop_mi[fill_rows], spaces, u[:, 1:])
 
     # Evaluated archive, insertion (first-appearance) order — the
     # array twin of the object path's ``evaluated`` dict.
@@ -298,7 +251,7 @@ def genetic_search_rows(
     def evaluate_population() -> np.ndarray:
         """Score the population; fresh rows go through ``fitness_rows``
         as one zero-copy row slice.  Returns per-row costs."""
-        keys = pop.keys(widths)
+        keys = keys_of(pop_mi, pop)
         fresh_rows: list[int] = []
         pending: set[bytes] = set()
         for i, key in enumerate(keys):
@@ -307,8 +260,8 @@ def genetic_search_rows(
                 pending.add(key)
         if fresh_rows:
             rows = np.asarray(fresh_rows, dtype=np.int64)
-            chunk = take_rows(pop.batch(), rows)
-            chunk_mi = pop.mi[rows].copy()
+            chunk = take_rows(pop, rows)
+            chunk_mi = pop_mi[rows]
             costs = np.asarray(fitness_rows(chunk_mi, chunk), dtype=np.float64)
             if costs.shape[0] != rows.shape[0]:
                 raise ValueError(
@@ -328,7 +281,7 @@ def genetic_search_rows(
         if on_generation is None and not _events._enabled:
             return
         fitnesses = [float(c) for c in costs]
-        unique = len(set(pop.keys(widths)))
+        unique = len(set(keys_of(pop_mi, pop)))
         if on_generation is not None:
             on_generation(generation, fitnesses, unique)
         if _events._enabled:
@@ -345,15 +298,11 @@ def genetic_search_rows(
         elite_idx = order[:elite_count]
         n_children = pop_n - elite_count
 
-        next_pop = _RowPopulation(pop_n, joint)
+        next_mi = np.zeros(pop_n, dtype=np.int64)
+        next_pop = blank_rows(pop_n, joint)
         keep = np.arange(elite_count)
-        next_pop.mi[keep] = pop.mi[elite_idx]
-        next_pop.warp[keep] = pop.warp[elite_idx]
-        next_pop.seq[keep] = pop.seq[elite_idx]
-        next_pop.stage[keep] = pop.stage[elite_idx]
-        next_pop.db[keep] = pop.db[elite_idx]
-        next_pop.unroll[keep] = pop.unroll[elite_idx]
-        next_pop.vectorize[keep] = pop.vectorize[elite_idx]
+        next_mi[keep] = pop_mi[elite_idx]
+        write_rows(next_pop, keep, take_rows(pop, elite_idx))
 
         if n_children:
             u = rng.random((n_children, _breed_width(joint)))
@@ -363,38 +312,26 @@ def genetic_search_rows(
 
             re_rows = np.nonzero(redraw)[0]
             if re_rows.size:
-                re_mi = _pick_vec(u[re_rows, 2], len(mappings))
-                next_pop.fill_samples(
-                    child_rows[re_rows], re_mi, spaces, u[re_rows, 3:]
+                target = child_rows[re_rows]
+                next_mi[target] = _pick_vec(u[re_rows, 2], len(mappings))
+                _write_samples(
+                    next_pop, target, next_mi[target], spaces, u[re_rows, 3:]
                 )
 
             mut_rows = np.nonzero(~redraw)[0]
             if mut_rows.size:
                 p = parents[mut_rows]
                 target = child_rows[mut_rows]
-                next_pop.mi[target] = pop.mi[p]
-                for mi in np.unique(pop.mi[p]):
-                    group = np.nonzero(pop.mi[p] == mi)[0]
-                    space = spaces[int(mi)]
-                    d = widths[int(mi)]
-                    src = p[group]
-                    warp, seq, stage, db, un, ve = space.mutate_columns(
-                        pop.warp[src][:, :d],
-                        pop.seq[src][:, :d],
-                        pop.stage[src],
-                        pop.db[src],
-                        pop.unroll[src],
-                        pop.vectorize[src],
+                next_mi[target] = pop_mi[p]
+                for mi in np.unique(pop_mi[p]):
+                    group = np.nonzero(pop_mi[p] == mi)[0]
+                    parent_rows = take_rows(pop, p[group], width=widths[int(mi)])
+                    children = spaces[int(mi)].mutate_columns(
+                        *parent_rows.columns(),
                         u[mut_rows[group], 2 : 2 + MUTATE_UNIFORMS],
                     )
-                    t = target[group]
-                    next_pop.warp[np.ix_(t, np.arange(d))] = warp
-                    next_pop.seq[np.ix_(t, np.arange(d))] = seq
-                    next_pop.stage[t] = stage
-                    next_pop.db[t] = db
-                    next_pop.unroll[t] = un
-                    next_pop.vectorize[t] = ve
-        pop = next_pop
+                    write_rows(next_pop, target[group], ScheduleBatch(*children))
+        pop_mi, pop = next_mi, next_pop
 
     costs = evaluate_population()
     observe(config.generations, costs)
@@ -403,30 +340,10 @@ def genetic_search_rows(
     all_costs = (
         np.concatenate(arch_costs) if arch_costs else np.empty(0, dtype=np.float64)
     )
-    all_batch = ScheduleBatch(
-        warp=np.concatenate([b.warp for b in arch_rows])
-        if arch_rows
-        else np.empty((0, joint), dtype=np.int64),
-        seq=np.concatenate([b.seq for b in arch_rows])
-        if arch_rows
-        else np.empty((0, joint), dtype=np.int64),
-        reduce_stage=np.concatenate([b.reduce_stage for b in arch_rows])
-        if arch_rows
-        else np.empty(0, dtype=np.int64),
-        double_buffer=np.concatenate([b.double_buffer for b in arch_rows])
-        if arch_rows
-        else np.empty(0, dtype=bool),
-        unroll=np.concatenate([b.unroll for b in arch_rows])
-        if arch_rows
-        else np.empty(0, dtype=np.int64),
-        vectorize=np.concatenate([b.vectorize for b in arch_rows])
-        if arch_rows
-        else np.empty(0, dtype=np.int64),
-    )
     order = np.argsort(all_costs, kind="stable")
     return GAResult(
         mapping_index=all_mi[order],
-        batch=take_rows(all_batch, order),
+        batch=take_rows(stack_rows(arch_rows, joint), order),
         costs=all_costs[order],
     )
 

@@ -43,7 +43,12 @@ from repro.obs.logging import LEVELS, get_logger, log_level
 from repro.obs.runlog import FlightRecorder, active_recorder
 from repro.obs.trace import span as _obs_span
 from repro.obs.trace import tracing_enabled as _obs_enabled
-from repro.schedule.features import ScheduleBatch, schedules_from_rows, take_rows
+from repro.schedule.features import (
+    ScheduleBatch,
+    encode_rows,
+    schedules_from_rows,
+    take_rows,
+)
 from repro.schedule.lowering import ScheduledMapping, lower_schedule
 from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, default_schedule
 
@@ -519,25 +524,11 @@ class Tuner:
                     k = self.config.refine_neighbors
                     u = rng.random((k, MUTATE_UNIFORMS))
                     engine_mi = selected[current.mapping_index]
-                    _, cur = engine.encode_rows([(engine_mi, current.schedule)])
-                    base = take_rows(cur, np.zeros(k, dtype=np.int64))
-                    warp, seq, stage, db, un, ve = space.mutate_columns(
-                        base.warp,
-                        base.seq,
-                        base.reduce_stage,
-                        base.double_buffer,
-                        base.unroll,
-                        base.vectorize,
-                        u,
+                    current_row = encode_rows(
+                        [space.spatial_names], [current.schedule]
                     )
-                    nb_batch = ScheduleBatch(
-                        warp=warp,
-                        seq=seq,
-                        reduce_stage=stage,
-                        double_buffer=db,
-                        unroll=un,
-                        vectorize=ve,
-                    )
+                    base = take_rows(current_row, np.zeros(k, dtype=np.int64))
+                    nb_batch = ScheduleBatch(*space.mutate_columns(*base.columns(), u))
                     predicted_arr, measured_arr = engine.measure_rows(
                         np.full(k, engine_mi, dtype=np.int64), nb_batch
                     )

@@ -14,7 +14,7 @@ ShuffleNet-v1 (g=8), ResNet-18/50 v1, MobileNet-V1, BERT-base and MI-LSTM
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.frontends.operators import make_operator

@@ -18,14 +18,13 @@ recipes:
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from repro.ir.compute import ReduceComputation, compute
 from repro.ir.itervar import reduce_axis, spatial_axis
 from repro.ir.tensor import Tensor
-from repro.schedule.lowering import dtype_bytes
 
 
 def make_gemv(m: int = 1024, k: int = 1024) -> ReduceComputation:

@@ -10,7 +10,7 @@ several real-network shapes each).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.frontends.operators import make_operator

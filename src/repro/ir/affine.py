@@ -14,7 +14,7 @@ matching the paper's scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.ir.expr import (

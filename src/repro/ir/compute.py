@@ -16,14 +16,14 @@ reference evaluator used to check mapped executions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.ir.affine import extract_affine, iter_vars_in
-from repro.ir.expr import Expr, Var
-from repro.ir.itervar import IterKind, IterVar
+from repro.ir.expr import Var
+from repro.ir.itervar import IterVar
 from repro.ir.tensor import Tensor, TensorAccess
 
 #: Elementwise combine functions usable in a computation body.

@@ -11,7 +11,7 @@ reductions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.expr import Var
 

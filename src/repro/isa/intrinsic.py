@@ -9,7 +9,7 @@ and what element types it consumes/produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.isa.abstraction import ComputeAbstraction, MemoryAbstraction
 

@@ -15,8 +15,8 @@ scheduled mapping's loop structure by :func:`repro.lower.lower.lower_mapping`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.ir.expr import Expr
 from repro.ir.tensor import Tensor

@@ -8,7 +8,7 @@ physical lowering step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.ir.compute import ReduceComputation

@@ -18,13 +18,17 @@ stderr — and the CLI raises it to INFO for progress lines unless
 ``--quiet`` or the ``REPRO_LOG_LEVEL`` environment variable says
 otherwise (explicit ``--quiet`` wins over the environment).
 
-Repeated messages are rate-limited per ``(logger, message)`` key: after
-``burst`` occurrences inside one ``window_s`` the rest of the window is
-suppressed, and the first record of the next window carries a
-``suppressed`` count — a hot loop logging the same warning cannot drown
-the stream.  Tallies still pending when the process exits are not lost:
-an ``atexit`` hook (:func:`flush_suppressed`) emits one final summary
-record per (level, message) key, marked ``suppressed_final``.
+Repeated warnings and errors are rate-limited per ``(logger, level,
+message)`` key: after ``burst`` occurrences inside one ``window_s`` the
+rest of the window is suppressed, and the first record of the next
+window carries a ``suppressed`` count — a hot loop logging the same
+warning cannot drown the stream.  Tallies still pending when the
+process exits are not lost: an ``atexit`` hook
+(:func:`flush_suppressed`) emits one final summary record per (level,
+message) key, marked ``suppressed_final``.  DEBUG and INFO records are
+never gated: they are progress lines asked for by lowering the level
+(the tuner logs one ``generation`` record per GA generation), and
+dropping some would truncate them.
 
 Records at WARNING and above are additionally republished as ``log``
 events on the telemetry bus (when it is enabled), so the live stream
@@ -198,9 +202,11 @@ class StructuredLogger:
         if level < log_level():
             return
         now = _now_fn()
-        allowed, suppressed = self._gate.admit(f"{level}:{msg}", now)
-        if not allowed:
-            return
+        suppressed = 0
+        if level >= LEVELS["warning"]:
+            allowed, suppressed = self._gate.admit(f"{level}:{msg}", now)
+            if not allowed:
+                return
         self._emit(level, msg, now, suppressed, fields)
 
     def flush_suppressed(self) -> None:

@@ -14,7 +14,7 @@ from repro.schedule.features import (
     OperandFeature,
     ScheduleBatch,
     derive_batch,
-    encode_schedules,
+    encode_rows,
 )
 from repro.schedule.space import ScheduleSpace, default_schedule
 
@@ -29,7 +29,7 @@ __all__ = [
     "ScheduledMapping",
     "default_schedule",
     "derive_batch",
-    "encode_schedules",
+    "encode_rows",
     "lower_schedule",
     "macro_dims",
 ]

@@ -19,6 +19,14 @@ into
   ``ScheduledMapping`` (grid structure, footprints, staged bytes,
   traffic) as closed-form array expressions over the two.
 
+It also holds the one row codec every batch producer shares: the
+schedule-to-row encoder (:func:`encode_rows`), the per-row key builder
+(:func:`row_keys`), the row plumbing (:func:`blank_rows`,
+:func:`write_rows`, :func:`stack_rows`, :func:`take_rows`) and the two
+decoders (:func:`schedules_from_rows`, :func:`render_describes`).  The
+genetic search's population, the engine's batches and the tuner's
+refinement neighbours are all rows of this one format.
+
 Bit-exactness contract: for every candidate, each derived array element
 equals the corresponding ``ScheduledMapping`` property exactly — the same
 integer arithmetic and the same float64 operations in the same order.
@@ -31,7 +39,7 @@ for every registered workload); the equivalence test-suite enforces
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,11 +52,15 @@ __all__ = [
     "OperandFeature",
     "ScheduleBatch",
     "BatchQuantities",
-    "encode_schedules",
+    "blank_rows",
     "derive_batch",
+    "encode_rows",
     "render_describes",
+    "row_keys",
     "schedules_from_rows",
+    "stack_rows",
     "take_rows",
+    "write_rows",
 ]
 
 
@@ -146,19 +158,15 @@ class MappingFeatures:
 
 @dataclass(frozen=True, eq=False)
 class ScheduleBatch:
-    """A batch of schedules encoded against one mapping's spatial dims.
+    """A batch of schedules encoded as rows of six columns.
 
     Row ``i`` is one schedule; column ``d`` of the split arrays is the
-    mapping's ``spatial_names[d]``.  ``describes`` optionally carries
-    each schedule's canonical ``describe()`` string — the simulator's
-    jitter key hashes it, and two semantically equal schedules with
-    different ``splits`` dict contents describe (and therefore jitter)
-    differently, so when a batch is encoded *from objects* the strings
-    are part of the encoding.  A batch born as rows (the array-native
-    GA, engine row entry points) ships ``describes=None``: its rows
-    canonically mean "every split present", so the strings are a pure
-    function of the columns and are rendered lazily — only for the rows
-    that reach jitter encoding or trial records (see
+    row mapping's ``spatial_names[d]``.  A batch may hold rows of
+    several mappings, padded to the widest one's width with identity
+    splits (the GA population, the engine's joint batches).  Rows are
+    canonical: they mean "every split present", so a schedule's
+    ``describe()`` string is a pure function of its row and is rendered
+    only for the rows that reach jitter encoding or trial records (see
     :func:`render_describes`).
     """
 
@@ -168,54 +176,83 @@ class ScheduleBatch:
     double_buffer: np.ndarray  # (n,) bool
     unroll: np.ndarray        # (n,) int64
     vectorize: np.ndarray     # (n,) int64
-    describes: tuple[str, ...] | None = None
 
     def __len__(self) -> int:
         return self.reduce_stage.shape[0]
 
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The six column arrays, in field order."""
+        return (
+            self.warp,
+            self.seq,
+            self.reduce_stage,
+            self.double_buffer,
+            self.unroll,
+            self.vectorize,
+        )
 
-def encode_schedules(
-    features: MappingFeatures,
-    schedules: Sequence[Schedule],
-    describes: Sequence[str] | None = None,
-) -> ScheduleBatch:
-    """Encode a batch of schedules as arrays over ``features``' dims.
 
-    ``describes`` lets a caller that already rendered each schedule's
-    ``describe()`` string (the engine does, for memo keys) pass them in
-    instead of rendering twice.
-    """
-    n = len(schedules)
-    d = len(features.spatial_names)
-    warp = np.ones((n, d), dtype=np.int64)
-    seq = np.ones((n, d), dtype=np.int64)
-    reduce_stage = np.empty(n, dtype=np.int64)
-    double_buffer = np.empty(n, dtype=bool)
-    unroll = np.empty(n, dtype=np.int64)
-    vectorize = np.empty(n, dtype=np.int64)
-    for i, sched in enumerate(schedules):
-        splits = sched.splits
-        for j, name in enumerate(features.spatial_names):
-            split = splits.get(name)
-            if split is not None:
-                warp[i, j] = split.warp
-                seq[i, j] = split.seq
-        reduce_stage[i] = sched.reduce_stage
-        double_buffer[i] = sched.double_buffer
-        unroll[i] = sched.unroll
-        vectorize[i] = sched.vectorize
-    if describes is None:
-        describes = tuple(sched.describe() for sched in schedules)
-    else:
-        describes = tuple(describes)
+# -- the row codec shared by every batch producer -----------------------------
+
+
+def blank_rows(n: int, width: int) -> ScheduleBatch:
+    """``n`` identity rows of ``width`` split columns (unit splits,
+    stage 1, no double buffer, unroll 1, vectorize 1), to be filled
+    with :func:`write_rows`."""
     return ScheduleBatch(
-        warp=warp,
-        seq=seq,
-        reduce_stage=reduce_stage,
-        double_buffer=double_buffer,
-        unroll=unroll,
-        vectorize=vectorize,
-        describes=describes,
+        warp=np.ones((n, width), dtype=np.int64),
+        seq=np.ones((n, width), dtype=np.int64),
+        reduce_stage=np.ones(n, dtype=np.int64),
+        double_buffer=np.zeros(n, dtype=bool),
+        unroll=np.ones(n, dtype=np.int64),
+        vectorize=np.ones(n, dtype=np.int64),
+    )
+
+
+def encode_rows(
+    names: Sequence[Sequence[str]], schedules: Sequence[Schedule]
+) -> ScheduleBatch:
+    """Encode ``schedules[i]`` against its mapping's spatial dim names
+    ``names[i]`` as row ``i`` — the one object-to-row boundary.
+
+    Every spatial split is materialised (a split the schedule leaves out
+    reads as the identity split), so a schedule and its canonical form
+    encode to one row, one memo key and one simulator jitter key.  Rows
+    narrower than the widest ``names`` are padded with identity splits.
+    """
+    width = max((len(row_names) for row_names in names), default=0)
+    batch = blank_rows(len(schedules), width)
+    for i, (row_names, sched) in enumerate(zip(names, schedules)):
+        for j, name in enumerate(row_names):
+            split = sched.split_for(name)
+            batch.warp[i, j] = split.warp
+            batch.seq[i, j] = split.seq
+        batch.reduce_stage[i] = sched.reduce_stage
+        batch.double_buffer[i] = sched.double_buffer
+        batch.unroll[i] = sched.unroll
+        batch.vectorize[i] = sched.vectorize
+    return batch
+
+
+def write_rows(
+    batch: ScheduleBatch, rows: np.ndarray, source: ScheduleBatch
+) -> None:
+    """Write ``source``'s rows into ``batch`` at ``rows``, in place; a
+    narrower ``source`` (one mapping's rows) fills only its own width."""
+    width = source.warp.shape[1]
+    batch.warp[rows, :width] = source.warp
+    batch.seq[rows, :width] = source.seq
+    for column, values in zip(batch.columns()[2:], source.columns()[2:]):
+        column[rows] = values
+
+
+def stack_rows(batches: Sequence[ScheduleBatch], width: int) -> ScheduleBatch:
+    """Concatenate equal-width batches (an empty list gives an empty
+    batch of ``width`` columns)."""
+    if not batches:
+        return blank_rows(0, width)
+    return ScheduleBatch(
+        *(np.concatenate(parts) for parts in zip(*(b.columns() for b in batches)))
     )
 
 
@@ -225,29 +262,45 @@ def take_rows(
     """Select rows (optionally trimming the split width) as a new batch.
 
     The row arrays are materialized contiguous, so a sliced batch ships
-    to a pool worker as plain ndarray buffers — the zero-copy-pickle
-    handoff of the array-native explore loop.  ``width`` trims padded
-    joint-population columns down to one mapping's ``n_spatial`` (the GA
-    packs mixed-mapping populations at the widest mapping's width, with
-    identity splits in the padding).  ``describes`` is sliced when
-    present and stays ``None`` when the batch is row-native.
+    to a pool worker as plain ndarray buffers.  ``width`` trims padded
+    columns down to one mapping's ``n_spatial``.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    warp, seq = batch.warp, batch.seq
+    warp, seq, *knobs = batch.columns()
     if width is not None:
         warp, seq = warp[:, :width], seq[:, :width]
-    describes = batch.describes
-    if describes is not None:
-        describes = tuple(describes[int(i)] for i in rows)
     return ScheduleBatch(
-        warp=np.ascontiguousarray(warp[rows]),
-        seq=np.ascontiguousarray(seq[rows]),
-        reduce_stage=np.ascontiguousarray(batch.reduce_stage[rows]),
-        double_buffer=np.ascontiguousarray(batch.double_buffer[rows]),
-        unroll=np.ascontiguousarray(batch.unroll[rows]),
-        vectorize=np.ascontiguousarray(batch.vectorize[rows]),
-        describes=describes,
+        *(np.ascontiguousarray(column[rows]) for column in (warp, seq, *knobs))
     )
+
+
+def row_keys(
+    mapping_indices: np.ndarray,
+    batch: ScheduleBatch,
+    prefix_of: Callable[[int], bytes],
+    width_of: Callable[[int], int],
+) -> list[bytes]:
+    """Canonical byte keys of batch rows, computed in one pass.
+
+    Row ``i``'s key is ``prefix_of(m)`` (``m = mapping_indices[i]``)
+    plus the raw int64 bytes of its six columns, splits trimmed to
+    ``width_of(m)`` so a key does not depend on the batch's padding.
+    """
+    keys: list[bytes] = [b""] * len(batch)
+    for mi in np.unique(mapping_indices):
+        mi = int(mi)
+        rows = np.nonzero(mapping_indices == mi)[0]
+        d = width_of(mi)
+        # column_stack widens the bool column to int64 (True -> 1).
+        cols = np.column_stack(
+            [c[rows, :d] if c.ndim == 2 else c[rows] for c in batch.columns()]
+        )
+        raw = np.ascontiguousarray(cols).tobytes()
+        stride = cols.shape[1] * 8
+        prefix = prefix_of(mi)
+        for k, pos in enumerate(rows):
+            keys[pos] = prefix + raw[k * stride : (k + 1) * stride]
+    return keys
 
 
 def _sorted_name_order(names: Sequence[str]) -> list[int]:
@@ -263,18 +316,10 @@ def render_describes(
 ) -> list[str]:
     """Render canonical ``describe()`` strings from batch rows.
 
-    Valid only for row-native batches, whose rows mean "every split
-    present": the rendered string then equals
-    ``schedules_from_rows(...)[i].describe()`` exactly.  ``indices``
-    restricts rendering to the rows that need a string (memo-miss rows
-    headed for jitter encoding, trial records) — the lazy-describe
-    contract of the row path.
+    The rendered string equals ``schedules_from_rows(...)[i].describe()``
+    exactly.  ``indices`` restricts rendering to the rows that need a
+    string (memo-miss rows headed for jitter encoding, trial records).
     """
-    if batch.describes is not None:
-        source = batch.describes
-        if indices is None:
-            return list(source)
-        return [source[int(i)] for i in indices]
     order = _sorted_name_order(names)
     rows = range(len(batch)) if indices is None else indices
     out = []

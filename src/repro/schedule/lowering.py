@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.mapping.physical import PhysicalMapping
-from repro.schedule.schedule import DimSplit, Schedule
+from repro.schedule.schedule import Schedule
 
 _DTYPE_BYTES = {
     "float64": 8,

@@ -6,15 +6,16 @@ macro dimension a (warp, seq) split drawn from the divisors-and-powers-of-
 two lattice, a reduction staging factor, and the boolean/enum knobs.
 Deterministic sampling keyed by a seed keeps every experiment repeatable.
 
-Two drawing interfaces coexist:
+Two drawing interfaces exist:
 
-* the legacy object interface (:meth:`ScheduleSpace.sample` /
-  :meth:`ScheduleSpace.mutate`) consumes a ``random.Random`` stream and
-  returns per-candidate :class:`Schedule` objects, and
-* the array-native interface used by the batched genetic search —
-  :meth:`sample_columns` / :meth:`mutate_columns` operate on whole
-  populations as numpy columns, decoding *pre-drawn uniform matrices*
-  instead of consuming an RNG.
+* one object interface, :meth:`ScheduleSpace.sample`, which consumes a
+  ``random.Random`` stream and returns one :class:`Schedule` (the
+  random-search baseline and the explorer ablation draw through it), and
+* the array interface of the genetic search and the tuner's refinement
+  — :meth:`sample_columns` / :meth:`mutate_columns` operate on whole
+  populations as numpy columns (the row codec of
+  :mod:`repro.schedule.features`), decoding *pre-drawn uniform
+  matrices* instead of consuming an RNG.
 
 Every decision of the array interface consumes a **fixed number of
 uniforms** (``uniforms_per_sample`` for a sample, ``MUTATE_UNIFORMS``
@@ -32,8 +33,8 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -138,48 +139,6 @@ class ScheduleSpace:
             vectorize=rng.choice([1, 2, 4, 8]),
         )
 
-    def mutate(self, schedule: Schedule, rng: random.Random) -> Schedule:
-        """Perturb one knob of an existing schedule (genetic-algorithm
-        mutation operator)."""
-        choice = rng.randrange(4)
-        splits = dict(schedule.splits)
-        if choice == 0 and self._spatial:
-            dim = rng.choice(self._spatial)
-            current = schedule.split_for(dim.name)
-            warp_opts = [
-                f for f in candidate_factors(dim.extent) if f <= self.max_warps_per_block
-            ]
-            splits[dim.name] = DimSplit(
-                warp=rng.choice(warp_opts) if warp_opts else current.warp,
-                seq=current.seq,
-            )
-            return Schedule(
-                splits, schedule.reduce_stage, schedule.double_buffer,
-                schedule.unroll, schedule.vectorize,
-            )
-        if choice == 1 and self._spatial:
-            dim = rng.choice(self._spatial)
-            current = schedule.split_for(dim.name)
-            seq_opts = candidate_factors(dim.extent)
-            splits[dim.name] = DimSplit(warp=current.warp, seq=rng.choice(seq_opts))
-            return Schedule(
-                splits, schedule.reduce_stage, schedule.double_buffer,
-                schedule.unroll, schedule.vectorize,
-            )
-        if choice == 2:
-            stage_opts = self.stage_options()
-            return Schedule(
-                splits, rng.choice(stage_opts), schedule.double_buffer,
-                schedule.unroll, schedule.vectorize,
-            )
-        return Schedule(
-            splits,
-            schedule.reduce_stage,
-            not schedule.double_buffer,
-            rng.choice([1, 2, 4]),
-            rng.choice([1, 2, 4, 8]),
-        )
-
     # -- array-native interface -----------------------------------------
     def _vector_domains(self) -> "_VectorDomains":
         if self._vdom is None:
@@ -263,8 +222,8 @@ class ScheduleSpace:
         ``u`` needs :data:`MUTATE_UNIFORMS` columns: branch choice, then
         two operand draws (dim pick + new value, or the unroll/vectorize
         pair of the flip branch).  Row semantics match
-        :meth:`mutate_with_uniforms` exactly, including the legacy
-        branch-fallthrough for spaces without spatial dims.
+        :meth:`mutate_with_uniforms` exactly, including the fall-through
+        to the knob-flip branch for spaces without spatial dims.
         """
         dom = self._vector_domains()
         d = len(self._spatial)
@@ -277,7 +236,7 @@ class ScheduleSpace:
         choice = _pick_vec(u[:, 0], 4)
         if d == 0:
             # No spatial dims: the split branches fall through to the
-            # knob-flip branch, as the sequential mutate always did.
+            # knob-flip branch, as in the scalar twin.
             choice = np.where(choice < 2, 3, choice)
         rows = np.nonzero(choice == 0)[0]
         if rows.size:
@@ -347,8 +306,8 @@ class ScheduleSpace:
     def accepts(self, schedule: Schedule) -> bool:
         """Whether a schedule lies inside this space's drawing domains.
 
-        True exactly for the schedules :meth:`sample` / :meth:`mutate` /
-        the column ops can produce (plus the all-defaults subset): warp
+        True exactly for the schedules :meth:`sample` and the column ops
+        (and their scalar twins) can produce (plus the all-defaults subset): warp
         from the device-capped factor lattice, seq from the union of the
         per-warp sequential domains with the whole factor list (the
         mutation operator redraws seq from the full list, which is *not*

@@ -5,7 +5,8 @@ for a whole schedule batch of one mapping as array expressions: residency
 limits, wave quantisation, the three pipelines, occupancy — and the
 deterministic per-candidate measurement jitter, whose hash keys are
 preserved exactly (the mapping's describe prefix comes from the feature
-table, each schedule's describe string rides in the batch encoding).
+table, each schedule's canonical describe string is rendered from its
+row).
 
 Bit-exactness: every float64 operation is performed in the same order per
 element as the scalar code; ``math.log2``-based vector efficiencies are
@@ -156,12 +157,10 @@ def batch_simulate(
     if jitter:
         prefix = features.describe_prefix
         rows = np.nonzero(feasible)[0]
-        # Row-native batches (describes=None) render the describe half of
-        # the jitter key lazily here — only for the feasible rows that
-        # actually reach jitter encoding; object-encoded batches reuse the
-        # strings rendered for memo keys.
-        describes = render_describes(features.spatial_names, batch, rows)
-        for i, text in zip(rows, describes):
+        # The describe half of the jitter key is rendered from the rows
+        # here, only for the feasible rows that reach jitter encoding.
+        texts = render_describes(features.spatial_names, batch, rows)
+        for i, text in zip(rows, texts):
             key = f"{prefix}|{text}|{hw.name}"
             jitter_factors[i] = _jitter_factor(key)
         total_us = total_us * jitter_factors

@@ -58,7 +58,7 @@ from repro.mapping.generation import GenerationOptions, enumerate_mappings
 from repro.mapping.physical import lower_to_physical
 from repro.model.hardware_params import get_hardware
 from repro.model.perf_model import predict_latency
-from repro.schedule.features import ScheduleBatch, schedules_from_rows, take_rows
+from repro.schedule.features import ScheduleBatch, schedules_from_rows
 from repro.schedule.lowering import lower_schedule
 from repro.schedule.schedule import DimSplit
 from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, default_schedule
@@ -479,6 +479,47 @@ class TestTunerGaArrays:
             _tune("v100", DEVICES[0][1], n_workers=n_workers)
             assert parity.checked == WATCHDOG_CHECKED[rate], n_workers
             assert parity.mismatches == [], n_workers
+
+    def test_ga_seed_rows_are_prefilter_memo_hits(self, monkeypatch):
+        """With more mappings than the prefilter keeps (105 > 24), the
+        GA's generation-0 seed rows — each kept mapping's default
+        schedule, padded to the population's joint width — are served
+        from the memo entries the prefilter's ``encode_rows`` rows left,
+        and each keys like the same schedule encoded alone, unpadded:
+        padded GA rows and encoded rows share one key format."""
+        calls = []
+        evaluate = EvaluationEngine._evaluate_rows
+
+        def spy(self, mapping_indices, batch, measure):
+            mapping_indices = np.asarray(mapping_indices, dtype=np.int64)
+            keys = self.row_keys(mapping_indices, batch)
+            known = [self.memo.get_prediction(k) is not None for k in keys]
+            calls.append((self, mapping_indices, batch, keys, known))
+            return evaluate(self, mapping_indices, batch, measure)
+
+        monkeypatch.setattr(EvaluationEngine, "_evaluate_rows", spy)
+        config = TunerConfig(
+            n_workers=1, generations=1, measure_top=4, refine_rounds=0
+        )
+        comp = make_operator("C2D", n=1, c=16, k=16, h=8, w=8)
+        result = Tuner(get_hardware("v100"), config).tune(comp)
+        kept = config.prefilter_mappings
+        assert result.num_mappings == kept
+
+        _, _, _, prefilter_keys, _ = calls[0]
+        assert len(prefilter_keys) > kept
+        engine, ga_mi, ga_batch, ga_keys, ga_known = calls[1]
+        seeds = min(kept, config.population)
+        assert ga_known[:seeds] == [True] * seeds
+        assert set(ga_keys[:seeds]) <= set(prefilter_keys)
+        padded = 0
+        for i in range(seeds):
+            names = engine.features_of(int(ga_mi[i])).spatial_names
+            padded += len(names) < ga_batch.warp.shape[1]
+            (schedule,) = schedules_from_rows(names, ga_batch, [i])
+            alone = engine.row_keys(*engine.encode_rows([(int(ga_mi[i]), schedule)]))
+            assert alone == [ga_keys[i]]
+        assert padded  # some seed row is narrower than the population
 
 
 # ----------------------------------------------------------------------

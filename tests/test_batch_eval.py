@@ -32,7 +32,13 @@ from repro.mapping.physical import lower_to_physical
 from repro.model.batch_model import batch_predict
 from repro.model.hardware_params import get_hardware
 from repro.model.perf_model import predict_latency
-from repro.schedule.features import MappingFeatures, derive_batch, encode_schedules
+from repro.schedule.features import (
+    MappingFeatures,
+    derive_batch,
+    encode_rows,
+    row_keys,
+    schedules_from_rows,
+)
 from repro.schedule.lowering import lower_schedule
 from repro.schedule.schedule import DimSplit, Schedule
 from repro.schedule.space import ScheduleSpace, default_schedule
@@ -71,6 +77,11 @@ def _mappings_for(hw, comp, limit=3):
     ]
     assert physical, f"no mappings of {comp.name} on {hw.target}"
     return physical[:limit]
+
+
+def _encode(feats, schedules):
+    """One mapping's schedules as rows of the shared codec."""
+    return encode_rows([feats.spatial_names] * len(schedules), schedules)
 
 
 def _random_schedules(pm, hw, rng, count):
@@ -114,7 +125,7 @@ class TestBatchScalarEquivalence:
         for pm in _mappings_for(hw, comp):
             schedules = _random_schedules(pm, hw, rng, count=25)
             feats = MappingFeatures.from_physical(pm)
-            batch = encode_schedules(feats, schedules)
+            batch = _encode(feats, schedules)
             q = derive_batch(feats, batch)
             bp = batch_predict(feats, batch, hw, quantities=q)
             bt = batch_simulate(feats, batch, hw, quantities=q)
@@ -126,7 +137,7 @@ class TestBatchScalarEquivalence:
         pm = _mappings_for(hw, comp, limit=1)[0]
         schedules = _random_schedules(pm, hw, random.Random(7), count=10)
         feats = MappingFeatures.from_physical(pm)
-        batch = encode_schedules(feats, schedules)
+        batch = _encode(feats, schedules)
         bp = batch_predict(feats, batch, hw)
         bt = batch_simulate(feats, batch, hw, jitter=False)
         _assert_rows_match(pm, schedules, feats, batch, bp, bt, hw, jitter=False)
@@ -142,7 +153,7 @@ class TestBatchScalarEquivalence:
         schedules = _random_schedules(pm, hw, random.Random(3), count=12)
         feats = MappingFeatures.from_physical(pm)
         assert feats.uses_shared
-        batch = encode_schedules(feats, schedules)
+        batch = _encode(feats, schedules)
         bp = batch_predict(feats, batch, hw)
         bt = batch_simulate(feats, batch, hw)
         assert np.isinf(bt.total_us).all()
@@ -152,22 +163,72 @@ class TestBatchScalarEquivalence:
         _assert_rows_match(pm, schedules, feats, batch, bp, bt, hw)
 
     def test_describe_strings_drive_jitter(self):
-        """Two schedules that lower identically but describe differently
-        (an explicit unit split) must jitter differently — the batch
-        encoding carries the describe string for exactly this reason."""
+        """A bare ``Schedule()`` and one with an explicit unit split lower
+        identically and describe differently; the codec canonicalises
+        both to one row, so they share one memo key and one jitter —
+        that of the canonical schedule the row decodes to."""
         hw = get_hardware("v100")
         comp = make_operator("GMM", m=64, n=64, k=64)
         pm = _mappings_for(hw, comp, limit=1)[0]
         feats = MappingFeatures.from_physical(pm)
         bare = Schedule()
         explicit = Schedule(splits={feats.spatial_names[0]: DimSplit(1, 1)})
-        schedules = [bare, explicit]
-        batch = encode_schedules(feats, schedules)
-        assert np.array_equal(batch.warp[0], batch.warp[1])
-        bt = batch_simulate(feats, batch, hw)
-        _assert_rows_match(
-            pm, schedules, feats, batch, batch_predict(feats, batch, hw), bt, hw
+        assert bare.describe() != explicit.describe()
+        batch = _encode(feats, [bare, explicit])
+        for column in batch.columns():
+            assert np.array_equal(column[0], column[1])
+        keys = row_keys(
+            np.zeros(2, dtype=np.int64),
+            batch,
+            lambda mi: b"m",
+            lambda mi: len(feats.spatial_names),
         )
+        assert keys[0] == keys[1]
+        bt = batch_simulate(feats, batch, hw)
+        assert bt.jitter[0] == bt.jitter[1]
+        canonical = schedules_from_rows(feats.spatial_names, batch)
+        assert canonical[0] == canonical[1]
+        _assert_rows_match(
+            pm, canonical, feats, batch, batch_predict(feats, batch, hw), bt, hw
+        )
+
+    def test_cases_exercise_level0_compute_and_level1_read(self):
+        """The equivalence rows above must include a row whose model total
+        is set by the level-0 compute term and one set by the level-1
+        read term; otherwise an error in either term could pass them.
+        A term sets a row's total when a 1% slower input to that term
+        alone (intrinsic MACs per cycle; shared bandwidth, on a row whose
+        read traffic exceeds its write traffic) moves the total."""
+        level0 = level1_read = 0
+        for hw_name, op, params in CASES:
+            hw = get_hardware(hw_name)
+            slow_compute = hw.with_overrides(
+                intrinsic_macs_per_cycle=hw.intrinsic_macs_per_cycle * 0.99
+            )
+            slow_shared = hw.with_overrides(
+                shared_bandwidth_gbs_per_core=hw.shared_bandwidth_gbs_per_core * 0.99
+            )
+            comp = make_operator(op, **params)
+            rng = random.Random(hash(hw_name) & 0xFFFF)
+            for pm in _mappings_for(hw, comp):
+                schedules = _random_schedules(pm, hw, rng, count=25)
+                feats = MappingFeatures.from_physical(pm)
+                batch = _encode(feats, schedules)
+                q = derive_batch(feats, batch)
+                total = batch_predict(feats, batch, hw, quantities=q).total_us
+                compute_moved = (
+                    batch_predict(feats, batch, slow_compute, quantities=q).total_us
+                    != total
+                )
+                shared_moved = (
+                    batch_predict(feats, batch, slow_shared, quantities=q).total_us
+                    != total
+                )
+                reads_dominate = q.input_traffic_bytes > q.output_traffic_bytes
+                level0 += int(compute_moved.sum())
+                level1_read += int((shared_moved & reads_dominate).sum())
+        assert level0 > 0
+        assert level1_read > 0
 
 
 class TestEngineVectorized:
@@ -261,9 +322,11 @@ class TestPropertyBitIdentical:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_any_schedule_is_bit_identical(self, data):
-        """Hypothesis-constructed schedules — including degenerate unit
-        splits, oversized factors, vectorize widths off the sampled grid
-        — produce bit-identical total_us / predicted values."""
+        """Hypothesis-constructed schedules — including left-out and
+        degenerate unit splits, oversized factors, vectorize widths off
+        the sampled grid — produce bit-identical total_us / predicted
+        values: the prediction equals the object's, the measurement that
+        of the row's canonical decode."""
         hw, pm, feats = _property_context()
         splits = {}
         for name in feats.spatial_names:
@@ -279,10 +342,13 @@ class TestPropertyBitIdentical:
             unroll=data.draw(st.sampled_from([1, 2, 4]), label="unroll"),
             vectorize=data.draw(st.sampled_from([1, 2, 3, 4, 8, 16]), label="vec"),
         )
-        batch = encode_schedules(feats, [schedule])
-        sm = lower_schedule(pm, schedule)
-        predicted = predict_latency(sm, hw)
-        timing = simulate_cycles(sm, hw)
+        batch = _encode(feats, [schedule])
+        predicted = predict_latency(lower_schedule(pm, schedule), hw)
+        # The simulator's jitter is keyed by the canonical describe
+        # string the row stands for, which differs from the object's
+        # own when the object leaves a split out.
+        (canonical,) = schedules_from_rows(feats.spatial_names, batch)
+        timing = simulate_cycles(lower_schedule(pm, canonical), hw)
         bp = batch_predict(feats, batch, hw)
         bt = batch_simulate(feats, batch, hw)
         assert bp.total_us[0] == predicted.total_us

@@ -1,10 +1,15 @@
 """Command-line interface."""
 
+import io
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import reset_compile_caches
 from repro.explore.tuner import TunerConfig
 from repro.obs import CompareThresholds
+from repro.obs import logging as logging_mod
 
 
 class TestParsing:
@@ -239,6 +244,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "simulated latency" in out
         assert "mapping:" in out
+
+    def test_compile_logs_every_generation_at_info(self, monkeypatch):
+        """At INFO the tuner's progress lines all reach the stream: one
+        ``generation`` record per GA generation plus the final
+        population (9 for the default budget), none rate-limited, and
+        no suppressed tally left for the exit flush."""
+        stream = io.StringIO()
+        monkeypatch.delenv(logging_mod.ENV_LEVEL, raising=False)
+        monkeypatch.setattr(logging_mod, "_stream", stream)
+        monkeypatch.setattr(logging_mod, "_level", None)
+        reset_compile_caches()
+        assert main(["compile", "GMM", "--params", "m=64", "n=64", "k=64"]) == 0
+        logging_mod.flush_suppressed()
+        records = [json.loads(line) for line in stream.getvalue().splitlines()]
+        generations = [r for r in records if r["msg"] == "generation"]
+        expected = TunerConfig().generations + 1
+        assert [r.get("generation") for r in generations] == list(range(expected))
+        assert not any("suppressed" in r for r in records)
 
     def test_compile_with_source(self, capsys):
         assert main([

@@ -31,7 +31,6 @@ from repro.engine import (
 from repro.explore.genetic import GeneticConfig, genetic_search
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
-from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
 from repro.model import get_hardware, list_hardware
 from repro.obs.explore_log import ExploreLog, use_log

@@ -35,14 +35,13 @@ import pytest
 
 import repro.obs as obs
 from repro.cli import main as cli_main
-from repro.compiler import amos_compile
 from repro.engine import reset_compile_caches, reset_global_memo
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.model import get_hardware
 from repro.obs import events as events_mod
 from repro.obs import logging as logging_mod
-from repro.obs.events import EVENT_SCHEMA, EVENT_TYPES, EventBus, validate_event
+from repro.obs.events import EVENT_SCHEMA, EVENT_TYPES, validate_event
 from repro.obs.live import (
     HealthConfig,
     HealthMonitor,
@@ -399,12 +398,25 @@ class TestStructuredLogger:
         log = StructuredLogger("t.rate", burst=2, window_s=10.0)
         logging_mod.set_log_level("info")
         for _ in range(6):
-            log.info("hot loop")
+            log.warning("hot loop")
         clock[0] = 11.0  # next window
-        log.info("hot loop")
+        log.warning("hot loop")
         records = self._records(stream)
         assert len(records) == 3  # 2 in the first window + 1 in the next
         assert records[2]["suppressed"] == 4
+
+    def test_info_progress_is_never_rate_limited(self):
+        stream = self._capture()
+        logging_mod._now_fn = lambda: 0.0
+        log = StructuredLogger("t.progress", burst=2, window_s=10.0)
+        logging_mod.set_log_level("info")
+        for generation in range(9):
+            log.info("generation", generation=generation)
+        records = self._records(stream)
+        assert [r["generation"] for r in records] == list(range(9))
+        assert not any("suppressed" in r for r in records)
+        log.flush_suppressed()
+        assert len(self._records(stream)) == 9
 
     def test_correlation_and_warning_republish(self):
         stream = self._capture()

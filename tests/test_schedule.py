@@ -2,14 +2,25 @@
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
+from repro.schedule.features import (
+    ScheduleBatch,
+    encode_rows,
+    schedules_from_rows,
+)
 from repro.schedule.lowering import ScheduledMapping, dtype_bytes, macro_dims
 from repro.schedule.schedule import DimSplit, Schedule
-from repro.schedule.space import ScheduleSpace, candidate_factors, default_schedule
+from repro.schedule.space import (
+    MUTATE_UNIFORMS,
+    ScheduleSpace,
+    candidate_factors,
+    default_schedule,
+)
 
 from conftest import make_small_conv2d, make_small_depthwise, make_small_gemm
 
@@ -147,12 +158,14 @@ class TestSpace:
 
     def test_mutation_changes_something_eventually(self, gemm_physical):
         space = ScheduleSpace(gemm_physical)
-        rng = random.Random(0)
-        base = space.sample(rng)
-        assert any(
-            space.mutate(base, rng).describe() != base.describe()
-            for _ in range(10)
-        )
+        base = space.sample(random.Random(0))
+        u = np.random.default_rng(0).random((10, MUTATE_UNIFORMS))
+        scalar = [space.mutate_with_uniforms(base, row) for row in u]
+        assert any(s.describe() != base.describe() for s in scalar)
+        names = space.spatial_names
+        rows = encode_rows([names] * len(u), [base] * len(u))
+        mutated = ScheduleBatch(*space.mutate_columns(*rows.columns(), u))
+        assert schedules_from_rows(names, mutated) == scalar
 
     def test_size_estimate_large(self, gemm_physical):
         assert ScheduleSpace(gemm_physical).size_estimate() > 1e3

@@ -624,7 +624,7 @@ class TestSuppressedFlush:
         logger = logging_mod.StructuredLogger("t.flush", burst=2, window_s=10.0)
 
         for _ in range(7):
-            logger.info("hot loop", n=1)
+            logger.warning("hot loop", n=1)
         assert len(stream.getvalue().splitlines()) == 2  # burst admitted
 
         logger.flush_suppressed()
@@ -633,7 +633,7 @@ class TestSuppressedFlush:
         final = lines[-1]
         assert final["suppressed"] == 5
         assert final["suppressed_final"] is True
-        assert final["msg"] == "hot loop" and final["level"] == "info"
+        assert final["msg"] == "hot loop" and final["level"] == "warning"
 
         # Drained: a second flush emits nothing.
         logger.flush_suppressed()
@@ -649,22 +649,23 @@ class TestSuppressedFlush:
         logger._gate = logging_mod._RateGate(burst=1, window_s=10.0)
 
         for _ in range(3):
-            logger.info("msg a")
+            logger.warning("msg a")
         for _ in range(4):
-            logger.warning("msg b")
+            logger.error("msg b")
         logging_mod.flush_suppressed()  # module-level (the atexit hook)
         lines = [json.loads(l) for l in stream.getvalue().splitlines()]
         finals = {l["msg"]: l for l in lines if l.get("suppressed_final")}
         assert finals["msg a"]["suppressed"] == 2
+        assert finals["msg a"]["level"] == "warning"
         assert finals["msg b"]["suppressed"] == 3
-        assert finals["msg b"]["level"] == "warning"
+        assert finals["msg b"]["level"] == "error"
 
     def test_nothing_pending_is_silent(self):
         stream = io.StringIO()
         logging_mod.set_log_stream(stream)
         logging_mod.set_log_level("info")
         logger = logging_mod.StructuredLogger("t.flush.quiet")
-        logger.info("once")
+        logger.warning("once")
         before = stream.getvalue()
         logger.flush_suppressed()
         assert stream.getvalue() == before
