@@ -19,12 +19,15 @@ and on the end-to-end compile benchmark (``perfbench/``, 2 vCPUs) the
 pool's start-up, dispatch and shutdown took 86-91% of a cold ResNet-18
 or MobileNet compile's self-time.
 
-Misses are grouped by mapping; each mapping's :class:`MappingFeatures`
-table is derived once per engine and every group is evaluated through
-``batch_predict`` / ``batch_simulate``.  On the pool the groups ship as
-contiguous row slices of the caller's arrays — feature tables are
-rebuilt worker-side from the context, so nothing but ndarray buffers
-crosses the process boundary.
+The engine builds one :class:`~repro.schedule.features.MappingTable`
+of all its mappings when it is made, and a batch's distinct misses —
+whatever mix of mappings they hold — are evaluated in one array call
+each of ``batch_predict`` and (when measuring) ``batch_simulate``
+through :func:`evaluate_batch`, the one evaluation body.  A batch of a
+single mapping takes the same call.  On the pool the misses ship as
+contiguous row chunks ``(mapping_indices, batch, measure)`` of plain
+ndarray buffers, and each worker evaluates them through the same body
+against its own table, built once from the pool's context.
 
 ``predict_many`` / ``measure_many`` accept ``(mapping_index, Schedule)``
 objects.  They are thin adapters over :meth:`EvaluationEngine.encode_rows`,
@@ -78,7 +81,7 @@ from repro.model.hardware_params import HardwareParams
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import span as _obs_span
 from repro.schedule.features import (
-    MappingFeatures,
+    MappingTable,
     ScheduleBatch,
     derive_batch,
     encode_rows,
@@ -88,12 +91,35 @@ from repro.schedule.features import (
 from repro.schedule.schedule import Schedule
 from repro.sim.batch_timing import batch_simulate
 
-__all__ = ["EvaluationEngine", "resolve_workers"]
+__all__ = ["EvaluationEngine", "evaluate_batch", "resolve_workers"]
 
 #: Smallest miss-batch worth shipping to the pool: below this the
 #: pickle/IPC round trip costs more than the evaluations save.  Read at
 #: every batch, so tests force the pool by patching it to 1.
 MIN_POOL_BATCH = 16
+
+
+def evaluate_batch(
+    table: MappingTable,
+    mapping_indices: np.ndarray,
+    batch: ScheduleBatch,
+    hardware: HardwareParams,
+    measure: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one evaluation body, in-process and on pool workers alike:
+    the model (and, when ``measure``, the simulator) on every row, rows
+    of any mix of mappings in one array call each.  Returns float64
+    ``(predicted_us, measured_us or None)`` in row order."""
+    quantities = derive_batch(table, mapping_indices, batch)
+    predicted = batch_predict(
+        table, mapping_indices, batch, hardware, quantities=quantities
+    ).total_us
+    if not measure:
+        return predicted, None
+    measured = batch_simulate(
+        table, mapping_indices, batch, hardware, quantities=quantities
+    ).total_us
+    return predicted, measured
 
 
 def resolve_workers(n_workers: int | None) -> int:
@@ -125,10 +151,8 @@ class EvaluationEngine:
         self.hw_fp = hardware_fingerprint(hardware)
         self.mapping_fps = [mapping_fingerprint(pm) for pm in self.physical]
         self._pool: WorkerPool | None = None
-        # Feature tables are pure functions of the mapping; derived lazily
-        # (a tune run touches a prefiltered subset) and kept for the
-        # engine's lifetime.
-        self._features: dict[int, MappingFeatures] = {}
+        #: Every mapping's features as arrays, built once per engine.
+        self.table = MappingTable(self.physical)
         #: Per-mapping byte prefixes of the row memo keys (lazy, cached).
         self._row_prefixes: dict[int, bytes] = {}
 
@@ -142,7 +166,7 @@ class EvaluationEngine:
         canonical form get the same row key, the same memo entry and the
         same simulator jitter key."""
         mapping_indices = np.asarray([mi for mi, _ in items], dtype=np.int64)
-        names = [self.features_of(mi).spatial_names for mi, _ in items]
+        names = [self.table.spatial_names(mi) for mi, _ in items]
         return mapping_indices, encode_rows(names, [sched for _, sched in items])
 
     def predict_many(self, items: Sequence[tuple[int, Schedule]]) -> list[float]:
@@ -206,7 +230,7 @@ class EvaluationEngine:
             mapping_indices,
             batch,
             self._row_prefix,
-            lambda mi: len(self.features_of(mi).spatial_names),
+            lambda mi: int(self.table.n_spatial[mi]),
         )
 
     # ------------------------------------------------------------------
@@ -262,17 +286,19 @@ class EvaluationEngine:
                 self.n_workers > 1 and len(miss_positions) >= MIN_POOL_BATCH
             )
             batch_span.set(pooled=use_pool)
-            results = self._eval_grouped(
-                miss_positions, mapping_indices, batch, measure, use_pool
-            )
+            if miss_positions:
+                rows = np.asarray(miss_positions, dtype=np.int64)
+                predicted_new, measured_new = self._evaluate_misses(
+                    mapping_indices[rows], take_rows(batch, rows), measure, use_pool
+                )
+                for pos, predicted in zip(miss_positions, predicted_new.tolist()):
+                    predictions[pos] = predicted
+                    self.memo.put_prediction(keys[pos], predicted)
+                if measure:
+                    for pos, measured in zip(miss_positions, measured_new.tolist()):
+                        measurements[pos] = measured
+                        self.memo.put_measurement(keys[pos], measured)
 
-        for pos, (predicted, measured) in zip(miss_positions, results):
-            key = keys[pos]
-            predictions[pos] = predicted
-            self.memo.put_prediction(key, predicted)
-            if measure:
-                measurements[pos] = measured
-                self.memo.put_measurement(key, measured)
         for pos, src in duplicate_of.items():
             predictions[pos] = predictions[src]
             measurements[pos] = measurements[src]
@@ -281,83 +307,39 @@ class EvaluationEngine:
         return predicted_arr, measured_arr
 
     # -- batch evaluation -----------------------------------------------
-    def features_of(self, mapping_index: int) -> MappingFeatures:
-        """The mapping's feature table, derived once per engine."""
-        features = self._features.get(mapping_index)
-        if features is None:
-            features = MappingFeatures.from_physical(self.physical[mapping_index])
-            self._features[mapping_index] = features
-        return features
-
-    def _eval_grouped(
+    def _evaluate_misses(
         self,
-        miss_positions: list[int],
         mapping_indices: np.ndarray,
         batch: ScheduleBatch,
         measure: bool,
         use_pool: bool,
-    ) -> list[tuple[float, float | None]]:
-        """Evaluate the miss rows grouped by mapping: chunk each group,
-        take each chunk as a zero-copy row slice of the incoming batch
-        (width-trimmed to its mapping), evaluate on the pool or inline,
-        reassemble aligned with ``miss_positions``."""
-        groups: dict[int, list[int]] = {}
-        for pos in miss_positions:
-            groups.setdefault(int(mapping_indices[pos]), []).append(pos)
-
-        # Each chunk is one parallel work unit; aim for ~4 per worker so
-        # stragglers even out.
-        if use_pool:
-            target = max(1, math.ceil(len(miss_positions) / (self.n_workers * 4)))
-        else:
-            target = len(miss_positions)
-        chunks: list[tuple[int, list[int]]] = []
-        for mapping_index, positions in groups.items():
-            for start in range(0, len(positions), target):
-                chunks.append((mapping_index, positions[start : start + target]))
-
-        payload = [
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Evaluate a batch's distinct miss rows (any mix of mappings)
+        through :func:`evaluate_batch`: in one call inline, or on the
+        pool as contiguous row chunks, ~4 per worker so stragglers even
+        out, concatenated back in row order."""
+        if not use_pool:
+            return evaluate_batch(
+                self.table, mapping_indices, batch, self.hardware, measure
+            )
+        pool = self._ensure_pool()
+        n = len(batch)
+        _obs_metrics.counter("engine.pool.tasks").inc(n)
+        _obs_metrics.counter("engine.pool.batches").inc()
+        size = max(1, math.ceil(n / (self.n_workers * 4)))
+        chunks = [
             (
-                mapping_index,
-                take_rows(
-                    batch,
-                    positions,
-                    width=len(self.features_of(mapping_index).spatial_names),
-                ),
+                mapping_indices[start : start + size],
+                take_rows(batch, np.arange(start, min(start + size, n))),
                 measure,
             )
-            for mapping_index, positions in chunks
+            for start in range(0, n, size)
         ]
-        if use_pool:
-            self._ensure_pool()
-            _obs_metrics.counter("engine.pool.tasks").inc(len(miss_positions))
-            _obs_metrics.counter("engine.pool.batches").inc()
-            chunk_results = self._pool.evaluate_groups(payload)
-        else:
-            chunk_results = [
-                self._eval_batch_inline(mapping_index, chunk_batch, m)
-                for mapping_index, chunk_batch, m in payload
-            ]
-
-        by_position: dict[int, tuple[float, float | None]] = {}
-        for (_, positions), results in zip(chunks, chunk_results):
-            for pos, result in zip(positions, results):
-                by_position[pos] = result
-        return [by_position[pos] for pos in miss_positions]
-
-    def _eval_batch_inline(
-        self, mapping_index: int, batch: ScheduleBatch, measure: bool
-    ) -> list[tuple[float, float | None]]:
-        features = self.features_of(mapping_index)
-        quantities = derive_batch(features, batch)
-        prediction = batch_predict(features, batch, self.hardware, quantities=quantities)
+        results = pool.evaluate_groups(chunks)
+        predicted = np.concatenate([p for p, _ in results])
         if not measure:
-            return [(float(p), None) for p in prediction.total_us]
-        timing = batch_simulate(features, batch, self.hardware, quantities=quantities)
-        return [
-            (float(p), float(m))
-            for p, m in zip(prediction.total_us, timing.total_us)
-        ]
+            return predicted, None
+        return predicted, np.concatenate([m for _, m in results])
 
     def _ensure_pool(self) -> WorkerPool:
         if self._pool is None:

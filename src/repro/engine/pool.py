@@ -10,16 +10,16 @@ Work items come in two shapes.  The scalar path ships tiny picklable
 descriptors ``(mapping_index, schedule_dict, measure)``; workers rebuild
 the ``Schedule`` from its descriptor and look the mapping up by index,
 so per-task payloads stay a few hundred bytes regardless of mapping
-complexity.  The vectorized path ships *group chunks* ``(mapping_index,
-ScheduleBatch, measure)`` — one mapping's schedules encoded as numpy
-arrays — and workers evaluate the whole chunk through
-``batch_predict`` / ``batch_simulate``, rebuilding (and caching) the
-mapping's :class:`MappingFeatures` table on first use.  No per-candidate
-objects ever cross the process boundary on that path: row-native chunks
-(from the engine's ``predict_rows`` / ``measure_rows``) are plain
-contiguous ndarray buffers, and workers render the describe half of each
-jitter key lazily inside ``batch_simulate`` for exactly the rows that
-need it.
+complexity.  The engine's path ships *row chunks* ``(mapping_indices,
+ScheduleBatch, measure)`` — a contiguous slice of a batch's miss rows,
+any mix of mappings — and workers evaluate each chunk through the
+engine's one evaluation body
+(:func:`~repro.engine.engine.evaluate_batch`) against the
+:class:`~repro.schedule.features.MappingTable` each worker builds once,
+from the context, in its initializer.  No per-candidate objects ever
+cross the process boundary on that path: chunks are plain contiguous
+ndarray buffers, and workers render the describe half of each jitter
+key lazily inside ``batch_simulate`` for exactly the rows that need it.
 
 **Failures raise.**  The evaluators are pure functions of the candidate
 (paper Sec 5.3 scores with the analytic model and the deterministic
@@ -59,16 +59,16 @@ import os
 import pickle
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.mapping.physical import PhysicalMapping
-from repro.model.batch_model import batch_predict
 from repro.model.hardware_params import HardwareParams
 from repro.model.perf_model import predict_latency
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
-from repro.schedule.features import MappingFeatures, ScheduleBatch, derive_batch
+from repro.schedule.features import MappingTable, ScheduleBatch
 from repro.schedule.lowering import lower_schedule
 from repro.schedule.schedule import Schedule
-from repro.sim.batch_timing import batch_simulate
 from repro.sim.timing import simulate_cycles
 
 __all__ = ["WorkerPool"]
@@ -77,16 +77,15 @@ __all__ = ["WorkerPool"]
 #: (physical mappings, hardware params).
 _CONTEXT: tuple[list[PhysicalMapping], HardwareParams] | None = None
 
-#: Worker-global feature-table cache: mapping index -> MappingFeatures.
-#: Feature tables are pure functions of the context's mappings, so each
-#: worker derives one at most once per mapping for the pool's lifetime.
-_FEATURES: dict[int, MappingFeatures] = {}
+#: Worker-global mapping table of the context's mappings, built once by
+#: the initializer.
+_TABLE: MappingTable | None = None
 
 
 def _init_worker(payload: bytes, obs_enabled: bool) -> None:
-    global _CONTEXT
+    global _CONTEXT, _TABLE
     _CONTEXT = pickle.loads(payload)
-    _FEATURES.clear()
+    _TABLE = MappingTable(_CONTEXT[0])
     if obs_enabled:
         _obs_trace.enable_tracing()
 
@@ -142,43 +141,24 @@ def _eval_item_with(
     return predicted, measured
 
 
-def _eval_group_with(
-    physical: Sequence[PhysicalMapping],
-    hw: HardwareParams,
-    features_cache: dict[int, MappingFeatures],
-    item: tuple[int, ScheduleBatch, bool],
-) -> list[tuple[float, float | None]]:
-    """Evaluate one mapping's schedule-batch chunk through the array path."""
-    mapping_index, batch, measure = item
-    with _obs_trace.span(
-        "worker.eval_group",
-        mapping=mapping_index,
-        candidates=len(batch),
-        measure=measure,
-    ):
-        features = features_cache.get(mapping_index)
-        if features is None:
-            features = MappingFeatures.from_physical(physical[mapping_index])
-            features_cache[mapping_index] = features
-        quantities = derive_batch(features, batch)
-        prediction = batch_predict(features, batch, hw, quantities=quantities)
-        if not measure:
-            return [(float(p), None) for p in prediction.total_us]
-        timing = batch_simulate(features, batch, hw, quantities=quantities)
-        return [
-            (float(p), float(m))
-            for p, m in zip(prediction.total_us, timing.total_us)
-        ]
-
-
 def _eval_item(item: tuple[int, dict, bool]):
     physical, hw = _context()
     return _run_task(lambda it: _eval_item_with(physical, hw, it), item)
 
 
-def _eval_group(item: tuple[int, ScheduleBatch, bool]):
-    physical, hw = _context()
-    return _run_task(lambda it: _eval_group_with(physical, hw, _FEATURES, it), item)
+def _eval_chunk(item: tuple[np.ndarray, ScheduleBatch, bool]):
+    """Evaluate one row chunk through the engine's evaluation body."""
+    # Imported here: the engine module imports this one.
+    from repro.engine.engine import evaluate_batch
+
+    _, hw = _context()
+    mapping_indices, batch, measure = item
+
+    def run(_item):
+        with _obs_trace.span("worker.eval_chunk", rows=len(batch), measure=measure):
+            return evaluate_batch(_TABLE, mapping_indices, batch, hw, measure)
+
+    return _run_task(run, item)
 
 
 class WorkerPool:
@@ -252,14 +232,15 @@ class WorkerPool:
         return self._map(_eval_item, items, chunksize)
 
     def evaluate_groups(
-        self, groups: Sequence[tuple[int, ScheduleBatch, bool]]
-    ) -> list[list[tuple[float, float | None]]]:
-        """Evaluate schedule-batch chunks; one result list per chunk, in
+        self, chunks: Sequence[tuple[np.ndarray, ScheduleBatch, bool]]
+    ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """Evaluate ``(mapping_indices, batch, measure)`` row chunks; one
+        ``(predicted_us, measured_us or None)`` array pair per chunk, in
         submission order.  Each chunk is already a unit of parallel work
         (the engine sizes them to the pool), so ``chunksize=1``."""
-        if not groups:
+        if not chunks:
             return []
-        return self._map(_eval_group, groups, 1)
+        return self._map(_eval_chunk, chunks, 1)
 
     def _map(self, fn: Callable, items: Sequence[Any], chunksize: int) -> list[Any]:
         """Run one batch; a raising task or a dead worker raises here."""

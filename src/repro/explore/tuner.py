@@ -50,7 +50,12 @@ from repro.schedule.features import (
     take_rows,
 )
 from repro.schedule.lowering import ScheduledMapping, lower_schedule
-from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, default_schedule
+from repro.schedule.space import (
+    MUTATE_UNIFORMS,
+    ScheduleSpace,
+    default_rows,
+    default_schedule,
+)
 
 # Tuner progress goes through the structured logger (JSONL on stderr):
 # silent at the WARNING library default, narrated at INFO (the CLI's
@@ -197,13 +202,14 @@ class Tuner:
         if keep <= 0 or len(physical) <= keep:
             return list(range(len(physical)))
         with _obs_span("tuner.prefilter", candidates=len(physical), keep=keep):
-            items = [(i, default_schedule(pm)) for i, pm in enumerate(physical)]
-            # Row-keyed like every evaluation, so the GA's later seed
-            # evaluations hit the same memo entries.
-            costs = engine.predict_rows(*engine.encode_rows(items))
-            _obs_metrics.counter("model.predictions").inc(len(items))
-            scored = sorted(zip(costs, range(len(physical))), key=lambda pair: pair[0])
-            return [int(i) for _, i in scored[:keep]]
+            # Every mapping's default schedule as one row of one batch,
+            # keyed like every evaluation, so the GA's seed rows later
+            # hit the same memo entries.
+            costs = engine.predict_rows(
+                np.arange(len(physical)), default_rows(engine.table)
+            )
+            _obs_metrics.counter("model.predictions").inc(len(physical))
+            return np.argsort(costs, kind="stable")[:keep].tolist()
 
     def tune(
         self,

@@ -37,6 +37,7 @@ generating the exponentially many hopeless candidates):
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -108,12 +109,12 @@ def _column_or(z: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     return col
 
 
-@dataclass
+@dataclass(frozen=True)
 class _CandidateSpace:
     """Per-software-iteration admissible target sets."""
 
-    singles: list[list[int]]  # per software iter: intrinsic iters usable alone
-    diagonals: list[list[tuple[int, int]]]  # per software iter: (spatial, reduce) pairs
+    singles: tuple[tuple[int, ...], ...]  # per software iter: intrinsic iters usable alone
+    diagonals: tuple[tuple[tuple[int, int], ...], ...]  # per software iter: (spatial, reduce) pairs
 
 
 def _build_candidates(
@@ -121,17 +122,44 @@ def _build_candidates(
 ) -> _CandidateSpace | None:
     """Admissible targets per software iteration, or ``None`` when the
     operand structures cannot correspond at all (different tensor counts,
-    e.g. a copy op against a three-operand multiply-accumulate unit)."""
+    e.g. a copy op against a three-operand multiply-accumulate unit).
+
+    The answer depends on the operator's structure alone — its access
+    matrix and which iterations reduce — and on the intrinsic's, never
+    on the extents, so it is memoized by structure: the distinct layers
+    of a network share a handful of structures."""
     x = computation.access_matrix()
     z = intrinsic.compute.access_matrix()
+    return _candidate_space(
+        x.shape,
+        x.tobytes(),
+        tuple(iv.is_reduce for iv in computation.iter_vars),
+        z.shape,
+        z.tobytes(),
+        tuple(iv.is_reduce for iv in intrinsic.compute.iter_vars),
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _candidate_space(
+    x_shape: tuple[int, ...],
+    x_bytes: bytes,
+    sw_kinds: tuple[bool, ...],
+    z_shape: tuple[int, ...],
+    z_bytes: bytes,
+    hw_kinds: tuple[bool, ...],
+) -> _CandidateSpace | None:
+    """:func:`_build_candidates` of one (operator, intrinsic) structure:
+    the int8 access matrices by bytes and shape, and the iteration
+    kinds."""
+    x = np.frombuffer(x_bytes, dtype=np.int8).reshape(x_shape)
+    z = np.frombuffer(z_bytes, dtype=np.int8).reshape(z_shape)
     if x.shape[0] != z.shape[0]:
         return None
-    sw_kinds = [iv.is_reduce for iv in computation.iter_vars]
-    hw_kinds = [iv.is_reduce for iv in intrinsic.compute.iter_vars]
     num_hw = z.shape[1]
 
-    singles: list[list[int]] = []
-    diagonals: list[list[tuple[int, int]]] = []
+    singles: list[tuple[int, ...]] = []
+    diagonals: list[tuple[tuple[int, int], ...]] = []
     for c in range(x.shape[1]):
         col = x[:, c]
         ok_single = [
@@ -154,9 +182,9 @@ def _build_candidates(
                     shared_input = (z[1:, t_s] & z[1:, t_r]).any()
                     if shared_input:
                         ok_diag.append((t_s, t_r))
-        singles.append(ok_single)
-        diagonals.append(ok_diag)
-    return _CandidateSpace(singles, diagonals)
+        singles.append(tuple(ok_single))
+        diagonals.append(tuple(ok_diag))
+    return _CandidateSpace(tuple(singles), tuple(diagonals))
 
 
 def _candidate_choices(

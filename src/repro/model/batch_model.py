@@ -1,11 +1,14 @@
 """Vectorized batch evaluation of the analytic model (Sec 5.3).
 
 :func:`batch_predict` evaluates :func:`repro.model.perf_model.predict_latency`
-for a whole schedule batch of one mapping in a handful of numpy array
-expressions.  The scalar function stays the reference oracle: every float64
-operation here is performed in the same order per element as the scalar
-code, so the results are **bit-identical**, not merely close — the
-equivalence suite compares with ``==``.
+for a whole schedule batch in a handful of numpy array expressions; the
+batch may mix mappings, each row reading its mapping's row of a
+:class:`~repro.schedule.features.MappingTable`.  The scalar function
+stays the reference oracle: every float64 operation here is performed in
+the same order per element as the scalar code (a per-mapping branch of
+the scalar code is an ``np.where`` over the rows' gathered flags), so
+the results are **bit-identical**, not merely close — the equivalence
+suite compares with ``==``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from repro.model.hardware_params import HardwareParams
 from repro.schedule.features import (
     BatchQuantities,
-    MappingFeatures,
+    MappingTable,
     ScheduleBatch,
     derive_batch,
 )
@@ -38,32 +41,32 @@ class BatchPrediction:
 
 
 def batch_predict(
-    features: MappingFeatures,
+    table: MappingTable,
+    mapping_indices: np.ndarray,
     batch: ScheduleBatch,
     hw: HardwareParams,
     quantities: BatchQuantities | None = None,
 ) -> BatchPrediction:
-    """Analytic-model predictions for every schedule in the batch.
+    """Analytic-model predictions for every schedule in the batch, row
+    ``i`` on mapping ``mapping_indices[i]`` of ``table``.
 
     ``quantities`` lets a caller evaluating both model and simulator on
     the same batch derive the lowering arrays once.
     """
-    q = quantities if quantities is not None else derive_batch(features, batch)
+    mi = np.asarray(mapping_indices, dtype=np.int64)
+    q = quantities if quantities is not None else derive_batch(table, mi, batch)
     clock_hz = hw.clock_ghz * 1e9
 
     # ---- level 0: one warp on a sub-core ---------------------------------
-    cycles_per_call = features.macs_per_call / hw.intrinsic_macs_per_cycle
+    cycles_per_call = table.macs_per_call[mi] / hw.intrinsic_macs_per_cycle
     l0_us = q.calls_per_warp * cycles_per_call / clock_hz * 1e6
 
     # ---- level 1: one block on a core ------------------------------------
     s1 = np.ceil(q.warps_per_block / hw.subcores_per_core)
     shared_bw = hw.shared_bandwidth_gbs_per_core * 1e9
-    if features.uses_shared:
-        r1_us = q.input_traffic_bytes / shared_bw * 1e6
-        w1_us = q.output_traffic_bytes / shared_bw * 1e6
-    else:
-        r1_us = np.zeros(len(batch))
-        w1_us = np.zeros(len(batch))
+    uses_shared = table.uses_shared[mi]
+    r1_us = np.where(uses_shared, q.input_traffic_bytes / shared_bw * 1e6, 0.0)
+    w1_us = np.where(uses_shared, q.output_traffic_bytes / shared_bw * 1e6, 0.0)
     l1_us = s1 * np.maximum(np.maximum(l0_us, r1_us), w1_us)
 
     # ---- level 2: the grid on the device ---------------------------------

@@ -6,7 +6,7 @@ Trace Event Format JSON file.  Open the result in ``chrome://tracing``
 or https://ui.perfetto.dev to see the tune run as a flame chart with one
 lane per process: lane 0 is the parent (enumeration, GA, batching), and
 each pool worker gets its own lane showing the ``worker.eval`` /
-``worker.eval_group`` spans the parent merged in, already rebased onto
+``worker.eval_chunk`` spans the parent merged in, already rebased onto
 the parent's clock.
 
 Only the "complete" (``ph: "X"``) and "metadata" (``ph: "M"``) event

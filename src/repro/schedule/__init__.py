@@ -10,23 +10,22 @@ from repro.schedule.schedule import Schedule, DimSplit
 from repro.schedule.lowering import ScheduledMapping, lower_schedule, macro_dims
 from repro.schedule.features import (
     BatchQuantities,
-    MappingFeatures,
-    OperandFeature,
+    MappingTable,
     ScheduleBatch,
     derive_batch,
     encode_rows,
 )
-from repro.schedule.space import ScheduleSpace, default_schedule
+from repro.schedule.space import ScheduleSpace, default_rows, default_schedule
 
 __all__ = [
     "BatchQuantities",
     "DimSplit",
-    "MappingFeatures",
-    "OperandFeature",
+    "MappingTable",
     "Schedule",
     "ScheduleBatch",
     "ScheduleSpace",
     "ScheduledMapping",
+    "default_rows",
     "default_schedule",
     "derive_batch",
     "encode_rows",

@@ -1,31 +1,35 @@
-"""Structure-of-arrays fast path: mapping feature tables + schedule batches.
+"""Structure-of-arrays fast path: mapping tables + schedule batches.
 
 The exploration loop evaluates thousands of (mapping, schedule)
 candidates through the analytic model and the timing simulator.  The
 scalar path (:class:`~repro.schedule.lowering.ScheduledMapping`) walks a
 per-candidate object graph — cached properties, per-operand footprint
 objects, repeated dict lookups — and profiling shows that walk, not the
-arithmetic, dominates a full tune.  This module factors one candidate
-into
+arithmetic, dominates a full tune.  This module factors a batch of
+candidates into
 
-* a :class:`MappingFeatures` table — everything derivable from the
-  :class:`~repro.mapping.physical.PhysicalMapping` alone, computed once
-  per mapping (macro-dim extents, operand tile layouts, element widths,
+* a :class:`MappingTable` — everything derivable from the
+  :class:`~repro.mapping.physical.PhysicalMapping` alone, as arrays
+  indexed by mapping, built once for a whole mapping list (macro-dim
+  extents, operand tile sizes and the dims they span,
   ``macs_per_call``, shared-memory flags, the diagonal call fraction),
 * a :class:`ScheduleBatch` — a whole batch of schedules encoded as
   integer/bool numpy arrays (per-spatial-dim warp/seq splits,
-  ``reduce_stage``, ``vectorize``, ``unroll``, ``double_buffer``), and
+  ``reduce_stage``, ``vectorize``, ``unroll``, ``double_buffer``) plus
+  a per-row mapping-index vector, so one batch may mix mappings, and
 * :func:`derive_batch` — every schedule-dependent quantity of
   ``ScheduledMapping`` (grid structure, footprints, staged bytes,
-  traffic) as closed-form array expressions over the two.
+  traffic) as closed-form array expressions over the two, the table's
+  rows gathered by each batch row's mapping index.
 
 It also holds the one row codec every batch producer shares: the
 schedule-to-row encoder (:func:`encode_rows`), the per-row key builder
 (:func:`row_keys`), the row plumbing (:func:`blank_rows`,
 :func:`write_rows`, :func:`stack_rows`, :func:`take_rows`) and the two
 decoders (:func:`schedules_from_rows`, :func:`render_describes`).  The
-genetic search's population, the engine's batches and the tuner's
-refinement neighbours are all rows of this one format.
+genetic search's population, the engine's batches, the prefilter's
+default rows and the tuner's refinement neighbours are all rows of this
+one format.
 
 Bit-exactness contract: for every candidate, each derived array element
 equals the corresponding ``ScheduledMapping`` property exactly — the same
@@ -38,6 +42,7 @@ for every registered workload); the equivalence test-suite enforces
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,8 +53,7 @@ from repro.schedule.lowering import dtype_bytes, macro_dims
 from repro.schedule.schedule import DimSplit, Schedule
 
 __all__ = [
-    "MappingFeatures",
-    "OperandFeature",
+    "MappingTable",
     "ScheduleBatch",
     "BatchQuantities",
     "blank_rows",
@@ -64,96 +68,157 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class OperandFeature:
-    """Schedule-independent footprint structure of one intrinsic operand.
+class MappingTable:
+    """Everything the batch evaluators need from a list of physical
+    mappings, as arrays indexed by mapping.
 
-    ``tile_bytes`` is constant per mapping (tile shape times element
-    width); the schedule only scales how many tiles are resident:
-    ``spatial_positions`` index the batch's per-spatial-dim arrays
-    (``min(tiles_per_block, extent)`` factors) and ``reduce_num_tiles``
-    carries the tile count of each reduce dimension the operand touches
-    (``min(reduce_stage, num_tiles)`` factors).
+    Built once per mapping list in one pass over each mapping's
+    ``splits`` and ``outer_iters``; what depends on the intrinsic alone
+    (operand tile shapes and element widths, which intrinsic iterations
+    each operand touches, ``macs_per_call``, shared staging) is read once
+    per intrinsic.  Per mapping ``m``:
+
+    * ``spatial_extents[m]`` — the spatial macro dims' extents in
+      macro-dim order (``spatial_names(m)``), padded with 1 to the widest
+      mapping; ``n_spatial[m]`` is the mapping's own width;
+    * ``reduce_tile_count``, ``diagonal_fraction``, ``macs_per_call``,
+      ``uses_shared``, ``reg_bytes_per_warp`` — one value each;
+    * per intrinsic operand ``p`` (padded to the most operands, padding
+      rows have ``tile_bytes`` 0): ``tile_bytes[m, p]``,
+      ``is_output[m, p]``, ``spatial_mask[m, p]`` (the spatial dims the
+      operand's tile spans) and ``reduce_mask[m, p]`` (the intrinsic
+      reduce iterations it spans, whose tile counts are
+      ``reduce_num_tiles[m]``, padded with 1).
+
+    The two strings a mapping contributes — its spatial dim names and
+    ``physical.compute.describe()``, the mapping half of the simulator's
+    jitter key — are rendered on first request only.  Plain arrays
+    rebuilt from the mapping list, so a pool worker builds its own from
+    the pool's context.
     """
 
-    name: str
-    tile_bytes: int
-    is_output: bool
-    spatial_positions: tuple[int, ...]
-    reduce_num_tiles: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class MappingFeatures:
-    """Everything the batch evaluators need from one physical mapping.
-
-    Built once per mapping (:meth:`from_physical`) and shipped to pool
-    workers instead of per-candidate objects; plain ints/tuples/arrays,
-    so pickling is cheap and spawn-safe.
-    """
-
-    spatial_names: tuple[str, ...]
-    spatial_extents: np.ndarray  # (n_spatial,) int64
-    reduce_tile_count: int
-    diagonal_fraction: float
-    macs_per_call: int
-    uses_shared: bool
-    operands: tuple[OperandFeature, ...]
-    reg_bytes_per_warp: int
-    #: ``physical.compute.describe()`` — the mapping half of the
-    #: simulator's deterministic jitter key.
-    describe_prefix: str
-
-    @staticmethod
-    def from_physical(physical: PhysicalMapping) -> "MappingFeatures":
-        dims = macro_dims(physical)
-        spatial = [d for d in dims if not d.is_reduce]
-        spatial_pos = {d.name: i for i, d in enumerate(spatial)}
-        reduce_tile_count = 1
-        for d in dims:
-            if d.is_reduce:
-                reduce_tile_count *= d.extent
-
-        intr = physical.intrinsic
-        out_name = intr.operand_names[0]
-        operands = []
-        reg_bytes = 0
-        for operand in intr.operand_names:
-            odims = physical.operand_tile_dims(operand)
-            tile_elems = 1
-            spatial_positions: list[int] = []
-            reduce_num_tiles: list[int] = []
-            for t in odims:
-                tile_elems *= physical.splits[t].problem_size
-                iv = intr.compute.iter_vars[t]
+    def __init__(self, physical: Sequence[PhysicalMapping]):
+        self.physical = tuple(physical)
+        index_of: dict[int, int] = {}  # id(intrinsic) -> layouts position
+        layouts: list[_IntrinsicLayout] = []
+        layout_of: list[int] = []
+        extents_rows: list[list[int]] = []
+        reduce_rows: list[list[int]] = []
+        reduce_tile_count: list[int] = []
+        diagonal_fraction: list[float] = []
+        for pm in self.physical:
+            k = index_of.get(id(pm.intrinsic))
+            if k is None:
+                k = index_of[id(pm.intrinsic)] = len(layouts)
+                layouts.append(_IntrinsicLayout(pm))
+            layout = layouts[k]
+            tiles = [split.num_tiles for split in pm.splits]
+            extents = [tiles[t] for t in layout.spatial_iters]
+            reduce_tiles = [tiles[t] for t in layout.reduce_iters]
+            count = math.prod(reduce_tiles)
+            for iv in pm.outer_iters:
                 if iv.is_reduce:
-                    reduce_num_tiles.append(physical.splits[t].num_tiles)
+                    count *= iv.extent
                 else:
-                    spatial_positions.append(spatial_pos[f"t_{iv.name}"])
-            dtype = intr.out_dtype if operand == out_name else intr.in_dtype
-            tile_bytes = tile_elems * dtype_bytes(dtype)
-            reg_bytes += tile_bytes
-            operands.append(
-                OperandFeature(
-                    name=operand,
-                    tile_bytes=tile_bytes,
-                    is_output=operand == out_name,
-                    spatial_positions=tuple(spatial_positions),
-                    reduce_num_tiles=tuple(reduce_num_tiles),
-                )
-            )
+                    extents.append(iv.extent)
+            layout_of.append(k)
+            extents_rows.append(extents)
+            reduce_rows.append(reduce_tiles)
+            reduce_tile_count.append(count)
+            diagonal_fraction.append(pm.diagonal_call_fraction())
 
-        return MappingFeatures(
-            spatial_names=tuple(d.name for d in spatial),
-            spatial_extents=np.array([d.extent for d in spatial], dtype=np.int64),
-            reduce_tile_count=reduce_tile_count,
-            diagonal_fraction=physical.diagonal_call_fraction(),
-            macs_per_call=intr.macs_per_call(),
-            uses_shared=intr.memory.uses_shared(),
-            operands=tuple(operands),
-            reg_bytes_per_warp=reg_bytes,
-            describe_prefix=physical.compute.describe(),
-        )
+        m = len(self.physical)
+        self.n_spatial = np.array([len(row) for row in extents_rows], dtype=np.int64)
+        self.spatial_extents = _padded(extents_rows, 1).reshape(m, -1)
+        self.reduce_num_tiles = _padded(reduce_rows, 1).reshape(m, -1)
+        self.reduce_tile_count = np.array(reduce_tile_count, dtype=np.int64)
+        self.diagonal_fraction = np.array(diagonal_fraction, dtype=np.float64)
+
+        # Intrinsic-level fields: one padded row per layout, gathered.
+        width = self.spatial_extents.shape[1]
+        n_reduce = self.reduce_num_tiles.shape[1]
+        n_operands = max((len(lay.tile_bytes) for lay in layouts), default=0)
+        tile_bytes = np.zeros((len(layouts), n_operands), dtype=np.int64)
+        is_output = np.zeros((len(layouts), n_operands), dtype=bool)
+        spatial_mask = np.zeros((len(layouts), n_operands, width), dtype=bool)
+        reduce_mask = np.zeros((len(layouts), n_operands, n_reduce), dtype=bool)
+        for k, lay in enumerate(layouts):
+            p, s = lay.spatial_mask.shape
+            tile_bytes[k, :p] = lay.tile_bytes
+            is_output[k, :p] = lay.is_output
+            spatial_mask[k, :p, :s] = lay.spatial_mask
+            reduce_mask[k, :p, : lay.reduce_mask.shape[1]] = lay.reduce_mask
+        rows = np.array(layout_of, dtype=np.int64)
+        self.tile_bytes = tile_bytes[rows]
+        self.is_output = is_output[rows]
+        self.spatial_mask = spatial_mask[rows]
+        self.reduce_mask = reduce_mask[rows]
+        self.reg_bytes_per_warp = tile_bytes.sum(axis=1)[rows]
+        self.macs_per_call = np.array(
+            [lay.macs_per_call for lay in layouts], dtype=np.int64
+        )[rows]
+        self.uses_shared = np.array([lay.uses_shared for lay in layouts], dtype=bool)[rows]
+        self._names: dict[int, tuple[str, ...]] = {}
+        self._prefixes: dict[int, str] = {}
+
+    def spatial_names(self, mapping_index: int) -> tuple[str, ...]:
+        """The mapping's spatial macro dim names, in column order."""
+        names = self._names.get(mapping_index)
+        if names is None:
+            names = self._names[mapping_index] = tuple(
+                d.name for d in macro_dims(self.physical[mapping_index]) if not d.is_reduce
+            )
+        return names
+
+    def describe_prefix(self, mapping_index: int) -> str:
+        """``physical.compute.describe()`` — the mapping half of the
+        simulator's deterministic jitter key."""
+        prefix = self._prefixes.get(mapping_index)
+        if prefix is None:
+            prefix = self._prefixes[mapping_index] = self.physical[
+                mapping_index
+            ].compute.describe()
+        return prefix
+
+
+def _padded(rows: list[list[int]], fill: int) -> np.ndarray:
+    """Ragged int rows as one int64 matrix, short rows padded with
+    ``fill``."""
+    width = max((len(row) for row in rows), default=0)
+    return np.array([row + [fill] * (width - len(row)) for row in rows], dtype=np.int64)
+
+
+class _IntrinsicLayout:
+    """What a :class:`MappingTable` row takes from the mapping's
+    intrinsic alone: every mapping onto it tiles each intrinsic
+    iteration at the intrinsic's own extent, and the intrinsic's spatial
+    iterations lead the spatial macro dims."""
+
+    def __init__(self, physical: PhysicalMapping):
+        intr = physical.intrinsic
+        iter_vars = intr.compute.iter_vars
+        self.spatial_iters = [t for t, iv in enumerate(iter_vars) if not iv.is_reduce]
+        self.reduce_iters = [t for t, iv in enumerate(iter_vars) if iv.is_reduce]
+        spatial_pos = {t: j for j, t in enumerate(self.spatial_iters)}
+        reduce_pos = {t: j for j, t in enumerate(self.reduce_iters)}
+        out_name = intr.operand_names[0]
+        n = len(intr.operand_names)
+        self.tile_bytes: list[int] = []
+        self.is_output = [name == out_name for name in intr.operand_names]
+        self.spatial_mask = np.zeros((n, len(self.spatial_iters)), dtype=bool)
+        self.reduce_mask = np.zeros((n, len(self.reduce_iters)), dtype=bool)
+        for p, operand in enumerate(intr.operand_names):
+            tile_elems = 1
+            for t in physical.operand_tile_dims(operand):
+                tile_elems *= physical.splits[t].problem_size
+                if t in reduce_pos:
+                    self.reduce_mask[p, reduce_pos[t]] = True
+                else:
+                    self.spatial_mask[p, spatial_pos[t]] = True
+            dtype = intr.out_dtype if operand == out_name else intr.in_dtype
+            self.tile_bytes.append(tile_elems * dtype_bytes(dtype))
+        self.macs_per_call = intr.macs_per_call()
+        self.uses_shared = intr.memory.uses_shared()
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,21 +350,23 @@ def row_keys(
     Row ``i``'s key is ``prefix_of(m)`` (``m = mapping_indices[i]``)
     plus the raw int64 bytes of its six columns, splits trimmed to
     ``width_of(m)`` so a key does not depend on the batch's padding.
+    Both callbacks run once per distinct mapping, and the columns are
+    stacked once per distinct width.
     """
     keys: list[bytes] = [b""] * len(batch)
-    for mi in np.unique(mapping_indices):
-        mi = int(mi)
-        rows = np.nonzero(mapping_indices == mi)[0]
-        d = width_of(mi)
+    uniq, inverse = np.unique(mapping_indices, return_inverse=True)
+    prefixes = [prefix_of(int(m)) for m in uniq]
+    row_width = np.array([width_of(int(m)) for m in uniq], dtype=np.int64)[inverse]
+    for d in np.unique(row_width):
+        rows = np.nonzero(row_width == d)[0]
         # column_stack widens the bool column to int64 (True -> 1).
         cols = np.column_stack(
             [c[rows, :d] if c.ndim == 2 else c[rows] for c in batch.columns()]
         )
         raw = np.ascontiguousarray(cols).tobytes()
         stride = cols.shape[1] * 8
-        prefix = prefix_of(mi)
-        for k, pos in enumerate(rows):
-            keys[pos] = prefix + raw[k * stride : (k + 1) * stride]
+        for k, (pos, u) in enumerate(zip(rows.tolist(), inverse[rows].tolist())):
+            keys[pos] = prefixes[u] + raw[k * stride : (k + 1) * stride]
     return keys
 
 
@@ -379,53 +446,67 @@ class BatchQuantities:
     shared_bytes_per_block: np.ndarray
 
 
-def derive_batch(features: MappingFeatures, batch: ScheduleBatch) -> BatchQuantities:
-    """Closed-form array evaluation of the scalar lowering quantities."""
-    extents = features.spatial_extents
-    tiles_per_block = batch.warp * batch.seq
+def derive_batch(
+    table: MappingTable, mapping_indices: np.ndarray, batch: ScheduleBatch
+) -> BatchQuantities:
+    """Closed-form array evaluation of the scalar lowering quantities.
+
+    Row ``i`` is evaluated against mapping ``mapping_indices[i]`` of
+    ``table``, so one call covers a batch that mixes mappings.
+    """
+    mi = np.asarray(mapping_indices, dtype=np.int64)
+    n_spatial = table.n_spatial[mi]
+    width = batch.warp.shape[1]
+    if len(mi) and int(n_spatial.max()) > width:
+        raise ValueError("batch rows are narrower than their mappings")
+    width = min(width, table.spatial_extents.shape[1])
+    # Columns past a row's own mapping width are padding: identity splits
+    # over unit extents, whatever the batch holds there.
+    own = np.arange(width) < n_spatial[:, None]
+    warp = np.where(own, batch.warp[:, :width], 1)
+    seq = np.where(own, batch.seq[:, :width], 1)
+    extents = table.spatial_extents[mi, :width]
+
+    tiles_per_block = warp * seq
     # DimSplit.num_blocks: math.ceil(extent / tiles_per_block) — float
     # division then ceil, mirrored exactly.
     blocks_per_dim = np.ceil(extents / tiles_per_block).astype(np.int64)
     num_blocks = np.prod(blocks_per_dim, axis=1, dtype=np.int64)
-    warps_per_block = np.prod(batch.warp, axis=1, dtype=np.int64)
-    seq_tiles_per_warp = np.prod(batch.seq, axis=1, dtype=np.int64)
+    warps_per_block = np.prod(warp, axis=1, dtype=np.int64)
+    seq_tiles_per_warp = np.prod(seq, axis=1, dtype=np.int64)
 
-    reduce_rounds = np.ceil(features.reduce_tile_count / batch.reduce_stage).astype(
-        np.int64
-    )
+    reduce_tile_count = table.reduce_tile_count[mi]
+    reduce_rounds = np.ceil(reduce_tile_count / batch.reduce_stage).astype(np.int64)
 
     # calls_per_warp: max(1, round(raw * diagonal_fraction)); np.rint is
     # round-half-to-even, exactly Python's round().
-    raw = seq_tiles_per_warp * features.reduce_tile_count
-    calls_per_warp = np.maximum(
-        1, np.rint(raw * features.diagonal_fraction).astype(np.int64)
-    )
+    diagonal_fraction = table.diagonal_fraction[mi]
+    raw = seq_tiles_per_warp * reduce_tile_count
+    calls_per_warp = np.maximum(1, np.rint(raw * diagonal_fraction).astype(np.int64))
     calls_per_block = calls_per_warp * warps_per_block
 
     input_rounds = np.maximum(
-        1, np.rint(reduce_rounds * features.diagonal_fraction).astype(np.int64)
+        1, np.rint(reduce_rounds * diagonal_fraction).astype(np.int64)
     )
 
-    n = len(batch)
-    input_traffic = np.zeros(n, dtype=np.int64)
-    output_traffic = np.zeros(n, dtype=np.int64)
-    staged_input_bytes = np.zeros(n, dtype=np.int64)
-    for op in features.operands:
-        tiles_per_round = np.ones(n, dtype=np.int64)
-        for pos in op.spatial_positions:
-            tiles_per_round *= np.minimum(tiles_per_block[:, pos], extents[pos])
-        for num_tiles in op.reduce_num_tiles:
-            tiles_per_round *= np.minimum(batch.reduce_stage, num_tiles)
-        staged = op.tile_bytes * tiles_per_round
-        if op.is_output:
-            output_traffic += staged  # rounds == 1
-        else:
-            staged_input_bytes += staged
-            input_traffic += staged * input_rounds
-
-    shared_bytes = np.zeros(n, dtype=np.int64)
-    if features.uses_shared:
-        shared_bytes = staged_input_bytes * np.where(batch.double_buffer, 2, 1)
+    # Tiles each operand holds per staging round: the product of the
+    # clipped per-block tiles of the spatial dims its tile spans and the
+    # staged tiles of the reduce iterations it spans (masked factors 1).
+    spatial_tiles = np.minimum(tiles_per_block, extents)[:, None, :]
+    reduce_tiles = np.minimum(batch.reduce_stage[:, None], table.reduce_num_tiles[mi])
+    tiles_per_round = np.prod(
+        np.where(table.spatial_mask[mi, :, :width], spatial_tiles, 1), axis=2
+    ) * np.prod(np.where(table.reduce_mask[mi], reduce_tiles[:, None, :], 1), axis=2)
+    staged = table.tile_bytes[mi] * tiles_per_round
+    is_output = table.is_output[mi]
+    output_traffic = np.where(is_output, staged, 0).sum(axis=1)  # rounds == 1
+    staged_input_bytes = np.where(is_output, 0, staged).sum(axis=1)
+    input_traffic = staged_input_bytes * input_rounds
+    shared_bytes = np.where(
+        table.uses_shared[mi],
+        staged_input_bytes * np.where(batch.double_buffer, 2, 1),
+        0,
+    )
 
     return BatchQuantities(
         num_blocks=num_blocks,

@@ -39,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.mapping.physical import PhysicalMapping
+from repro.schedule.features import MappingTable, ScheduleBatch
 from repro.schedule.lowering import MacroDim, macro_dims
 from repro.schedule.schedule import DimSplit, Schedule
 
@@ -435,3 +436,37 @@ def default_schedule(
         seq = 2 if dim.extent >= 4 * warp else 1
         splits[dim.name] = DimSplit(warp=warp, seq=seq)
     return Schedule(splits=splits, reduce_stage=2, double_buffer=True)
+
+
+def default_rows(table: MappingTable, max_warps_per_block: int = 4) -> ScheduleBatch:
+    """:func:`default_schedule` of every mapping of ``table`` as rows
+    (row ``m`` is mapping ``m``, padded to the table's width), built as
+    array columns with no :class:`Schedule` object: the same stable
+    widest-extent-first walk under the same warp budget, one column of
+    the sorted extents at a time for all mappings at once.  Padding
+    columns have extent 1, and an extent-1 dim takes the identity split
+    and leaves the budget alone wherever it sorts, so each row keys
+    exactly like its mapping's encoded :func:`default_schedule`."""
+    extents = table.spatial_extents
+    m, width = extents.shape
+    order = np.argsort(-extents, axis=1, kind="stable")
+    sorted_extents = np.take_along_axis(extents, order, axis=1)
+    warp = np.ones((m, width), dtype=np.int64)
+    seq = np.ones((m, width), dtype=np.int64)
+    budget = np.full(m, min(4, max_warps_per_block), dtype=np.int64)
+    rows = np.arange(m)
+    for k in range(width):
+        extent = sorted_extents[:, k]
+        w = np.minimum(budget, np.where(extent >= 2, 2, 1))
+        budget = np.maximum(1, budget // w)
+        warp[rows, order[:, k]] = w
+        seq[rows, order[:, k]] = np.where(extent >= 4 * w, 2, 1)
+    knobs = Schedule(reduce_stage=2, double_buffer=True)
+    return ScheduleBatch(
+        warp=warp,
+        seq=seq,
+        reduce_stage=np.full(m, knobs.reduce_stage, dtype=np.int64),
+        double_buffer=np.full(m, knobs.double_buffer, dtype=bool),
+        unroll=np.full(m, knobs.unroll, dtype=np.int64),
+        vectorize=np.full(m, knobs.vectorize, dtype=np.int64),
+    )

@@ -1,12 +1,12 @@
 """Vectorized batch evaluation of the cycle-level timing simulator.
 
 :func:`batch_simulate` reproduces :func:`repro.sim.timing.simulate_cycles`
-for a whole schedule batch of one mapping as array expressions: residency
-limits, wave quantisation, the three pipelines, occupancy — and the
-deterministic per-candidate measurement jitter, whose hash keys are
-preserved exactly (the mapping's describe prefix comes from the feature
-table, each schedule's canonical describe string is rendered from its
-row).
+for a whole schedule batch as array expressions, rows of several mappings
+in one call: residency limits, wave quantisation, the three pipelines,
+occupancy — and the deterministic per-candidate measurement jitter,
+whose hash keys are preserved exactly (each mapping's describe prefix
+comes from the mapping table, each schedule's canonical describe string
+is rendered from its row; both only for the rows that reach the jitter).
 
 Bit-exactness: every float64 operation is performed in the same order per
 element as the scalar code; ``math.log2``-based vector efficiencies are
@@ -31,7 +31,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import tracing_enabled as _obs_enabled
 from repro.schedule.features import (
     BatchQuantities,
-    MappingFeatures,
+    MappingTable,
     ScheduleBatch,
     derive_batch,
     render_describes,
@@ -58,7 +58,7 @@ class BatchTiming:
 
 
 def _batch_resident_blocks(
-    q: BatchQuantities, features: MappingFeatures, hw: HardwareParams
+    q: BatchQuantities, reg_bytes_per_warp: np.ndarray, hw: HardwareParams
 ) -> np.ndarray:
     """Vectorized ``resident_blocks``: min over the capacity limits."""
     n = q.num_blocks.shape[0]
@@ -75,7 +75,7 @@ def _batch_resident_blocks(
     warp_slots = hw.max_warps_per_subcore * hw.subcores_per_core
     resident = np.minimum(resident, warp_slots // np.maximum(q.warps_per_block, 1))
 
-    reg_per_block = features.reg_bytes_per_warp * q.warps_per_block
+    reg_per_block = reg_bytes_per_warp * q.warps_per_block
     reg_capacity = hw.reg_capacity_bytes * hw.subcores_per_core
     reg_limit = reg_capacity // np.maximum(reg_per_block, 1)
     resident = np.where(reg_per_block > 0, np.minimum(resident, reg_limit), resident)
@@ -84,17 +84,20 @@ def _batch_resident_blocks(
 
 
 def batch_simulate(
-    features: MappingFeatures,
+    table: MappingTable,
+    mapping_indices: np.ndarray,
     batch: ScheduleBatch,
     hw: HardwareParams,
     jitter: bool = True,
     quantities: BatchQuantities | None = None,
 ) -> BatchTiming:
-    """Simulate every schedule in the batch; zero-residency candidates are
+    """Simulate every schedule in the batch, row ``i`` on mapping
+    ``mapping_indices[i]`` of ``table``; zero-residency candidates are
     reported infinitely slow exactly like the scalar path."""
-    q = quantities if quantities is not None else derive_batch(features, batch)
+    mi = np.asarray(mapping_indices, dtype=np.int64)
+    q = quantities if quantities is not None else derive_batch(table, mi, batch)
     n = len(batch)
-    resident = _batch_resident_blocks(q, features, hw)
+    resident = _batch_resident_blocks(q, table.reg_bytes_per_warp[mi], hw)
     feasible = resident > 0
     # Clamped denominator for the masked lanes; their outputs are
     # overwritten with the scalar path's infeasible constants below.
@@ -105,13 +108,12 @@ def batch_simulate(
     waves = np.ceil(num_blocks / (res * hw.num_cores)).astype(np.int64)
 
     clock_hz = hw.clock_ghz * 1e9
-    macs_per_call = features.macs_per_call
 
     # --- compute pipeline -------------------------------------------------
     warps_per_core = q.warps_per_block * res
     active_subcores = np.minimum(hw.subcores_per_core, warps_per_core)
     calls_per_core = q.calls_per_block * res
-    compute_cycles = calls_per_core * macs_per_call / (
+    compute_cycles = calls_per_core * table.macs_per_call[mi] / (
         hw.intrinsic_macs_per_cycle * active_subcores
     )
     warps_per_subcore = warps_per_core / hw.subcores_per_core
@@ -137,32 +139,36 @@ def batch_simulate(
     memory_us = wave_traffic / effective_bw * 1e6
 
     # --- shared-memory pipeline -------------------------------------------
-    if features.uses_shared:
-        shared_traffic = 2.0 * q.shared_bytes_per_block * q.reduce_rounds * res
-        shared_us = shared_traffic / (hw.shared_bandwidth_gbs_per_core * 1e9) * 1e6
-    else:
-        shared_us = np.zeros(n)
+    uses_shared = table.uses_shared[mi]
+    shared_traffic = 2.0 * q.shared_bytes_per_block * q.reduce_rounds * res
+    shared_us = np.where(
+        uses_shared,
+        shared_traffic / (hw.shared_bandwidth_gbs_per_core * 1e9) * 1e6,
+        0.0,
+    )
 
     # --- combine ------------------------------------------------------------
     wave_us = np.maximum(np.maximum(compute_us, memory_us), shared_us)
-    if features.uses_shared:
-        wave_us = np.where(
-            batch.double_buffer,
-            wave_us,
-            compute_us + np.maximum(memory_us, shared_us),
-        )
+    # No overlap between staging and compute: pay both serially.
+    wave_us = np.where(
+        uses_shared & ~batch.double_buffer,
+        compute_us + np.maximum(memory_us, shared_us),
+        wave_us,
+    )
     total_us = waves * wave_us + hw.launch_overhead_us
 
     jitter_factors = np.ones(n)
     if jitter:
-        prefix = features.describe_prefix
         rows = np.nonzero(feasible)[0]
-        # The describe half of the jitter key is rendered from the rows
-        # here, only for the feasible rows that reach jitter encoding.
-        texts = render_describes(features.spatial_names, batch, rows)
-        for i, text in zip(rows, texts):
-            key = f"{prefix}|{text}|{hw.name}"
-            jitter_factors[i] = _jitter_factor(key)
+        row_mappings = mi[rows]
+        # The jitter key's two describe halves are rendered here, only
+        # for the feasible rows that reach jitter encoding.
+        for m in np.unique(row_mappings).tolist():
+            prefix = table.describe_prefix(m)
+            own = rows[row_mappings == m]
+            texts = render_describes(table.spatial_names(m), batch, own)
+            for i, text in zip(own, texts):
+                jitter_factors[i] = _jitter_factor(f"{prefix}|{text}|{hw.name}")
         total_us = total_us * jitter_factors
 
     warp_slots = hw.max_warps_per_subcore * hw.subcores_per_core

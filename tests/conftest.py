@@ -41,8 +41,8 @@ class ParityTally:
 def scalar_parity(monkeypatch):
     """Re-check the rows the engine evaluates against the scalar oracle.
 
-    ``scalar_parity(rate)`` wraps ``EvaluationEngine._eval_grouped`` for
-    the rest of the test, so inline and pooled batches are both seen.
+    ``scalar_parity(rate)`` wraps ``EvaluationEngine._evaluate_misses``
+    for the rest of the test, so inline and pooled batches are both seen.
     A row is sampled when the ``zlib.crc32`` of its memo key is below
     ``rate * 2**32``: deterministic per candidate, so a tune samples the
     same rows on every run.  Each sampled row is decoded, lowered and run
@@ -50,23 +50,23 @@ def scalar_parity(monkeypatch):
     measures); the pair must equal the engine's result exactly.
     Returns the :class:`ParityTally`; calling again restarts it.
     """
-    evaluate = engine_mod.EvaluationEngine._eval_grouped
+    evaluate = engine_mod.EvaluationEngine._evaluate_misses
 
     def install(rate: float = 1.0) -> ParityTally:
         tally = ParityTally()
         threshold = int(rate * 0x100000000)
 
-        def checked(self, miss_positions, mapping_indices, batch, measure, use_pool):
-            results = evaluate(
-                self, miss_positions, mapping_indices, batch, measure, use_pool
+        def checked(self, mapping_indices, batch, measure, use_pool):
+            predicted, measured = evaluate(
+                self, mapping_indices, batch, measure, use_pool
             )
             keys = self.row_keys(mapping_indices, batch)
-            for pos, result in zip(miss_positions, results):
-                if zlib.crc32(keys[pos]) >= threshold:
+            for i, key in enumerate(keys):
+                if zlib.crc32(key) >= threshold:
                     continue
-                mi = int(mapping_indices[pos])
-                names = self.features_of(mi).spatial_names
-                (schedule,) = schedules_from_rows(names, batch, [pos])
+                mi = int(mapping_indices[i])
+                names = self.table.spatial_names(mi)
+                (schedule,) = schedules_from_rows(names, batch, [i])
                 lowered = lower_schedule(self.physical[mi], schedule)
                 oracle = (
                     predict_latency(lowered, self.hardware).total_us,
@@ -74,12 +74,18 @@ def scalar_parity(monkeypatch):
                     if measure
                     else None,
                 )
+                result = (
+                    float(predicted[i]),
+                    float(measured[i]) if measure else None,
+                )
                 tally.checked += 1
                 if oracle != result:
-                    tally.mismatches.append((keys[pos], result, oracle))
-            return results
+                    tally.mismatches.append((key, result, oracle))
+            return predicted, measured
 
-        monkeypatch.setattr(engine_mod.EvaluationEngine, "_eval_grouped", checked)
+        monkeypatch.setattr(
+            engine_mod.EvaluationEngine, "_evaluate_misses", checked
+        )
         return tally
 
     return install

@@ -29,7 +29,9 @@ end:
 
 import dataclasses
 import hashlib
+import pathlib
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -56,12 +58,23 @@ from repro.frontends.operators import make_operator
 from repro.isa.registry import intrinsics_for_target
 from repro.mapping.generation import GenerationOptions, enumerate_mappings
 from repro.mapping.physical import lower_to_physical
-from repro.model.hardware_params import get_hardware
+from repro.model.hardware_params import get_hardware, list_hardware
 from repro.model.perf_model import predict_latency
-from repro.schedule.features import ScheduleBatch, schedules_from_rows
+from repro.schedule.features import (
+    MappingTable,
+    ScheduleBatch,
+    encode_rows,
+    row_keys,
+    schedules_from_rows,
+)
 from repro.schedule.lowering import lower_schedule
 from repro.schedule.schedule import DimSplit
-from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, default_schedule
+from repro.schedule.space import (
+    MUTATE_UNIFORMS,
+    ScheduleSpace,
+    default_rows,
+    default_schedule,
+)
 from repro.sim.timing import simulate_cycles
 
 
@@ -484,7 +497,7 @@ class TestTunerGaArrays:
         """With more mappings than the prefilter keeps (105 > 24), the
         GA's generation-0 seed rows — each kept mapping's default
         schedule, padded to the population's joint width — are served
-        from the memo entries the prefilter's ``encode_rows`` rows left,
+        from the memo entries the prefilter's default rows left,
         and each keys like the same schedule encoded alone, unpadded:
         padded GA rows and encoded rows share one key format."""
         calls = []
@@ -514,12 +527,56 @@ class TestTunerGaArrays:
         assert set(ga_keys[:seeds]) <= set(prefilter_keys)
         padded = 0
         for i in range(seeds):
-            names = engine.features_of(int(ga_mi[i])).spatial_names
+            names = engine.table.spatial_names(int(ga_mi[i]))
             padded += len(names) < ga_batch.warp.shape[1]
             (schedule,) = schedules_from_rows(names, ga_batch, [i])
             alone = engine.row_keys(*engine.encode_rows([(int(ga_mi[i]), schedule)]))
             assert alone == [ga_keys[i]]
         assert padded  # some seed row is narrower than the population
+
+
+class TestDefaultRows:
+    def test_default_rows_key_like_default_schedule(self):
+        """The prefilter's array default rows key exactly like
+        ``encode_rows`` of each mapping's ``default_schedule``, for every
+        enumerated mapping of the Table 6 operators on every shipped
+        device: under the prefilter's 4-warp budget and under the
+        device's own warp budget (the GA seeds')."""
+        benchmarks = str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks")
+        sys.path.insert(0, benchmarks)
+        try:
+            from bench_table6_mapping_counts import PAPER_COUNTS, SMALL_PARAMS
+        finally:
+            sys.path.remove(benchmarks)
+        operators = [make_operator(code, **SMALL_PARAMS[code]) for code in PAPER_COUNTS]
+        for hw_name in list_hardware():
+            hw = get_hardware(hw_name)
+            physical = [
+                lower_to_physical(m)
+                for intr in intrinsics_for_target(hw.target)
+                for comp in operators
+                for m in enumerate_mappings(comp, intr)
+            ]
+            table = MappingTable(physical)
+            rows = np.arange(len(physical))
+            names = [table.spatial_names(m) for m in range(len(physical))]
+
+            def keys(batch):
+                return row_keys(
+                    rows,
+                    batch,
+                    lambda m: m.to_bytes(8, "little"),
+                    lambda m: int(table.n_spatial[m]),
+                )
+
+            max_warps = hw.max_warps_per_subcore * hw.subcores_per_core
+            for budget in (4, max_warps):
+                objects = [
+                    default_schedule(pm, max_warps_per_block=budget) for pm in physical
+                ]
+                assert keys(default_rows(table, budget)) == keys(
+                    encode_rows(names, objects)
+                ), (hw_name, budget)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.compiler import amos_compile
@@ -549,3 +550,78 @@ class TestCliFlags:
         reset_global_memo()
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+class TestOneArrayCallPerBatch:
+    #: Rows a cold default-config tune of the C2D below hands
+    #: ``batch_predict`` and ``batch_simulate``: the same totals as when
+    #: the engine split every miss batch by mapping (205 model and 43
+    #: simulator calls then, one per mapping group).
+    MODEL_ROWS = 324
+    SIM_ROWS = 112
+
+    def test_batch_predict_once_per_batch_with_misses(self, monkeypatch):
+        """Every engine batch with misses makes exactly one
+        ``batch_predict`` call over all its distinct misses and at most
+        one ``batch_simulate`` call, whatever mix of mappings it holds;
+        the mapping table is built once per engine."""
+        import repro.engine.engine as engine_mod
+        from repro.schedule.features import MappingTable
+
+        calls = {"predict": [], "simulate": [], "tables": 0}
+        predict, simulate = engine_mod.batch_predict, engine_mod.batch_simulate
+
+        def counted(name, fn):
+            def wrapper(table, mapping_indices, *args, **kwargs):
+                calls[name].append(len(mapping_indices))
+                return fn(table, mapping_indices, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(engine_mod, "batch_predict", counted("predict", predict))
+        monkeypatch.setattr(engine_mod, "batch_simulate", counted("simulate", simulate))
+        init = MappingTable.__init__
+
+        def built(self, physical):
+            calls["tables"] += 1
+            init(self, physical)
+
+        monkeypatch.setattr(MappingTable, "__init__", built)
+
+        batches = []
+        evaluate = EvaluationEngine._evaluate_rows
+
+        def spy(self, mapping_indices, batch, measure):
+            mapping_indices = np.asarray(mapping_indices, dtype=np.int64)
+            keys = self.row_keys(mapping_indices, batch)
+            missing = {
+                key
+                for key in keys
+                if self.memo.get_prediction(key) is None
+                or (measure and self.memo.get_measurement(key) is None)
+            }
+            before = len(calls["predict"]), len(calls["simulate"])
+            result = evaluate(self, mapping_indices, batch, measure)
+            batches.append(
+                (
+                    len(missing),
+                    len(set(mapping_indices.tolist())),
+                    measure,
+                    calls["predict"][before[0] :],
+                    calls["simulate"][before[1] :],
+                )
+            )
+            return result
+
+        monkeypatch.setattr(EvaluationEngine, "_evaluate_rows", spy)
+        reset_global_memo()
+        comp = make_operator("C2D", n=1, c=16, k=16, h=8, w=8)
+        Tuner(get_hardware("v100"), TunerConfig()).tune(comp)
+
+        assert calls["tables"] == 1
+        assert any(misses and mappings > 1 for misses, mappings, *_ in batches)
+        for misses, _, measure, predicted, simulated in batches:
+            assert predicted == ([misses] if misses else [])
+            assert simulated == ([misses] if misses and measure else [])
+        assert sum(calls["predict"]) == self.MODEL_ROWS
+        assert sum(calls["simulate"]) == self.SIM_ROWS

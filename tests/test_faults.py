@@ -27,10 +27,12 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 import repro.compiler as compiler_mod
 import repro.engine as engine_pkg
+import repro.engine.engine as engine_mod
 import repro.engine.pool as pool_mod
 from repro.compiler import amos_compile
 from repro.engine import (
@@ -108,14 +110,33 @@ def schedule_items(physical, seed, per_mapping=3):
     return items
 
 
+def pid_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def kill_one_worker(before: set[int]) -> None:
-    """SIGKILL one pool worker (a child not in ``before``) and reap it."""
+    """SIGKILL one pool worker (a child not in ``before``) and wait, up to
+    ``PROMPT_S``, until it is gone.
+
+    The executor's manager thread reaps dead workers too.  When it wins
+    the race, ``victim.join`` finds no child to wait for (``ECHILD``)
+    and leaves ``exitcode`` at ``None``; so a pid that no longer exists
+    counts as gone, as does the ``-SIGKILL`` exit code when ``join``
+    wins.
+    """
     workers = [p for p in multiprocessing.active_children() if p.pid not in before]
     assert workers, "the pool started no worker"
     victim = workers[0]
     os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=PROMPT_S)
-    assert victim.exitcode == -signal.SIGKILL
+    deadline = time.monotonic() + PROMPT_S
+    while victim.exitcode != -signal.SIGKILL and pid_exists(victim.pid):
+        assert time.monotonic() < deadline, "the killed worker did not exit"
+        victim.join(timeout=0.05)
+    assert victim.exitcode in (-signal.SIGKILL, None)
 
 
 def refuse_inline(monkeypatch):
@@ -126,8 +147,7 @@ def refuse_inline(monkeypatch):
         raise AssertionError("evaluation fell back to the parent process")
 
     monkeypatch.setattr(pool_mod, "_eval_item_with", refuse)
-    monkeypatch.setattr(pool_mod, "_eval_group_with", refuse)
-    monkeypatch.setattr(EvaluationEngine, "_eval_batch_inline", refuse)
+    monkeypatch.setattr(engine_mod, "evaluate_batch", refuse)
 
 
 class TestFaultPlan:
@@ -198,7 +218,9 @@ class TestWorkerPoolFaults:
             )
             _, batch = engine.encode_rows(schedule_items(physical, 3, per_mapping=1))
             with pytest.raises(IndexError):
-                pool.evaluate_groups([(len(physical), batch, True)])
+                pool.evaluate_groups(
+                    [(np.full(len(batch), len(physical)), batch, True)]
+                )
 
     def test_persistent_failure_is_quarantined(self, oracle):
         # Nothing is quarantined: the failing batch raises, and the next

@@ -181,7 +181,7 @@ class TestCrossProcessMerge:
         assert worker_spans, "pooled tune produced no merged worker spans"
         assert {s.name for s in worker_spans} <= {
             "worker.eval",
-            "worker.eval_group",
+            "worker.eval_chunk",
         }
         assert {s.attrs["lane"] for s in worker_spans} <= {1, 2}
         parent_ids = {s.span_id for s in spans}
