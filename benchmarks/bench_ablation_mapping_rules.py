@@ -55,7 +55,7 @@ def run_ablation():
     # Diagonal call skipping: utilization with vs without the skip.
     phys = diag_maps[0]
     skipped_calls = phys.num_intrinsic_calls()
-    naive_calls = round(skipped_calls / phys.diagonal_call_fraction())
+    naive_calls = round(skipped_calls / phys.diagonal_call_fraction)
     return {
         "count_with_rule": count_with_rule,
         "count_without": count_without,

@@ -192,6 +192,12 @@ class Tuner:
             n_workers=self.config.n_workers,
         )
 
+    @property
+    def _max_warps_per_block(self) -> int:
+        """The device's warp cap: the budget of the default schedules the
+        prefilter ranks and the GA seeds, and of the schedule spaces."""
+        return self.hardware.max_warps_per_subcore * self.hardware.subcores_per_core
+
     def _prefilter_indices(
         self, engine: EvaluationEngine, physical: list[PhysicalMapping]
     ) -> list[int]:
@@ -206,7 +212,8 @@ class Tuner:
             # keyed like every evaluation, so the GA's seed rows later
             # hit the same memo entries.
             costs = engine.predict_rows(
-                np.arange(len(physical)), default_rows(engine.table)
+                np.arange(len(physical)),
+                default_rows(engine.table, self._max_warps_per_block),
             )
             _obs_metrics.counter("model.predictions").inc(len(physical))
             return np.argsort(costs, kind="stable")[:keep].tolist()
@@ -345,9 +352,7 @@ class Tuner:
             predicted, measured = engine.measure_rows(*engine.encode_rows(items))
             return list(zip(predicted.tolist(), measured.tolist()))
 
-        max_warps = (
-            self.hardware.max_warps_per_subcore * self.hardware.subcores_per_core
-        )
+        max_warps = self._max_warps_per_block
         spaces = [
             ScheduleSpace(pm, max_warps_per_block=max_warps) for pm in physical
         ]

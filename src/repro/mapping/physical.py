@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from repro.ir.expr import Expr, IntImm, Var
 from repro.ir.itervar import IterVar
 from repro.mapping.mapping import ComputeMapping, OperandAddress, SoftwareHardwareMapping
@@ -40,6 +42,71 @@ class AxisSplit:
     @property
     def padded_extent(self) -> int:
         return self.num_tiles * self.problem_size
+
+
+@dataclass(frozen=True)
+class DiagonalArcs:
+    """One diagonal software iteration of extent ``E``, seen from the two
+    intrinsic iterations ``targets = (t_a, t_b)`` it feeds.
+
+    Inside tile ``i`` of an intrinsic iteration with problem size ``P``
+    and fused extent ``F``, the fused index runs over
+    ``f in [i*P, min(i*P + P, F))`` and the iteration takes the values
+    ``(f // w) % E``, ``w`` being the product of the extents fused after
+    it.  ``f // w`` steps through consecutive integers, so the values are
+    one cyclic arc of ``[0, E)``: it starts at ``(i*P // w) % E`` and has
+    length ``min((stop - 1) // w - i*P // w + 1, E)``.  ``starts[k]`` and
+    ``lengths[k]`` hold those per tile of ``targets[k]``.
+
+    Arcs ``(sa, La)`` and ``(sb, Lb)`` intersect if and only if ``sb``
+    lies in the cyclic window ``[sa - Lb + 1, sa + La - 1]`` (mod ``E``),
+    which covers every start once ``La + Lb - 1 >= E``.
+    """
+
+    targets: tuple[int, ...]
+    extent: int
+    starts: tuple[np.ndarray, ...]
+    lengths: tuple[np.ndarray, ...]
+
+    def _window(self, start_a, length_a, length_b):
+        """First start (mod ``E``) and width of the window of ``b``
+        starts whose arcs meet arc ``a``."""
+        return (start_a - length_b + 1) % self.extent, length_a + length_b - 1
+
+    def overlaps(self, a, b):
+        """Whether tile ``a`` of ``targets[0]`` and tile ``b`` of
+        ``targets[1]`` share a value, i.e. the pair is not all zeros
+        (element-wise over broadcast index arrays)."""
+        low, width = self._window(
+            self.starts[0][a], self.lengths[0][a], self.lengths[1][b]
+        )
+        return (width >= self.extent) | (
+            (self.starts[1][b] - low) % self.extent < width
+        )
+
+    def count(self) -> int:
+        """Number of overlapping (a, b) tile pairs.
+
+        The ``b`` tiles are grouped by arc length (there are few distinct
+        lengths); within a group each ``a`` tile's window is one range of
+        sorted starts, split in two where it wraps past ``E``, and
+        counted with ``np.searchsorted``.
+        """
+        extent = self.extent
+        starts_a, starts_b = self.starts
+        lengths_a, lengths_b = self.lengths
+        total = 0
+        for length in np.unique(lengths_b):
+            group = np.sort(starts_b[lengths_b == length])
+            low, width = self._window(starts_a, lengths_a, length)
+            high = low + width
+            inside = (
+                np.searchsorted(group, np.minimum(high, extent))
+                - np.searchsorted(group, low)
+                + np.searchsorted(group, np.maximum(high - extent, 0))
+            )
+            total += int(np.where(width >= extent, group.size, inside).sum())
+        return total
 
 
 @dataclass(frozen=True)
@@ -75,73 +142,65 @@ class PhysicalMapping:
 
         Tile pairs made entirely of off-diagonal zeros by a diagonal
         mapping are skipped (real implementations never issue them), via
-        :meth:`diagonal_call_fraction`.
+        :attr:`diagonal_call_fraction`.
         """
         calls = 1
         for s in self.splits:
             calls *= s.num_tiles
         for iv in self.outer_iters:
             calls *= iv.extent
-        return max(1, round(calls * self.diagonal_call_fraction()))
+        return max(1, round(calls * self.diagonal_call_fraction))
 
     # ------------------------------------------------------------------
     # Diagonal-mapping tile overlap
     # ------------------------------------------------------------------
-    def tile_var_values(
-        self, intrinsic_index: int, tile_coord: int, var
-    ) -> frozenset[int]:
-        """Values a fused-group member variable takes inside one tile."""
+    def diagonal_arcs(self) -> tuple[DiagonalArcs, ...]:
+        """Per diagonal software iteration: the arc of values it takes in
+        every tile of each of its two intrinsic iterations."""
+        matching = self.compute.matching
+        result = []
+        for c in matching.diagonal_columns():
+            targets = matching.targets_of(c)
+            extent = self.computation.iter_vars[c].extent
+            starts, lengths = zip(*(self._tile_arcs(t, c, extent) for t in targets))
+            result.append(DiagonalArcs(targets, extent, starts, lengths))
+        return tuple(result)
+
+    def _tile_arcs(
+        self, intrinsic_index: int, software_index: int, extent: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per tile of the intrinsic iteration: start and length of the
+        arc of values the software iteration takes in it (see
+        :class:`DiagonalArcs`)."""
         split = self.splits[intrinsic_index]
-        members = self.compute.group_iters(intrinsic_index)
-        weight = 1
-        extent = None
-        for iv in reversed(members):
-            if iv.var == var:
-                extent = iv.extent
-                break
-            weight *= iv.extent
-        if extent is None:
-            raise KeyError(f"variable {var.name} not in group {intrinsic_index}")
-        start = tile_coord * split.problem_size
-        stop = min(start + split.problem_size, split.fused_extent)
-        return frozenset((f // weight) % extent for f in range(start, stop))
+        members = self.compute.matching.group_of(intrinsic_index)
+        weight = math.prod(
+            self.computation.iter_vars[m].extent
+            for m in members[members.index(software_index) + 1 :]
+        )
+        start = np.arange(split.num_tiles, dtype=np.int64) * split.problem_size
+        stop = np.minimum(start + split.problem_size, split.fused_extent)
+        first = start // weight
+        return first % extent, np.minimum((stop - 1) // weight - first + 1, extent)
 
     @cached_property
-    def diagonal_overlaps(self) -> dict[int, set[tuple[int, int]]]:
-        """Per diagonal software iteration: the (spatial-tile, reduce-tile)
-        coordinate pairs whose value ranges intersect.  Keyed by software
-        iteration index."""
-        result: dict[int, set[tuple[int, int]]] = {}
-        matching = self.compute.matching
-        for c in matching.diagonal_columns():
-            t_a, t_b = matching.targets_of(c)
-            var = self.computation.iter_vars[c].var
-            vals_a = [
-                self.tile_var_values(t_a, a, var)
-                for a in range(self.splits[t_a].num_tiles)
-            ]
-            vals_b = [
-                self.tile_var_values(t_b, b, var)
-                for b in range(self.splits[t_b].num_tiles)
-            ]
-            pairs = {
-                (a, b)
-                for a, va in enumerate(vals_a)
-                for b, vb in enumerate(vals_b)
-                if va & vb
-            }
-            result[c] = pairs
-        return result
-
     def diagonal_call_fraction(self) -> float:
-        """Fraction of tile combinations that survive diagonal skipping."""
+        """Fraction of tile combinations that survive diagonal skipping.
+
+        A diagonal software iteration feeds two intrinsic iterations; a
+        (tile a, tile b) pair is all zeros, and skipped, when the values
+        the iteration takes in tile ``a`` and in tile ``b`` are disjoint.
+        Each tile's values are one cyclic arc of ``[0, E)``, so the
+        surviving pairs are counted in closed form by
+        :meth:`DiagonalArcs.count` in ``O((Ta + Tb) log Tb)`` time and
+        ``O(Ta + Tb)`` memory, never walking the ``Ta x Tb`` pairs.
+        Computed once per mapping.
+        """
         fraction = 1.0
-        matching = self.compute.matching
-        for c, pairs in self.diagonal_overlaps.items():
-            t_a, t_b = matching.targets_of(c)
-            total = self.splits[t_a].num_tiles * self.splits[t_b].num_tiles
+        for arcs in self.diagonal_arcs():
+            total = arcs.starts[0].size * arcs.starts[1].size
             if total:
-                fraction *= len(pairs) / total
+                fraction *= arcs.count() / total
         return fraction
 
     def utilization(self) -> float:

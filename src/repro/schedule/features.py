@@ -125,7 +125,7 @@ class MappingTable:
             extents_rows.append(extents)
             reduce_rows.append(reduce_tiles)
             reduce_tile_count.append(count)
-            diagonal_fraction.append(pm.diagonal_call_fraction())
+            diagonal_fraction.append(pm.diagonal_call_fraction)
 
         m = len(self.physical)
         self.n_spatial = np.array([len(row) for row in extents_rows], dtype=np.int64)

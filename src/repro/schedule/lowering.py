@@ -145,10 +145,11 @@ class ScheduledMapping:
         """Shared-memory staging rounds along the reduction."""
         return math.ceil(self.reduce_tile_count / self.schedule.reduce_stage)
 
-    @cached_property
+    @property
     def diagonal_fraction(self) -> float:
-        """Fraction of tile combinations surviving diagonal skipping."""
-        return self.physical.diagonal_call_fraction()
+        """Fraction of tile combinations surviving diagonal skipping
+        (computed once per physical mapping)."""
+        return self.physical.diagonal_call_fraction
 
     @cached_property
     def calls_per_warp(self) -> int:

@@ -93,20 +93,24 @@ class MappedExecutor:
         outer_vars = [iv.var for iv in self.physical.outer_iters]
         tile_ranges = [range(s.num_tiles) for s in self.physical.splits]
 
-        # Diagonal mappings: tile pairs whose value ranges are disjoint are
-        # all zeros off-diagonal and are skipped, as a real implementation
-        # would (this cannot change the result, only avoid null work).
-        overlaps = [
-            (self.physical.compute.matching.targets_of(c), pairs)
-            for c, pairs in self.physical.diagonal_overlaps.items()
-        ]
+        # Diagonal mappings: a tile pair on which the diagonal iteration
+        # takes disjoint values is all zeros off-diagonal and is skipped,
+        # as a real implementation would (this cannot change the result,
+        # only avoid null work).  In each tile those values are one cyclic
+        # arc of [0, E), and arcs (sa, La), (sb, Lb) meet iff sb lies in
+        # [sa - Lb + 1, sa + La - 1] mod E: O(1) per tile point.  It is the
+        # predicate PhysicalMapping.diagonal_call_fraction counts with, so
+        # the calls executed here are the calls the cost model charges.
+        diagonals = self.physical.diagonal_arcs()
 
         for outer_point in itertools.product(*outer_ranges):
             outer_env = dict(zip(outer_vars, outer_point))
             for tile_point in itertools.product(*tile_ranges):
                 skip = any(
-                    (tile_point[t_a], tile_point[t_b]) not in pairs
-                    for (t_a, t_b), pairs in overlaps
+                    not arcs.overlaps(
+                        tile_point[arcs.targets[0]], tile_point[arcs.targets[1]]
+                    )
+                    for arcs in diagonals
                 )
                 if skip:
                     continue

@@ -75,6 +75,7 @@ from repro.schedule.space import (
     default_rows,
     default_schedule,
 )
+from repro.sim.batch_timing import batch_simulate
 from repro.sim.timing import simulate_cycles
 
 
@@ -533,6 +534,50 @@ class TestTunerGaArrays:
             alone = engine.row_keys(*engine.encode_rows([(int(ga_mi[i]), schedule)]))
             assert alone == [ga_keys[i]]
         assert padded  # some seed row is narrower than the population
+
+    def test_xeon_prefilter_rows_fit_the_device(self, monkeypatch):
+        """On xeon_4110 (a 2-warp cap) the prefilter ranks default rows
+        under the device's own warp budget: every row it ranks is
+        feasible under ``batch_simulate``, and the GA's seed rows are
+        served from the memo entries those rows left.  A 4-warp budget
+        would make every Xeon default row infeasible and every seed a
+        miss."""
+        calls = []
+        evaluate = EvaluationEngine._evaluate_rows
+
+        def spy(self, mapping_indices, batch, measure):
+            mapping_indices = np.asarray(mapping_indices, dtype=np.int64)
+            keys = self.row_keys(mapping_indices, batch)
+            known = [self.memo.get_prediction(k) is not None for k in keys]
+            calls.append((self, mapping_indices, batch, keys, known))
+            return evaluate(self, mapping_indices, batch, measure)
+
+        monkeypatch.setattr(EvaluationEngine, "_evaluate_rows", spy)
+        hw = get_hardware("xeon_4110")
+        config = TunerConfig(
+            n_workers=1,
+            generations=1,
+            measure_top=4,
+            refine_rounds=0,
+            prefilter_mappings=2,
+        )
+        comp = make_operator("C2D", n=1, c=16, k=16, h=8, w=8)
+        result = Tuner(hw, config).tune(comp)
+        kept = config.prefilter_mappings
+        assert result.num_mappings == kept
+
+        engine, prefilter_mi, prefilter_batch, prefilter_keys, _ = calls[0]
+        assert len(prefilter_keys) > kept
+        timing = batch_simulate(engine.table, prefilter_mi, prefilter_batch, hw)
+        assert np.isfinite(timing.total_us).all()
+
+        _, _, _, ga_keys, ga_known = calls[1]
+        seeds = min(kept, config.population)
+        assert ga_known[:seeds] == [True] * seeds
+        assert set(ga_keys[:seeds]) <= set(prefilter_keys)
+        assert int(prefilter_batch.warp.prod(axis=1).max()) <= (
+            hw.max_warps_per_subcore * hw.subcores_per_core
+        )
 
 
 class TestDefaultRows:
