@@ -10,8 +10,6 @@ The claim under test mirrors Sec 5.3: model-guided evolutionary search
 reaches better configurations than random sampling at equal budget.
 """
 
-import random
-
 from repro.explore.genetic import Candidate, GeneticConfig, genetic_search
 from repro.explore.random_search import random_search
 from repro.explore.tuner import Tuner, TunerConfig

@@ -39,6 +39,8 @@ import random
 import sys
 import time
 
+import numpy as np
+
 from repro.engine import EvaluationEngine, MemoCache
 from repro.explore.genetic import (
     Candidate,
@@ -52,6 +54,7 @@ from repro.mapping.generation import GenerationOptions, enumerate_mappings
 from repro.mapping.physical import lower_to_physical
 from repro.model import get_hardware
 from repro.model.perf_model import predict_latency
+from repro.schedule.features import encode_rows, schedules_from_rows
 from repro.schedule.lowering import lower_schedule
 from repro.schedule.space import ScheduleSpace, default_schedule
 from repro.sim.timing import simulate_cycles
@@ -182,11 +185,28 @@ def _ranked_fingerprint(pairs):
     ]
 
 
+def _decoded_ranking(result, spaces):
+    """A rows-GA result as the object GA's ``(Candidate, cost)`` list."""
+    ranking = []
+    for i, (mi, cost) in enumerate(
+        zip(result.mapping_index.tolist(), result.costs.tolist())
+    ):
+        (schedule,) = schedules_from_rows(spaces[mi].spatial_names, result.batch, [i])
+        ranking.append((Candidate(mi, schedule), cost))
+    return ranking
+
+
 def run_ga_loop_throughput() -> dict:
     """One whole GA run — breed + dedup + memo keys + predict — as rows
     vs as per-candidate objects, cold memo each repetition."""
     comp, hw, physical = _context()
     spaces, seeds = _ga_context(comp, hw, physical)
+    seed_rows = (
+        np.arange(len(seeds)),
+        encode_rows(
+            [space.spatial_names for space in spaces], [c.schedule for c in seeds]
+        ),
+    )
     cfg = GA_LOOP_CONFIG
 
     def timed(run):
@@ -202,10 +222,10 @@ def run_ga_loop_throughput() -> dict:
 
     rows_s, rows_result = timed(
         lambda engine: genetic_search_rows(
-            physical, engine.predict_rows, cfg, seeds=seeds, spaces=spaces
+            physical, engine.predict_rows, cfg, seeds=seed_rows, spaces=spaces
         )
     )
-    ranked_rows = rows_result.candidates(spaces)
+    ranked_rows = _decoded_ranking(rows_result, spaces)
     # The per-candidate baseline: every candidate bred, keyed and scored
     # one Python object at a time by the scalar model.
     percand_s, ranked_percand = timed(

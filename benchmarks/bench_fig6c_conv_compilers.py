@@ -12,7 +12,7 @@ from repro.compiler import amos_compile
 from repro.frontends.workloads import RESNET18_CONV_LAYERS
 from repro.model import get_hardware
 
-from bench_utils import FAST_CONFIG, SWEEP_CONFIG, geomean, write_table
+from bench_utils import SWEEP_CONFIG, geomean, write_table
 
 BASELINES = ("pytorch", "unit", "autotvm", "autotvm_expert", "ansor", "akg")
 

@@ -6,8 +6,6 @@ UNIT and TVM; AMOS wins or ties everywhere, with UNIT hurt by its
 batch-ignoring fuse_hw template and TVM hurt on strided convolutions.
 """
 
-import pytest
-
 from repro.baselines import make_baseline
 from repro.evaluation import AmosBackend, evaluate_network
 from repro.frontends.networks import NETWORKS

@@ -10,7 +10,6 @@ from repro.compiler import amos_compile
 from repro.frontends.operators import make_operator
 from repro.isa import get_intrinsic
 from repro.mapping.generation import count_mappings
-from repro.model import get_hardware
 
 from bench_utils import SWEEP_CONFIG, write_table
 

@@ -7,8 +7,6 @@ paper; the diagonal-mapping family (DEP, GRP-like, BCV, CAP, T2D) is
 reported alongside the paper's numbers with the enumeration caveats.
 """
 
-import pytest
-
 from repro.frontends.operators import make_operator
 from repro.isa import get_intrinsic
 from repro.mapping.generation import count_mappings

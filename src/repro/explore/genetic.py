@@ -9,12 +9,13 @@ mirroring how AMOS limits expensive on-device runs.
 
 Array-native exploration: the population is a mapping-index vector plus
 a :class:`~repro.schedule.features.ScheduleBatch` (rows padded to the
-widest mapping's spatial width), built, written, keyed and stacked with
-the shared row codec of :mod:`repro.schedule.features` — the same
-encoder and key builder the evaluation engine uses.  Selection,
-elitism, schedule mutation and mapping re-draw are numpy column
-operations, and per-row byte keys replace describe-string keys for
-dedup.  Every stochastic decision decodes *pre-drawn uniform
+widest mapping's spatial width), seeded with rows (the tuner's default
+rows of its kept mappings), written, keyed and stacked with the shared
+row codec of :mod:`repro.schedule.features` — the same key builder the
+evaluation engine uses — and returned as rows (:class:`GAResult`), with
+no schedule object built on the way.  Selection, elitism, schedule
+mutation and mapping re-draw are numpy column operations, and per-row
+byte keys replace describe-string keys for dedup.  Every stochastic decision decodes *pre-drawn uniform
 matrices* from one seeded ``numpy.random.Generator`` with a **fixed
 uniform budget per decision** (see :mod:`repro.schedule.space`), which
 is what makes the scalar object GA (:func:`genetic_search`) a
@@ -36,9 +37,7 @@ from repro.obs.explore_log import generation_stats
 from repro.schedule.features import (
     ScheduleBatch,
     blank_rows,
-    encode_rows,
     row_keys,
-    schedules_from_rows,
     stack_rows,
     take_rows,
     write_rows,
@@ -110,16 +109,6 @@ class GAResult:
     def __len__(self) -> int:
         return self.mapping_index.shape[0]
 
-    def candidates(self, spaces: Sequence[ScheduleSpace]) -> list[tuple[Candidate, float]]:
-        """Materialize ``(Candidate, cost)`` pairs (compat boundary only)."""
-        out: list[tuple[Candidate, float]] = []
-        for i in range(len(self)):
-            mi = int(self.mapping_index[i])
-            names = spaces[mi].spatial_names
-            schedule = schedules_from_rows(names, self.batch, [i])[0]
-            out.append((Candidate(mi, schedule), float(self.costs[i])))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Shared uniform-matrix layout.
@@ -180,7 +169,7 @@ def genetic_search_rows(
     mappings: Sequence[PhysicalMapping],
     fitness_rows: RowFitness,
     config: GeneticConfig | None = None,
-    seeds: Sequence[Candidate] = (),
+    seeds: tuple[np.ndarray, ScheduleBatch] | None = None,
     spaces: Sequence[ScheduleSpace] | None = None,
     on_generation: GenerationCallback | None = None,
 ) -> GAResult:
@@ -189,16 +178,18 @@ def genetic_search_rows(
     Selection, elitism, schedule mutation and mapping re-draw are numpy
     column operations over a single seeded ``numpy.random.Generator``;
     dedup and the evaluated archive are keyed by per-row canonical byte
-    keys.  :func:`genetic_search` with the same config, seeds and spaces
-    is the bit-identical object-path oracle: identical ranked output,
-    identical archive order.
+    keys.  :func:`genetic_search` with the same config and spaces, and
+    the same seeds as :class:`Candidate` objects, is the bit-identical
+    object-path oracle: identical ranked output, identical archive order.
 
     Args:
         mappings: the valid physical mappings to choose among.
         fitness_rows: row cost function ``(mapping_indices, batch) ->
             costs`` — typically the engine's ``predict_rows``.
         config: GA hyper-parameters.
-        seeds: candidates injected into the initial population.
+        seeds: ``(mapping_indices, batch)`` rows injected into the
+            initial population (the first ``population`` of them), e.g.
+            the default rows of the kept mappings.
         spaces: per-mapping schedule spaces (defaults to unconstrained).
         on_generation: pure-observation telemetry hook, as in
             :func:`genetic_search`.
@@ -223,21 +214,17 @@ def genetic_search_rows(
 
     pop_mi = np.zeros(pop_n, dtype=np.int64)
     pop = blank_rows(pop_n, joint)
-    seed_list = list(seeds)[:pop_n]
-    seed_rows = np.arange(len(seed_list))
-    pop_mi[seed_rows] = [c.mapping_index for c in seed_list]
-    write_rows(
-        pop,
-        seed_rows,
-        encode_rows(
-            [spaces[c.mapping_index].spatial_names for c in seed_list],
-            [c.schedule for c in seed_list],
-        ),
-    )
-    n_fill = pop_n - len(seed_list)
+    n_seeds = 0
+    if seeds is not None:
+        seed_mi, seed_batch = seeds
+        n_seeds = min(len(seed_batch), pop_n)
+        head = np.arange(n_seeds)
+        pop_mi[head] = seed_mi[:n_seeds]
+        write_rows(pop, head, take_rows(seed_batch, head, width=joint))
+    n_fill = pop_n - n_seeds
     if n_fill:
         u = rng.random((n_fill, _sample_width(joint)))
-        fill_rows = np.arange(len(seed_list), pop_n)
+        fill_rows = np.arange(n_seeds, pop_n)
         pop_mi[fill_rows] = _pick_vec(u[:, 0], len(mappings))
         _write_samples(pop, fill_rows, pop_mi[fill_rows], spaces, u[:, 1:])
 

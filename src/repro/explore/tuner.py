@@ -7,16 +7,23 @@ model-selected top candidates on the cycle simulator, and returns the best
 measured (mapping, schedule) pair with its exploration history — the
 history is what Fig 5's model-validation curves are drawn from.
 
-Every model prediction and simulator measurement flows through one
-:class:`~repro.engine.engine.EvaluationEngine` per tune run: the
-prefilter, the genetic search (:func:`genetic_search_rows`, whose
-population is a :class:`~repro.schedule.features.ScheduleBatch`), the
-measurement pass and the refinement rounds all submit *batches* of
-schedule rows.  The engine memoizes by canonical candidate key and
-evaluates in-process by default; with an opt-in ``TunerConfig.n_workers``
-above 1 it evaluates large batches on a spawn-safe process pool — with
-results reassembled in submission order, so the tuner's output is
-byte-identical for any worker count and any cache temperature.
+Exploration runs on schedule rows from the prefilter to the trial list,
+and every model prediction and simulator measurement flows through one
+:class:`~repro.engine.engine.EvaluationEngine` per tune run as a batch
+of rows: every mapping's default row (:func:`default_rows`) is ranked by
+the prefilter and, at the kept mappings, seeds the genetic search
+(:func:`genetic_search_rows`, whose population is a
+:class:`~repro.schedule.features.ScheduleBatch`); the measurement pass
+takes row slices of the GA's ranked archive, the safety net measures
+the kept default rows, and each refinement round mutates one row into a
+batch of neighbours.  Schedule objects are built in one place, the
+trial builder, which decodes each batch into :class:`Trial` records
+with one ``schedules_from_rows`` call per mapping.  The engine memoizes
+by canonical row key and evaluates in-process by default; with an
+opt-in ``TunerConfig.n_workers`` above 1 it evaluates large batches on
+a spawn-safe process pool — with results reassembled in submission
+order, so the tuner's output is byte-identical for any worker count and
+any cache temperature.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from repro.engine.fingerprint import (
     hardware_fingerprint,
     tuner_config_fingerprint,
 )
-from repro.explore.genetic import Candidate, GeneticConfig, genetic_search_rows
+from repro.explore.genetic import GeneticConfig, genetic_search_rows
 from repro.ir.compute import ReduceComputation
 from repro.isa.registry import intrinsics_for_target
 from repro.mapping.generation import GenerationOptions, enumerate_mappings
@@ -43,19 +50,9 @@ from repro.obs.logging import LEVELS, get_logger, log_level
 from repro.obs.runlog import FlightRecorder, active_recorder
 from repro.obs.trace import span as _obs_span
 from repro.obs.trace import tracing_enabled as _obs_enabled
-from repro.schedule.features import (
-    ScheduleBatch,
-    encode_rows,
-    schedules_from_rows,
-    take_rows,
-)
+from repro.schedule.features import ScheduleBatch, schedules_from_rows, take_rows
 from repro.schedule.lowering import ScheduledMapping, lower_schedule
-from repro.schedule.space import (
-    MUTATE_UNIFORMS,
-    ScheduleSpace,
-    default_rows,
-    default_schedule,
-)
+from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, default_rows
 
 # Tuner progress goes through the structured logger (JSONL on stderr):
 # silent at the WARNING library default, narrated at INFO (the CLI's
@@ -199,24 +196,22 @@ class Tuner:
         return self.hardware.max_warps_per_subcore * self.hardware.subcores_per_core
 
     def _prefilter_indices(
-        self, engine: EvaluationEngine, physical: list[PhysicalMapping]
-    ) -> list[int]:
-        """Indices of the mappings the analytic model ranks best under a
-        default schedule (paper Sec 5.3: the model filters inferior
-        mappings); one batch prediction over every candidate mapping."""
+        self, engine: EvaluationEngine, defaults: ScheduleBatch
+    ) -> np.ndarray:
+        """Engine indices of the mappings the analytic model ranks best
+        under their default schedules (paper Sec 5.3: the model filters
+        inferior mappings); ``defaults`` holds one row per engine
+        mapping, ranked in one batch prediction."""
+        n = len(defaults)
         keep = self.config.prefilter_mappings
-        if keep <= 0 or len(physical) <= keep:
-            return list(range(len(physical)))
-        with _obs_span("tuner.prefilter", candidates=len(physical), keep=keep):
-            # Every mapping's default schedule as one row of one batch,
-            # keyed like every evaluation, so the GA's seed rows later
-            # hit the same memo entries.
-            costs = engine.predict_rows(
-                np.arange(len(physical)),
-                default_rows(engine.table, self._max_warps_per_block),
-            )
-            _obs_metrics.counter("model.predictions").inc(len(physical))
-            return np.argsort(costs, kind="stable")[:keep].tolist()
+        if keep <= 0 or n <= keep:
+            return np.arange(n)
+        with _obs_span("tuner.prefilter", candidates=n, keep=keep):
+            # Keyed like every evaluation, so the GA's seed rows (these
+            # rows at the kept mappings) later hit the same memo entries.
+            costs = engine.predict_rows(np.arange(n), defaults)
+            _obs_metrics.counter("model.predictions").inc(n)
+            return np.argsort(costs, kind="stable")[:keep]
 
     def tune(
         self,
@@ -310,12 +305,15 @@ class Tuner:
         log: ExploreLog | None,
         tune_span,
     ) -> ExplorationResult:
-        # Model-guided mapping pre-filter: rank mappings under a default
-        # heuristic schedule, keep the top few for the schedule search.
-        # ``selected`` maps prefiltered positions back to engine indices.
-        selected = self._prefilter_indices(engine, all_physical)
-        selected_arr = np.asarray(selected, dtype=np.int64)
+        # Every mapping's default heuristic schedule as one row: the
+        # prefilter ranks them, and at the kept mappings they are the
+        # GA's seeds and the safety net's candidates.  ``selected`` maps
+        # prefiltered positions back to engine indices.
+        max_warps = self._max_warps_per_block
+        defaults = default_rows(engine.table, max_warps)
+        selected = self._prefilter_indices(engine, defaults)
         physical = [all_physical[i] for i in selected]
+        seed_rows = take_rows(defaults, selected)
         if log is not None:
             log.record_funnel("prefiltered", len(physical))
         _log.info(
@@ -325,40 +323,14 @@ class Tuner:
             candidates=len(all_physical),
         )
 
-        # Distinct mappings that receive at least one simulator
-        # measurement (the funnel's final stage).
-        measured_mappings: set[int] = set()
-
-        def record_measurement(
-            mapping_index: int, predicted: float, measured: float
-        ) -> None:
-            measured_mappings.add(mapping_index)
-            _obs_metrics.counter("tuner.measurements").inc()
-            if log is not None:
-                log.record_sample(predicted, measured)
-
         def fitness_rows(mapping_indices: np.ndarray, batch) -> np.ndarray:
             # The GA hands prefiltered-space indices; translate to engine
             # indices as one fancy-index, no per-candidate objects.
             _obs_metrics.counter("model.predictions").inc(len(batch))
-            return engine.predict_rows(selected_arr[mapping_indices], batch)
+            return engine.predict_rows(selected[mapping_indices], batch)
 
-        def measure_candidates(
-            candidates: list[Candidate],
-        ) -> list[tuple[float, float]]:
-            items = [(selected[c.mapping_index], c.schedule) for c in candidates]
-            if not items:
-                return []
-            predicted, measured = engine.measure_rows(*engine.encode_rows(items))
-            return list(zip(predicted.tolist(), measured.tolist()))
-
-        max_warps = self._max_warps_per_block
         spaces = [
             ScheduleSpace(pm, max_warps_per_block=max_warps) for pm in physical
-        ]
-        seeds = [
-            Candidate(i, default_schedule(pm, max_warps_per_block=max_warps))
-            for i, pm in enumerate(physical)
         ]
         ga = GeneticConfig(
             population=self.config.population,
@@ -383,193 +355,148 @@ class Tuner:
                     diversity=round(stats.diversity, 3),
                 )
         with _obs_span("tuner.genetic_search", mappings=len(physical)):
-            ga_rows = genetic_search_rows(
+            ranked = genetic_search_rows(
                 physical,
                 fitness_rows,
                 config=ga,
-                seeds=seeds,
+                seeds=(np.arange(len(physical)), seed_rows),
                 spaces=spaces,
                 on_generation=on_generation,
             )
-            # Trial-boundary materialization: the only place the
-            # exploration loop builds per-candidate objects.
-            ranked = ga_rows.candidates(spaces)
 
-        def measure_ranked(indices: list[int]) -> list[tuple[float, float]]:
-            """Measure ranked candidates by rank index, as zero-copy row
-            slices of the GA archive."""
-            if not indices:
-                return []
-            rows = np.asarray(indices, dtype=np.int64)
-            predicted, measured = engine.measure_rows(
-                selected_arr[ga_rows.mapping_index[rows]],
-                take_rows(ga_rows.batch, rows),
-            )
-            return list(zip(predicted.tolist(), measured.tolist()))
+        # The trial boundary: the only place the exploration loop builds
+        # per-candidate objects.  ``row_of[t]`` is trial ``t``'s row, so
+        # refinement starts from rows, never from re-encoded schedules.
+        trials: list[Trial] = []
+        row_of: list[tuple[ScheduleBatch, int]] = []
+        best: ScheduledMapping | None = None
+        best_us = float("inf")
+        # Distinct mappings that receive at least one simulator
+        # measurement (the funnel's final stage).
+        measured_mappings: set[int] = set()
+
+        def add_trials(
+            mapping_indices: np.ndarray,
+            batch: ScheduleBatch,
+            predicted: list[float],
+            measured: list[float | None],
+        ) -> None:
+            """One :class:`Trial` per row (``measured[i]`` is ``None`` for
+            a predicted-only row), each mapping's rows decoded by one
+            ``schedules_from_rows`` call; tracks the best measurement
+            and records every measured row's telemetry."""
+            nonlocal best, best_us
+            schedules: list = [None] * len(batch)
+            for mi in np.unique(mapping_indices).tolist():
+                rows = np.nonzero(mapping_indices == mi)[0]
+                decoded = schedules_from_rows(spaces[mi].spatial_names, batch, rows)
+                for row, schedule in zip(rows.tolist(), decoded):
+                    schedules[row] = schedule
+            for row, (mi, schedule, pred, meas) in enumerate(
+                zip(mapping_indices.tolist(), schedules, predicted, measured)
+            ):
+                sched = lower_schedule(physical[mi], schedule)
+                trials.append(Trial(sched, pred, meas, mi))
+                row_of.append((batch, row))
+                if meas is None:
+                    continue
+                measured_mappings.add(mi)
+                _obs_metrics.counter("tuner.measurements").inc()
+                if log is not None:
+                    log.record_sample(pred, meas)
+                if meas < best_us:
+                    best_us, best = meas, sched
+
+        def measure(mapping_indices: np.ndarray, batch: ScheduleBatch) -> np.ndarray:
+            """Measure rows, add them as trials; returns the measurements."""
+            predicted, measured = engine.measure_rows(selected[mapping_indices], batch)
+            add_trials(mapping_indices, batch, predicted.tolist(), measured.tolist())
+            return measured
 
         # Measure on the "hardware": the model's global top plus the best
         # model-ranked candidate of every surviving mapping, so a mapping
         # the model slightly misranks still gets one real measurement.
-        to_measure: list[int] = []
-        seen_mappings: set[int] = set()
-        for idx, (candidate, _) in enumerate(ranked):
-            if idx < self.config.measure_top:
-                to_measure.append(idx)
-                seen_mappings.add(candidate.mapping_index)
-            elif candidate.mapping_index not in seen_mappings:
-                to_measure.append(idx)
-                seen_mappings.add(candidate.mapping_index)
-        measured_set = set(to_measure)
-
-        trials: list[Trial] = []
-        best: ScheduledMapping | None = None
-        best_candidate: Candidate | None = None
-        best_us = float("inf")
-
-        # Canonical keys of candidates already measured this run, so the
-        # seed safety net below never simulates (or double-counts in the
-        # trials/telemetry) a candidate the ranked pass covered.
-        measured_keys: set[tuple[int, str]] = set()
+        to_measure = np.arange(len(ranked)) < self.config.measure_top
+        to_measure[np.unique(ranked.mapping_index, return_index=True)[1]] = True
+        measured_ranks = np.nonzero(to_measure)[0]
 
         _log.info(
-            "measuring candidates", operator=comp.name, candidates=len(measured_set)
+            "measuring candidates",
+            operator=comp.name,
+            candidates=len(measured_ranks),
         )
-        with _obs_span("tuner.measure", candidates=len(measured_set)):
-            measured_results = measure_ranked(to_measure)
-            measured_by_rank = dict(zip(to_measure, measured_results))
-            for idx, (candidate, predicted) in enumerate(ranked):
-                sched = lower_schedule(
-                    physical[candidate.mapping_index], candidate.schedule
-                )
-                if idx in measured_set:
-                    _, measured = measured_by_rank[idx]
-                    measured_keys.add(
-                        (candidate.mapping_index, candidate.schedule.describe())
-                    )
-                    record_measurement(candidate.mapping_index, predicted, measured)
-                    trials.append(
-                        Trial(sched, predicted, measured, candidate.mapping_index)
-                    )
-                    if measured < best_us:
-                        best_us = measured
-                        best = sched
-                        best_candidate = candidate
-                else:
-                    trials.append(
-                        Trial(sched, predicted, mapping_index=candidate.mapping_index)
-                    )
+        with _obs_span("tuner.measure", candidates=len(measured_ranks)):
+            measured_mi = selected[ranked.mapping_index[measured_ranks]]
+            measured_batch = take_rows(ranked.batch, measured_ranks)
+            _, ranked_us = engine.measure_rows(measured_mi, measured_batch)
+            measured = dict(zip(measured_ranks.tolist(), ranked_us.tolist()))
+            add_trials(
+                ranked.mapping_index,
+                ranked.batch,
+                ranked.costs.tolist(),
+                [measured.get(rank) for rank in range(len(ranked))],
+            )
 
-            # Safety net: the default heuristic schedule of every mapping
-            # is always measured, so a batch of model-favoured but
+            # Safety net: the default heuristic schedule of every kept
+            # mapping is always measured, so a batch of model-favoured but
             # infeasible candidates cannot leave the tuner empty-handed.
-            # Seeds the ranked pass already measured are skipped: their
-            # values are known and re-appending them would double-count
+            # Seed rows the ranked pass already measured (same memo key)
+            # are skipped: re-appending them would double-count
             # measurements in the trials and telemetry.
-            net = [
-                seed_candidate
-                for seed_candidate in seeds
-                if (
-                    seed_candidate.mapping_index,
-                    seed_candidate.schedule.describe(),
-                )
-                not in measured_keys
-            ]
-            for seed_candidate, (predicted, measured) in zip(
-                net, measure_candidates(net)
-            ):
-                record_measurement(seed_candidate.mapping_index, predicted, measured)
-                sched = lower_schedule(
-                    physical[seed_candidate.mapping_index], seed_candidate.schedule
-                )
-                trials.append(
-                    Trial(sched, predicted, measured, seed_candidate.mapping_index)
-                )
-                if measured < best_us:
-                    best_us = measured
-                    best = sched
-                    best_candidate = seed_candidate
-        if best is None or best_candidate is None:
+            done = set(engine.row_keys(measured_mi, measured_batch))
+            net = np.flatnonzero(
+                [key not in done for key in engine.row_keys(selected, seed_rows)]
+            )
+            measure(net, take_rows(seed_rows, net))
+        if best is None:
             raise RuntimeError(f"no feasible schedule found for {comp.name}")
 
         # Measured refinement rounds: AMOS's tuning loop alternates model-
         # guided proposal with hardware measurement over many rounds; here
-        # the top measured candidates are hill-climbed for a few rounds
-        # each.  A round draws all its neighbors from the round's starting
-        # point and measures them as one batch, then steps to the round's
-        # best improvement — deterministic for any worker count.
-        measured_trials = sorted(
-            (t for t in trials if t.measured_us is not None),
-            key=lambda t: t.measured_us,
-        )
-        seeds_for_refine: list[tuple[Candidate, float]] = []
-        seen: set[int] = set()
-        for trial in measured_trials:
-            mi = trial.mapping_index
-            if mi in seen:
-                continue
-            seen.add(mi)
-            seeds_for_refine.append(
-                (Candidate(mi, trial.scheduled.schedule), trial.measured_us)
-            )
-            if len(seeds_for_refine) >= 4:
-                break
+        # the best measured row of each of the four best-measured mappings
+        # is hill-climbed for a few rounds.  A round draws all its
+        # neighbours from the round's starting row and measures them as
+        # one batch, then steps to the first of its fastest neighbours if
+        # that beats the current row — deterministic for any worker count.
+        first_of: dict[int, int] = {}  # mapping -> its best measured trial
+        for t in sorted(
+            (t for t, trial in enumerate(trials) if trial.measured_us is not None),
+            key=lambda t: trials[t].measured_us,
+        ):
+            first_of.setdefault(trials[t].mapping_index, t)
+        starts = list(first_of.values())[:4]
 
         # One uniform matrix per refinement round, from a dedicated seeded
         # generator, decoded by the space's column ops (bit-identical to
         # the scalar ``mutate_with_uniforms`` twin).
         rng = np.random.default_rng(self.config.seed + 1)
+        k = self.config.refine_neighbors
         _log.info(
             "refining",
             operator=comp.name,
-            starts=len(seeds_for_refine),
+            starts=len(starts),
             rounds=self.config.refine_rounds,
         )
-        with _obs_span("tuner.refine", starts=len(seeds_for_refine)):
-            for start_candidate, start_us in seeds_for_refine:
-                current, current_us = start_candidate, start_us
+        with _obs_span("tuner.refine", starts=len(starts)):
+            for start in starts:
+                mi = trials[start].mapping_index
+                # The same hardware-capped spaces the GA sampled from:
+                # hill-climbing must not mutate into schedules that
+                # exceed the device's warp budget.
+                space = spaces[mi]
+                batch, row = row_of[start]
+                current = take_rows(batch, [row], width=len(space.spatial_names))
+                current_us = trials[start].measured_us
                 for _ in range(self.config.refine_rounds):
-                    # The same hardware-capped spaces the GA sampled from:
-                    # hill-climbing must not mutate into schedules that
-                    # exceed the device's warp budget.
-                    space = spaces[current.mapping_index]
-                    k = self.config.refine_neighbors
                     u = rng.random((k, MUTATE_UNIFORMS))
-                    engine_mi = selected[current.mapping_index]
-                    current_row = encode_rows(
-                        [space.spatial_names], [current.schedule]
-                    )
-                    base = take_rows(current_row, np.zeros(k, dtype=np.int64))
-                    nb_batch = ScheduleBatch(*space.mutate_columns(*base.columns(), u))
-                    predicted_arr, measured_arr = engine.measure_rows(
-                        np.full(k, engine_mi, dtype=np.int64), nb_batch
-                    )
-                    # Every neighbor becomes a Trial, so this decode is
-                    # the trial boundary, not a per-candidate loop.
-                    neighbors = [
-                        Candidate(current.mapping_index, sch)
-                        for sch in schedules_from_rows(space.spatial_names, nb_batch)
-                    ]
-                    results = zip(predicted_arr.tolist(), measured_arr.tolist())
-                    improved = False
-                    for neighbor, (predicted, measured) in zip(neighbors, results):
-                        record_measurement(
-                            neighbor.mapping_index, predicted, measured
-                        )
-                        sched = lower_schedule(
-                            physical[neighbor.mapping_index], neighbor.schedule
-                        )
-                        trials.append(
-                            Trial(sched, predicted, measured, neighbor.mapping_index)
-                        )
-                        if measured < current_us:
-                            current_us = measured
-                            current = neighbor
-                            improved = True
-                        if measured < best_us:
-                            best_us = measured
-                            best = sched
-                    if not improved:
+                    base = take_rows(current, np.zeros(k, dtype=np.int64))
+                    neighbours = ScheduleBatch(*space.mutate_columns(*base.columns(), u))
+                    times = measure(np.full(k, mi), neighbours)
+                    if not k or times.min() >= current_us:
                         break
+                    step = int(np.argmin(times))
+                    current = take_rows(neighbours, [step])
+                    current_us = float(times[step])
 
         if log is not None:
             log.record_funnel("measured", len(measured_mappings))

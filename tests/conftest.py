@@ -1,6 +1,7 @@
 """Shared fixtures: small operator computations used across mapping tests,
-a switch that sends every engine batch of an opted-in pool to it, and
-the batch-versus-scalar parity check of the engine's evaluated rows."""
+a switch that sends every engine batch of an opted-in pool to it, the
+batch-versus-scalar parity check of the engine's evaluated rows, and a
+guard that fails any test leaving the intrinsic registry changed."""
 
 import zlib
 from dataclasses import dataclass, field
@@ -9,11 +10,30 @@ import pytest
 
 import repro.engine.engine as engine_mod
 from repro.ir import Tensor, compute, reduce_axis, spatial_axis
-from repro.isa import get_intrinsic
+from repro.isa import get_intrinsic, registry
 from repro.model.perf_model import predict_latency
 from repro.schedule.features import schedules_from_rows
 from repro.schedule.lowering import lower_schedule
 from repro.sim.timing import simulate_cycles
+
+
+@pytest.fixture(autouse=True)
+def intrinsic_registry_unchanged():
+    """Fail any test that leaves the global intrinsic registry changed
+    (an intrinsic added, removed or replaced), after restoring it so the
+    leak cannot reach later tests."""
+    before = dict(registry._REGISTRY)
+    yield
+    after = registry._REGISTRY
+    changed = sorted(
+        name
+        for name in before.keys() | after.keys()
+        if before.get(name) is not after.get(name)
+    )
+    if changed:
+        after.clear()
+        after.update(before)
+        pytest.fail(f"test left the intrinsic registry changed: {changed}")
 
 
 @pytest.fixture

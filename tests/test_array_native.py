@@ -18,7 +18,8 @@ end:
 * a full ``Tuner.tune`` reproduces golden results (best latency,
   mapping, schedule, trial count, a digest of every trial) recorded
   before the object paths were removed, on three devices at
-  n_workers 1 and 4, with pinned cache counters;
+  n_workers 1 and 4, with pinned cache counters, and a default tune
+  builds schedule objects only in the tuner's trial builder;
 * the ``scalar_parity`` fixture (``conftest.py``) finds zero
   batch-vs-scalar mismatches in the rows the engine evaluates, inline
   and pooled, and samples a pinned number of candidates per rate;
@@ -115,10 +116,32 @@ def _ga_context(hw_name="v100", op="GMM", **params):
     return hw, comp, physical, spaces, seeds
 
 
+def _seed_rows(spaces, seeds):
+    """The object GA's seed candidates as the rows GA's seeds."""
+    return (
+        np.asarray([c.mapping_index for c in seeds], dtype=np.int64),
+        encode_rows(
+            [spaces[c.mapping_index].spatial_names for c in seeds],
+            [c.schedule for c in seeds],
+        ),
+    )
+
+
 def _ranked_fingerprint(pairs):
     return [
         (c.mapping_index, c.schedule.describe(), cost) for c, cost in pairs
     ]
+
+
+def _decoded_ranking(result, spaces):
+    """A rows-GA result as the object GA's ``(Candidate, cost)`` list."""
+    ranking = []
+    for i, (mi, cost) in enumerate(
+        zip(result.mapping_index.tolist(), result.costs.tolist())
+    ):
+        (schedule,) = schedules_from_rows(spaces[mi].spatial_names, result.batch, [i])
+        ranking.append((Candidate(mi, schedule), cost))
+    return ranking
 
 
 # ----------------------------------------------------------------------
@@ -138,11 +161,11 @@ class TestGeneticRowsOracle:
                 physical,
                 engine.predict_rows,
                 cfg,
-                seeds=use_seeds,
+                seeds=_seed_rows(spaces, use_seeds) if use_seeds else None,
                 spaces=spaces,
                 on_generation=lambda g, f, u: rows_gens.append((g, f, u)),
             )
-            rows = result.candidates(spaces)
+        rows = _decoded_ranking(result, spaces)
         with EvaluationEngine(
             comp, physical, hw, n_workers=1, memo=MemoCache()
         ) as engine:
@@ -200,7 +223,7 @@ class TestGeneticRowsOracle:
                 physical,
                 lambda mi, b: np.zeros(len(b) + 1),
                 GeneticConfig(population=4, generations=1),
-                seeds=seeds,
+                seeds=_seed_rows(spaces, seeds),
                 spaces=spaces,
             )
 
@@ -493,6 +516,70 @@ class TestTunerGaArrays:
             _tune("v100", DEVICES[0][1], n_workers=n_workers)
             assert parity.checked == WATCHDOG_CHECKED[rate], n_workers
             assert parity.mismatches == [], n_workers
+
+    def test_default_tune_decodes_rows_only_into_trials(self, monkeypatch):
+        """A default C2D tune on V100 runs on rows from the prefilter to
+        the trial list: no schedule is encoded into rows, no default
+        schedule object is built, no ``describe()`` string is rendered,
+        and the trial builder decodes each trial batch with one
+        ``schedules_from_rows`` call per mapping in it, every row once."""
+        import repro.explore.genetic as genetic_mod
+        import repro.explore.tuner as tuner_mod
+        import repro.schedule.features as features_mod
+        import repro.schedule.space as space_mod
+        from repro.schedule.schedule import Schedule
+
+        objects = []
+
+        def count(owner, name):
+            original = getattr(owner, name, None)
+            if original is None:
+                return
+
+            def spy(*args, **kwargs):
+                objects.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        for owner in (features_mod, genetic_mod, tuner_mod, EvaluationEngine):
+            count(owner, "encode_rows")
+        for owner in (space_mod, tuner_mod):
+            count(owner, "default_schedule")
+        count(Schedule, "describe")
+
+        decodes = []
+        decode = features_mod.schedules_from_rows
+
+        def spy_decode(names, batch, indices=None):
+            rows = range(len(batch)) if indices is None else indices
+            decodes.append((batch, [int(i) for i in rows]))
+            return decode(names, batch, indices)
+
+        for owner in (features_mod, genetic_mod, tuner_mod):
+            if hasattr(owner, "schedules_from_rows"):
+                monkeypatch.setattr(owner, "schedules_from_rows", spy_decode)
+
+        result = Tuner(get_hardware("v100"), TunerConfig(n_workers=1)).tune(
+            make_operator("C2D", n=1, c=16, k=16, h=8, w=8)
+        )
+        assert objects == []
+        assert result.best_us == 4.419631862666752
+        assert len(result.trials) == 255
+
+        # Group the decode calls by batch, in first-call order: a batch's
+        # rows are the next run of trials.
+        calls_of: dict[int, list[list[int]]] = {}
+        for batch, rows in decodes:
+            calls_of.setdefault(id(batch), []).append(rows)
+        offset = 0
+        for calls in calls_of.values():
+            decoded = sorted(row for rows in calls for row in rows)
+            assert decoded == list(range(len(decoded)))
+            batch_trials = result.trials[offset : offset + len(decoded)]
+            assert len(calls) <= len({t.mapping_index for t in batch_trials})
+            offset += len(decoded)
+        assert offset == len(result.trials)
 
     def test_ga_seed_rows_are_prefilter_memo_hits(self, monkeypatch):
         """With more mappings than the prefilter keeps (105 > 24), the

@@ -13,7 +13,6 @@ from repro.baselines.fixed_mappings import (
 from repro.baselines.xla_patterns import AmosCoverage
 from repro.frontends.networks import NetworkOp, get_network
 from repro.frontends.operators import make_operator
-from repro.isa import get_intrinsic
 from repro.mapping.generation import enumerate_mappings
 from repro.model import get_hardware
 

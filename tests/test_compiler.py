@@ -1,6 +1,5 @@
 """Top-level compile pipeline, evaluation helper, lowering and codegen."""
 
-import numpy as np
 import pytest
 
 from repro import amos_compile, evaluate_network, get_hardware, make_operator
@@ -94,7 +93,7 @@ class TestEvaluation:
 
 class TestLoweringIR:
     def test_lowered_structure(self, tensorcore):
-        from repro.lower import lower_mapping, ComputeNode, MemoryNode
+        from repro.lower import lower_mapping, ComputeNode
         from repro.mapping.generation import enumerate_mappings
         from repro.mapping.physical import lower_to_physical
         from repro.schedule import default_schedule, lower_schedule

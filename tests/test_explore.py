@@ -1,7 +1,5 @@
 """Exploration: metrics, genetic algorithm, and the full tuner."""
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +11,7 @@ from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
 from repro.model import get_hardware, predict_latency
 from repro.schedule.lowering import lower_schedule
+from repro.schedule.space import default_rows
 
 from conftest import make_small_conv2d, make_small_gemm, make_small_gemv
 
@@ -146,7 +145,8 @@ class TestTuner:
         )
         phys = tuner.candidate_mappings(comp)
         with tuner._make_engine(comp, phys) as engine:
-            kept = tuner._prefilter_indices(engine, phys)
+            defaults = default_rows(engine.table, tuner._max_warps_per_block)
+            kept = tuner._prefilter_indices(engine, defaults)
         assert len(kept) == 4
         assert len(set(kept)) == 4 and all(0 <= i < len(phys) for i in kept)
 

@@ -10,7 +10,6 @@ from repro.isa import (
     register_intrinsic,
 )
 from repro.isa.abstraction import (
-    MemoryAbstraction,
     MemoryStatement,
     direct_register_memory,
     shared_staged_memory,

@@ -66,17 +66,22 @@ class TestEndToEnd:
         assert kernel.used_intrinsics
         assert kernel.latency_us > 0
 
-    def test_registering_a_new_intrinsic_end_to_end(self):
+    def test_registering_a_new_intrinsic_end_to_end(self, monkeypatch):
         """The extension story: a user-defined intrinsic becomes usable by
         the whole pipeline after one register_intrinsic call."""
         from repro import register_intrinsic
+        from repro.isa import registry
         from repro.isa.virtual_accel import make_gemv
         import dataclasses
 
+        # Register into a copy of the registry that teardown swaps back,
+        # so the custom intrinsic leaks into no later test.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
         custom = dataclasses.replace(
             make_gemv(rows=8, depth=8), name="custom_gemv_8x8", target="gemv_accel"
         )
-        register_intrinsic(custom, overwrite=True)
+        register_intrinsic(custom)
+        assert get_intrinsic("custom_gemv_8x8") is custom
         comp = make_operator("GMV", m=32, k=32)
         mappings = enumerate_mappings(comp, custom)
         assert len(mappings) == 1

@@ -1,6 +1,5 @@
 """Observability layer: tracer, metrics, telemetry, exporters."""
 
-import json
 import threading
 import time
 

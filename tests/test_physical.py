@@ -9,7 +9,7 @@ import pytest
 from repro.frontends.networks import NETWORKS
 from repro.frontends.operators import make_operator
 from repro.ir import Tensor, compute, reduce_axis, spatial_axis
-from repro.isa.registry import intrinsics_for_target, list_intrinsics
+from repro.isa.registry import intrinsics_for_target
 from repro.isa.tensorcore import make_wmma_intrinsic
 from repro.mapping.generation import enumerate_mappings
 from repro.mapping.matrices import MatchingMatrix
@@ -243,10 +243,6 @@ def _hand_built_diagonals(k):
     ]
 
 
-#: The intrinsics the package registers on import; tests may register more.
-SHIPPED_INTRINSICS = frozenset(list_intrinsics())
-
-
 def _shipped_diagonals():
     """Every diagonal mapping of every distinct tensor op of the shipped
     networks and of the Table 6 operators, on every device's shipped
@@ -269,8 +265,6 @@ def _shipped_diagonals():
     count = 0
     for hw_name in list_hardware():
         for intrinsic in intrinsics_for_target(get_hardware(hw_name).target):
-            if intrinsic.name not in SHIPPED_INTRINSICS:
-                continue
             for comp in operators.values():
                 for mapping in enumerate_mappings(comp, intrinsic):
                     count += 1

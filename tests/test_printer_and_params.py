@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir.printer import format_computation
-from repro.model.hardware_params import HardwareParams, get_hardware, list_hardware
+from repro.model.hardware_params import get_hardware, list_hardware
 
 from conftest import make_small_conv2d, make_small_gemm
 

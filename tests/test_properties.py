@@ -1,7 +1,6 @@
 """Cross-cutting property-based tests on the mapping core invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import get_intrinsic

@@ -6,7 +6,6 @@ from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
 from repro.model.hardware_params import get_hardware
 from repro.schedule.lowering import ScheduledMapping
-from repro.schedule.schedule import DimSplit, Schedule
 from repro.schedule.space import default_schedule
 from repro.sim.timing import resident_blocks, simulate_cycles, simulate_scalar_fallback
 

@@ -1,4 +1,5 @@
-"""Static check: no module under ``src/repro`` imports a name it never uses.
+"""Static check: no module under ``src/repro``, ``tests``, ``benchmarks``
+or ``examples`` imports a name it never uses.
 
 An AST scan, with no dependency beyond the standard library.  A name
 counts as used when it is read anywhere in the module (including inside
@@ -9,7 +10,10 @@ __future__`` imports and import lines marked ``# noqa`` are exempt.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+#: The repository's other Python trees, scanned like ``src``.
+SCRIPTS = [ROOT / "tests", ROOT / "benchmarks", ROOT / "examples"]
 
 
 def _names_in_annotation(node: ast.expr | None) -> set[str]:
@@ -74,13 +78,21 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
     ]
 
 
-def test_no_unused_imports_in_src():
-    found = [
-        f"{path.relative_to(SRC.parent)}:{line}: {name}"
-        for path in sorted(SRC.rglob("*.py"))
+def _found(trees: list[Path]) -> list[str]:
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for tree in trees
+        for path in sorted(tree.rglob("*.py"))
         for line, name in unused_imports(path)
     ]
-    assert found == []
+
+
+def test_no_unused_imports_in_src():
+    assert _found([SRC]) == []
+
+
+def test_no_unused_imports_in_tests_benchmarks_examples():
+    assert _found(SCRIPTS) == []
 
 
 def test_scan_flags_an_unused_import(tmp_path):

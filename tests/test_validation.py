@@ -1,7 +1,6 @@
 """Algorithm 1: mapping validation."""
 
 import numpy as np
-import pytest
 
 from repro.mapping.matrices import MatchingMatrix
 from repro.mapping.validation import validate_mapping, validate_matrices

@@ -1,7 +1,5 @@
 """Workload configurations: Table 5 layers, MobileNet-V2 layers, suite."""
 
-import pytest
-
 from repro.frontends.workloads import (
     MOBILENET_V2_LAYERS,
     OPERATOR_SUITE,
