@@ -13,7 +13,8 @@ Measurements (run as a script, written to
    model-only fitness batch, and the results of the two must be
    bit-identical.
 2. **end-to-end GA-loop throughput** — a whole ``genetic_search_rows``
-   run (breed + dedup + memo keys + predict, cold memo each repetition)
+   run over the spaces' :class:`~repro.schedule.space.SpaceTable`
+   (breed + dedup + memo keys + predict, cold memo each repetition)
    against the per-candidate object loop (``genetic_search`` scoring
    each candidate with the scalar model) on the same budget.  The array
    loop must deliver at least **5x candidates/sec** and the identical
@@ -56,7 +57,7 @@ from repro.model import get_hardware
 from repro.model.perf_model import predict_latency
 from repro.schedule.features import encode_rows, schedules_from_rows
 from repro.schedule.lowering import lower_schedule
-from repro.schedule.space import ScheduleSpace, default_schedule
+from repro.schedule.space import ScheduleSpace, SpaceTable, default_schedule
 from repro.sim.timing import simulate_cycles
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
@@ -207,6 +208,8 @@ def run_ga_loop_throughput() -> dict:
             [space.spatial_names for space in spaces], [c.schedule for c in seeds]
         ),
     )
+    # The rows loop draws from the spaces' one table, as the tuner does.
+    table = SpaceTable.of_spaces(spaces)
     cfg = GA_LOOP_CONFIG
 
     def timed(run):
@@ -222,7 +225,7 @@ def run_ga_loop_throughput() -> dict:
 
     rows_s, rows_result = timed(
         lambda engine: genetic_search_rows(
-            physical, engine.predict_rows, cfg, seeds=seed_rows, spaces=spaces
+            physical, engine.predict_rows, cfg, seeds=seed_rows, spaces=table
         )
     )
     ranked_rows = _decoded_ranking(rows_result, spaces)

@@ -14,8 +14,12 @@ rows of its kept mappings), written, keyed and stacked with the shared
 row codec of :mod:`repro.schedule.features` — the same key builder the
 evaluation engine uses — and returned as rows (:class:`GAResult`), with
 no schedule object built on the way.  Selection, elitism, schedule
-mutation and mapping re-draw are numpy column operations, and per-row
-byte keys replace describe-string keys for dedup.  Every stochastic decision decodes *pre-drawn uniform
+mutation and mapping re-draw are numpy column operations: every
+generation's fresh samples are one :meth:`SpaceTable.sample
+<repro.schedule.space.SpaceTable.sample>` call and its mutations one
+:meth:`~repro.schedule.space.SpaceTable.mutate` call over the whole
+mixed-mapping batch, and per-row byte keys replace describe-string keys
+for dedup.  Every stochastic decision decodes *pre-drawn uniform
 matrices* from one seeded ``numpy.random.Generator`` with a **fixed
 uniform budget per decision** (see :mod:`repro.schedule.space`), which
 is what makes the scalar object GA (:func:`genetic_search`) a
@@ -43,7 +47,7 @@ from repro.schedule.features import (
     write_rows,
 )
 from repro.schedule.schedule import Schedule
-from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, _pick, _pick_vec
+from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, SpaceTable, _pick, _pick_vec
 
 __all__ = [
     "BatchFitness",
@@ -149,28 +153,12 @@ def _canonical(space: ScheduleSpace, schedule: Schedule) -> Schedule:
     )
 
 
-def _write_samples(
-    batch: ScheduleBatch,
-    rows: np.ndarray,
-    mapping_indices: np.ndarray,
-    spaces: Sequence[ScheduleSpace],
-    u: np.ndarray,
-) -> None:
-    """Sample fresh schedules into ``batch`` at ``rows``, one
-    ``sample_columns`` call per mapping group; ``u``'s rows align with
-    ``rows`` and each group decodes its first ``2 d + 4`` columns."""
-    for mi in np.unique(mapping_indices):
-        group = np.nonzero(mapping_indices == mi)[0]
-        samples = ScheduleBatch(*spaces[int(mi)].sample_columns(u[group]))
-        write_rows(batch, rows[group], samples)
-
-
 def genetic_search_rows(
     mappings: Sequence[PhysicalMapping],
     fitness_rows: RowFitness,
     config: GeneticConfig | None = None,
     seeds: tuple[np.ndarray, ScheduleBatch] | None = None,
-    spaces: Sequence[ScheduleSpace] | None = None,
+    spaces: SpaceTable | None = None,
     on_generation: GenerationCallback | None = None,
 ) -> GAResult:
     """Array-native GA: the population lives as ScheduleBatch columns.
@@ -178,9 +166,10 @@ def genetic_search_rows(
     Selection, elitism, schedule mutation and mapping re-draw are numpy
     column operations over a single seeded ``numpy.random.Generator``;
     dedup and the evaluated archive are keyed by per-row canonical byte
-    keys.  :func:`genetic_search` with the same config and spaces, and
-    the same seeds as :class:`Candidate` objects, is the bit-identical
-    object-path oracle: identical ranked output, identical archive order.
+    keys.  :func:`genetic_search` with the same config, the same spaces
+    as a list and the same seeds as :class:`Candidate` objects, is the
+    bit-identical object-path oracle: identical ranked output, identical
+    archive order.
 
     Args:
         mappings: the valid physical mappings to choose among.
@@ -190,7 +179,9 @@ def genetic_search_rows(
         seeds: ``(mapping_indices, batch)`` rows injected into the
             initial population (the first ``population`` of them), e.g.
             the default rows of the kept mappings.
-        spaces: per-mapping schedule spaces (defaults to unconstrained).
+        spaces: the mappings' schedule spaces as one
+            :class:`~repro.schedule.space.SpaceTable` (defaults to the
+            table of unconstrained spaces).
         on_generation: pure-observation telemetry hook, as in
             :func:`genetic_search`.
     """
@@ -198,12 +189,12 @@ def genetic_search_rows(
         raise ValueError("no mappings to search over")
     config = config or GeneticConfig()
     if spaces is None:
-        spaces = [ScheduleSpace(pm) for pm in mappings]
+        spaces = SpaceTable.of_spaces([ScheduleSpace(pm) for pm in mappings])
     if len(spaces) != len(mappings):
         raise ValueError("one schedule space per mapping required")
     rng = np.random.default_rng(config.seed)
-    widths = [len(space.spatial_names) for space in spaces]
-    joint = max(widths, default=0)
+    widths = spaces.n_spatial.tolist()
+    joint = spaces.width
     pop_n = config.population
 
     def keys_of(mi: np.ndarray, batch: ScheduleBatch) -> list[bytes]:
@@ -226,7 +217,7 @@ def genetic_search_rows(
         u = rng.random((n_fill, _sample_width(joint)))
         fill_rows = np.arange(n_seeds, pop_n)
         pop_mi[fill_rows] = _pick_vec(u[:, 0], len(mappings))
-        _write_samples(pop, fill_rows, pop_mi[fill_rows], spaces, u[:, 1:])
+        write_rows(pop, fill_rows, spaces.sample(pop_mi[fill_rows], u[:, 1:]))
 
     # Evaluated archive, insertion (first-appearance) order — the
     # array twin of the object path's ``evaluated`` dict.
@@ -298,26 +289,18 @@ def genetic_search_rows(
             child_rows = np.arange(elite_count, pop_n)
 
             re_rows = np.nonzero(redraw)[0]
-            if re_rows.size:
-                target = child_rows[re_rows]
-                next_mi[target] = _pick_vec(u[re_rows, 2], len(mappings))
-                _write_samples(
-                    next_pop, target, next_mi[target], spaces, u[re_rows, 3:]
-                )
+            target = child_rows[re_rows]
+            next_mi[target] = _pick_vec(u[re_rows, 2], len(mappings))
+            write_rows(next_pop, target, spaces.sample(next_mi[target], u[re_rows, 3:]))
 
             mut_rows = np.nonzero(~redraw)[0]
-            if mut_rows.size:
-                p = parents[mut_rows]
-                target = child_rows[mut_rows]
-                next_mi[target] = pop_mi[p]
-                for mi in np.unique(pop_mi[p]):
-                    group = np.nonzero(pop_mi[p] == mi)[0]
-                    parent_rows = take_rows(pop, p[group], width=widths[int(mi)])
-                    children = spaces[int(mi)].mutate_columns(
-                        *parent_rows.columns(),
-                        u[mut_rows[group], 2 : 2 + MUTATE_UNIFORMS],
-                    )
-                    write_rows(next_pop, target[group], ScheduleBatch(*children))
+            p = parents[mut_rows]
+            target = child_rows[mut_rows]
+            next_mi[target] = pop_mi[p]
+            children = spaces.mutate(
+                pop_mi[p], take_rows(pop, p), u[mut_rows, 2 : 2 + MUTATE_UNIFORMS]
+            )
+            write_rows(next_pop, target, children)
         pop_mi, pop = next_mi, next_pop
 
     costs = evaluate_population()

@@ -7,28 +7,30 @@ model-selected top candidates on the cycle simulator, and returns the best
 measured (mapping, schedule) pair with its exploration history — the
 history is what Fig 5's model-validation curves are drawn from.
 
-Exploration runs on schedule rows from the prefilter to the trial list,
+Exploration runs on schedule rows from the prefilter to the trial table,
 and every model prediction and simulator measurement flows through one
 :class:`~repro.engine.engine.EvaluationEngine` per tune run as a batch
 of rows: every mapping's default row (:func:`default_rows`) is ranked by
 the prefilter and, at the kept mappings, seeds the genetic search
 (:func:`genetic_search_rows`, whose population is a
-:class:`~repro.schedule.features.ScheduleBatch`); the measurement pass
-takes row slices of the GA's ranked archive, the safety net measures
-the kept default rows, and each refinement round mutates one row into a
-batch of neighbours.  Schedule objects are built in one place, the
-trial builder, which decodes each batch into :class:`Trial` records
-with one ``schedules_from_rows`` call per mapping.  The engine memoizes
-by canonical row key and evaluates in-process by default; with an
-opt-in ``TunerConfig.n_workers`` above 1 it evaluates large batches on
-a spawn-safe process pool — with results reassembled in submission
-order, so the tuner's output is byte-identical for any worker count and
-any cache temperature.
+:class:`~repro.schedule.features.ScheduleBatch` drawn from the kept
+mappings' :class:`~repro.schedule.space.SpaceTable`); the measurement
+pass takes row slices of the GA's ranked archive, the safety net
+measures the kept default rows, and each refinement round mutates one
+row into a batch of neighbours.  Every batch lands in a
+:class:`TrialTable` as rows; only the best row is decoded and lowered,
+and :attr:`ExplorationResult.trials` decodes the rest on first read.
+The engine memoizes by canonical row key and evaluates in-process by
+default; with an opt-in ``TunerConfig.n_workers`` above 1 it evaluates
+large batches on a spawn-safe process pool — with results reassembled in
+submission order, so the tuner's output is byte-identical for any worker
+count and any cache temperature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,9 +52,9 @@ from repro.obs.logging import LEVELS, get_logger, log_level
 from repro.obs.runlog import FlightRecorder, active_recorder
 from repro.obs.trace import span as _obs_span
 from repro.obs.trace import tracing_enabled as _obs_enabled
-from repro.schedule.features import ScheduleBatch, schedules_from_rows, take_rows
+from repro.schedule.features import MappingTable, ScheduleBatch, schedules_from_rows, take_rows
 from repro.schedule.lowering import ScheduledMapping, lower_schedule
-from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, default_rows
+from repro.schedule.space import MUTATE_UNIFORMS, SpaceTable, default_rows
 
 # Tuner progress goes through the structured logger (JSONL on stderr):
 # silent at the WARNING library default, narrated at INFO (the CLI's
@@ -127,6 +129,53 @@ class Trial:
 
 
 @dataclass
+class TrialTable:
+    """A tune's explored candidates as row chunks, in exploration order.
+
+    A chunk is ``(mapping_indices, batch, predicted, measured)``: kept-
+    mapping indices, a :class:`ScheduleBatch`, the model's predictions
+    and the measurements (``None`` for a predicted-only row).  Rows are
+    decoded into :class:`Trial` records only when asked; ``selected``
+    maps kept-mapping indices to rows of ``mappings``, the engine's
+    table of every mapping.
+    """
+
+    mappings: MappingTable
+    selected: np.ndarray
+    chunks: list[tuple] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return sum(len(predicted) for _, _, predicted, _ in self.chunks)
+
+    def measured(self):
+        """``(measured_us, mapping, batch, row)`` of every measured row,
+        in exploration order."""
+        for mapping_indices, batch, _, measured in self.chunks:
+            for row, meas in enumerate(measured):
+                if meas is not None:
+                    yield meas, int(mapping_indices[row]), batch, row
+
+    def lower(self, mapping_index: int, batch: ScheduleBatch, rows) -> list:
+        """Rows of one kept mapping as :class:`ScheduledMapping` objects."""
+        m = int(self.selected[mapping_index])
+        schedules = schedules_from_rows(self.mappings.spatial_names(m), batch, rows)
+        return [lower_schedule(self.mappings.physical[m], s) for s in schedules]
+
+    def decode(self) -> list[Trial]:
+        """Every row as a :class:`Trial`, in order; each chunk's rows
+        decoded by one ``schedules_from_rows`` call per mapping."""
+        trials: list[Trial] = []
+        for mapping_indices, batch, predicted, measured in self.chunks:
+            lowered = {}
+            for mi in np.unique(mapping_indices).tolist():
+                rows = np.flatnonzero(mapping_indices == mi)
+                lowered.update(zip(rows.tolist(), self.lower(mi, batch, rows)))
+            scheduled = [lowered[row] for row in range(len(batch))]
+            trials += map(Trial, scheduled, predicted, measured, mapping_indices.tolist())
+        return trials
+
+
+@dataclass
 class ExplorationResult:
     """Outcome of tuning one operator on one device.
 
@@ -137,9 +186,15 @@ class ExplorationResult:
 
     best: ScheduledMapping
     best_us: float
-    trials: list[Trial]
+    trial_table: TrialTable
     num_mappings: int
     telemetry: ExploreLog | None = None
+
+    @cached_property
+    def trials(self) -> list[Trial]:
+        """Every explored candidate in exploration order, decoded from
+        ``trial_table`` on first read."""
+        return self.trial_table.decode()
 
     def best_gflops(self) -> float:
         flops = self.best.useful_flops()
@@ -147,15 +202,15 @@ class ExplorationResult:
 
     def summary(self) -> dict:
         """Plain-dict run summary: best latency/GFLOP/s, mapping and
-        trial counts."""
-        measured = sum(1 for t in self.trials if t.measured_us is not None)
+        trial counts (counted from the trial table, nothing decoded)."""
+        measured = sum(1 for _ in self.trial_table.measured())
         return {
             "best_us": self.best_us,
             "best_gflops": self.best_gflops(),
             "num_mappings": self.num_mappings,
-            "num_trials": len(self.trials),
+            "num_trials": len(self.trial_table),
             "trials_measured": measured,
-            "trials_predicted_only": len(self.trials) - measured,
+            "trials_predicted_only": len(self.trial_table) - measured,
         }
 
 
@@ -256,7 +311,7 @@ class Tuner:
                     latency_us=result.best_us,
                     used_intrinsics=True,
                     num_mappings=result.num_mappings,
-                    num_trials=len(result.trials),
+                    num_trials=len(result.trial_table),
                     mapping=result.best.physical.compute.describe(),
                     schedule=result.best.schedule.describe(),
                 )
@@ -329,9 +384,7 @@ class Tuner:
             _obs_metrics.counter("model.predictions").inc(len(batch))
             return engine.predict_rows(selected[mapping_indices], batch)
 
-        spaces = [
-            ScheduleSpace(pm, max_warps_per_block=max_warps) for pm in physical
-        ]
+        space_table = SpaceTable.of_mappings(engine.table, selected, max_warps)
         ga = GeneticConfig(
             population=self.config.population,
             generations=self.config.generations,
@@ -360,20 +413,13 @@ class Tuner:
                 fitness_rows,
                 config=ga,
                 seeds=(np.arange(len(physical)), seed_rows),
-                spaces=spaces,
+                spaces=space_table,
                 on_generation=on_generation,
             )
 
-        # The trial boundary: the only place the exploration loop builds
-        # per-candidate objects.  ``row_of[t]`` is trial ``t``'s row, so
-        # refinement starts from rows, never from re-encoded schedules.
-        trials: list[Trial] = []
-        row_of: list[tuple[ScheduleBatch, int]] = []
-        best: ScheduledMapping | None = None
-        best_us = float("inf")
-        # Distinct mappings that receive at least one simulator
-        # measurement (the funnel's final stage).
-        measured_mappings: set[int] = set()
+        # Every evaluated batch becomes a chunk of the trial table; no
+        # per-candidate object is built until the best row is decoded.
+        trials = TrialTable(engine.table, selected)
 
         def add_trials(
             mapping_indices: np.ndarray,
@@ -381,31 +427,15 @@ class Tuner:
             predicted: list[float],
             measured: list[float | None],
         ) -> None:
-            """One :class:`Trial` per row (``measured[i]`` is ``None`` for
-            a predicted-only row), each mapping's rows decoded by one
-            ``schedules_from_rows`` call; tracks the best measurement
-            and records every measured row's telemetry."""
-            nonlocal best, best_us
-            schedules: list = [None] * len(batch)
-            for mi in np.unique(mapping_indices).tolist():
-                rows = np.nonzero(mapping_indices == mi)[0]
-                decoded = schedules_from_rows(spaces[mi].spatial_names, batch, rows)
-                for row, schedule in zip(rows.tolist(), decoded):
-                    schedules[row] = schedule
-            for row, (mi, schedule, pred, meas) in enumerate(
-                zip(mapping_indices.tolist(), schedules, predicted, measured)
-            ):
-                sched = lower_schedule(physical[mi], schedule)
-                trials.append(Trial(sched, pred, meas, mi))
-                row_of.append((batch, row))
-                if meas is None:
-                    continue
-                measured_mappings.add(mi)
-                _obs_metrics.counter("tuner.measurements").inc()
-                if log is not None:
-                    log.record_sample(pred, meas)
-                if meas < best_us:
-                    best_us, best = meas, sched
+            """Append rows (``measured[i]`` is ``None`` for a
+            predicted-only row) and record the measured rows' telemetry."""
+            trials.chunks.append((mapping_indices, batch, predicted, measured))
+            samples = [(p, m) for p, m in zip(predicted, measured) if m is not None]
+            if samples:
+                _obs_metrics.counter("tuner.measurements").inc(len(samples))
+            if log is not None:
+                for sample in samples:
+                    log.record_sample(*sample)
 
         def measure(mapping_indices: np.ndarray, batch: ScheduleBatch) -> np.ndarray:
             """Measure rows, add them as trials; returns the measurements."""
@@ -448,7 +478,7 @@ class Tuner:
                 [key not in done for key in engine.row_keys(selected, seed_rows)]
             )
             measure(net, take_rows(seed_rows, net))
-        if best is None:
+        if not any(meas < float("inf") for meas, *_ in trials.measured()):
             raise RuntimeError(f"no feasible schedule found for {comp.name}")
 
         # Measured refinement rounds: AMOS's tuning loop alternates model-
@@ -458,17 +488,14 @@ class Tuner:
         # neighbours from the round's starting row and measures them as
         # one batch, then steps to the first of its fastest neighbours if
         # that beats the current row — deterministic for any worker count.
-        first_of: dict[int, int] = {}  # mapping -> its best measured trial
-        for t in sorted(
-            (t for t, trial in enumerate(trials) if trial.measured_us is not None),
-            key=lambda t: trials[t].measured_us,
-        ):
-            first_of.setdefault(trials[t].mapping_index, t)
+        first_of: dict[int, tuple] = {}  # mapping -> its best measured row
+        for start in sorted(trials.measured(), key=lambda r: r[0]):
+            first_of.setdefault(start[1], start)
         starts = list(first_of.values())[:4]
 
         # One uniform matrix per refinement round, from a dedicated seeded
-        # generator, decoded by the space's column ops (bit-identical to
-        # the scalar ``mutate_with_uniforms`` twin).
+        # generator, decoded by the GA's hardware-capped space table
+        # (bit-identical to the scalar ``mutate_with_uniforms`` twin).
         rng = np.random.default_rng(self.config.seed + 1)
         k = self.config.refine_neighbors
         _log.info(
@@ -478,19 +505,12 @@ class Tuner:
             rounds=self.config.refine_rounds,
         )
         with _obs_span("tuner.refine", starts=len(starts)):
-            for start in starts:
-                mi = trials[start].mapping_index
-                # The same hardware-capped spaces the GA sampled from:
-                # hill-climbing must not mutate into schedules that
-                # exceed the device's warp budget.
-                space = spaces[mi]
-                batch, row = row_of[start]
-                current = take_rows(batch, [row], width=len(space.spatial_names))
-                current_us = trials[start].measured_us
+            for current_us, mi, batch, row in starts:
+                current = take_rows(batch, [row], width=int(space_table.n_spatial[mi]))
                 for _ in range(self.config.refine_rounds):
                     u = rng.random((k, MUTATE_UNIFORMS))
                     base = take_rows(current, np.zeros(k, dtype=np.int64))
-                    neighbours = ScheduleBatch(*space.mutate_columns(*base.columns(), u))
+                    neighbours = space_table.mutate(np.full(k, mi), base, u)
                     times = measure(np.full(k, mi), neighbours)
                     if not k or times.min() >= current_us:
                         break
@@ -498,7 +518,12 @@ class Tuner:
                     current = take_rows(neighbours, [step])
                     current_us = float(times[step])
 
+        # The best measurement: the first row of the lowest, as a scan
+        # keeping only strictly lower ones finds it.
+        best_us, mi, batch, row = min(trials.measured(), key=lambda r: r[0])
         if log is not None:
+            # Distinct mappings with at least one simulator measurement.
+            measured_mappings = {m for _, m, _, _ in trials.measured()}
             log.record_funnel("measured", len(measured_mappings))
         _log.info(
             "tune done",
@@ -508,10 +533,11 @@ class Tuner:
             trials=len(trials),
         )
         tune_span.set(best_us=best_us, num_mappings=len(physical))
+        (best,) = trials.lower(mi, batch, [row])
         return ExplorationResult(
             best=best,
             best_us=best_us,
-            trials=trials,
+            trial_table=trials,
             num_mappings=len(physical),
             telemetry=log,
         )

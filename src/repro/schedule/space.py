@@ -11,26 +11,29 @@ Two drawing interfaces exist:
 * one object interface, :meth:`ScheduleSpace.sample`, which consumes a
   ``random.Random`` stream and returns one :class:`Schedule` (the
   random-search baseline and the explorer ablation draw through it), and
-* the array interface of the genetic search and the tuner's refinement
-  — :meth:`sample_columns` / :meth:`mutate_columns` operate on whole
-  populations as numpy columns (the row codec of
-  :mod:`repro.schedule.features`), decoding *pre-drawn uniform
-  matrices* instead of consuming an RNG.
+* the table interface of the genetic search and the tuner's refinement:
+  one :class:`SpaceTable` per tune holds the drawing domains of its
+  mappings as padded arrays, and its :meth:`~SpaceTable.sample` /
+  :meth:`~SpaceTable.mutate` decode a whole mixed-mapping batch of
+  *pre-drawn uniform rows* into ``ScheduleBatch`` rows in one array
+  call, instead of consuming an RNG.
 
-Every decision of the array interface consumes a **fixed number of
+Every decision of the table interface consumes a **fixed number of
 uniforms** (``uniforms_per_sample`` for a sample, ``MUTATE_UNIFORMS``
 for a mutation) and maps a uniform ``u`` to an option index as
 ``min(int(u * n_options), n_options - 1)``.  The scalar twins
-:meth:`sample_with_uniforms` / :meth:`mutate_with_uniforms` decode the
-same uniforms with plain Python arithmetic (independently of the numpy
-tables), so an object-path oracle walking the same uniform matrix
-row-by-row makes bit-identical decisions — the equivalence the
-array-native GA's bit-identity suite pins.
+:meth:`ScheduleSpace.sample_with_uniforms` /
+:meth:`ScheduleSpace.mutate_with_uniforms` decode the same uniforms with
+plain Python arithmetic (independently of the numpy tables), so an
+object-path oracle walking the same uniform matrix row-by-row makes
+bit-identical decisions — the equivalence the array-native GA's
+bit-identity suite pins.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -40,12 +43,14 @@ import numpy as np
 
 from repro.mapping.physical import PhysicalMapping
 from repro.schedule.features import MappingTable, ScheduleBatch
-from repro.schedule.lowering import MacroDim, macro_dims
+from repro.schedule.lowering import macro_dims
 from repro.schedule.schedule import DimSplit, Schedule
 
 #: Enum knob domains shared by both drawing interfaces.
 UNROLL_OPTIONS = (1, 2, 4)
 VECTORIZE_OPTIONS = (1, 2, 4, 8)
+_UNROLL = np.asarray(UNROLL_OPTIONS, dtype=np.int64)
+_VECTORIZE = np.asarray(VECTORIZE_OPTIONS, dtype=np.int64)
 
 #: Uniforms one mutation consumes (branch choice + two operand draws;
 #: branches that need fewer simply ignore the rest — fixed width is what
@@ -65,7 +70,8 @@ def _pick_vec(u: np.ndarray, n_options: np.ndarray | int) -> np.ndarray:
     return np.minimum(idx, np.asarray(n_options, dtype=np.int64) - 1)
 
 
-def candidate_factors(extent: int, limit: int = 64) -> list[int]:
+@functools.lru_cache(maxsize=4096)
+def candidate_factors(extent: int, limit: int = 64) -> tuple[int, ...]:
     """Split-factor candidates for a dimension of ``extent`` tiles: all
     powers of two up to ``min(extent, limit)`` plus the exact divisors."""
     out = {1}
@@ -76,7 +82,13 @@ def candidate_factors(extent: int, limit: int = 64) -> list[int]:
     for d in range(1, min(extent, limit) + 1):
         if extent % d == 0:
             out.add(d)
-    return sorted(f for f in out if f <= max(extent, 1))
+    return tuple(sorted(f for f in out if f <= max(extent, 1)))
+
+
+def _stage_options(reduce_total: int) -> list[int]:
+    """The ``reduce_stage`` domain (at most 8) of a space whose reduce
+    dims hold ``reduce_total`` tiles, shared by every drawing path."""
+    return [f for f in candidate_factors(max(reduce_total, 1)) if f <= 8] or [1]
 
 
 @dataclass
@@ -85,21 +97,11 @@ class ScheduleSpace:
 
     physical: PhysicalMapping
     max_warps_per_block: int = 16
-    max_reduce_stage: int = 8
 
     def __post_init__(self) -> None:
-        self._dims = macro_dims(self.physical)
-        self._spatial = [d for d in self._dims if not d.is_reduce]
-        self._reduce_total = 1
-        for d in self._dims:
-            if d.is_reduce:
-                self._reduce_total *= d.extent
-        self._vdom: _VectorDomains | None = None
-        self._accept_domains: list[tuple[set[int], set[int]]] | None = None
-
-    @property
-    def spatial_dims(self) -> list[MacroDim]:
-        return list(self._spatial)
+        dims = macro_dims(self.physical)
+        self._spatial = [d for d in dims if not d.is_reduce]
+        self._reduce_total = math.prod(d.extent for d in dims if d.is_reduce)
 
     @property
     def spatial_names(self) -> tuple[str, ...]:
@@ -112,14 +114,6 @@ class ScheduleSpace:
         decode one pre-drawn matrix."""
         return 2 * len(self._spatial) + 4
 
-    def stage_options(self) -> list[int]:
-        """The ``reduce_stage`` domain (shared by every drawing path)."""
-        return [
-            f
-            for f in candidate_factors(max(self._reduce_total, 1))
-            if f <= self.max_reduce_stage
-        ] or [1]
-
     def sample(self, rng: random.Random) -> Schedule:
         """Draw one random schedule."""
         splits: dict[str, DimSplit] = {}
@@ -131,7 +125,7 @@ class ScheduleSpace:
             seq_opts = candidate_factors(max(1, math.ceil(dim.extent / warp)))
             seq = rng.choice(seq_opts) if seq_opts else 1
             splits[dim.name] = DimSplit(warp=warp, seq=seq)
-        stage_opts = self.stage_options()
+        stage_opts = _stage_options(self._reduce_total)
         return Schedule(
             splits=splits,
             reduce_stage=rng.choice(stage_opts),
@@ -140,49 +134,8 @@ class ScheduleSpace:
             vectorize=rng.choice([1, 2, 4, 8]),
         )
 
-    # -- array-native interface -----------------------------------------
-    def _vector_domains(self) -> "_VectorDomains":
-        if self._vdom is None:
-            self._vdom = _VectorDomains.build(self)
-        return self._vdom
-
-    def sample_columns(
-        self, u: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Draw ``u.shape[0]`` schedules as columns from a uniform matrix.
-
-        ``u`` must have at least :attr:`uniforms_per_sample` columns;
-        column ``2j`` picks dim ``j``'s warp under the running warp
-        budget (the option set is a prefix of the sorted factor list, so
-        the count is one ``searchsorted``), column ``2j+1`` its seq, and
-        the last four columns the scalar knobs.  Returns ``(warp, seq,
-        reduce_stage, double_buffer, unroll, vectorize)`` arrays; decodes
-        exactly like :meth:`sample_with_uniforms` row-by-row.
-        """
-        dom = self._vector_domains()
-        n = u.shape[0]
-        d = len(self._spatial)
-        warp = np.ones((n, d), dtype=np.int64)
-        seq = np.ones((n, d), dtype=np.int64)
-        budget = np.full(n, self.max_warps_per_block, dtype=np.int64)
-        for j in range(d):
-            factors = dom.warp_factors[j]
-            n_opts = np.searchsorted(factors, budget, side="right")
-            widx = _pick_vec(u[:, 2 * j], n_opts)
-            warp[:, j] = factors[widx]
-            budget = np.maximum(1, budget // warp[:, j])
-            scounts = dom.seq_counts[j][widx]
-            sidx = _pick_vec(u[:, 2 * j + 1], scounts)
-            seq[:, j] = dom.seq_table[j][widx, sidx]
-        k = 2 * d
-        reduce_stage = dom.stage_opts[_pick_vec(u[:, k], len(dom.stage_opts))]
-        double_buffer = u[:, k + 1] < 0.5
-        unroll = dom.unroll_opts[_pick_vec(u[:, k + 2], len(UNROLL_OPTIONS))]
-        vectorize = dom.vectorize_opts[_pick_vec(u[:, k + 3], len(VECTORIZE_OPTIONS))]
-        return warp, seq, reduce_stage, double_buffer, unroll, vectorize
-
     def sample_with_uniforms(self, u: Sequence[float]) -> Schedule:
-        """Scalar twin of :meth:`sample_columns` for one uniform row.
+        """Scalar twin of :meth:`SpaceTable.sample` for one uniform row.
 
         Decodes with plain Python arithmetic (no numpy tables) — the
         independent oracle the bit-identity suite compares against.
@@ -199,7 +152,7 @@ class ScheduleSpace:
             seq = seq_opts[_pick(u[k], len(seq_opts))]
             k += 1
             splits[dim.name] = DimSplit(warp=warp, seq=seq)
-        stage_opts = self.stage_options()
+        stage_opts = _stage_options(self._reduce_total)
         return Schedule(
             splits=splits,
             reduce_stage=stage_opts[_pick(u[k], len(stage_opts))],
@@ -208,63 +161,8 @@ class ScheduleSpace:
             vectorize=VECTORIZE_OPTIONS[_pick(u[k + 3], len(VECTORIZE_OPTIONS))],
         )
 
-    def mutate_columns(
-        self,
-        warp: np.ndarray,
-        seq: np.ndarray,
-        reduce_stage: np.ndarray,
-        double_buffer: np.ndarray,
-        unroll: np.ndarray,
-        vectorize: np.ndarray,
-        u: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Mutate one knob per row, vectorized; inputs are not modified.
-
-        ``u`` needs :data:`MUTATE_UNIFORMS` columns: branch choice, then
-        two operand draws (dim pick + new value, or the unroll/vectorize
-        pair of the flip branch).  Row semantics match
-        :meth:`mutate_with_uniforms` exactly, including the fall-through
-        to the knob-flip branch for spaces without spatial dims.
-        """
-        dom = self._vector_domains()
-        d = len(self._spatial)
-        warp = warp.copy()
-        seq = seq.copy()
-        reduce_stage = reduce_stage.copy()
-        double_buffer = double_buffer.copy()
-        unroll = unroll.copy()
-        vectorize = vectorize.copy()
-        choice = _pick_vec(u[:, 0], 4)
-        if d == 0:
-            # No spatial dims: the split branches fall through to the
-            # knob-flip branch, as in the scalar twin.
-            choice = np.where(choice < 2, 3, choice)
-        rows = np.nonzero(choice == 0)[0]
-        if rows.size:
-            dims = _pick_vec(u[rows, 1], d)
-            idx = _pick_vec(u[rows, 2], dom.mut_warp_counts[dims])
-            warp[rows, dims] = dom.mut_warp_table[dims, idx]
-        rows = np.nonzero(choice == 1)[0]
-        if rows.size:
-            dims = _pick_vec(u[rows, 1], d)
-            idx = _pick_vec(u[rows, 2], dom.all_factor_counts[dims])
-            seq[rows, dims] = dom.all_factor_table[dims, idx]
-        rows = np.nonzero(choice == 2)[0]
-        if rows.size:
-            reduce_stage[rows] = dom.stage_opts[
-                _pick_vec(u[rows, 1], len(dom.stage_opts))
-            ]
-        rows = np.nonzero(choice == 3)[0]
-        if rows.size:
-            double_buffer[rows] = ~double_buffer[rows]
-            unroll[rows] = dom.unroll_opts[_pick_vec(u[rows, 1], len(UNROLL_OPTIONS))]
-            vectorize[rows] = dom.vectorize_opts[
-                _pick_vec(u[rows, 2], len(VECTORIZE_OPTIONS))
-            ]
-        return warp, seq, reduce_stage, double_buffer, unroll, vectorize
-
     def mutate_with_uniforms(self, schedule: Schedule, u: Sequence[float]) -> Schedule:
-        """Scalar twin of :meth:`mutate_columns` for one uniform row.
+        """Scalar twin of :meth:`SpaceTable.mutate` for one uniform row.
 
         The result is *canonical*: its splits carry every spatial dim
         (missing ones materialize as ``DimSplit(1, 1)``), matching what
@@ -296,7 +194,7 @@ class ScheduleSpace:
                 warp=splits[dim.name].warp, seq=opts[_pick(u[2], len(opts))]
             )
         elif choice == 2:
-            stage_opts = self.stage_options()
+            stage_opts = _stage_options(self._reduce_total)
             stage = stage_opts[_pick(u[1], len(stage_opts))]
         else:
             double_buffer = not double_buffer
@@ -307,7 +205,7 @@ class ScheduleSpace:
     def accepts(self, schedule: Schedule) -> bool:
         """Whether a schedule lies inside this space's drawing domains.
 
-        True exactly for the schedules :meth:`sample` and the column ops
+        True exactly for the schedules :meth:`sample` and the table ops
         (and their scalar twins) can produce (plus the all-defaults subset): warp
         from the device-capped factor lattice, seq from the union of the
         per-warp sequential domains with the whole factor list (the
@@ -315,30 +213,19 @@ class ScheduleSpace:
         a subset of every per-warp domain), stage/unroll/vectorize from
         their enum domains, and no splits for unknown dims.
         """
-        if self._accept_domains is None:
-            domains: list[tuple[set[int], set[int]]] = []
-            for dim in self._spatial:
-                warp_dom = {
-                    f
-                    for f in candidate_factors(dim.extent)
-                    if f <= self.max_warps_per_block
-                }
-                seq_dom = set(candidate_factors(dim.extent))
-                for w in warp_dom:
-                    seq_dom.update(
-                        candidate_factors(max(1, math.ceil(dim.extent / w)))
-                    )
-                domains.append((warp_dom, seq_dom))
-            self._accept_domains = domains
-        names = set(self.spatial_names)
-        if not set(schedule.splits) <= names:
+        if not set(schedule.splits) <= set(self.spatial_names):
             return False
-        for dim, (warp_dom, seq_dom) in zip(self._spatial, self._accept_domains):
+        for dim in self._spatial:
+            factors = candidate_factors(dim.extent)
+            warp_dom = [f for f in factors if f <= self.max_warps_per_block]
+            seq_dom = set(factors).union(
+                *(candidate_factors(max(1, math.ceil(dim.extent / w))) for w in warp_dom)
+            )
             split = schedule.split_for(dim.name)
             if split.warp not in warp_dom or split.seq not in seq_dom:
                 return False
         return (
-            schedule.reduce_stage in self.stage_options()
+            schedule.reduce_stage in _stage_options(self._reduce_total)
             and schedule.unroll in UNROLL_OPTIONS
             and schedule.vectorize in VECTORIZE_OPTIONS
         )
@@ -352,73 +239,168 @@ class ScheduleSpace:
         return total
 
 
-@dataclass(frozen=True, eq=False)
-class _VectorDomains:
-    """Precomputed option tables behind the column ops of one space.
+#: Pads every option table; counts gate the picks, so it is never picked.
+_NO_OPTION = np.iinfo(np.int64).max
 
-    Ragged per-dim option lists are padded into rectangular int64 tables
-    (pad value 1 — never selected, counts gate the pick) so a whole
-    population indexes them with fancy indexing.  ``seq_table[j]`` is
-    2-D: the sequential domain depends on the chosen warp, so row ``w``
-    holds ``candidate_factors(ceil(extent / warp_factors[j][w]))``.
+
+def _stacked(arrays: Sequence[np.ndarray], rank: int) -> np.ndarray:
+    """Rank-``rank`` arrays stacked on a new first axis, each padded
+    with :data:`_NO_OPTION` to the largest shape (at least 1 wide)."""
+    shape = np.max([a.shape for a in arrays] + [(1,) * rank], axis=0)
+    out = np.full((len(arrays), *shape), _NO_OPTION, dtype=np.int64)
+    for i, a in enumerate(arrays):
+        out[(i, *map(slice, a.shape))] = a
+    return out
+
+
+def _counts(options: np.ndarray) -> np.ndarray:
+    """Options per row (the last axis) of a padded table."""
+    return (options < _NO_OPTION).sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=4096)
+def _dim_domain(extent: int) -> tuple[np.ndarray, np.ndarray]:
+    """One spatial dim's factor lattice and, per lattice warp ``w``, the
+    seq domain ``candidate_factors(ceil(extent / w))`` (padded rows)."""
+    factors = candidate_factors(extent)
+    seqs = [np.asarray(candidate_factors(max(1, math.ceil(extent / w)))) for w in factors]
+    return np.asarray(factors, dtype=np.int64), _stacked(seqs, 1)
+
+
+class SpaceTable:
+    """The drawing domains of many mappings' spaces as padded arrays.
+
+    Built from one ``(spatial extents, warp cap, reduce total)`` key per
+    mapping ``m``.  Spatial dim ``j`` of mapping ``m`` has extent number
+    ``dim_of[m, j]`` among the table's distinct extents, and per extent
+    ``e``: ``factors[e]`` is its factor lattice (``factor_counts[e]``
+    factors, ``n_under[e, b]`` of them at most warp budget ``b``) and
+    ``seq_table[e, w]`` its seq domain under the lattice's ``w``-th
+    factor as warp (``seq_counts[e, w]`` options).  ``stages[m]`` is the
+    ``reduce_stage`` domain (``stage_counts[m]`` options).  Dims past
+    ``n_spatial[m]`` pad with extent 1, whose only split is the
+    identity, so they leave the warp budget unchanged.  Build one with
+    :meth:`of_spaces` / :meth:`of_mappings`; the per-extent domains come
+    from the memoized :func:`_dim_domain`.
     """
 
-    warp_factors: tuple[np.ndarray, ...]   # per dim: sorted factor lattice
-    seq_counts: tuple[np.ndarray, ...]     # per dim: (n_warp_opts,)
-    seq_table: tuple[np.ndarray, ...]      # per dim: (n_warp_opts, max_seq)
-    mut_warp_counts: np.ndarray            # (d,) device-capped factor counts
-    mut_warp_table: np.ndarray             # (d, max) device-capped factors
-    all_factor_counts: np.ndarray          # (d,) full factor-lattice counts
-    all_factor_table: np.ndarray           # (d, max) full factor lattice
-    stage_opts: np.ndarray
-    unroll_opts: np.ndarray
-    vectorize_opts: np.ndarray
+    def __init__(self, keys: tuple[tuple[tuple[int, ...], int, int], ...]):
+        self.n_spatial = np.asarray([len(ext) for ext, _, _ in keys], dtype=np.int64)
+        self.cap = np.asarray([cap for _, cap, _ in keys], dtype=np.int64)
+        width = int(self.n_spatial.max(initial=0))
+        rows = [ext + (1,) * (width - len(ext)) for ext, _, _ in keys]
+        number = {e: i for i, e in enumerate(sorted({1}.union(*rows)))}
+        self.dim_of = np.asarray(
+            [[number[e] for e in row] for row in rows], dtype=np.int64
+        ).reshape(len(keys), width)
+        domains = [_dim_domain(e) for e in number]
+        self.factors = _stacked([f for f, _ in domains], 1)
+        self.factor_counts = _counts(self.factors)
+        self.seq_table = _stacked([t for _, t in domains], 2)
+        self.seq_counts = _counts(self.seq_table)
+        budgets = np.arange(int(self.cap.max(initial=0)) + 1)[:, None]
+        self.n_under = (self.factors[:, None, :] <= budgets).sum(axis=-1)
+        self.stages = _stacked([np.asarray(_stage_options(r)) for _, _, r in keys], 1)
+        self.stage_counts = _counts(self.stages)
+
+    def __len__(self) -> int:
+        return self.n_spatial.shape[0]
+
+    @property
+    def width(self) -> int:
+        """The widest mapping's spatial dim count (the rows' width)."""
+        return self.dim_of.shape[1]
 
     @staticmethod
-    def build(space: ScheduleSpace) -> "_VectorDomains":
-        warp_factors: list[np.ndarray] = []
-        seq_counts: list[np.ndarray] = []
-        seq_tables: list[np.ndarray] = []
-        mut_warp: list[list[int]] = []
-        all_factors: list[list[int]] = []
-        for dim in space._spatial:
-            factors = candidate_factors(dim.extent)
-            warp_factors.append(np.asarray(factors, dtype=np.int64))
-            per_warp = [
-                candidate_factors(max(1, math.ceil(dim.extent / w))) for w in factors
-            ]
-            counts = np.asarray([len(opts) for opts in per_warp], dtype=np.int64)
-            table = np.ones((len(factors), int(counts.max())), dtype=np.int64)
-            for w, opts in enumerate(per_warp):
-                table[w, : len(opts)] = opts
-            seq_counts.append(counts)
-            seq_tables.append(table)
-            mut_warp.append([f for f in factors if f <= space.max_warps_per_block])
-            all_factors.append(factors)
-        return _VectorDomains(
-            warp_factors=tuple(warp_factors),
-            seq_counts=tuple(seq_counts),
-            seq_table=tuple(seq_tables),
-            mut_warp_counts=_ragged_counts(mut_warp),
-            mut_warp_table=_ragged_table(mut_warp),
-            all_factor_counts=_ragged_counts(all_factors),
-            all_factor_table=_ragged_table(all_factors),
-            stage_opts=np.asarray(space.stage_options(), dtype=np.int64),
-            unroll_opts=np.asarray(UNROLL_OPTIONS, dtype=np.int64),
-            vectorize_opts=np.asarray(VECTORIZE_OPTIONS, dtype=np.int64),
+    def of_spaces(spaces: Sequence[ScheduleSpace]) -> "SpaceTable":
+        return SpaceTable(
+            tuple(
+                (tuple(d.extent for d in s._spatial), s.max_warps_per_block, s._reduce_total)
+                for s in spaces
+            )
         )
 
+    @staticmethod
+    def of_mappings(table: MappingTable, indices: np.ndarray, cap: int) -> "SpaceTable":
+        """The spaces of ``table``'s mappings at ``indices`` under warp cap ``cap``."""
+        extents, widths = table.spatial_extents.tolist(), table.n_spatial.tolist()
+        totals = table.reduce_tile_count.tolist()
+        return SpaceTable(
+            tuple((tuple(extents[m][: widths[m]]), cap, totals[m]) for m in indices.tolist())
+        )
 
-def _ragged_counts(lists: Sequence[Sequence[int]]) -> np.ndarray:
-    return np.asarray([len(opts) for opts in lists], dtype=np.int64)
+    def sample(self, mapping_indices: np.ndarray, u: np.ndarray) -> ScheduleBatch:
+        """Draw one schedule per row, row ``i`` in mapping
+        ``mapping_indices[i]``'s space, from uniform row ``u[i]``.
 
+        ``u`` needs ``2 * width + 4`` columns: column ``2j`` picks dim
+        ``j``'s warp under the running warp budget, column ``2j+1`` its
+        seq, and the four columns at the row's own offset
+        ``2 * n_spatial[m]`` the scalar knobs — the layout of
+        :meth:`ScheduleSpace.sample_with_uniforms`, which each row equals.
+        """
+        mi = np.asarray(mapping_indices, dtype=np.int64)
+        rows = np.arange(mi.shape[0])
+        warp = np.ones((mi.shape[0], self.width), dtype=np.int64)
+        seq = np.ones_like(warp)
+        budget = self.cap[mi]
+        for j in range(self.width):
+            # The lattice is sorted: the options under the budget are a
+            # prefix of it.
+            e = self.dim_of[mi, j]
+            widx = _pick_vec(u[:, 2 * j], self.n_under[e, budget])
+            warp[:, j] = self.factors[e, widx]
+            budget = np.maximum(1, budget // warp[:, j])
+            sidx = _pick_vec(u[:, 2 * j + 1], self.seq_counts[e, widx])
+            seq[:, j] = self.seq_table[e, widx, sidx]
+        knobs = u[rows[:, None], 2 * self.n_spatial[mi][:, None] + np.arange(4)]
+        return ScheduleBatch(
+            warp=warp,
+            seq=seq,
+            reduce_stage=self.stages[mi, _pick_vec(knobs[:, 0], self.stage_counts[mi])],
+            double_buffer=knobs[:, 1] < 0.5,
+            unroll=_UNROLL[_pick_vec(knobs[:, 2], len(UNROLL_OPTIONS))],
+            vectorize=_VECTORIZE[_pick_vec(knobs[:, 3], len(VECTORIZE_OPTIONS))],
+        )
 
-def _ragged_table(lists: Sequence[Sequence[int]]) -> np.ndarray:
-    width = max((len(opts) for opts in lists), default=1)
-    table = np.ones((len(lists), max(width, 1)), dtype=np.int64)
-    for i, opts in enumerate(lists):
-        table[i, : len(opts)] = opts
-    return table
+    def mutate(
+        self, mapping_indices: np.ndarray, batch: ScheduleBatch, u: np.ndarray
+    ) -> ScheduleBatch:
+        """Mutate one knob of each row of ``batch`` (any width covering
+        its mappings' dims), row ``i`` in mapping ``mapping_indices[i]``'s
+        space; ``batch`` is not modified.
+
+        ``u`` needs :data:`MUTATE_UNIFORMS` columns: branch choice, then
+        two operand draws (dim pick + new value, or the unroll/vectorize
+        pair of the flip branch).  Each row equals
+        :meth:`ScheduleSpace.mutate_with_uniforms`, including the
+        fall-through to the knob-flip branch for a mapping without
+        spatial dims.
+        """
+        mi = np.asarray(mapping_indices, dtype=np.int64)
+        splits = np.stack([batch.warp, batch.seq])
+        stage, double_buffer, unroll, vectorize = (
+            column.copy() for column in batch.columns()[2:]
+        )
+        n_spatial = self.n_spatial[mi]
+        choice = _pick_vec(u[:, 0], 4)
+        choice[(n_spatial == 0) & (choice < 2)] = 3
+        # Branch 0 redraws a warp from the lattice under the cap, branch
+        # 1 a seq from the whole lattice.
+        rows = np.flatnonzero(choice < 2)
+        m, branch = mi[rows], choice[rows]
+        dims = _pick_vec(u[rows, 1], n_spatial[rows])
+        e = self.dim_of[m, dims]
+        counts = np.where(branch == 0, self.n_under[e, self.cap[m]], self.factor_counts[e])
+        splits[branch, rows, dims] = self.factors[e, _pick_vec(u[rows, 2], counts)]
+        rows = np.flatnonzero(choice == 2)
+        m = mi[rows]
+        stage[rows] = self.stages[m, _pick_vec(u[rows, 1], self.stage_counts[m])]
+        rows = np.flatnonzero(choice == 3)
+        double_buffer[rows] = ~double_buffer[rows]
+        unroll[rows] = _UNROLL[_pick_vec(u[rows, 1], len(UNROLL_OPTIONS))]
+        vectorize[rows] = _VECTORIZE[_pick_vec(u[rows, 2], len(VECTORIZE_OPTIONS))]
+        return ScheduleBatch(*splits, stage, double_buffer, unroll, vectorize)
 
 
 def default_schedule(

@@ -19,20 +19,24 @@ end:
   mapping, schedule, trial count, a digest of every trial) recorded
   before the object paths were removed, on three devices at
   n_workers 1 and 4, with pinned cache counters, and a default tune
-  builds schedule objects only in the tuner's trial builder;
+  decodes and lowers only its best row (``.trials`` decodes the rest of
+  the trial table on first read);
 * the ``scalar_parity`` fixture (``conftest.py``) finds zero
   batch-vs-scalar mismatches in the rows the engine evaluates, inline
   and pooled, and samples a pinned number of candidates per rate;
-* property-based: every row produced by the vectorized ``sample_columns``
-  / ``mutate_columns`` decodes to a schedule the space ``accepts``, on
-  every registered device's intrinsics.
+* property-based: every row produced by ``SpaceTable.sample`` /
+  ``SpaceTable.mutate`` decodes to a schedule the space ``accepts``, on
+  every registered device's intrinsics, and each row of a mixed-mapping
+  batch equals its own space's scalar twin.
 """
 
 import dataclasses
 import hashlib
+import json
 import pathlib
 import random
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -73,6 +77,7 @@ from repro.schedule.schedule import DimSplit
 from repro.schedule.space import (
     MUTATE_UNIFORMS,
     ScheduleSpace,
+    SpaceTable,
     default_rows,
     default_schedule,
 )
@@ -162,7 +167,7 @@ class TestGeneticRowsOracle:
                 engine.predict_rows,
                 cfg,
                 seeds=_seed_rows(spaces, use_seeds) if use_seeds else None,
-                spaces=spaces,
+                spaces=SpaceTable.of_spaces(spaces),
                 on_generation=lambda g, f, u: rows_gens.append((g, f, u)),
             )
         rows = _decoded_ranking(result, spaces)
@@ -213,7 +218,9 @@ class TestGeneticRowsOracle:
         _, _, physical, spaces, _ = _ga_context()
         with pytest.raises(ValueError, match="one schedule space per mapping"):
             genetic_search_rows(
-                physical, lambda mi, b: np.zeros(len(b)), spaces=spaces[:1]
+                physical,
+                lambda mi, b: np.zeros(len(b)),
+                spaces=SpaceTable.of_spaces(spaces[:1]),
             )
 
     def test_bad_fitness_rows_length_rejected(self):
@@ -224,7 +231,7 @@ class TestGeneticRowsOracle:
                 lambda mi, b: np.zeros(len(b) + 1),
                 GeneticConfig(population=4, generations=1),
                 seeds=_seed_rows(spaces, seeds),
-                spaces=spaces,
+                spaces=SpaceTable.of_spaces(spaces),
             )
 
 
@@ -519,10 +526,13 @@ class TestTunerGaArrays:
 
     def test_default_tune_decodes_rows_only_into_trials(self, monkeypatch):
         """A default C2D tune on V100 runs on rows from the prefilter to
-        the trial list: no schedule is encoded into rows, no default
+        the trial table: no schedule is encoded into rows, no default
         schedule object is built, no ``describe()`` string is rendered,
-        and the trial builder decodes each trial batch with one
-        ``schedules_from_rows`` call per mapping in it, every row once."""
+        and only the best row is decoded and lowered — one
+        ``schedules_from_rows`` and one ``lower_schedule`` call.  The
+        first ``.trials`` read decodes every row once, with at most one
+        ``schedules_from_rows`` call per (chunk, mapping); a second read
+        decodes nothing."""
         import repro.explore.genetic as genetic_mod
         import repro.explore.tuner as tuner_mod
         import repro.schedule.features as features_mod
@@ -559,13 +569,31 @@ class TestTunerGaArrays:
         for owner in (features_mod, genetic_mod, tuner_mod):
             if hasattr(owner, "schedules_from_rows"):
                 monkeypatch.setattr(owner, "schedules_from_rows", spy_decode)
+        lowered = []
+        lower = tuner_mod.lower_schedule
+
+        def spy_lower(physical, schedule):
+            lowered.append(schedule)
+            return lower(physical, schedule)
+
+        monkeypatch.setattr(tuner_mod, "lower_schedule", spy_lower)
 
         result = Tuner(get_hardware("v100"), TunerConfig(n_workers=1)).tune(
             make_operator("C2D", n=1, c=16, k=16, h=8, w=8)
         )
         assert objects == []
         assert result.best_us == 4.419631862666752
-        assert len(result.trials) == 255
+        assert [len(rows) for _, rows in decodes] == [1]
+        assert len(lowered) == 1
+        assert result.best.schedule == lowered[0]
+
+        decodes.clear()
+        lowered.clear()
+        trials = result.trials
+        assert len(trials) == 255
+        assert len(lowered) == 255
+        assert result.trials is trials  # cached: a second read decodes nothing
+        assert len(lowered) == 255
 
         # Group the decode calls by batch, in first-call order: a batch's
         # rows are the next run of trials.
@@ -576,10 +604,39 @@ class TestTunerGaArrays:
         for calls in calls_of.values():
             decoded = sorted(row for rows in calls for row in rows)
             assert decoded == list(range(len(decoded)))
-            batch_trials = result.trials[offset : offset + len(decoded)]
+            batch_trials = trials[offset : offset + len(decoded)]
             assert len(calls) <= len({t.mapping_index for t in batch_trials})
             offset += len(decoded)
-        assert offset == len(result.trials)
+        assert offset == len(trials)
+
+    def test_run_dir_tune_and_summary_decode_only_the_best_row(
+        self, monkeypatch, tmp_path
+    ):
+        """A flight-recorded tune and its ``summary()`` count trials from
+        the trial table: only the best row is decoded and lowered, and
+        ``.trials`` is never built."""
+        import repro.explore.tuner as tuner_mod
+
+        calls = []
+        for name in ("schedules_from_rows", "lower_schedule"):
+
+            def spy(*args, _name=name, _original=getattr(tuner_mod, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(tuner_mod, name, spy)
+        config = TunerConfig(n_workers=1, run_dir=str(tmp_path), **QUICK)
+        result = Tuner(get_hardware("v100"), config).tune(
+            make_operator("GMM", **DEVICES[0][1])
+        )
+        summary = result.summary()
+        assert calls == ["schedules_from_rows", "lower_schedule"]
+        assert "trials" not in vars(result)
+        (manifest,) = tmp_path.glob("run_*.json")
+        outcome = json.loads(manifest.read_text())["outcome"]
+        assert outcome["num_trials"] == summary["num_trials"] == GOLDEN["v100"][4]
+        measured = sum(t.measured_us is not None for t in result.trials)
+        assert summary["trials_measured"] == measured
 
     def test_ga_seed_rows_are_prefilter_memo_hits(self, monkeypatch):
         """With more mappings than the prefilter keeps (105 > 24), the
@@ -712,7 +769,7 @@ class TestDefaultRows:
 
 
 # ----------------------------------------------------------------------
-# Property: vectorized column ops stay inside the space
+# Property: space-table ops stay inside the space
 # ----------------------------------------------------------------------
 PROPERTY_CASES = [
     ("v100", "GMM", dict(m=64, n=64, k=64)),
@@ -740,6 +797,23 @@ def _space_for(case):
     return _SPACE_CACHE[case]
 
 
+def _stub_space(reduce_extent, max_warps_per_block):
+    """A space over a mapping with no spatial macro dim (one unmapped
+    reduce iteration) — no registered intrinsic yields one, but the
+    table interface must still fall through to the knob branches."""
+    reduce_iter = types.SimpleNamespace(name="k", extent=reduce_extent, is_reduce=True)
+    physical = types.SimpleNamespace(splits=(), outer_iters=(reduce_iter,))
+    return ScheduleSpace(physical, max_warps_per_block=max_warps_per_block)
+
+
+def _one_space_ops(space, u, mu):
+    """One space's table: sample ``u`` then mutate the samples by ``mu``."""
+    table = SpaceTable.of_spaces([space])
+    mi = np.zeros(len(u), dtype=np.int64)
+    batch = table.sample(mi, u)
+    return batch, table.mutate(mi, batch, mu)
+
+
 class TestColumnOpsStayInSpace:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -749,42 +823,15 @@ class TestColumnOpsStayInSpace:
     )
     def test_sampled_and_mutated_rows_are_accepted(self, case, seed, rows):
         """Every intrinsic kind (wmma, AVX-512, Mali dot, vaxpy, vgemv,
-        vconv): vectorized samples and their mutations all decode to
+        vconv): table samples and their mutations all decode to
         schedules inside the space's drawing domains."""
         space = _space_for(case)
         rng = np.random.default_rng(seed)
         u = rng.random((rows, space.uniforms_per_sample))
-        warp, seq, stage, db, un, ve = space.sample_columns(u)
-        batch = ScheduleBatch(
-            warp=warp,
-            seq=seq,
-            reduce_stage=stage,
-            double_buffer=db,
-            unroll=un,
-            vectorize=ve,
-        )
-        for schedule in schedules_from_rows(space.spatial_names, batch):
-            assert space.accepts(schedule)
-        mu = rng.random((rows, MUTATE_UNIFORMS))
-        warp, seq, stage, db, un, ve = space.mutate_columns(
-            batch.warp,
-            batch.seq,
-            batch.reduce_stage,
-            batch.double_buffer,
-            batch.unroll,
-            batch.vectorize,
-            mu,
-        )
-        mutated = ScheduleBatch(
-            warp=warp,
-            seq=seq,
-            reduce_stage=stage,
-            double_buffer=db,
-            unroll=un,
-            vectorize=ve,
-        )
-        for schedule in schedules_from_rows(space.spatial_names, mutated):
-            assert space.accepts(schedule)
+        batch, mutated = _one_space_ops(space, u, rng.random((rows, MUTATE_UNIFORMS)))
+        for rows_ in (batch, mutated):
+            for schedule in schedules_from_rows(space.spatial_names, rows_):
+                assert space.accepts(schedule)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -793,47 +840,60 @@ class TestColumnOpsStayInSpace:
         rows=st.integers(1, 6),
     )
     def test_column_ops_match_scalar_twins(self, case, seed, rows):
-        """The vectorized decoders and their scalar twins read the same
+        """The table decoders and their scalar twins read the same
         uniform rows to the same schedules — the protocol underneath
         every bit-identity claim in this file."""
         space = _space_for(case)
         rng = np.random.default_rng(seed)
         u = rng.random((rows, space.uniforms_per_sample))
-        warp, seq, stage, db, un, ve = space.sample_columns(u)
-        batch = ScheduleBatch(
-            warp=warp,
-            seq=seq,
-            reduce_stage=stage,
-            double_buffer=db,
-            unroll=un,
-            vectorize=ve,
-        )
-        vec = schedules_from_rows(space.spatial_names, batch)
-        for i in range(rows):
-            scalar = space.sample_with_uniforms(u[i])
-            assert vec[i].describe() == scalar.describe()
         mu = rng.random((rows, MUTATE_UNIFORMS))
-        warp, seq, stage, db, un, ve = space.mutate_columns(
-            batch.warp,
-            batch.seq,
-            batch.reduce_stage,
-            batch.double_buffer,
-            batch.unroll,
-            batch.vectorize,
-            mu,
-        )
-        mutated = ScheduleBatch(
-            warp=warp,
-            seq=seq,
-            reduce_stage=stage,
-            double_buffer=db,
-            unroll=un,
-            vectorize=ve,
-        )
+        batch, mutated = _one_space_ops(space, u, mu)
+        vec = schedules_from_rows(space.spatial_names, batch)
         vec_mut = schedules_from_rows(space.spatial_names, mutated)
         for i in range(rows):
+            assert vec[i].describe() == space.sample_with_uniforms(u[i]).describe()
             scalar = space.mutate_with_uniforms(vec[i], mu[i])
             assert vec_mut[i].describe() == scalar.describe()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cases=st.lists(st.integers(0, len(PROPERTY_CASES)), min_size=2, max_size=4),
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 12),
+    )
+    def test_mixed_batch_rows_match_their_own_space(self, cases, seed, rows):
+        """One ``sample`` / ``mutate`` call over a batch mixing mappings
+        of different widths (narrow rows padded inside a wide batch) and
+        a mapping without spatial dims (case ``len(PROPERTY_CASES)``):
+        every row equals its own space's scalar twin on that row's own
+        uniforms, and padding columns stay identity splits."""
+        spaces = [
+            _space_for(c) if c < len(PROPERTY_CASES) else _stub_space(12, 4)
+            for c in cases
+        ]
+        table = SpaceTable.of_spaces(spaces)
+        assert table.width == max(len(s.spatial_names) for s in spaces)
+        rng = np.random.default_rng(seed)
+        mi = rng.integers(0, len(spaces), rows)
+        u = rng.random((rows, 2 * table.width + 4))
+        mu = rng.random((rows, MUTATE_UNIFORMS))
+        batch = table.sample(mi, u)
+        mutated = table.mutate(mi, batch, mu)
+        for i, m in enumerate(mi.tolist()):
+            space = spaces[m]
+            names = space.spatial_names
+            (sampled,) = schedules_from_rows(names, batch, [i])
+            assert sampled.describe() == space.sample_with_uniforms(u[i]).describe()
+            (child,) = schedules_from_rows(names, mutated, [i])
+            scalar = space.mutate_with_uniforms(sampled, mu[i])
+            assert child.describe() == scalar.describe()
+            for rows_ in (batch, mutated):
+                assert rows_.warp[i, len(names) :].tolist() == [1] * (
+                    table.width - len(names)
+                )
+                assert rows_.seq[i, len(names) :].tolist() == [1] * (
+                    table.width - len(names)
+                )
 
 
 # ----------------------------------------------------------------------

@@ -8,16 +8,13 @@ from hypothesis import given, strategies as st
 
 from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
-from repro.schedule.features import (
-    ScheduleBatch,
-    encode_rows,
-    schedules_from_rows,
-)
+from repro.schedule.features import encode_rows, schedules_from_rows
 from repro.schedule.lowering import ScheduledMapping, dtype_bytes, macro_dims
 from repro.schedule.schedule import DimSplit, Schedule
 from repro.schedule.space import (
     MUTATE_UNIFORMS,
     ScheduleSpace,
+    SpaceTable,
     candidate_factors,
     default_schedule,
 )
@@ -164,7 +161,8 @@ class TestSpace:
         assert any(s.describe() != base.describe() for s in scalar)
         names = space.spatial_names
         rows = encode_rows([names] * len(u), [base] * len(u))
-        mutated = ScheduleBatch(*space.mutate_columns(*rows.columns(), u))
+        table = SpaceTable.of_spaces([space])
+        mutated = table.mutate(np.zeros(len(u), dtype=np.int64), rows, u)
         assert schedules_from_rows(names, mutated) == scalar
 
     def test_size_estimate_large(self, gemm_physical):
