@@ -33,11 +33,19 @@ generating the exponentially many hopeless candidates):
   satisfy the unit-stride column constraint of the fragment-load memory
   intrinsics.  This rule reproduces the published mapping counts for
   C1D (6), C2D (35) and C3D (180).
+
+The admitted matching matrices depend only on what these rules and
+Algorithm 1 read — the access matrices, the iteration kinds, the
+solo-indexed iterations and the options — never on the extents, as the
+paper's virtual-accelerator step says.  So the admission runs once per
+structure and process and every operator of that structure shares its
+result: the layers of a network, and intrinsics that differ only in
+their extents (the three WMMA shapes), enumerate by a dictionary lookup
+and wrap the shared matrices in mappings of their own.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -126,36 +134,13 @@ def _build_candidates(
 
     The answer depends on the operator's structure alone — its access
     matrix and which iterations reduce — and on the intrinsic's, never
-    on the extents, so it is memoized by structure: the distinct layers
-    of a network share a handful of structures."""
+    on the extents."""
     x = computation.access_matrix()
     z = intrinsic.compute.access_matrix()
-    return _candidate_space(
-        x.shape,
-        x.tobytes(),
-        tuple(iv.is_reduce for iv in computation.iter_vars),
-        z.shape,
-        z.tobytes(),
-        tuple(iv.is_reduce for iv in intrinsic.compute.iter_vars),
-    )
-
-
-@functools.lru_cache(maxsize=1024)
-def _candidate_space(
-    x_shape: tuple[int, ...],
-    x_bytes: bytes,
-    sw_kinds: tuple[bool, ...],
-    z_shape: tuple[int, ...],
-    z_bytes: bytes,
-    hw_kinds: tuple[bool, ...],
-) -> _CandidateSpace | None:
-    """:func:`_build_candidates` of one (operator, intrinsic) structure:
-    the int8 access matrices by bytes and shape, and the iteration
-    kinds."""
-    x = np.frombuffer(x_bytes, dtype=np.int8).reshape(x_shape)
-    z = np.frombuffer(z_bytes, dtype=np.int8).reshape(z_shape)
     if x.shape[0] != z.shape[0]:
         return None
+    sw_kinds = [iv.is_reduce for iv in computation.iter_vars]
+    hw_kinds = [iv.is_reduce for iv in intrinsic.compute.iter_vars]
     num_hw = z.shape[1]
 
     singles: list[tuple[int, ...]] = []
@@ -235,6 +220,23 @@ def _candidate_choices(
     return choices, must_cover
 
 
+#: One structure's admitted matchings: the raw candidate count and the
+#: matching matrices Algorithm 1 accepts, in lexicographic order.
+_Admission = tuple[int, tuple[MatchingMatrix, ...]]
+
+#: Admitted matchings by everything the admission loop reads (see
+#: :func:`_admitted`); the memo starts over when it reaches the bound.
+_ADMITTED: dict[tuple, _Admission | None] = {}
+_ADMITTED_MAX = 1024
+_MISS = object()
+
+
+def clear_admission_memo() -> None:
+    """Forget every admitted set, so the next enumeration of each
+    structure runs its rules and Algorithm 1 again."""
+    _ADMITTED.clear()
+
+
 def enumerate_mappings(
     computation: ReduceComputation,
     intrinsic: Intrinsic,
@@ -248,6 +250,13 @@ def enumerate_mappings(
     choice tuple itself; only the candidates that pass them become a
     :class:`MatchingMatrix` and go through Algorithm 1.
 
+    The admitted matrices are computed once per structure and process
+    (:func:`_admitted`) and shared, read-only, by every call; each call
+    wraps them in mappings of its own computation and intrinsic, and
+    records the same span, counters and funnel counts as the first.  The
+    ``mapping.enumerate`` span times that per-call part: a first
+    request's admission runs before it opens.
+
     ``columns`` restricts the enumeration to one choice tuple: one
     intrinsic-iteration bitmask per software iteration (bit ``t`` set
     when the iteration maps to intrinsic iteration ``t``).  The result is
@@ -257,54 +266,25 @@ def enumerate_mappings(
     rebuilds its stored mapping this way without enumerating the others.
     """
     options = options or GenerationOptions()
-    prepared = _candidate_choices(computation, intrinsic, options)
-    if prepared is None:
-        return []
-    choices, must_cover = prepared
-    num_hw = len(intrinsic.compute.iter_vars)
-
     if columns is not None:
-        if len(columns) != len(choices) or not all(
-            type(mask) is int and mask in opts for mask, opts in zip(columns, choices)
-        ):
+        if not all(type(mask) is int for mask in columns):
             return []
-        choices = [[mask] for mask in columns]
-
-    total = 1
-    for opts in choices:
-        total *= len(opts)
+        columns = tuple(columns)
+    admission = _admitted(computation, intrinsic, options, columns)
+    if admission is None:
+        return []
+    total, matchings = admission
     if total > options.max_candidates:
         raise RuntimeError(
             f"candidate space of {computation.name} x {intrinsic.name} has "
             f"{total} raw candidates, exceeding the bound {options.max_candidates}"
         )
-
-    solo = solo_indexed_iterations(computation)
-    reduce_bits = [
-        1 << t for t, iv in enumerate(intrinsic.compute.iter_vars) if iv.is_reduce
-    ]
-
-    results: list[ComputeMapping] = []
     with _obs_span(
         "mapping.enumerate",
         computation=computation.name,
         intrinsic=intrinsic.name,
     ) as sp:
-        for combo in itertools.product(*choices):
-            covered = 0
-            for mask in combo:
-                covered |= mask
-            if covered & must_cover != must_cover:
-                continue
-            if options.unit_stride_reduce_rule and not _unit_stride_ok(
-                combo, reduce_bits, solo
-            ):
-                continue
-            y = MatchingMatrix(
-                [[mask >> t & 1 for mask in combo] for t in range(num_hw)]
-            )
-            if validate_mapping(computation, intrinsic, y):
-                results.append(ComputeMapping(computation, intrinsic, y))
+        results = [ComputeMapping(computation, intrinsic, y) for y in matchings]
         sp.set(enumerated=total, validated=len(results))
     _obs_metrics.counter("mapping.candidates_enumerated").inc(total)
     _obs_metrics.counter("mapping.mappings_validated").inc(len(results))
@@ -313,6 +293,92 @@ def enumerate_mappings(
         log.record_funnel("enumerated", total)
         log.record_funnel("validated", len(results))
     return results
+
+
+def _admitted(
+    computation: ReduceComputation,
+    intrinsic: Intrinsic,
+    options: GenerationOptions,
+    columns: tuple[int, ...] | None,
+) -> _Admission | None:
+    """The admission loop, memoized by everything it reads: the int8
+    access matrices (by shape and bytes) and iteration kinds of both
+    structures, the solo-indexed iterations, the options and
+    ``columns``.  The choice lists and the coverage mask are functions
+    of the structures and the options; ``columns`` narrows the lists to
+    its one tuple.  ``None`` when no candidate exists to count: the
+    operand structures cannot correspond, or ``columns`` is not a tuple
+    of the choice lists."""
+    x = computation.access_matrix()
+    z = intrinsic.compute.access_matrix()
+    key = (
+        x.shape,
+        x.tobytes(),
+        tuple(iv.is_reduce for iv in computation.iter_vars),
+        z.shape,
+        z.tobytes(),
+        tuple(iv.is_reduce for iv in intrinsic.compute.iter_vars),
+        solo_indexed_iterations(computation),
+        options,
+        columns,
+    )
+    admission = _ADMITTED.get(key, _MISS)
+    if admission is _MISS:
+        admission = _admit(computation, intrinsic, options, columns)
+        if len(_ADMITTED) >= _ADMITTED_MAX:
+            _ADMITTED.clear()
+        _ADMITTED[key] = admission
+    return admission
+
+
+def _admit(
+    computation: ReduceComputation,
+    intrinsic: Intrinsic,
+    options: GenerationOptions,
+    columns: tuple[int, ...] | None,
+) -> _Admission | None:
+    """:func:`_admitted` without the memo: the product of the choice
+    lists through the coverage and unit-stride rules and Algorithm 1.
+    An over-bound space is counted, not walked."""
+    prepared = _candidate_choices(computation, intrinsic, options)
+    if prepared is None:
+        return None
+    choices, must_cover = prepared
+    if columns is not None:
+        if len(columns) != len(choices) or not all(
+            mask in opts for mask, opts in zip(columns, choices)
+        ):
+            return None
+        choices = [[mask] for mask in columns]
+
+    total = 1
+    for opts in choices:
+        total *= len(opts)
+    if total > options.max_candidates:
+        return total, ()
+
+    num_hw = len(intrinsic.compute.iter_vars)
+    solo = solo_indexed_iterations(computation)
+    reduce_bits = [
+        1 << t for t, iv in enumerate(intrinsic.compute.iter_vars) if iv.is_reduce
+    ]
+    matchings: list[MatchingMatrix] = []
+    for combo in itertools.product(*choices):
+        covered = 0
+        for mask in combo:
+            covered |= mask
+        if covered & must_cover != must_cover:
+            continue
+        if options.unit_stride_reduce_rule and not _unit_stride_ok(
+            combo, reduce_bits, solo
+        ):
+            continue
+        y = MatchingMatrix(
+            [[mask >> t & 1 for mask in combo] for t in range(num_hw)]
+        )
+        if validate_mapping(computation, intrinsic, y):
+            matchings.append(y)
+    return total, tuple(matchings)
 
 
 def _unit_stride_ok(

@@ -163,7 +163,11 @@ def validate_mapping(
     intrinsic: Intrinsic,
     matching: MatchingMatrix,
 ) -> ValidationResult:
-    """Validate a matching matrix for a computation/intrinsic pair."""
+    """Validate a matching matrix for a computation/intrinsic pair.
+
+    ``mapping.validation.calls`` counts real Algorithm 1 runs: enumeration
+    validates each structure's candidates once per process and serves
+    every later request from its admission memo without a call here."""
     hw = intrinsic.compute.computation
     result = _validate_columns(
         computation.access_matrix().shape[0],

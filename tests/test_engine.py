@@ -446,6 +446,11 @@ class TestPersistentCompileCache:
             return validate_mapping(comp, intrinsic, y)
 
         monkeypatch.setattr(generation, "validate_mapping", rejecting)
+        # The admission memo keeps Algorithm 1's verdicts per structure,
+        # shared by the three WMMA shapes; this validator tells them apart
+        # by name, so the redo admits around the memo, which keeps no
+        # verdict of it for later tests.
+        monkeypatch.setattr(generation, "_admitted", generation._admit)
         redo = self._compile_counting_stores(tmp_path, config)
         physical = redo.scheduled.physical
         served = (physical.intrinsic.name, physical.compute.matching.data.tobytes())

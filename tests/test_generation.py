@@ -1,7 +1,12 @@
 """Mapping generation: Table 6 counts and generation rules."""
 
+import numpy as np
 import pytest
 
+import repro.mapping.generation as generation
+import repro.obs as obs
+from repro.engine.fingerprint import mapping_fingerprint
+from repro.ir import Tensor, compute, reduce_axis, spatial_axis
 from repro.mapping.generation import (
     GenerationOptions,
     compound_iterations,
@@ -9,7 +14,9 @@ from repro.mapping.generation import (
     enumerate_mappings,
     solo_indexed_iterations,
 )
+from repro.mapping.physical import lower_to_physical
 from repro.mapping.validation import validate_mapping
+from repro.obs.explore_log import ExploreLog, use_log
 
 from conftest import (
     make_small_c1d,
@@ -145,3 +152,115 @@ class TestOtherIntrinsics:
         simd = get_intrinsic("mali_dot_simd_4x4")
         mappings = enumerate_mappings(make_small_depthwise(), simd)
         assert len(mappings) > 0
+
+
+def _solo_c1d(n=1, c=3, k=4, p=5, r=3):
+    """:func:`make_small_c1d` with the image indexed ``[n, c, p, r]``:
+    the same access matrix and iteration kinds, but ``p`` and ``r`` each
+    index a dimension alone."""
+    nn, kk, pp = spatial_axis(n, "n"), spatial_axis(k, "k"), spatial_axis(p, "p")
+    cc, rr = reduce_axis(c, "c"), reduce_axis(r, "r")
+    img = Tensor("image", (n, c, p, r))
+    wgt = Tensor("weight", (k, c, r))
+    out = Tensor("out", (n, k, p))
+    return compute(
+        "conv1d_solo",
+        [nn, kk, pp, cc, rr],
+        out[nn, kk, pp],
+        [img[nn, cc, pp, rr], wgt[kk, cc, rr]],
+    )
+
+
+def _telemetry(comp, intrinsic):
+    """One traced enumeration: its funnel counts, the counter increments
+    and the ``mapping.enumerate`` span attributes it recorded."""
+    registry = obs.get_registry()
+    base = registry.snapshot()
+    log = ExploreLog()
+    with obs.tracing() as tracer, use_log(log):
+        enumerate_mappings(comp, intrinsic)
+    spans = [s.attrs for s in tracer.spans() if s.name == "mapping.enumerate"]
+    counts = {record["name"]: record["value"] for record in registry.diff(base)}
+    return log.funnel.to_dict(), counts, spans
+
+
+class TestAdmissionMemo:
+    """Enumeration admits each structure's matchings once per process and
+    shares them with every operator of that structure."""
+
+    def test_same_structure_other_extents_runs_no_algorithm1(
+        self, tensorcore, monkeypatch
+    ):
+        first = make_small_conv2d(1, 3, 4, 5, 5)
+        second = make_small_conv2d(2, 8, 16, 7, 9)
+        generation.clear_admission_memo()
+        admitted = enumerate_mappings(first, tensorcore)
+        calls = []
+
+        def counting(comp, intrinsic, y):
+            calls.append(y)
+            return validate_mapping(comp, intrinsic, y)
+
+        monkeypatch.setattr(generation, "validate_mapping", counting)
+        served = enumerate_mappings(second, tensorcore)
+        assert calls == []
+        assert [m.matching for m in served] == [m.matching for m in admitted]
+        assert all(m.computation is second for m in served)
+        generation.clear_admission_memo()
+        fresh = enumerate_mappings(second, tensorcore)
+        assert len(calls) >= len(fresh) == 35
+        assert [mapping_fingerprint(lower_to_physical(m)) for m in served] == [
+            mapping_fingerprint(lower_to_physical(m)) for m in fresh
+        ]
+
+    def test_key_separates_solo_indexing_and_options(self, tensorcore):
+        compound = make_small_c1d()
+        solo = _solo_c1d()
+        assert np.array_equal(compound.access_matrix(), solo.access_matrix())
+        assert [iv.is_reduce for iv in compound.iter_vars] == [
+            iv.is_reduce for iv in solo.iter_vars
+        ]
+        assert solo_indexed_iterations(compound) != solo_indexed_iterations(solo)
+        depthwise = make_small_depthwise()
+        requests = [
+            (compound, GenerationOptions()),
+            (solo, GenerationOptions()),
+            (compound, GenerationOptions(unit_stride_reduce_rule=False)),
+            (depthwise, GenerationOptions()),
+            (depthwise, GenerationOptions(allow_diagonal=False)),
+        ]
+
+        def admitted(comp, options):
+            return [repr(m.matching) for m in enumerate_mappings(comp, tensorcore, options)]
+
+        fresh = []
+        for comp, options in requests:
+            generation.clear_admission_memo()
+            fresh.append(admitted(comp, options))
+        generation.clear_admission_memo()
+        assert [admitted(comp, options) for comp, options in requests] == fresh
+        assert fresh[0] != fresh[1]
+        assert fresh[0] != fresh[2]
+        assert fresh[3] != fresh[4]
+
+    def test_memo_hit_records_first_request_telemetry(self, tensorcore):
+        generation.clear_admission_memo()
+        try:
+            first = _telemetry(make_small_conv2d(1, 3, 4, 5, 5), tensorcore)
+            hit = _telemetry(make_small_conv2d(2, 8, 16, 7, 9), tensorcore)
+        finally:
+            obs.reset()
+        (funnel, counts, spans), (hit_funnel, hit_counts, hit_spans) = first, hit
+        assert hit_funnel == funnel
+        assert funnel["validated"] == 35
+        assert hit_spans == spans == [{
+            "computation": "conv2d",
+            "intrinsic": tensorcore.name,
+            "enumerated": funnel["enumerated"],
+            "validated": 35,
+        }]
+        for name in ("mapping.candidates_enumerated", "mapping.mappings_validated"):
+            assert hit_counts[name] == counts[name]
+        # Only a first request runs Algorithm 1.
+        assert counts["mapping.validation.calls"] >= 35
+        assert "mapping.validation.calls" not in hit_counts
