@@ -10,16 +10,15 @@ The claim under test mirrors Sec 5.3: model-guided evolutionary search
 reaches better configurations than random sampling at equal budget.
 """
 
-from repro.explore.genetic import Candidate, GeneticConfig, genetic_search
+from repro.engine import EvaluationEngine, MemoCache
+from repro.explore.genetic import GeneticConfig, genetic_search_rows
 from repro.explore.random_search import random_search
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.workloads import RESNET18_CONV_LAYERS
 from repro.isa import intrinsics_for_target
 from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
-from repro.model import get_hardware, predict_latency
-from repro.schedule.lowering import lower_schedule
-from repro.sim.timing import simulate_cycles
+from repro.model import get_hardware
 
 from bench_utils import write_table
 
@@ -36,20 +35,18 @@ def run_ablation():
     comp = RESNET18_CONV_LAYERS[5].computation()  # C5, batch 16
     physical = _mappings(comp)
 
-    def measured(candidate: Candidate) -> float:
-        sched = lower_schedule(physical[candidate.mapping_index], candidate.schedule)
-        return simulate_cycles(sched, hw).total_us
+    engine = EvaluationEngine(comp, physical, hw, n_workers=1, memo=MemoCache())
 
-    def modeled(candidate: Candidate) -> float:
-        sched = lower_schedule(physical[candidate.mapping_index], candidate.schedule)
-        return predict_latency(sched, hw).total_us
+    def measured(mapping_indices, batch):
+        return engine.measure_rows(mapping_indices, batch)[1]
 
-    # Equal-budget GA vs random, both scored by direct measurement.
-    budget = 192
-    ga = genetic_search(
+    # GA vs random, both scored by direct measurement: random search gets
+    # as many measurements as the GA evaluated distinct candidates.
+    ga = genetic_search_rows(
         physical, measured, GeneticConfig(population=24, generations=8, seed=1)
     )
-    rnd = random_search(physical, measured, trials=budget, seed=1)
+    rnd = random_search(physical, measured, trials=len(ga), seed=1)
+    assert len(rnd) == len(ga)
 
     # Full tuner vs no-prefilter vs no-refinement.
     variants = {
@@ -62,7 +59,7 @@ def run_ablation():
     tuner_best = {}
     for name, config in variants.items():
         tuner_best[name] = Tuner(hw, config).tune(comp, list(physical)).best_us
-    return ga[0][1], rnd[0][1], tuner_best
+    return float(ga.costs[0]), float(rnd.costs[0]), tuner_best
 
 
 def test_report_ablation_explorer(benchmark):

@@ -21,11 +21,11 @@ generation's fresh samples are one :meth:`SpaceTable.sample
 mixed-mapping batch, and per-row byte keys replace describe-string keys
 for dedup.  Every stochastic decision decodes *pre-drawn uniform
 matrices* from one seeded ``numpy.random.Generator`` with a **fixed
-uniform budget per decision** (see :mod:`repro.schedule.space`), which
-is what makes the scalar object GA (:func:`genetic_search`) a
-bit-identical oracle of :func:`genetic_search_rows`: both draw the same
-matrices and decode them with independent implementations, so the
-ranked output, the archive order and every tie-break agree exactly.
+uniform budget per decision** (see :mod:`repro.schedule.space`), so a
+run is a pure function of its mappings, spaces, seeds, config and
+fitness.  ``tests/data/ga_trajectories.json`` pins four such runs —
+ranked rows and per-generation telemetry under a fixed model-free cost —
+as recorded from the per-candidate object GA this loop replaced.
 """
 
 from __future__ import annotations
@@ -46,27 +46,15 @@ from repro.schedule.features import (
     take_rows,
     write_rows,
 )
-from repro.schedule.schedule import Schedule
-from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, SpaceTable, _pick, _pick_vec
+from repro.schedule.space import MUTATE_UNIFORMS, ScheduleSpace, SpaceTable, _pick_vec
 
 __all__ = [
-    "BatchFitness",
-    "Candidate",
     "GAResult",
     "GenerationCallback",
     "GeneticConfig",
     "RowFitness",
-    "genetic_search",
     "genetic_search_rows",
 ]
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One point of the joint space."""
-
-    mapping_index: int
-    schedule: Schedule
 
 
 @dataclass
@@ -84,11 +72,6 @@ class GeneticConfig:
 #: together the convergence + diversity signal of the search.
 GenerationCallback = Callable[[int, list[float], int], None]
 
-#: Batch cost function: scores a whole generation in one call, returning
-#: one cost per candidate in order.  This is the hook the evaluation
-#: engine plugs into: a batch can be memo-served and process-pooled.
-BatchFitness = Callable[[list[Candidate]], list[float]]
-
 #: Row cost function: scores batch rows in one call — ``(mapping_indices,
 #: batch) -> costs`` with no per-candidate objects.  The hook the
 #: engine's ``predict_rows`` plugs into.
@@ -102,8 +85,8 @@ class GAResult:
     The array-native return shape: ``mapping_index[i]`` indexes the
     mappings list, row ``i`` of ``batch`` (joint-width columns) is the
     schedule, ``costs[i]`` its fitness.
-    Ordering is a stable sort over archive (first-evaluation) order, so
-    ties break identically to the object path's stable ``sorted``.
+    Ordering is a stable sort over archive (first-evaluation) order:
+    equal costs keep the order in which they were first evaluated.
     """
 
     mapping_index: np.ndarray  # (n,) int64
@@ -128,7 +111,8 @@ class GAResult:
 #   mutate path:     cols 2..2+MUTATE_UNIFORMS the mutation draw
 #
 # Both paths consume whole rows regardless of which columns a decision
-# uses — the fixed budget that keeps the two RNG streams aligned.
+# uses — the fixed budget that keeps the RNG stream independent of
+# which path each child takes.
 # ---------------------------------------------------------------------------
 
 
@@ -138,19 +122,6 @@ def _sample_width(joint_width: int) -> int:
 
 def _breed_width(joint_width: int) -> int:
     return 2 + _sample_width(joint_width)
-
-
-def _canonical(space: ScheduleSpace, schedule: Schedule) -> Schedule:
-    """Canonical full-split form: every spatial dim's split present."""
-    return Schedule(
-        splits={
-            name: schedule.split_for(name) for name in space.spatial_names
-        },
-        reduce_stage=schedule.reduce_stage,
-        double_buffer=schedule.double_buffer,
-        unroll=schedule.unroll,
-        vectorize=schedule.vectorize,
-    )
 
 
 def genetic_search_rows(
@@ -166,10 +137,7 @@ def genetic_search_rows(
     Selection, elitism, schedule mutation and mapping re-draw are numpy
     column operations over a single seeded ``numpy.random.Generator``;
     dedup and the evaluated archive are keyed by per-row canonical byte
-    keys.  :func:`genetic_search` with the same config, the same spaces
-    as a list and the same seeds as :class:`Candidate` objects, is the
-    bit-identical object-path oracle: identical ranked output, identical
-    archive order.
+    keys.
 
     Args:
         mappings: the valid physical mappings to choose among.
@@ -182,8 +150,11 @@ def genetic_search_rows(
         spaces: the mappings' schedule spaces as one
             :class:`~repro.schedule.space.SpaceTable` (defaults to the
             table of unconstrained spaces).
-        on_generation: pure-observation telemetry hook, as in
-            :func:`genetic_search`.
+        on_generation: telemetry hook invoked once per generation (and
+            once for the final population) with the population's costs
+            and its number of distinct members; it observes the search
+            without affecting it — the RNG stream and selection are
+            identical with or without a callback.
     """
     if not mappings:
         raise ValueError("no mappings to search over")
@@ -219,8 +190,7 @@ def genetic_search_rows(
         pop_mi[fill_rows] = _pick_vec(u[:, 0], len(mappings))
         write_rows(pop, fill_rows, spaces.sample(pop_mi[fill_rows], u[:, 1:]))
 
-    # Evaluated archive, insertion (first-appearance) order — the
-    # array twin of the object path's ``evaluated`` dict.
+    # Evaluated archive, insertion (first-appearance) order.
     evaluated: dict[bytes, float] = {}
     arch_mi: list[np.ndarray] = []
     arch_rows: list[ScheduleBatch] = []
@@ -317,162 +287,3 @@ def genetic_search_rows(
         costs=all_costs[order],
     )
 
-
-def genetic_search(
-    mappings: Sequence[PhysicalMapping],
-    fitness: Callable[[Candidate], float] | None = None,
-    config: GeneticConfig | None = None,
-    seeds: Sequence[Candidate] = (),
-    spaces: Sequence[ScheduleSpace] | None = None,
-    on_generation: GenerationCallback | None = None,
-    fitness_many: BatchFitness | None = None,
-) -> list[tuple[Candidate, float]]:
-    """Run the GA over per-candidate objects; returns all evaluated
-    (candidate, cost) pairs sorted by cost ascending (cost = predicted
-    latency; lower is better).
-
-    This is the scalar *oracle* of :func:`genetic_search_rows`: it draws
-    the same uniform matrices from the same seeded generator and decodes
-    them row-by-row with the independent scalar twins
-    (``sample_with_uniforms`` / ``mutate_with_uniforms``), so for equal
-    (config, seeds, spaces) both paths evaluate the same candidates in
-    the same order and return the same ranking — the bit-identity
-    contract the test suite pins.
-
-    Args:
-        mappings: the valid physical mappings to choose among.
-        fitness: per-candidate cost function (typically the analytic
-            model's latency).  Optional when ``fitness_many`` is given.
-        config: GA hyper-parameters.
-        seeds: candidates injected into the initial population (e.g. the
-            default heuristic schedule of each pre-ranked mapping).
-        spaces: per-mapping schedule spaces; defaults to unconstrained
-            spaces (callers pass hardware-capped spaces so samples fit the
-            device's warp/register budgets).
-        on_generation: telemetry hook invoked once per generation (and once
-            for the final population) with the population's fitnesses; it
-            observes the search without affecting it — the RNG stream and
-            selection are identical with or without a callback.
-        fitness_many: batch cost function scoring a whole generation in
-            one call (one cost per candidate, in order).  The search is
-            byte-identical to the per-candidate path: candidates are
-            scored in population order, the RNG stream never sees the
-            evaluator, and selection compares the same costs.
-
-    One of ``fitness`` / ``fitness_many`` is required; when both are
-    given the batch evaluator wins.
-    """
-    if not mappings:
-        raise ValueError("no mappings to search over")
-    if fitness is None and fitness_many is None:
-        raise ValueError("genetic_search needs a fitness or fitness_many evaluator")
-    config = config or GeneticConfig()
-    rng = np.random.default_rng(config.seed)
-    if spaces is None:
-        spaces = [ScheduleSpace(pm) for pm in mappings]
-    if len(spaces) != len(mappings):
-        raise ValueError("one schedule space per mapping required")
-    joint = max((len(s.spatial_names) for s in spaces), default=0)
-    pop_n = config.population
-
-    def sample_from(u_row: np.ndarray) -> Candidate:
-        mi = _pick(float(u_row[0]), len(mappings))
-        return Candidate(mi, spaces[mi].sample_with_uniforms(u_row[1:]))
-
-    # Seeds are canonicalized (every split present) exactly as the row
-    # representation forces, so keys and jitter strings agree.
-    population = [
-        Candidate(c.mapping_index, _canonical(spaces[c.mapping_index], c.schedule))
-        for c in list(seeds)[:pop_n]
-    ]
-    n_fill = pop_n - len(population)
-    if n_fill:
-        u = rng.random((n_fill, _sample_width(joint)))
-        population.extend(sample_from(u[i]) for i in range(n_fill))
-
-    evaluated: dict[str, tuple[Candidate, float]] = {}
-
-    def key_of(c: Candidate) -> str:
-        return f"{c.mapping_index}|{c.schedule.describe()}"
-
-    def evaluate_batch(candidates: Sequence[Candidate]) -> None:
-        """Score every not-yet-evaluated candidate, in order.
-
-        Insertion into ``evaluated`` happens in first-appearance order —
-        exactly the order the row path's archive records — so the final
-        stable sort tie-breaks identically on both paths.
-        """
-        fresh: list[tuple[str, Candidate]] = []
-        pending: set[str] = set()
-        for c in candidates:
-            k = key_of(c)
-            if k not in evaluated and k not in pending:
-                fresh.append((k, c))
-                pending.add(k)
-        if not fresh:
-            return
-        if fitness_many is not None:
-            costs = fitness_many([c for _, c in fresh])
-            if len(costs) != len(fresh):
-                raise ValueError(
-                    f"fitness_many returned {len(costs)} costs for {len(fresh)} candidates"
-                )
-            for (k, c), cost in zip(fresh, costs):
-                evaluated[k] = (c, cost)
-        else:
-            for k, c in fresh:
-                evaluated[k] = (c, fitness(c))
-
-    def evaluate(c: Candidate) -> float:
-        k = key_of(c)
-        if k not in evaluated:
-            evaluate_batch([c])
-        return evaluated[k][1]
-
-    def observe(generation: int) -> None:
-        # Pure observation: every fitness is already cached by key, so
-        # neither the callback nor the telemetry event can perturb the
-        # RNG stream or selection.
-        if on_generation is None and not _events._enabled:
-            return
-        fitnesses = [evaluate(c) for c in population]  # cached by key
-        unique = len({key_of(c) for c in population})
-        if on_generation is not None:
-            on_generation(generation, fitnesses, unique)
-        if _events._enabled:
-            _events.get_bus().publish(
-                "ga.generation",
-                generation_stats(generation, fitnesses, unique).to_dict(),
-            )
-
-    for gen in range(config.generations):
-        evaluate_batch(population)  # one batch call per generation
-        scored = sorted(population, key=evaluate)
-        observe(gen)
-        elite_count = max(1, int(len(scored) * config.elite_fraction))
-        elite = scored[:elite_count]
-        next_pop = list(elite)
-        n_children = pop_n - elite_count
-        if n_children:
-            u = rng.random((n_children, _breed_width(joint)))
-            for i in range(n_children):
-                parent = elite[_pick(float(u[i, 0]), elite_count)]
-                if u[i, 1] < config.mapping_mutation_prob:
-                    mi = _pick(float(u[i, 2]), len(mappings))
-                    child = Candidate(
-                        mi, spaces[mi].sample_with_uniforms(u[i, 3:])
-                    )
-                else:
-                    space = spaces[parent.mapping_index]
-                    child = Candidate(
-                        parent.mapping_index,
-                        space.mutate_with_uniforms(
-                            parent.schedule, u[i, 2 : 2 + MUTATE_UNIFORMS]
-                        ),
-                    )
-                next_pop.append(child)
-        population = next_pop
-
-    evaluate_batch(population)
-    observe(config.generations)
-    return sorted(evaluated.values(), key=lambda pair: pair[1])

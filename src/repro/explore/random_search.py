@@ -1,53 +1,51 @@
 """Random-search baseline explorer.
 
-Used by ablation benches to quantify what the genetic algorithm and the
-model-guided measurement filter buy over uniform sampling of the joint
-space.
+Used by the explorer ablation to quantify what the genetic algorithm
+buys over uniform sampling of the joint space.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.explore.genetic import BatchFitness, Candidate
+import numpy as np
+
+from repro.explore.genetic import GAResult, RowFitness
 from repro.mapping.physical import PhysicalMapping
+from repro.schedule.features import encode_rows, take_rows
 from repro.schedule.space import ScheduleSpace
 
 
 def random_search(
     mappings: Sequence[PhysicalMapping],
-    fitness: Callable[[Candidate], float] | None = None,
+    fitness_rows: RowFitness,
     trials: int = 128,
     seed: int = 0,
-    fitness_many: BatchFitness | None = None,
-) -> list[tuple[Candidate, float]]:
-    """Uniformly sample the joint space; returns (candidate, cost) sorted
-    ascending by cost.
+) -> GAResult:
+    """Uniformly sample the joint space; returns every draw, cost-ascending.
 
-    Sampling and scoring are decoupled: every candidate is drawn first
-    (the RNG stream is identical on both scoring paths), then scored in
-    one ``fitness_many`` call when given — the same engine batch hook
-    the GA uses, so the baseline benefits from memoization and the
-    process pool too — else one ``fitness`` call per candidate.
+    Each trial draws a mapping, then one of its schedules, from one
+    ``random.Random(seed)`` stream.  The draws are encoded to rows once
+    and scored in one ``fitness_rows`` call — the GA's row hook, so an
+    engine's memo serves both explorers.  Draws are not deduplicated
+    (``len(result) == trials``), and equal costs keep draw order.
     """
     if not mappings:
         raise ValueError("no mappings to search over")
-    if fitness is None and fitness_many is None:
-        raise ValueError("random_search needs a fitness or fitness_many evaluator")
     rng = random.Random(seed)
     spaces = [ScheduleSpace(pm) for pm in mappings]
-    candidates: list[Candidate] = []
+    picks, schedules = [], []
     for _ in range(trials):
         mi = rng.randrange(len(mappings))
-        candidates.append(Candidate(mi, spaces[mi].sample(rng)))
-    if fitness_many is not None:
-        costs = fitness_many(candidates)
-        if len(costs) != len(candidates):
-            raise ValueError(
-                f"fitness_many returned {len(costs)} costs for "
-                f"{len(candidates)} candidates"
-            )
-    else:
-        costs = [fitness(c) for c in candidates]
-    return sorted(zip(candidates, costs), key=lambda pair: pair[1])
+        picks.append(mi)
+        schedules.append(spaces[mi].sample(rng))
+    mapping_index = np.asarray(picks, dtype=np.int64)
+    batch = encode_rows([spaces[mi].spatial_names for mi in picks], schedules)
+    costs = np.asarray(fitness_rows(mapping_index, batch), dtype=np.float64)
+    if costs.shape[0] != trials:
+        raise ValueError(
+            f"fitness_rows returned {costs.shape[0]} costs for {trials} rows"
+        )
+    order = np.argsort(costs, kind="stable")
+    return GAResult(mapping_index[order], take_rows(batch, order), costs[order])

@@ -10,7 +10,8 @@ Two drawing interfaces exist:
 
 * one object interface, :meth:`ScheduleSpace.sample`, which consumes a
   ``random.Random`` stream and returns one :class:`Schedule` (the
-  random-search baseline and the explorer ablation draw through it), and
+  random-search baseline draws through it and encodes its draws to rows
+  once), and
 * the table interface of the genetic search and the tuner's refinement:
   one :class:`SpaceTable` per tune holds the drawing domains of its
   mappings as padded arrays, and its :meth:`~SpaceTable.sample` /
@@ -24,10 +25,9 @@ for a mutation) and maps a uniform ``u`` to an option index as
 ``min(int(u * n_options), n_options - 1)``.  The scalar twins
 :meth:`ScheduleSpace.sample_with_uniforms` /
 :meth:`ScheduleSpace.mutate_with_uniforms` decode the same uniforms with
-plain Python arithmetic (independently of the numpy tables), so an
-object-path oracle walking the same uniform matrix row-by-row makes
-bit-identical decisions — the equivalence the array-native GA's
-bit-identity suite pins.
+plain Python arithmetic (independently of the numpy tables): they are
+the reference the property tests compare the table ops against, row by
+row, over random uniform matrices.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ class ScheduleSpace:
         """Scalar twin of :meth:`SpaceTable.sample` for one uniform row.
 
         Decodes with plain Python arithmetic (no numpy tables) — the
-        independent oracle the bit-identity suite compares against.
+        independent reference the table ops' property tests compare
+        against.
         """
         splits: dict[str, DimSplit] = {}
         budget = self.max_warps_per_block

@@ -1,14 +1,16 @@
 """Array-native exploration: one row path, checked against its oracles.
 
 The GA's native currency is a :class:`ScheduleBatch` plus a mapping-index
-vector; the object GA (``genetic_search``) and the scalar evaluators
-(``predict_latency`` / ``simulate_cycles``) are kept as bit-identity
-*oracles*, not alternatives.  These tests enforce the contract end to
-end:
+vector; the scalar evaluators (``predict_latency`` / ``simulate_cycles``)
+are kept as bit-identity *oracles*, not alternatives.  These tests
+enforce the contract end to end:
 
-* ``genetic_search_rows`` returns the same ranked candidates (mapping,
-  describe string, cost — and tie-break order) as ``genetic_search`` for
-  equal (config, seeds, spaces), across seeds;
+* ``genetic_search_rows`` reproduces golden trajectories
+  (``tests/data/ga_trajectories.json``: ranked rows, costs, tie-break
+  order and per-generation telemetry under a fixed model-free cost)
+  recorded from the per-candidate object GA it replaced, across seeds;
+* ``random_search`` scores all its draws in one row call, ranked as
+  per-row scoring ranks them;
 * the engine's ``predict_rows`` / ``measure_rows`` equal the scalar
   oracle bit for bit, the object adapters ``predict_many`` /
   ``measure_many`` canonicalise schedules before keying (a schedule
@@ -50,13 +52,7 @@ from repro.engine import (
     reset_compile_caches,
     reset_global_memo,
 )
-from repro.explore.genetic import (
-    Candidate,
-    GAResult,
-    GeneticConfig,
-    genetic_search,
-    genetic_search_rows,
-)
+from repro.explore.genetic import GAResult, GeneticConfig, genetic_search_rows
 from repro.explore.random_search import random_search
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
@@ -71,6 +67,7 @@ from repro.schedule.features import (
     encode_rows,
     row_keys,
     schedules_from_rows,
+    take_rows,
 )
 from repro.schedule.lowering import lower_schedule
 from repro.schedule.schedule import DimSplit
@@ -114,101 +111,118 @@ def _ga_context(hw_name="v100", op="GMM", **params):
     physical = _mappings_for(hw, comp)
     max_warps = hw.max_warps_per_subcore * hw.subcores_per_core
     spaces = [ScheduleSpace(pm, max_warps_per_block=max_warps) for pm in physical]
-    seeds = [
-        Candidate(i, default_schedule(pm, max_warps_per_block=max_warps))
-        for i, pm in enumerate(physical)
-    ]
-    return hw, comp, physical, spaces, seeds
-
-
-def _seed_rows(spaces, seeds):
-    """The object GA's seed candidates as the rows GA's seeds."""
-    return (
-        np.asarray([c.mapping_index for c in seeds], dtype=np.int64),
+    seed_rows = (
+        np.arange(len(physical), dtype=np.int64),
         encode_rows(
-            [spaces[c.mapping_index].spatial_names for c in seeds],
-            [c.schedule for c in seeds],
+            [space.spatial_names for space in spaces],
+            [default_schedule(pm, max_warps_per_block=max_warps) for pm in physical],
         ),
     )
+    return hw, comp, physical, spaces, seed_rows
 
 
-def _ranked_fingerprint(pairs):
+def _row_cost(mapping_index, batch):
+    """The goldens' fixed, model-free cost.  Integer-valued, so ties
+    occur and the stable tie-break is pinned; identity padding columns
+    add nothing."""
+    tiles = (batch.warp * batch.seq - 1).sum(axis=1)
+    return (
+        np.abs(tiles - 12)
+        + batch.reduce_stage
+        + batch.unroll
+        + batch.vectorize // 2
+        + mapping_index
+        + batch.double_buffer
+    ).astype(np.float64)
+
+
+def _ranked(result):
+    """A GA result as the goldens' ranked entries: ``[mapping_index,
+    warp row, seq row, [reduce_stage, double_buffer, unroll, vectorize],
+    cost]``, cost-ascending."""
+    b = result.batch
     return [
-        (c.mapping_index, c.schedule.describe(), cost) for c, cost in pairs
+        [
+            mi,
+            b.warp[i].tolist(),
+            b.seq[i].tolist(),
+            [
+                int(b.reduce_stage[i]),
+                bool(b.double_buffer[i]),
+                int(b.unroll[i]),
+                int(b.vectorize[i]),
+            ],
+            cost,
+        ]
+        for i, (mi, cost) in enumerate(
+            zip(result.mapping_index.tolist(), result.costs.tolist())
+        )
     ]
 
 
-def _decoded_ranking(result, spaces):
-    """A rows-GA result as the object GA's ``(Candidate, cost)`` list."""
-    ranking = []
-    for i, (mi, cost) in enumerate(
-        zip(result.mapping_index.tolist(), result.costs.tolist())
-    ):
-        (schedule,) = schedules_from_rows(spaces[mi].spatial_names, result.batch, [i])
-        ranking.append((Candidate(mi, schedule), cost))
-    return ranking
+GA_TRAJECTORIES = pathlib.Path(__file__).parent / "data" / "ga_trajectories.json"
+
+
+def _golden_run(seed, seed_rows):
+    runs = json.loads(GA_TRAJECTORIES.read_text())["runs"]
+    (run,) = [
+        r for r in runs if (r["seed"], r["seed_rows"]) == (seed, seed_rows)
+    ]
+    return run
 
 
 # ----------------------------------------------------------------------
-# GA: rows vs objects, bit for bit
+# GA: golden trajectories
 # ----------------------------------------------------------------------
 class TestGeneticRowsOracle:
-    def _run_both(self, seed, generations=3, population=8, seeds="default"):
-        hw, comp, physical, spaces, default_seeds = _ga_context()
-        use_seeds = default_seeds if seeds == "default" else seeds
-        cfg = GeneticConfig(population=population, generations=generations, seed=seed)
+    """``genetic_search_rows`` against ``tests/data/ga_trajectories.json``:
+    four runs (population 8, 3 generations, GMM 64^3 on V100, three
+    mappings) under :func:`_row_cost`, recorded from the per-candidate
+    object GA this loop replaced, which decoded the same uniform
+    matrices with the scalar twins.  Each run pins the ranked archive
+    (rows, costs and tie order) and the per-generation telemetry."""
 
-        rows_gens, objs_gens = [], []
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
-            result = genetic_search_rows(
-                physical,
-                engine.predict_rows,
-                cfg,
-                seeds=_seed_rows(spaces, use_seeds) if use_seeds else None,
-                spaces=SpaceTable.of_spaces(spaces),
-                on_generation=lambda g, f, u: rows_gens.append((g, f, u)),
-            )
-        rows = _decoded_ranking(result, spaces)
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
-            objs = genetic_search(
-                physical,
-                config=cfg,
-                seeds=use_seeds,
-                spaces=spaces,
-                fitness_many=lambda cs: engine.predict_many(
-                    [(c.mapping_index, c.schedule) for c in cs]
-                ),
-                on_generation=lambda g, f, u: objs_gens.append((g, f, u)),
-            )
-        return result, rows, objs, rows_gens, objs_gens
+    def _run(self, seed, with_seeds=True):
+        _, _, physical, spaces, seed_rows = _ga_context()
+        generations = []
+        result = genetic_search_rows(
+            physical,
+            _row_cost,
+            GeneticConfig(population=8, generations=3, seed=seed),
+            seeds=seed_rows if with_seeds else None,
+            spaces=SpaceTable.of_spaces(spaces),
+            on_generation=lambda g, f, u: generations.append([g, f, u]),
+        )
+        return result, generations
+
+    def _check_golden(self, seed, with_seeds):
+        result, generations = self._run(seed, with_seeds)
+        golden = _golden_run(seed, with_seeds)
+        assert _ranked(result) == golden["ranked"]
+        # Per-generation telemetry (fitnesses + diversity) agrees too:
+        # the search walked the recorded populations in the same order.
+        assert generations == golden["generations"]
+        # A cost tie in every golden, so the stable tie-break is pinned.
+        costs = [entry[-1] for entry in golden["ranked"]]
+        assert len(set(costs)) < len(costs)
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_identical_ranking_across_seeds(self, seed):
-        """The ISSUE's core contract: same evaluated set, same costs, same
-        stable tie-break order — not approximately, identically."""
-        _, rows, objs, rows_gens, objs_gens = self._run_both(seed)
-        assert _ranked_fingerprint(rows) == _ranked_fingerprint(objs)
-        # Per-generation telemetry (fitnesses + diversity) agrees too:
-        # both paths walked the same populations in the same order.
-        assert rows_gens == objs_gens
+        """Same evaluated set, same costs, same stable tie-break order as
+        recorded — not approximately, identically."""
+        self._check_golden(seed, with_seeds=True)
 
     def test_result_sorted_and_sized(self):
-        result, rows, _, _, _ = self._run_both(seed=5)
+        result, _ = self._run(seed=5)
         assert isinstance(result, GAResult)
-        assert len(result) == len(rows)
         costs = result.costs.tolist()
         assert costs == sorted(costs)
-        assert result.mapping_index.shape[0] == len(result.batch)
+        assert result.mapping_index.shape[0] == len(result.batch) == len(result)
 
     def test_without_seed_candidates(self):
-        """Fully random initial populations (no injected seeds) follow the
-        same uniform-matrix protocol on both paths."""
-        _, rows, objs, _, _ = self._run_both(seed=2, seeds=())
-        assert _ranked_fingerprint(rows) == _ranked_fingerprint(objs)
+        """A fully random initial population (no injected seed rows)
+        follows the recorded uniform-matrix protocol too."""
+        self._check_golden(2, with_seeds=False)
 
     def test_empty_mappings_rejected(self):
         with pytest.raises(ValueError, match="no mappings"):
@@ -224,13 +238,13 @@ class TestGeneticRowsOracle:
             )
 
     def test_bad_fitness_rows_length_rejected(self):
-        _, _, physical, spaces, seeds = _ga_context()
+        _, _, physical, spaces, seed_rows = _ga_context()
         with pytest.raises(ValueError, match="fitness_rows returned"):
             genetic_search_rows(
                 physical,
                 lambda mi, b: np.zeros(len(b) + 1),
                 GeneticConfig(population=4, generations=1),
-                seeds=_seed_rows(spaces, seeds),
+                seeds=seed_rows,
                 spaces=SpaceTable.of_spaces(spaces),
             )
 
@@ -897,7 +911,7 @@ class TestColumnOpsStayInSpace:
 
 
 # ----------------------------------------------------------------------
-# Satellites: describe memo, random_search fitness_many
+# Satellites: describe memo, random_search on rows
 # ----------------------------------------------------------------------
 class TestDescribeMemo:
     def test_describe_is_rendered_once(self):
@@ -914,55 +928,52 @@ class TestDescribeMemo:
 
 
 class TestRandomSearchFitnessMany:
+    """``random_search`` draws every trial first, then scores all of
+    them in one ``fitness_rows`` call."""
+
     def _setup(self):
-        hw, comp, physical, spaces, _ = _ga_context()
+        hw, comp, physical, _, _ = _ga_context()
         return hw, comp, physical
 
     def test_batch_path_matches_scalar_path(self):
+        """One call over every row ranks exactly like scoring each row in
+        its own 1-row call."""
         hw, comp, physical = self._setup()
         with EvaluationEngine(
             comp, physical, hw, n_workers=1, memo=MemoCache()
         ) as engine:
-            scalar = random_search(
+            per_row = random_search(
                 physical,
-                fitness=lambda c: engine.predict_many(
-                    [(c.mapping_index, c.schedule)]
-                )[0],
+                lambda mi, b: np.concatenate(
+                    [engine.predict_rows(mi[i : i + 1], take_rows(b, [i])) for i in range(len(b))]
+                ),
                 trials=24,
                 seed=9,
             )
         with EvaluationEngine(
             comp, physical, hw, n_workers=1, memo=MemoCache()
         ) as engine:
-            batched = random_search(
-                physical,
-                trials=24,
-                seed=9,
-                fitness_many=lambda cs: engine.predict_many(
-                    [(c.mapping_index, c.schedule) for c in cs]
-                ),
-            )
-        assert _ranked_fingerprint(scalar) == _ranked_fingerprint(batched)
+            batched = random_search(physical, engine.predict_rows, trials=24, seed=9)
+        assert len(batched) == 24
+        assert _ranked(per_row) == _ranked(batched)
 
     def test_fitness_many_called_once(self):
         _, _, physical = self._setup()
         calls = []
 
-        def fitness_many(cs):
-            calls.append(len(cs))
-            return [float(i) for i in range(len(cs))]
+        def fitness_rows(mi, batch):
+            calls.append(len(batch))
+            return np.arange(len(batch), dtype=np.float64)
 
-        random_search(physical, trials=16, seed=0, fitness_many=fitness_many)
+        random_search(physical, fitness_rows, trials=16, seed=0)
         assert calls == [16]
 
     def test_length_validation(self):
         _, _, physical = self._setup()
-        with pytest.raises(ValueError, match="fitness_many returned"):
-            random_search(
-                physical, trials=4, seed=0, fitness_many=lambda cs: [0.0]
-            )
+        with pytest.raises(ValueError, match="fitness_rows returned"):
+            random_search(physical, lambda mi, b: np.zeros(1), trials=4, seed=0)
 
     def test_requires_an_evaluator(self):
         _, _, physical = self._setup()
-        with pytest.raises(ValueError, match="fitness or fitness_many"):
+        with pytest.raises(TypeError, match="fitness_rows"):
             random_search(physical, trials=4)

@@ -29,12 +29,13 @@ from repro.engine import (
     resolve_workers,
     tuner_config_fingerprint,
 )
-from repro.explore.genetic import GeneticConfig, genetic_search
+from repro.explore.genetic import GeneticConfig, genetic_search_rows
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.mapping.physical import lower_to_physical
 from repro.model import get_hardware, list_hardware
 from repro.obs.explore_log import ExploreLog, use_log
+from repro.schedule.features import take_rows
 from repro.schedule.schedule import Schedule
 from repro.schedule.space import ScheduleSpace, default_schedule
 import repro.obs as obs
@@ -239,31 +240,46 @@ class TestScheduleDict:
 
 class TestGeneticBatchEquivalence:
     def test_fitness_many_matches_fitness(self):
+        """One ``predict_rows`` call per generation ranks exactly like
+        scoring each fresh row in its own 1-row call."""
         comp, physical = small_physical()
         hw = get_hardware("v100")
-        engine = EvaluationEngine(comp, physical, hw, n_workers=1, memo=MemoCache())
-
-        def fitness(c):
-            return engine.predict_many([(c.mapping_index, c.schedule)])[0]
-
+        ga = GeneticConfig(population=12, generations=4, seed=7)
         calls = []
 
-        def fitness_many(cs):
-            calls.append(len(cs))
-            return engine.predict_many([(c.mapping_index, c.schedule) for c in cs])
+        with EvaluationEngine(
+            comp, physical, hw, n_workers=1, memo=MemoCache()
+        ) as engine:
 
-        ga = GeneticConfig(population=12, generations=4, seed=7)
-        serial = genetic_search(physical, fitness=fitness, config=ga)
-        batch = genetic_search(physical, config=ga, fitness_many=fitness_many)
-        assert [(c.mapping_index, c.schedule.describe(), cost) for c, cost in serial] \
-            == [(c.mapping_index, c.schedule.describe(), cost) for c, cost in batch]
+            def per_generation(mi, batch):
+                calls.append(len(batch))
+                return engine.predict_rows(mi, batch)
+
+            batch = genetic_search_rows(physical, per_generation, ga)
+        with EvaluationEngine(
+            comp, physical, hw, n_workers=1, memo=MemoCache()
+        ) as engine:
+            serial = genetic_search_rows(
+                physical,
+                lambda mi, rows: np.concatenate(
+                    [
+                        engine.predict_rows(mi[i : i + 1], take_rows(rows, [i]))
+                        for i in range(len(rows))
+                    ]
+                ),
+                ga,
+            )
+        assert serial.mapping_index.tolist() == batch.mapping_index.tolist()
+        assert serial.costs.tolist() == batch.costs.tolist()
+        for a, b in zip(serial.batch.columns(), batch.batch.columns()):
+            assert a.tolist() == b.tolist()
         # whole generations scored in one call, not one call per candidate
-        assert max(calls) > 1
+        assert len(calls) <= ga.generations + 1 and max(calls) > 1
 
     def test_requires_an_evaluator(self):
         _, physical = small_physical()
-        with pytest.raises(ValueError):
-            genetic_search(physical)
+        with pytest.raises(TypeError, match="fitness_rows"):
+            genetic_search_rows(physical)
 
 
 class TestTunerDeterminism:

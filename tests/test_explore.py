@@ -1,16 +1,17 @@
 """Exploration: metrics, genetic algorithm, and the full tuner."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.explore.genetic import Candidate, GeneticConfig, genetic_search
+from repro.engine import EvaluationEngine, MemoCache
+from repro.explore.genetic import GeneticConfig, genetic_search_rows
 from repro.explore.metrics import pairwise_accuracy, top_k_recall
 from repro.explore.random_search import random_search
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
-from repro.model import get_hardware, predict_latency
-from repro.schedule.lowering import lower_schedule
+from repro.model import get_hardware
 from repro.schedule.space import default_rows
 
 from conftest import make_small_conv2d, make_small_gemm, make_small_gemv
@@ -68,45 +69,46 @@ def _physical_mappings(comp, intrinsic):
     return [lower_to_physical(m) for m in enumerate_mappings(comp, intrinsic)]
 
 
+def _model_rows(comp, phys):
+    """The analytic model on V100 as a row fitness (an inline engine's
+    ``predict_rows``, with its own memo)."""
+    engine = EvaluationEngine(
+        comp, phys, get_hardware("v100"), n_workers=1, memo=MemoCache()
+    )
+    return engine.predict_rows
+
+
 class TestGenetic:
     def test_deterministic(self, tensorcore):
-        phys = _physical_mappings(make_small_conv2d(4, 16, 16, 7, 7), tensorcore)
-        hw = get_hardware("v100")
-
-        def fitness(c: Candidate) -> float:
-            return predict_latency(lower_schedule(phys[c.mapping_index], c.schedule), hw).total_us
-
+        comp = make_small_conv2d(4, 16, 16, 7, 7)
+        phys = _physical_mappings(comp, tensorcore)
         cfg = GeneticConfig(population=8, generations=3, seed=5)
-        a = genetic_search(phys, fitness, cfg)
-        b = genetic_search(phys, fitness, cfg)
-        assert [cost for _, cost in a] == [cost for _, cost in b]
+        a = genetic_search_rows(phys, _model_rows(comp, phys), cfg)
+        b = genetic_search_rows(phys, _model_rows(comp, phys), cfg)
+        assert a.costs.tolist() == b.costs.tolist()
+        assert a.mapping_index.tolist() == b.mapping_index.tolist()
 
     def test_results_sorted(self, tensorcore):
-        phys = _physical_mappings(make_small_gemm(64, 64, 64), tensorcore)
-        hw = get_hardware("v100")
-
-        def fitness(c):
-            return predict_latency(lower_schedule(phys[c.mapping_index], c.schedule), hw).total_us
-
-        results = genetic_search(phys, fitness, GeneticConfig(population=6, generations=2))
-        costs = [cost for _, cost in results]
+        comp = make_small_gemm(64, 64, 64)
+        phys = _physical_mappings(comp, tensorcore)
+        results = genetic_search_rows(
+            phys, _model_rows(comp, phys), GeneticConfig(population=6, generations=2)
+        )
+        costs = results.costs.tolist()
         assert costs == sorted(costs)
 
     def test_empty_mappings_rejected(self):
         with pytest.raises(ValueError):
-            genetic_search([], lambda c: 0.0)
+            genetic_search_rows([], lambda mi, batch: np.zeros(len(batch)))
 
     def test_ga_at_least_as_good_as_random(self, tensorcore):
-        phys = _physical_mappings(make_small_conv2d(4, 16, 16, 7, 7), tensorcore)
-        hw = get_hardware("v100")
-
-        def fitness(c):
-            return predict_latency(lower_schedule(phys[c.mapping_index], c.schedule), hw).total_us
-
-        ga_best = genetic_search(
+        comp = make_small_conv2d(4, 16, 16, 7, 7)
+        phys = _physical_mappings(comp, tensorcore)
+        fitness = _model_rows(comp, phys)
+        ga_best = genetic_search_rows(
             phys, fitness, GeneticConfig(population=16, generations=6, seed=0)
-        )[0][1]
-        rnd_best = random_search(phys, fitness, trials=32, seed=0)[0][1]
+        ).costs[0]
+        rnd_best = random_search(phys, fitness, trials=32, seed=0).costs[0]
         assert ga_best <= rnd_best * 1.25
 
 
@@ -170,20 +172,18 @@ class TestTuner:
         json.dumps(s)  # one shared serialization path: must be plain JSON
 
     def test_generation_callback_does_not_perturb_search(self, tensorcore):
-        phys = _physical_mappings(make_small_gemm(64, 64, 64), tensorcore)
-        hw = get_hardware("v100")
-
-        def fitness(c):
-            return predict_latency(lower_schedule(phys[c.mapping_index], c.schedule), hw).total_us
-
+        comp = make_small_gemm(64, 64, 64)
+        phys = _physical_mappings(comp, tensorcore)
+        fitness = _model_rows(comp, phys)
         cfg = GeneticConfig(population=8, generations=3, seed=7)
-        plain = genetic_search(phys, fitness, cfg)
+        plain = genetic_search_rows(phys, fitness, cfg)
         observed = []
-        with_cb = genetic_search(
+        with_cb = genetic_search_rows(
             phys, fitness, cfg,
             on_generation=lambda gen, fits, uniq: observed.append((gen, len(fits), uniq)),
         )
-        assert [cost for _, cost in plain] == [cost for _, cost in with_cb]
+        assert plain.costs.tolist() == with_cb.costs.tolist()
+        assert plain.mapping_index.tolist() == with_cb.mapping_index.tolist()
         # One callback per generation plus one for the final population.
         assert [gen for gen, _, _ in observed] == list(range(cfg.generations + 1))
         assert all(0 < uniq <= pop for _, pop, uniq in observed)
