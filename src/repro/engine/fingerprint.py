@@ -143,5 +143,8 @@ def tuner_config_fingerprint(config) -> str:
     """Digest of the exploration budget of a :class:`TunerConfig`."""
     parts = [f"{name}={getattr(config, name)}" for name in _BUDGET_FIELDS]
     gen = config.generation_options
-    parts.extend(f"gen.{k}={v}" for k, v in sorted(dataclasses.asdict(gen).items()))
+    # Flat fields, so reading them equals the deep ``asdict`` rendering
+    # without its per-call copy.
+    names = sorted(f.name for f in dataclasses.fields(gen))
+    parts.extend(f"gen.{name}={getattr(gen, name)}" for name in names)
     return _digest("|".join(parts))

@@ -400,14 +400,47 @@ OPERATOR_BUILDERS: dict[str, Callable[..., ReduceComputation]] = {
 }
 
 
+#: Built operators by code and sorted ``(name, type, value)`` params (see
+#: :func:`make_operator`); the memo starts over when it reaches the bound.
+_BUILT: dict[tuple, ReduceComputation] = {}
+_BUILT_MAX = 1024
+
+
+def clear_operator_memo() -> None:
+    """Forget every built operator, so the next request of each spec
+    builds a fresh computation."""
+    _BUILT.clear()
+
+
 def make_operator(code: str, **params) -> ReduceComputation:
-    """Build an operator by its paper abbreviation."""
+    """Build an operator by its paper abbreviation.
+
+    Built operators are interned once per process: equal ``code`` and
+    ``params`` return the *same* frozen computation, so the memos kept on
+    it (access matrix, solo-indexed iterations, fingerprint) serve every
+    later request, e.g. each pass of a network.  Two builds of one spec
+    are therefore one object; a fresh build (params that cannot be
+    hashed, or after :func:`clear_operator_memo`) has its own ``Var``
+    uids and compares unequal to it, while every fingerprint, which
+    renders variables by name, is the same.  The key holds each value's
+    type, so ``m=64`` and ``m=64.0`` (equal as keys) build apart.
+    """
     try:
         builder = OPERATOR_BUILDERS[code]
     except KeyError:
         known = ", ".join(sorted(OPERATOR_BUILDERS))
         raise KeyError(f"unknown operator {code!r}; known: {known}") from None
-    return builder(**params)
+    key = (code, tuple(sorted((k, type(v), v) for k, v in params.items())))
+    try:
+        built = _BUILT.get(key)
+    except TypeError:  # unhashable params
+        return builder(**params)
+    if built is None:
+        built = builder(**params)
+        if len(_BUILT) >= _BUILT_MAX:
+            _BUILT.clear()
+        _BUILT[key] = built
+    return built
 
 
 def operator_feeds(

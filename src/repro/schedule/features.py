@@ -388,16 +388,24 @@ def render_describes(
     string (memo-miss rows headed for jitter encoding, trial records).
     """
     order = _sorted_name_order(names)
-    rows = range(len(batch)) if indices is None else indices
+    rows = slice(None) if indices is None else np.asarray(indices, dtype=np.intp)
+    # Each column is read into Python ints once: indexing one numpy
+    # scalar at a time costs more than the formatting.
+    heads = [f"{names[j]}: warp=" for j in order]
+    warp = batch.warp[rows][:, order].tolist()
+    seq = batch.seq[rows][:, order].tolist()
+    tails = zip(
+        batch.reduce_stage[rows].tolist(),
+        batch.double_buffer[rows].tolist(),
+        batch.unroll[rows].tolist(),
+        batch.vectorize[rows].tolist(),
+    )
     out = []
-    for i in rows:
-        parts = [
-            f"{names[j]}: warp={batch.warp[i, j]} seq={batch.seq[i, j]}"
-            for j in order
-        ]
-        parts.append(f"reduce_stage={batch.reduce_stage[i]}")
-        parts.append(f"double_buffer={bool(batch.double_buffer[i])}")
-        parts.append(f"unroll={batch.unroll[i]} vectorize={batch.vectorize[i]}")
+    for w, q, (stage, double, unroll, vectorize) in zip(warp, seq, tails):
+        parts = [f"{h}{a} seq={b}" for h, a, b in zip(heads, w, q)]
+        parts.append(f"reduce_stage={stage}")
+        parts.append(f"double_buffer={double}")
+        parts.append(f"unroll={unroll} vectorize={vectorize}")
         out.append("; ".join(parts))
     return out
 

@@ -21,8 +21,10 @@ per-candidate simulation, in aggregated increments.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from repro.schedule.features import (
     derive_batch,
     render_describes,
 )
-from repro.sim.timing import _jitter_factor
+from repro.sim.timing import JITTER_AMPLITUDE
 
 __all__ = ["BatchTiming", "batch_simulate"]
 
@@ -81,6 +83,18 @@ def _batch_resident_blocks(
     resident = np.where(reg_per_block > 0, np.minimum(resident, reg_limit), resident)
 
     return np.maximum(0, resident)
+
+
+def _jitter_factors(keys: Iterable[str]) -> np.ndarray:
+    """:func:`repro.sim.timing._jitter_factor` of each key, as one array.
+
+    Bit-identical to the scalar: the first 8 digest bytes read as a
+    big-endian uint64 convert to float64 with the same rounding as
+    Python's ``int`` to ``float``, and the rest is the same float64
+    arithmetic in the same order."""
+    digests = b"".join(hashlib.sha256(key.encode()).digest()[:8] for key in keys)
+    unit = np.frombuffer(digests, dtype=">u8").astype(np.float64) / float(1 << 64)
+    return 1.0 + JITTER_AMPLITUDE * (2.0 * unit - 1.0)
 
 
 def batch_simulate(
@@ -163,12 +177,19 @@ def batch_simulate(
         row_mappings = mi[rows]
         # The jitter key's two describe halves are rendered here, only
         # for the feasible rows that reach jitter encoding.
+        keyed: list[np.ndarray] = []
+        keys: list[str] = []
+        tail = f"|{hw.name}"
         for m in np.unique(row_mappings).tolist():
-            prefix = table.describe_prefix(m)
+            head = f"{table.describe_prefix(m)}|"
             own = rows[row_mappings == m]
-            texts = render_describes(table.spatial_names(m), batch, own)
-            for i, text in zip(own, texts):
-                jitter_factors[i] = _jitter_factor(f"{prefix}|{text}|{hw.name}")
+            keyed.append(own)
+            keys.extend(
+                head + text + tail
+                for text in render_describes(table.spatial_names(m), batch, own)
+            )
+        if keys:
+            jitter_factors[np.concatenate(keyed)] = _jitter_factors(keys)
         total_us = total_us * jitter_factors
 
     warp_slots = hw.max_warps_per_subcore * hw.subcores_per_core

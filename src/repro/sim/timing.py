@@ -59,11 +59,15 @@ class TimingBreakdown:
         return max(parts, key=parts.get)
 
 
-def _jitter_factor(key: str, amplitude: float = 0.03) -> float:
-    """Deterministic pseudo-measurement noise in [1-a, 1+a]."""
+#: Half-width of the measurement jitter band.
+JITTER_AMPLITUDE = 0.03
+
+
+def _jitter_factor(key: str) -> float:
+    """Deterministic pseudo-measurement noise within ``JITTER_AMPLITUDE`` of 1."""
     digest = hashlib.sha256(key.encode()).digest()
     unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
-    return 1.0 + amplitude * (2.0 * unit - 1.0)
+    return 1.0 + JITTER_AMPLITUDE * (2.0 * unit - 1.0)
 
 
 def resident_blocks(sched: ScheduledMapping, hw: HardwareParams) -> int:

@@ -1,5 +1,7 @@
 """Top-level compile pipeline, evaluation helper, lowering and codegen."""
 
+import dataclasses
+
 import pytest
 
 from repro import amos_compile, evaluate_network, get_hardware, make_operator
@@ -7,8 +9,10 @@ from repro.engine.cache import reset_global_memo
 from repro.engine.pool import WorkerPool
 from repro.evaluation import AmosBackend, non_tensor_cost_us
 from repro.explore.tuner import TunerConfig
+from repro.frontends import operators
 from repro.frontends.networks import NetworkOp
 from repro.ir import Tensor, compute, spatial_axis
+from repro.mapping import generation
 
 
 FAST = TunerConfig(population=8, generations=2, measure_top=8, refine_rounds=1)
@@ -85,6 +89,40 @@ class TestEvaluation:
             get_hardware("v100"),
         )
         assert result.tensor_us == pytest.approx(3 * single.tensor_us)
+
+    def test_second_pass_builds_and_walks_no_operator(self, tmp_path, monkeypatch):
+        """A warm pass reuses the first pass's interned computations, so
+        nothing is rebuilt and no memo hanging off them misses."""
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for code, builder in list(operators.OPERATOR_BUILDERS.items()):
+            monkeypatch.setitem(operators.OPERATOR_BUILDERS, code, counting(code, builder))
+        monkeypatch.setattr(
+            generation,
+            "compound_iterations",
+            counting("compound_iterations", generation.compound_iterations),
+        )
+        ops = [
+            NetworkOp("C2D", dict(n=1, c=16, k=16, h=8, w=8, r=3, s=3)),
+            NetworkOp("relu", dict(elements=16 * 8 * 8)),
+            NetworkOp("GMV", dict(m=64, k=64)),
+        ]
+        backend = AmosBackend(config=dataclasses.replace(FAST, cache_dir=str(tmp_path)))
+        hw = get_hardware("v100")
+        operators.clear_operator_memo()
+        cold = evaluate_network("tiny", ops, backend, hw)
+        assert sorted(set(calls)) == ["C2D", "GMV", "compound_iterations"]
+        calls.clear()
+        warm = evaluate_network("tiny", ops, backend, hw)
+        assert calls == []
+        assert warm == cold
 
     def test_non_tensor_cost_scales(self):
         hw = get_hardware("v100")

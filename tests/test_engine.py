@@ -29,9 +29,11 @@ from repro.engine import (
     resolve_workers,
     tuner_config_fingerprint,
 )
+from repro.engine.fingerprint import _BUDGET_FIELDS
 from repro.explore.genetic import GeneticConfig, genetic_search_rows
 from repro.explore.tuner import Tuner, TunerConfig
-from repro.frontends.operators import make_operator
+from repro.frontends.operators import clear_operator_memo, make_operator
+from repro.mapping.generation import GenerationOptions
 from repro.mapping.physical import lower_to_physical
 from repro.model import get_hardware, list_hardware
 from repro.obs.explore_log import ExploreLog, use_log
@@ -128,6 +130,27 @@ class TestFingerprints:
         # The --quick budget the CI baseline manifest was recorded with.
         quick = TunerConfig(**QUICK_BUDGET)
         assert tuner_config_fingerprint(quick) == "8782b0a2866a4d1f"
+
+    def test_config_fingerprint_reads_generation_options_like_asdict(self):
+        """The options part is rendered from the dataclass fields; it
+        must equal the deep ``asdict`` rendering it replaced."""
+
+        def from_asdict(config):
+            parts = [f"{name}={getattr(config, name)}" for name in _BUDGET_FIELDS]
+            gen = dataclasses.asdict(config.generation_options)
+            parts.extend(f"gen.{k}={v}" for k, v in sorted(gen.items()))
+            return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+
+        default = TunerConfig()
+        assert tuner_config_fingerprint(default) == "b3dabc654a7d2936"
+        assert from_asdict(default) == "b3dabc654a7d2936"
+        other = TunerConfig(
+            generation_options=GenerationOptions(
+                allow_diagonal=False, unit_stride_reduce_rule=False, max_candidates=77
+            )
+        )
+        assert tuner_config_fingerprint(other) == from_asdict(other)
+        assert tuner_config_fingerprint(other) != tuner_config_fingerprint(default)
 
 
 class TestMemoCache:
@@ -332,12 +355,21 @@ class TestTunerDeterminism:
 
 class TestPersistentCompileCache:
     def test_second_compile_is_served_from_disk(self, tmp_path):
+        """The warm compile gets a fresh computation (the operator memo
+        is cleared, so it has its own Var uids); it must still hit,
+        store nothing and rebuild the same kernel."""
         config = dataclasses.replace(FAST, cache_dir=str(tmp_path), n_workers=1)
         comp = make_operator("GMM", m=64, n=64, k=64)
         cold = amos_compile(comp, "v100", config)
+        path = tmp_path / CompileCache.FILENAME
+        lines = path.read_text()
+        clear_operator_memo()
         reset_compile_caches()  # force a re-read from disk
         reset_global_memo()
-        warm = amos_compile(make_operator("GMM", m=64, n=64, k=64), "v100", config)
+        fresh = make_operator("GMM", m=64, n=64, k=64)
+        assert fresh is not comp and fresh != comp
+        warm = amos_compile(fresh, "v100", config)
+        assert path.read_text() == lines  # a hit stores nothing
         assert warm.latency_us == cold.latency_us
         assert warm.used_intrinsics
         assert warm.scheduled.schedule.describe() == cold.scheduled.schedule.describe()

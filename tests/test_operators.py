@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.engine.fingerprint import computation_fingerprint
+from repro.frontends import operators
 from repro.frontends.operators import (
     OPERATOR_BUILDERS,
+    clear_operator_memo,
+    make_mean,
     make_operator,
     operator_feeds,
     operator_traffic_bytes,
@@ -56,6 +60,51 @@ class TestBuilders:
     def test_defaults_work(self):
         comp = make_operator("GMM")
         assert comp.name == "gemm"
+
+
+class TestOperatorMemo:
+    """make_operator interns built operators once per process."""
+
+    def test_equal_specs_share_one_object(self):
+        gemm = make_operator("GMM", m=8, n=8, k=8)
+        assert make_operator("GMM", k=8, n=8, m=8) is gemm
+        assert gemm.access_matrix() is make_operator("GMM", m=8, n=8, k=8).access_matrix()
+        assert make_operator("GMM", m=8, n=8, k=16) is not gemm
+        assert make_operator("GMV", m=8, k=8) is not make_operator("MEN", m=8, k=8)
+        # Equal as dict keys, but another type: built apart.
+        numpy_m = make_operator("GMM", m=np.int64(8), n=8, k=8)
+        assert numpy_m is not gemm
+        assert make_operator("GMM", m=np.int64(8), n=8, k=8) is numpy_m
+
+    def test_unhashable_params_build_fresh(self, monkeypatch):
+        def make_row_mean(shape):
+            return make_mean(*shape)
+
+        monkeypatch.setitem(OPERATOR_BUILDERS, "RMN", make_row_mean)
+        first = make_operator("RMN", shape=[6, 8])
+        second = make_operator("RMN", shape=[6, 8])
+        assert first is not second
+        assert first != second  # fresh Var uids
+        assert computation_fingerprint(first) == computation_fingerprint(second)
+
+    def test_cleared_memo_builds_fresh_with_same_fingerprint(self):
+        before = make_operator("C2D", **SMALL_PARAMS["C2D"])
+        clear_operator_memo()
+        after = make_operator("C2D", **SMALL_PARAMS["C2D"])
+        assert after is not before
+        assert after != before
+        assert computation_fingerprint(after) == computation_fingerprint(before)
+        assert make_operator("C2D", **SMALL_PARAMS["C2D"]) is after
+
+    def test_memo_starts_over_at_its_bound(self, monkeypatch):
+        clear_operator_memo()
+        monkeypatch.setattr(operators, "_BUILT_MAX", 2)
+        first = make_operator("GMM", m=8, n=8, k=8)
+        make_operator("GMM", m=8, n=8, k=16)
+        assert make_operator("GMM", m=8, n=8, k=8) is first
+        make_operator("GMM", m=8, n=8, k=32)  # third spec: the memo restarts
+        assert len(operators._BUILT) == 1
+        assert make_operator("GMM", m=8, n=8, k=8) is not first
 
 
 class TestSemantics:
