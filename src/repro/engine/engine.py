@@ -19,8 +19,11 @@ and on the end-to-end compile benchmark (``perfbench/``, 2 vCPUs) the
 pool's start-up, dispatch and shutdown took 86-91% of a cold ResNet-18
 or MobileNet compile's self-time.
 
-The engine builds one :class:`~repro.schedule.features.MappingTable`
-of all its mappings when it is made, and a batch's distinct misses —
+The engine evaluates against one
+:class:`~repro.schedule.features.MappingTable` of all its mappings: the
+one a memoized lowered set carries (a repeat compile of a computation
+gets the same set, see :func:`~repro.explore.tuner.lowered_mappings`),
+else one it builds.  A batch's distinct misses —
 whatever mix of mappings they hold — are evaluated in one array call
 each of ``batch_predict`` and (when measuring) ``batch_simulate``
 through :func:`evaluate_batch`, the one evaluation body.  A batch of a
@@ -141,6 +144,7 @@ class EvaluationEngine:
         hardware: HardwareParams,
         n_workers: int | None = 1,
         memo: MemoCache | None = None,
+        table: MappingTable | None = None,
     ):
         self.comp = comp
         self.physical = list(physical)
@@ -149,10 +153,11 @@ class EvaluationEngine:
         self.memo = memo if memo is not None else global_memo()
         self.comp_fp = computation_fingerprint(comp)
         self.hw_fp = hardware_fingerprint(hardware)
-        self.mapping_fps = [mapping_fingerprint(pm) for pm in self.physical]
         self._pool: WorkerPool | None = None
-        #: Every mapping's features as arrays, built once per engine.
-        self.table = MappingTable(self.physical)
+        #: Every mapping's features as arrays: ``table`` when the caller
+        #: has one of exactly these mappings (a memoized lowered set's),
+        #: else built here.
+        self.table = table if table is not None else MappingTable(self.physical)
         #: Per-mapping byte prefixes of the row memo keys (lazy, cached).
         self._row_prefixes: dict[int, bytes] = {}
 
@@ -214,7 +219,9 @@ class EvaluationEngine:
         prefix = self._row_prefixes.get(mapping_index)
         if prefix is None:
             prefix = candidate_row_prefix(
-                self.comp_fp, self.hw_fp, self.mapping_fps[mapping_index]
+                self.comp_fp,
+                self.hw_fp,
+                mapping_fingerprint(self.physical[mapping_index]),
             )
             self._row_prefixes[mapping_index] = prefix
         return prefix

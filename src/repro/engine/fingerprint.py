@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import operator
 
 from repro.ir.compute import ReduceComputation
 from repro.mapping.physical import PhysicalMapping
@@ -96,7 +97,13 @@ def mapping_fingerprint(pm: PhysicalMapping) -> str:
     The matching matrix plus the intrinsic identify the compute mapping;
     the axis splits are derived from them deterministically but are
     included anyway so a lowering change invalidates old entries.
+    Memoized on the (frozen) mapping like :func:`computation_fingerprint`:
+    lowered mappings are shared across compiles, and a compile-cache hit
+    checks its rebuilt mapping's fingerprint.
     """
+    cached = pm.__dict__.get("_fingerprint")
+    if cached is not None:
+        return cached
     matching = pm.compute.matching.data
     parts = [
         computation_fingerprint(pm.computation),
@@ -107,7 +114,9 @@ def mapping_fingerprint(pm: PhysicalMapping) -> str:
     parts.extend(
         f"{s.name}:{s.fused_extent}/{s.problem_size}/{s.num_tiles}" for s in pm.splits
     )
-    return _digest("|".join(parts))
+    digest = _digest("|".join(parts))
+    object.__setattr__(pm, "_fingerprint", digest)
+    return digest
 
 
 def candidate_row_prefix(comp_fp: str, hw_fp: str, mapping_fp: str) -> bytes:
@@ -139,12 +148,35 @@ _BUDGET_FIELDS = (
 )
 
 
+_budget_values = operator.attrgetter(*_BUDGET_FIELDS)
+
+#: Budget digests by the ``repr`` of every value they render (see
+#: :func:`tuner_config_fingerprint`); the memo starts over when it
+#: reaches the bound.
+_CONFIG_DIGESTS: dict[tuple, str] = {}
+_CONFIG_DIGESTS_MAX = 1024
+
+
 def tuner_config_fingerprint(config) -> str:
-    """Digest of the exploration budget of a :class:`TunerConfig`."""
-    parts = [f"{name}={getattr(config, name)}" for name in _BUDGET_FIELDS]
+    """Digest of the exploration budget of a :class:`TunerConfig`.
+
+    ``TunerConfig`` is mutable, so the digest is memoized by the values
+    it renders, never by the object: the ``repr`` of each budget field
+    and of each field of the (frozen) ``GenerationOptions``, which tells
+    apart what renders apart (``32`` and ``32.0``, ``0.0`` and
+    ``-0.0``).  Mutating a config therefore changes its key and its
+    digest."""
     gen = config.generation_options
-    # Flat fields, so reading them equals the deep ``asdict`` rendering
-    # without its per-call copy.
-    names = sorted(f.name for f in dataclasses.fields(gen))
-    parts.extend(f"gen.{name}={getattr(gen, name)}" for name in names)
-    return _digest("|".join(parts))
+    key = (type(gen), *map(repr, (*_budget_values(config), *vars(gen).values())))
+    digest = _CONFIG_DIGESTS.get(key)
+    if digest is None:
+        parts = [f"{name}={getattr(config, name)}" for name in _BUDGET_FIELDS]
+        # Flat fields, so reading them equals the deep ``asdict``
+        # rendering without its per-call copy.
+        names = sorted(f.name for f in dataclasses.fields(gen))
+        parts.extend(f"gen.{name}={getattr(gen, name)}" for name in names)
+        digest = _digest("|".join(parts))
+        if len(_CONFIG_DIGESTS) >= _CONFIG_DIGESTS_MAX:
+            _CONFIG_DIGESTS.clear()
+        _CONFIG_DIGESTS[key] = digest
+    return digest

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from repro.explore.genetic import GeneticConfig, genetic_search_rows
 from repro.ir.compute import ReduceComputation
 from repro.isa.registry import intrinsics_for_target
 from repro.mapping.generation import GenerationOptions, enumerate_mappings
+from repro.mapping.mapping import ComputeMapping
 from repro.mapping.physical import PhysicalMapping, lower_to_physical
 from repro.model.hardware_params import HardwareParams
 from repro.obs import metrics as _obs_metrics
@@ -60,6 +62,75 @@ from repro.schedule.space import MUTATE_UNIFORMS, SpaceTable, default_rows
 # silent at the WARNING library default, narrated at INFO (the CLI's
 # default unless --quiet / REPRO_LOG_LEVEL says otherwise).
 _log = get_logger("repro.tuner")
+
+
+class LoweredSet(tuple):
+    """A memoized tuple of lowered candidate mappings (see
+    :func:`lowered_mappings`) that builds its
+    :class:`~repro.schedule.features.MappingTable` on first use and keeps
+    it, so every engine over the set shares one read-only table."""
+
+    @cached_property
+    def table(self) -> MappingTable:
+        return MappingTable(self)
+
+
+#: Lowered sets by the identities of what enumeration returned (see
+#: :func:`lowered_mappings`); bounded by the lowered mappings held, and
+#: started over when a new set would take it past the bound.
+_LOWERED: dict[tuple[int, ...], LoweredSet] = {}
+_LOWERED_MAX = 4096
+_lowered_held = 0
+
+
+def clear_lowering_memo() -> None:
+    """Forget every lowered set and its table, so the next tune of each
+    computation lowers its mappings and builds its table again."""
+    global _lowered_held
+    _LOWERED.clear()
+    _lowered_held = 0
+
+
+def release_lowered(comp: ReduceComputation) -> None:
+    """Forget the lowered sets of ``comp``.  The compiler calls this once
+    it has stored a compile of ``comp`` in the compile cache: a repeat
+    compile is then served from the cache, which lowers only the stored
+    mapping, so keeping the whole set would only hold memory."""
+    global _lowered_held
+    for key, lowered in list(_LOWERED.items()):
+        if lowered[0].computation is comp:
+            del _LOWERED[key]
+            _lowered_held -= len(lowered)
+
+
+def lowered_mappings(mappings: Sequence[ComputeMapping]) -> LoweredSet:
+    """``lower_to_physical`` of every mapping, memoized per process.
+
+    Lowering reads only the computation, the intrinsic and the matching
+    matrix, and enumeration shares one admitted matrix among every
+    enumeration of a structure (:mod:`repro.mapping.generation`).  So
+    the memo is keyed by the identities of each mapping's computation,
+    intrinsic and matching, in order; its entry's lowered mappings hold
+    those objects, so no identity in a live key is ever reused.  The
+    computation's identity keeps apart the layers of one structure,
+    which share matchings but differ in extents; a fresh admission
+    (other options, a cleared admission memo) brings fresh matchings.
+    Lowered mappings are frozen, so every caller may share them.
+    """
+    global _lowered_held
+    key = tuple(
+        id(part) for m in mappings for part in (m.computation, m.intrinsic, m.matching)
+    )
+    lowered = _LOWERED.get(key)
+    if lowered is None:
+        lowered = LoweredSet(lower_to_physical(m) for m in mappings)
+        if not lowered:  # nothing to keep (and no computation to release by)
+            return lowered
+        if _lowered_held + len(lowered) > _LOWERED_MAX:
+            clear_lowering_memo()
+        _LOWERED[key] = lowered
+        _lowered_held += len(lowered)
+    return lowered
 
 
 @dataclass
@@ -222,26 +293,35 @@ class Tuner:
         self.config = config or TunerConfig()
 
     # ------------------------------------------------------------------
-    def candidate_mappings(self, comp: ReduceComputation) -> list[PhysicalMapping]:
-        """All valid physical mappings across the target's intrinsics."""
-        result: list[PhysicalMapping] = []
+    def candidate_mappings(self, comp: ReduceComputation) -> LoweredSet:
+        """All valid physical mappings across the target's intrinsics.
+
+        Every call enumerates (cheap behind the admission memo, and it
+        records the tune's funnel and counters); the lowering is served
+        by :func:`lowered_mappings`, so a repeat compile of a computation
+        lowers nothing and hands the engine the same set, whose table it
+        then reuses."""
         with _obs_span("tuner.enumerate", operator=comp.name) as sp:
-            for intrinsic in intrinsics_for_target(self.hardware.target):
-                for mapping in enumerate_mappings(
-                    comp, intrinsic, self.config.generation_options
-                ):
-                    result.append(lower_to_physical(mapping))
+            options = self.config.generation_options
+            result = lowered_mappings(
+                [
+                    mapping
+                    for intrinsic in intrinsics_for_target(self.hardware.target)
+                    for mapping in enumerate_mappings(comp, intrinsic, options)
+                ]
+            )
             sp.set(num_mappings=len(result))
         return result
 
     def _make_engine(
-        self, comp: ReduceComputation, physical: list[PhysicalMapping]
+        self, comp: ReduceComputation, physical: Sequence[PhysicalMapping]
     ) -> EvaluationEngine:
         return EvaluationEngine(
             comp,
             physical,
             self.hardware,
             n_workers=self.config.n_workers,
+            table=physical.table if isinstance(physical, LoweredSet) else None,
         )
 
     @property

@@ -28,9 +28,12 @@ from repro.ir.itervar import IterVar
 from repro.mapping.mapping import ComputeMapping, OperandAddress, SoftwareHardwareMapping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxisSplit:
-    """Physical split of one intrinsic iteration's fused software index."""
+    """Physical split of one intrinsic iteration's fused software index.
+
+    Slotted: lowered mappings are memoized per process, and every one
+    holds a split per intrinsic iteration."""
 
     intrinsic_index: int
     name: str

@@ -92,9 +92,9 @@ class MappingTable:
 
     The two strings a mapping contributes — its spatial dim names and
     ``physical.compute.describe()``, the mapping half of the simulator's
-    jitter key — are rendered on first request only.  Plain arrays
-    rebuilt from the mapping list, so a pool worker builds its own from
-    the pool's context.
+    jitter key — are rendered on first request only.  Read-only arrays
+    rebuilt from the mapping list, so engines over one list can share a
+    table and a pool worker builds its own from the pool's context.
     """
 
     def __init__(self, physical: Sequence[PhysicalMapping]):
@@ -158,6 +158,10 @@ class MappingTable:
             [lay.macs_per_call for lay in layouts], dtype=np.int64
         )[rows]
         self.uses_shared = np.array([lay.uses_shared for lay in layouts], dtype=bool)[rows]
+        # Read-only: engines over one mapping list share one table.
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         self._names: dict[int, tuple[str, ...]] = {}
         self._prefixes: dict[int, str] = {}
 

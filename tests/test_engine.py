@@ -31,7 +31,7 @@ from repro.engine import (
 )
 from repro.engine.fingerprint import _BUDGET_FIELDS
 from repro.explore.genetic import GeneticConfig, genetic_search_rows
-from repro.explore.tuner import Tuner, TunerConfig
+from repro.explore.tuner import Tuner, TunerConfig, clear_lowering_memo
 from repro.frontends.operators import clear_operator_memo, make_operator
 from repro.mapping.generation import GenerationOptions
 from repro.mapping.physical import lower_to_physical
@@ -151,6 +151,41 @@ class TestFingerprints:
         )
         assert tuner_config_fingerprint(other) == from_asdict(other)
         assert tuner_config_fingerprint(other) != tuner_config_fingerprint(default)
+
+    def test_mutated_config_changes_its_digest(self):
+        """The digest is memoized by the values it renders, not by the
+        (mutable) config: every mutation moves it, undoing one restores
+        it, and each equals the unmemoized rendering."""
+        import repro.engine.fingerprint as fingerprint
+
+        def fresh(config):
+            saved = dict(fingerprint._CONFIG_DIGESTS)
+            fingerprint._CONFIG_DIGESTS.clear()
+            try:
+                return tuner_config_fingerprint(config)
+            finally:
+                fingerprint._CONFIG_DIGESTS.update(saved)
+
+        config = TunerConfig()
+        assert tuner_config_fingerprint(config) == "b3dabc654a7d2936"
+        seen = {"b3dabc654a7d2936"}
+        mutations = [
+            ("seed", 1),
+            ("population", 32.0),  # equal to 32, rendered apart
+            ("elite_fraction", 0.0),
+            ("elite_fraction", -0.0),  # equal to 0.0, rendered apart
+            ("generation_options", GenerationOptions(allow_diagonal=False)),
+            ("generation_options", GenerationOptions(max_candidates=2e6)),  # likewise
+        ]
+        for name, value in mutations:
+            before = getattr(config, name)
+            setattr(config, name, value)
+            digest = tuner_config_fingerprint(config)
+            assert digest == fresh(config), name
+            assert digest not in seen, name
+            seen.add(digest)
+            setattr(config, name, before)
+            assert tuner_config_fingerprint(config) == "b3dabc654a7d2936"
 
 
 class TestMemoCache:
@@ -415,13 +450,14 @@ class TestPersistentCompileCache:
         assert redo.scheduled.schedule.describe() == cold.scheduled.schedule.describe()
 
     def test_hit_rebuilds_only_the_stored_mapping(self, tmp_path, monkeypatch):
-        import repro.compiler as compiler
+        import repro.explore.tuner as tuner
 
         config = dataclasses.replace(FAST, cache_dir=str(tmp_path))
         cold = amos_compile(make_operator("C1D", **C1D), "v100", config)
         assert cold.num_mappings > 1
         reset_compile_caches()
         reset_global_memo()
+        tuner.clear_lowering_memo()  # else an earlier hit's lowering serves it
 
         enumerated = self._only_restricted_enumeration(monkeypatch)
         lowered = []
@@ -430,7 +466,7 @@ class TestPersistentCompileCache:
             lowered.append(mapping)
             return lower_to_physical(mapping)
 
-        monkeypatch.setattr(compiler, "lower_to_physical", counting_lower)
+        monkeypatch.setattr(tuner, "lower_to_physical", counting_lower)
         path = tmp_path / CompileCache.FILENAME
         lines = path.read_text()
         warm = amos_compile(make_operator("C1D", **C1D), "v100", config)
@@ -668,6 +704,7 @@ class TestOneArrayCallPerBatch:
 
         monkeypatch.setattr(EvaluationEngine, "_evaluate_rows", spy)
         reset_global_memo()
+        clear_lowering_memo()  # a cold tune: its table is not memoized yet
         comp = make_operator("C2D", n=1, c=16, k=16, h=8, w=8)
         Tuner(get_hardware("v100"), TunerConfig()).tune(comp)
 

@@ -1,6 +1,7 @@
 """Physical lowering: splits, padding, addresses, utilization, diagonals."""
 
 import pathlib
+import pickle
 import sys
 
 import numpy as np
@@ -126,6 +127,29 @@ class TestPhysicalGeneral:
         text = phys.describe()
         assert "padded" in text
         assert "intrinsic calls" in text
+
+    def test_physical_mapping_pickles_round_trip(self, tensorcore):
+        """The worker pool ships lowered mappings by pickle: a padded and
+        a diagonal mapping, with their lazily cached properties and
+        memoized fingerprint already filled in, come back with the same
+        (slotted) splits, calls, fingerprint and rendering."""
+        from repro.engine.fingerprint import mapping_fingerprint
+
+        diagonal = next(
+            m
+            for m in enumerate_mappings(make_small_depthwise(k=32), tensorcore)
+            if m.matching.diagonal_columns()
+        )
+        for phys in (figure3_setup(), lower_to_physical(diagonal)):
+            fingerprint = mapping_fingerprint(phys)
+            calls = phys.num_intrinsic_calls()
+            back = pickle.loads(pickle.dumps(phys))
+            assert back.splits == phys.splits
+            assert not hasattr(back.splits[0], "__dict__")
+            assert back.num_intrinsic_calls() == calls
+            assert back.diagonal_call_fraction == phys.diagonal_call_fraction
+            assert mapping_fingerprint(back) == fingerprint
+            assert back.describe() == phys.describe()
 
 
 class TestDiagonalAccounting:
