@@ -10,7 +10,7 @@ The claim under test mirrors Sec 5.3: model-guided evolutionary search
 reaches better configurations than random sampling at equal budget.
 """
 
-from repro.engine import EvaluationEngine, MemoCache
+from repro.engine import EvaluationEngine
 from repro.explore.genetic import GeneticConfig, genetic_search_rows
 from repro.explore.random_search import random_search
 from repro.explore.tuner import Tuner, TunerConfig
@@ -35,7 +35,7 @@ def run_ablation():
     comp = RESNET18_CONV_LAYERS[5].computation()  # C5, batch 16
     physical = _mappings(comp)
 
-    engine = EvaluationEngine(comp, physical, hw, n_workers=1, memo=MemoCache())
+    engine = EvaluationEngine(comp, physical, hw, n_workers=1)
 
     def measured(mapping_indices, batch):
         return engine.measure_rows(mapping_indices, batch)[1]

@@ -5,23 +5,23 @@ Measurements (run as a script, written to
 ``benchmarks/results/BENCH_batch_eval.json``):
 
 1. **batch fitness throughput** — one GA-generation-shaped batch of
-   schedule candidates pushed through ``EvaluationEngine`` (cold memo
-   each repetition, ``n_workers=1`` so the evaluators themselves are
-   compared, not the pool) vs the scalar oracle, ``lower_schedule`` →
+   schedule candidates pushed through ``EvaluationEngine``
+   (``n_workers=1``, so the evaluators themselves are compared, not the
+   pool) vs the scalar oracle, ``lower_schedule`` →
    ``predict_latency`` / ``simulate_cycles`` one candidate at a time.
    The array path must deliver at least **5x candidates/sec** on the
    model-only fitness batch, and the results of the two must be
    bit-identical.
 2. **end-to-end GA-loop throughput** — a whole ``genetic_search_rows``
    run over the spaces' :class:`~repro.schedule.space.SpaceTable`
-   (breed + dedup + memo keys + predict, cold memo each repetition).
+   (breed + dedup keys + predict).
    Its ranked output must be identical to a golden digest recorded from
    the per-candidate object GA (scoring each candidate with the scalar
    model) before that loop was deleted.
 3. **describe memo note** — ``Schedule.describe()`` is memoized on
    first render; the micro-benchmark records the cold render vs the
-   memoized re-read, the win every memo key / dedup key / jitter
-   encoding touch of the same immutable schedule collects.
+   memoized re-read, the win every dedup key / jitter encoding touch of
+   the same immutable schedule collects.
 
 Runnable standalone (``python benchmarks/bench_batch_eval.py``) and
 re-exported by ``tests/test_batch_eval_bench.py`` so the assertions run
@@ -40,7 +40,7 @@ import time
 
 import numpy as np
 
-from repro.engine import EvaluationEngine, MemoCache
+from repro.engine import EvaluationEngine
 from repro.explore.genetic import GeneticConfig, genetic_search_rows
 from repro.frontends.operators import make_operator
 from repro.isa.registry import intrinsics_for_target
@@ -134,10 +134,7 @@ def run_fitness_throughput() -> dict:
     items = _fitness_items(physical, hw, FITNESS_BATCH)
 
     def engine_run(measure):
-        # A cold memo per repetition: every candidate is evaluated.
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
             if measure:
                 return engine.measure_many(items)
             return engine.predict_many(items)
@@ -202,17 +199,15 @@ def _ranking_digest(result) -> str:
 
 
 def run_ga_loop_throughput() -> dict:
-    """One whole rows-GA run — breed + dedup + memo keys + predict —
-    cold memo each repetition, as the tuner runs it."""
+    """One whole rows-GA run — breed + dedup keys + predict — as the
+    tuner runs it."""
     comp, hw, physical = _context()
     spaces, seed_rows = _ga_context(comp, hw, physical)
     table = SpaceTable.of_spaces(spaces)
     cfg = GA_LOOP_CONFIG
     best_s, result = float("inf"), None
     for _ in range(GA_LOOP_REPEATS):
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
             start = time.perf_counter()
             result = genetic_search_rows(
                 physical, engine.predict_rows, cfg, seeds=seed_rows, spaces=table

@@ -281,7 +281,7 @@ def _synthetic_run(i: int, base: datetime) -> RunRecord:
         candidates_per_sec=50.0,
         phases={"tune": {"count": 1.0, "total_us": 9e5, "self_us": 4e5}},
         funnel={"enumerated": 64, "validated": 32, "prefiltered": 16, "measured": 8},
-        cache={"memo_hits": 40.0, "memo_misses": 10.0},
+        cache={"rows": 50.0},
         model_quality={"pairwise_accuracy": 0.9},
         critical_path=[{"name": "tune", "duration_us": 9e5, "self_us": 4e5}],
     )

@@ -1,19 +1,20 @@
-"""Benchmark: the parallel, memoized evaluation engine (``repro.engine``).
+"""Benchmark: the evaluation engine's execution knobs (``repro.engine``).
 
 Three measurements, all driven by ``repro.obs`` counters
-(``engine.cache.{hit,miss}``, ``engine.pool.{tasks,batches}``,
+(``engine.rows``, ``engine.pool.{tasks,batches}``,
 ``engine.compile_cache.{hit,miss}``) and, run as a script, written to
 ``benchmarks/results/BENCH_tuner.json``:
 
 1. **serial vs parallel tune** — the same ``Tuner.tune`` run with
    ``n_workers=1`` (pure in-process) and ``n_workers>1`` (process pool
-   for batches of at least ``engine.MIN_POOL_BATCH`` misses).  The two runs
+   for batches of at least ``engine.MIN_POOL_BATCH`` rows).  The two runs
    must produce identical results — worker count is an execution knob,
    never a search knob.  Wall-clock speedup only materialises on a
    multi-core machine; on a single core the pool threshold keeps small
    batches in-process so the parallel path is never meaningfully slower.
-2. **memo effectiveness** — a second tune of the identical operator on a
-   warm in-memory memo must be served almost entirely from cache.
+2. **repeat tune** — a second tune of the identical operator in the same
+   process (its operator, admission and lowering memos warm) must return
+   a byte-identical result: same best, same trials in the same order.
 3. **persistent compile cache** — ``evaluate_network`` twice against one
    ``cache_dir``: the second run (fresh process state, cache re-read
    from disk) must serve *every* tensor-op compile from the cache and
@@ -28,6 +29,7 @@ writes no file.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import pathlib
 import shutil
@@ -36,10 +38,7 @@ import tempfile
 import time
 
 import repro.obs as obs
-from repro.engine.cache import (
-    reset_compile_caches,
-    reset_global_memo,
-)
+from repro.engine.cache import reset_compile_caches
 from repro.engine.engine import resolve_workers
 from repro.evaluation import AmosBackend, evaluate_network
 from repro.explore.tuner import Tuner, TunerConfig
@@ -83,9 +82,11 @@ def _counters() -> dict[str, float]:
     }
 
 
-def _timed_tune(comp, config: TunerConfig) -> tuple[float, float, dict[str, float]]:
-    """One cold tune under fresh obs + memo; (wall_s, best_us, counters)."""
-    reset_global_memo()
+def _timed_tune(
+    comp, config: TunerConfig
+) -> tuple[float, float, str, dict[str, float]]:
+    """One tune under fresh obs; (wall_s, best_us, result digest,
+    counters).  The digest covers the best and every trial, in order."""
     obs.reset()
     obs.enable()
     try:
@@ -93,10 +94,16 @@ def _timed_tune(comp, config: TunerConfig) -> tuple[float, float, dict[str, floa
         start = time.perf_counter()
         result = tuner.tune(comp)
         wall_s = time.perf_counter() - start
-        return wall_s, result.best_us, _counters()
+        counters = _counters()
     finally:
         obs.disable()
         obs.reset()
+    trials = [
+        (t.mapping_index, t.scheduled.schedule.describe(), t.predicted_us, t.measured_us)
+        for t in result.trials
+    ]
+    digest = hashlib.sha256(repr((result.best_us, trials)).encode()).hexdigest()
+    return wall_s, result.best_us, digest, counters
 
 
 def _replace(config: TunerConfig, **overrides) -> TunerConfig:
@@ -106,7 +113,7 @@ def _replace(config: TunerConfig, **overrides) -> TunerConfig:
 
 
 def run_tune_comparison(quick: bool) -> dict:
-    """Serial vs parallel vs warm-memo tune of one operator."""
+    """Serial vs parallel vs repeat tune of one operator."""
     if quick:
         comp = make_operator("GMM", m=64, n=64, k=64)
         base = QUICK_CONFIG
@@ -117,29 +124,15 @@ def run_tune_comparison(quick: bool) -> dict:
         workload = "C2D c=16 k=16 h=14 w=14"
 
     parallel_workers = max(2, resolve_workers(None))
-    serial_s, serial_us, serial_counters = _timed_tune(
+    serial_s, serial_us, serial_digest, serial_counters = _timed_tune(
         comp, _replace(base, n_workers=1)
     )
-    parallel_s, parallel_us, parallel_counters = _timed_tune(
+    parallel_s, parallel_us, _, parallel_counters = _timed_tune(
         comp, _replace(base, n_workers=parallel_workers)
     )
-
-    # Warm in-memory memo: tune again without resetting the global memo.
-    obs.reset()
-    obs.enable()
-    try:
-        tuner = Tuner(get_hardware("v100"), _replace(base, n_workers=1))
-        start = time.perf_counter()
-        warm_result = tuner.tune(comp)
-        warm_s = time.perf_counter() - start
-        warm_counters = _counters()
-    finally:
-        obs.disable()
-        obs.reset()
-        reset_global_memo()
-
-    hits = warm_counters.get("engine.cache.hit", 0.0)
-    misses = warm_counters.get("engine.cache.miss", 0.0)
+    repeat_s, repeat_us, repeat_digest, repeat_counters = _timed_tune(
+        comp, _replace(base, n_workers=1)
+    )
     return {
         "workload": workload,
         "serial": {"wall_s": serial_s, "best_us": serial_us, **serial_counters},
@@ -149,13 +142,13 @@ def run_tune_comparison(quick: bool) -> dict:
             "n_workers": parallel_workers,
             **parallel_counters,
         },
-        "warm_memo": {
-            "wall_s": warm_s,
-            "best_us": warm_result.best_us,
-            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            **warm_counters,
+        "repeat": {
+            "wall_s": repeat_s,
+            "best_us": repeat_us,
+            "identical": repeat_digest == serial_digest,
+            **repeat_counters,
         },
-        "identical": serial_us == parallel_us == warm_result.best_us,
+        "identical": serial_us == parallel_us == repeat_us,
         "speedup": serial_s / parallel_s if parallel_s else 0.0,
     }
 
@@ -167,8 +160,7 @@ def run_network_cache(quick: bool, cache_dir: str) -> dict:
                       n_workers=1, cache_dir=cache_dir)
 
     def one_run() -> tuple[float, float, dict[str, float]]:
-        # Fresh process state: memo dropped, cache re-read from disk.
-        reset_global_memo()
+        # Fresh cache state: the cache is re-read from disk.
         reset_compile_caches()
         obs.reset()
         obs.enable()
@@ -213,7 +205,7 @@ def check_bench(report: dict) -> None:
     """The engine's correctness + performance contract, asserted."""
     tune = report["tune"]
     assert tune["identical"], (
-        f"worker count / memo temperature changed the result: {tune}"
+        f"worker count / a repeat tune changed the result: {tune}"
     )
     # Quick mode: batches stay below the pool threshold, so serial and
     # parallel do identical in-process work and must time the same up to
@@ -225,8 +217,9 @@ def check_bench(report: dict) -> None:
             f"parallel tune slower than serial beyond tolerance: "
             f"{tune['parallel']['wall_s']:.3f}s vs {tune['serial']['wall_s']:.3f}s"
         )
-    assert tune["warm_memo"]["hit_rate"] > 0.95, (
-        f"warm-memo tune should be nearly all cache hits: {tune['warm_memo']}"
+    assert tune["repeat"]["identical"], (
+        f"a second in-process tune must return a byte-identical result: "
+        f"{tune['repeat']}"
     )
 
     net = report["network_cache"]
@@ -245,9 +238,9 @@ def test_parallel_tuner_bench_quick():
     print(
         f"\ntune {tune['workload']}: serial {tune['serial']['wall_s']:.3f}s, "
         f"parallel({tune['parallel']['n_workers']}w) "
-        f"{tune['parallel']['wall_s']:.3f}s, warm memo "
-        f"{tune['warm_memo']['wall_s']:.3f}s "
-        f"(hit rate {tune['warm_memo']['hit_rate']:.1%})"
+        f"{tune['parallel']['wall_s']:.3f}s, repeat "
+        f"{tune['repeat']['wall_s']:.3f}s "
+        f"(identical {tune['repeat']['identical']})"
         f"\nnetwork cache: cold {net['cold']['wall_s']:.3f}s, warm "
         f"{net['warm']['wall_s']:.3f}s ({net['speedup']:.1f}x, "
         f"hit rate {net['warm_hit_rate']:.1%})"

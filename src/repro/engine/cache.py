@@ -1,22 +1,16 @@
-"""Two-level memoization for the exploration engine.
+"""The persistent compile cache.
 
-Level 1 — :class:`MemoCache`: an in-memory map from canonical candidate
-keys (see :mod:`repro.engine.fingerprint`) to model predictions and
-simulator measurements.  It is shared process-wide by default, so a
-network evaluation that tunes thirty convolutions with overlapping
-(mapping, schedule) candidates never evaluates the same candidate twice,
-and repeated ``Tuner.tune`` calls on the same operator are nearly free.
-Both evaluators are deterministic, so serving a memoized value is
-observationally identical to recomputing it.
+:class:`CompileCache`: an on-disk JSONL cache of *compiled kernels*
+(the outcome of a whole ``amos_compile``), keyed by the (computation,
+hardware, tuner budget) fingerprints.  A warm cache lets a repeated
+``python -m repro`` run or a second ``evaluate_network`` sweep skip
+re-tuning identical (op, params, batch, hardware) kernels entirely.
+Entries carry the fingerprints they were computed from; an entry whose
+stored fingerprints do not match the live objects (a "poisoned" or
+stale entry) is ignored, never served.
 
-Level 2 — :class:`CompileCache`: a persistent on-disk JSONL cache of
-*compiled kernels* (the outcome of a whole ``amos_compile``), keyed by
-the (computation, hardware, tuner budget) fingerprints.  A warm cache
-lets a repeated ``python -m repro`` run or a second ``evaluate_network``
-sweep skip re-tuning identical (op, params, batch, hardware) kernels
-entirely.  Entries carry the fingerprints they were computed from; an
-entry whose stored fingerprints do not match the live objects (a
-"poisoned" or stale entry) is ignored, never served.
+There is no in-memory memo of candidate evaluations: the engine
+evaluates every row it is handed (see :mod:`repro.engine.engine`).
 """
 
 from __future__ import annotations
@@ -31,9 +25,7 @@ from repro.obs import metrics as _obs_metrics
 __all__ = [
     "CACHE_VERSION",
     "CompileCache",
-    "MemoCache",
     "compile_cache_for",
-    "global_memo",
     "reset_compile_caches",
     "reset_global_memo",
 ]
@@ -43,79 +35,10 @@ __all__ = [
 CACHE_VERSION = 1
 
 
-class MemoCache:
-    """In-memory memo of model predictions and simulator measurements.
-
-    Two separate maps because the two values are produced by different
-    evaluators and a candidate is frequently predicted long before (or
-    without ever) being measured.  Keys are the engine's candidate row
-    keys (:meth:`~repro.engine.engine.EvaluationEngine.row_keys`): bytes
-    of the context fingerprints plus the canonical schedule row.
-    Bounded: when full, the
-    oldest entries are evicted (insertion order), which is plenty for an
-    LRU-ish working set without per-get bookkeeping on the hot path.
-    """
-
-    def __init__(self, max_entries: int = 1_000_000):
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.predictions: dict[bytes, float] = {}
-        self.measurements: dict[bytes, float] = {}
-        self._lock = threading.Lock()
-
-    def _put(self, table: dict[bytes, float], key: bytes, value: float) -> None:
-        evicted = 0
-        with self._lock:
-            if key not in table and len(table) >= self.max_entries:
-                for oldest in list(table)[: max(1, self.max_entries // 10)]:
-                    del table[oldest]
-                    evicted += 1
-            table[key] = value
-        if evicted:
-            # Outside the lock: a memo under eviction pressure looks like a
-            # healthy cache in hit/miss terms while silently re-evaluating
-            # its working set, so evictions are a first-class counter that
-            # the flight recorder and corpus cache timelines surface.
-            _obs_metrics.counter("engine.cache.evictions").inc(evicted)
-
-    # Reads take the same lock as _put: the eviction loop deletes keys,
-    # and a lock-free reader could otherwise race it (dict mutation
-    # during lookup is only incidentally safe under the current GIL).
-    def get_prediction(self, key: bytes) -> float | None:
-        with self._lock:
-            return self.predictions.get(key)
-
-    def put_prediction(self, key: bytes, value: float) -> None:
-        self._put(self.predictions, key, value)
-
-    def get_measurement(self, key: bytes) -> float | None:
-        with self._lock:
-            return self.measurements.get(key)
-
-    def put_measurement(self, key: bytes, value: float) -> None:
-        self._put(self.measurements, key, value)
-
-    def __len__(self) -> int:
-        return len(self.predictions) + len(self.measurements)
-
-    def clear(self) -> None:
-        with self._lock:
-            self.predictions.clear()
-            self.measurements.clear()
-
-
-_GLOBAL_MEMO = MemoCache()
-
-
-def global_memo() -> MemoCache:
-    """The process-wide memo shared by every engine (unless one is injected)."""
-    return _GLOBAL_MEMO
-
-
 def reset_global_memo() -> None:
-    """Drop all memoized evaluations (tests and long-lived services)."""
-    _GLOBAL_MEMO.clear()
+    """A no-op: the engine keeps no evaluation memo.  Kept because
+    ``perfbench/e2e.py`` imports and calls it before every pass; goes
+    with the perfbench change that drops that call (ROADMAP.md)."""
 
 
 class CompileCache:

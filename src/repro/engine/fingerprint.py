@@ -1,8 +1,7 @@
-"""Canonical fingerprints for memoization and cache keys.
+"""Canonical fingerprints for cache keys.
 
-Every cache in :mod:`repro.engine` — the in-memory memo of model
-predictions / simulator measurements and the persistent on-disk compile
-cache — is keyed by content, never by object identity: a fingerprint is a
+The persistent on-disk compile cache of :mod:`repro.engine` is keyed
+by content, never by object identity: a fingerprint is a
 short hex digest of a canonical textual rendering of the object.  Two
 structurally identical computations (or hardware parameter sets, or
 physical mappings) produced by independent code paths therefore share
@@ -20,9 +19,6 @@ evaluation results:
   ``name``) never collide;
 * a mapping fingerprint covers the intrinsic, the matching matrix and the
   physical axis splits, bound to the computation's fingerprint;
-* a candidate key is the bytes of (computation, hardware, mapping)
-  fingerprints plus the candidate's canonical schedule row — the one key
-  kind of the evaluation memo;
 * a tuner-config fingerprint covers the exploration *budget* only —
   execution knobs (``n_workers``, ``cache_dir``, ``run_dir``) are
   excluded because they cannot change what the tuner returns, only how
@@ -43,7 +39,6 @@ from repro.mapping.physical import PhysicalMapping
 from repro.model.hardware_params import HardwareParams
 
 __all__ = [
-    "candidate_row_prefix",
     "computation_fingerprint",
     "hardware_fingerprint",
     "mapping_fingerprint",
@@ -117,20 +112,6 @@ def mapping_fingerprint(pm: PhysicalMapping) -> str:
     digest = _digest("|".join(parts))
     object.__setattr__(pm, "_fingerprint", digest)
     return digest
-
-
-def candidate_row_prefix(comp_fp: str, hw_fp: str, mapping_fp: str) -> bytes:
-    """Per-mapping prefix of the candidate memo keys.
-
-    A candidate key is this prefix plus the raw int64 bytes of the
-    candidate's width-trimmed schedule row (warp, seq, reduce_stage,
-    double_buffer, unroll, vectorize) — computable for a whole batch in
-    one pass with no ``describe()`` rendering.  Rows canonically mean
-    "every split present" (see
-    :func:`~repro.schedule.features.encode_rows`), which is why the
-    column bytes alone identify the schedule.
-    """
-    return f"{comp_fp}|{hw_fp}|{mapping_fp}|r:".encode()
 
 
 #: TunerConfig fields that change exploration *results*; everything else

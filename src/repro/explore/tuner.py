@@ -20,11 +20,11 @@ measures the kept default rows, and each refinement round mutates one
 row into a batch of neighbours.  Every batch lands in a
 :class:`TrialTable` as rows; only the best row is decoded and lowered,
 and :attr:`ExplorationResult.trials` decodes the rest on first read.
-The engine memoizes by canonical row key and evaluates in-process by
-default; with an opt-in ``TunerConfig.n_workers`` above 1 it evaluates
-large batches on a spawn-safe process pool — with results reassembled in
+The engine evaluates every row it is handed, in-process by default;
+with an opt-in ``TunerConfig.n_workers`` above 1 it evaluates large
+batches on a spawn-safe process pool — with results reassembled in
 submission order, so the tuner's output is byte-identical for any worker
-count and any cache temperature.
+count.
 """
 
 from __future__ import annotations
@@ -54,7 +54,13 @@ from repro.obs.logging import LEVELS, get_logger, log_level
 from repro.obs.runlog import FlightRecorder, active_recorder
 from repro.obs.trace import span as _obs_span
 from repro.obs.trace import tracing_enabled as _obs_enabled
-from repro.schedule.features import MappingTable, ScheduleBatch, schedules_from_rows, take_rows
+from repro.schedule.features import (
+    MappingTable,
+    ScheduleBatch,
+    row_keys,
+    schedules_from_rows,
+    take_rows,
+)
 from repro.schedule.lowering import ScheduledMapping, lower_schedule
 from repro.schedule.space import MUTATE_UNIFORMS, SpaceTable, default_rows
 
@@ -342,8 +348,6 @@ class Tuner:
         if keep <= 0 or n <= keep:
             return np.arange(n)
         with _obs_span("tuner.prefilter", candidates=n, keep=keep):
-            # Keyed like every evaluation, so the GA's seed rows (these
-            # rows at the kept mappings) later hit the same memo entries.
             costs = engine.predict_rows(np.arange(n), defaults)
             _obs_metrics.counter("model.predictions").inc(n)
             return np.argsort(costs, kind="stable")[:keep]
@@ -550,12 +554,20 @@ class Tuner:
             # Safety net: the default heuristic schedule of every kept
             # mapping is always measured, so a batch of model-favoured but
             # infeasible candidates cannot leave the tuner empty-handed.
-            # Seed rows the ranked pass already measured (same memo key)
-            # are skipped: re-appending them would double-count
-            # measurements in the trials and telemetry.
-            done = set(engine.row_keys(measured_mi, measured_batch))
+            # Seed rows the ranked pass already measured (same mapping,
+            # same canonical row) are skipped: re-appending them would
+            # double-count measurements in the trials and telemetry.
+            def keys_of(mi: np.ndarray, batch: ScheduleBatch) -> list[bytes]:
+                return row_keys(
+                    mi,
+                    batch,
+                    lambda m: m.to_bytes(8, "little"),
+                    lambda m: int(engine.table.n_spatial[m]),
+                )
+
+            done = set(keys_of(measured_mi, measured_batch))
             net = np.flatnonzero(
-                [key not in done for key in engine.row_keys(selected, seed_rows)]
+                [key not in done for key in keys_of(selected, seed_rows)]
             )
             measure(net, take_rows(seed_rows, net))
         if not any(meas < float("inf") for meas, *_ in trials.measured()):

@@ -7,15 +7,16 @@ Everything here consumes the event bus (:mod:`repro.obs.events`):
   compile cache: a crash can tear at most the final line, and
   :func:`load_events` resynchronises past torn lines instead of dying.
 * :class:`HealthMonitor` — pure, replayable detectors over the event
-  stream: no-progress intervals, fitness stagnation over k generations,
-  cache-hit-rate collapse after warm-up.
+  stream: no-progress intervals and fitness stagnation over k
+  generations.
   :func:`attach_health_monitor` wires one to the live bus, republishing
   detections as ``health.warning`` events and ``obs.health.*`` counters
   (which the flight recorder folds into the run manifest).
 * :class:`WatchState` + :func:`render_dashboard` — the aggregation and
   terminal rendering behind ``python -m repro watch <run-dir>``:
-  generation fitness/diversity, the mapping funnel, cache hit rates,
-  pool counters, health warnings and an ETA from budget progress.
+  generation fitness/diversity, the mapping funnel, engine rows and
+  compile-cache hits, pool counters, health warnings and an ETA from
+  budget progress.
 
 Counted facts reach the stream only as ``metric.inc`` events published
 by ``Counter.inc`` itself.  :class:`WatchState` sums them per counter
@@ -192,19 +193,12 @@ class HealthConfig:
     search is flagged stalled.  ``stagnation_generations``: GA window —
     the best finite fitness of the last k generations must improve on
     the best before them by ``stagnation_rel_tol`` (relative) or the
-    search is flagged stagnant.  Cache collapse: once the rolling hit
-    rate over the last ``cache_window`` engine batches has ever reached
-    ``cache_warm_rate``, dropping below ``cache_collapse_rate`` flags a
-    collapse (a cold start is not a collapse).
+    search is flagged stagnant.
     """
 
     no_progress_s: float = 30.0
     stagnation_generations: int = 5
     stagnation_rel_tol: float = 1e-3
-    cache_window: int = 20
-    cache_min_heartbeats: int = 8
-    cache_collapse_rate: float = 0.05
-    cache_warm_rate: float = 0.20
 
 
 class HealthMonitor:
@@ -217,11 +211,8 @@ class HealthMonitor:
     condition clears, so a render loop polling every second does not
     emit a warning per tick.
 
-    The cache detector reads ``metric.inc`` records.  The engine
-    increments ``engine.cache.hit`` then ``engine.cache.miss`` once per
-    batch (zero amounts included), so each miss record closes one batch
-    of the cache window.  The detectors' own ``obs.health.*`` records,
-    and counters no detector reads (old streams hold some), are ignored.
+    The detectors' own ``obs.health.*`` records are ignored; every other
+    event counts as progress.
     """
 
     #: Event types that never count as (or affect) health signals.
@@ -231,11 +222,6 @@ class HealthMonitor:
         self.config = config or HealthConfig()
         self.last_progress_wall: float | None = None
         self.best_history: list[float] = []  # per-generation best (inf for none)
-        self._batches: deque[tuple[float, float]] = deque(
-            maxlen=self.config.cache_window
-        )
-        self._batch_hits = 0.0
-        self._best_rate = 0.0
         self._latched: set[str] = set()
         self.warnings: list[dict[str, Any]] = []
 
@@ -265,14 +251,8 @@ class HealthMonitor:
         self.last_progress_wall = t_wall
         self._latched.discard("no_progress")  # progress resumed; re-arm
 
-        amount = data.get("amount", 0)
         if etype == "ga.generation":
             fired.extend(self._observe_generation(data))
-        elif name == "engine.cache.hit":
-            self._batch_hits = float(amount)
-        elif name == "engine.cache.miss":
-            fired.extend(self._observe_batch(self._batch_hits, float(amount)))
-            self._batch_hits = 0.0
         self.warnings.extend(fired)
         return fired
 
@@ -321,35 +301,6 @@ class HealthMonitor:
                 f"(stuck at {recent:.4g})",
                 generations=k,
                 best_fitness=recent,
-            )
-        ]
-
-    def _observe_batch(self, hits: float, misses: float) -> list[dict[str, Any]]:
-        self._batches.append((hits, misses))
-        if len(self._batches) < self.config.cache_min_heartbeats:
-            return []
-        hits = sum(h for h, _ in self._batches)
-        total = hits + sum(m for _, m in self._batches)
-        if not total:
-            return []
-        rate = hits / total
-        self._best_rate = max(self._best_rate, rate)
-        if rate >= self.config.cache_collapse_rate:
-            self._latched.discard("cache_collapse")
-            return []
-        if (
-            self._best_rate < self.config.cache_warm_rate
-            or "cache_collapse" in self._latched
-        ):
-            return []
-        self._latched.add("cache_collapse")
-        return [
-            self._warn(
-                "cache_collapse",
-                f"memo cache hit rate collapsed to {rate:.1%} "
-                f"(was {self._best_rate:.1%})",
-                hit_rate=round(rate, 4),
-                best_rate=round(self._best_rate, 4),
             )
         ]
 
@@ -411,7 +362,9 @@ class WatchState:
     funnel: dict[str, int] = field(default_factory=dict)
     generations: list[dict[str, Any]] = field(default_factory=list)
     counters: dict[str, float] = field(default_factory=dict)
-    #: Engine batches seen: one ``engine.cache.miss`` record per batch.
+    #: Engine batches seen: one ``engine.rows`` record per batch (one
+    #: ``engine.cache.miss`` record in streams recorded while the engine
+    #: kept a row memo).
     heartbeats: int = 0
     lanes: set = field(default_factory=set)
     warnings: list[dict[str, Any]] = field(default_factory=list)
@@ -448,7 +401,7 @@ class WatchState:
         elif etype == "metric.inc":
             name = str(data["name"])
             self.counters[name] = self.counters.get(name, 0.0) + data["amount"]
-            if name == "engine.cache.miss":
+            if name in ("engine.rows", "engine.cache.miss"):
                 self.heartbeats += 1
         elif etype == "health.warning":
             self.warnings.append(data)
@@ -464,12 +417,6 @@ class WatchState:
     def sections(self) -> dict[str, dict[str, float]]:
         """The manifest's counter sections, folded from this stream."""
         return counter_sections(self.counters)
-
-    @property
-    def memo_hit_rate(self) -> float | None:
-        cache = self.sections()["cache"]
-        total = cache["memo_hits"] + cache["memo_misses"]
-        return cache["memo_hits"] / total if total else None
 
     def eta_s(self, now_wall: float | None = None) -> float | None:
         """Rough remaining time from GA budget progress (None once the
@@ -570,12 +517,9 @@ def render_dashboard(state: WatchState, now_wall: float | None = None) -> str:
     lines.append("-- engine --")
     sections = state.sections()
     cache = sections["cache"]
-    rate = state.memo_hit_rate
-    if rate is not None:
-        hits = _fmt_count(cache["memo_hits"])
-        total = _fmt_count(cache["memo_hits"] + cache["memo_misses"])
+    if state.heartbeats:
         lines.append(
-            f"  memo cache hit rate: {rate:.1%} ({hits}/{total}) "
+            f"  rows evaluated: {_fmt_count(cache['rows'])} "
             f"over {state.heartbeats} batches"
         )
     else:

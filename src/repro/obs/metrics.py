@@ -2,7 +2,7 @@
 
 The registry complements the span tracer: spans say *where time goes*,
 counters say *how often things happen* — how many candidate mappings the
-enumerator rejected, how many engine rows hit the memo, which pipeline
+enumerator rejected, how many rows the engine evaluated, which pipeline
 bounded each simulated kernel, and so on.
 
 Like the tracer, every recording call is gated on the module-global obs

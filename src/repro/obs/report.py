@@ -122,16 +122,14 @@ def _engine_section(record: RunRecord, skipped_lines: float) -> list[str]:
         return f"{hits / total:.1%} ({int(hits)}/{int(total)})"
 
     lines = []
+    rows = cache.get("rows", 0.0)
+    if rows:
+        lines.append(f"  engine rows evaluated:   {int(rows)}")
+    # Manifests written while the engine kept a row memo.
     memo_hits = cache.get("memo_hits", 0.0)
     memo_misses = cache.get("memo_misses", 0.0)
     if memo_hits or memo_misses:
         lines.append(f"  memo cache hit rate:     {rate(memo_hits, memo_misses)}")
-    evictions = cache.get("memo_evictions", 0.0)
-    if evictions:
-        lines.append(
-            f"  memo cache evictions:    {int(evictions)} "
-            "(working set exceeds capacity; hit rate understates re-evaluation)"
-        )
     cc_hits = cache.get("compile_cache_hits", 0.0)
     cc_misses = cache.get("compile_cache_misses", 0.0)
     if cc_hits or cc_misses:

@@ -69,7 +69,7 @@ class RunRecord:
     Field groups map to the paper's signals: ``funnel`` is the Sec 5.3 /
     Table 6 mapping funnel, ``model_quality`` the Fig 5 rank-accuracy
     numbers, ``phases`` the per-stage wall-time split, ``cache`` the
-    engine's memo, compile-cache and pool counts.
+    engine's row, compile-cache and pool counts.
     """
 
     run_id: str = ""
@@ -193,11 +193,12 @@ _active: ContextVar["FlightRecorder | None"] = ContextVar(
     "repro_obs_flight_recorder", default=None
 )
 
-#: Metric names summarised into RunRecord.cache.
+#: Metric names summarised into RunRecord.cache.  Manifests written
+#: while the engine kept a row memo hold ``memo_hits``/``memo_misses``
+#: (and ``memo_evictions``) instead of ``rows``; readers take them with
+#: ``.get``.
 _CACHE_COUNTERS = {
-    "memo_hits": "engine.cache.hit",
-    "memo_misses": "engine.cache.miss",
-    "memo_evictions": "engine.cache.evictions",
+    "rows": "engine.rows",
     "compile_cache_hits": "engine.compile_cache.hit",
     "compile_cache_misses": "engine.compile_cache.miss",
     "pool_tasks": "engine.pool.tasks",
@@ -223,11 +224,17 @@ def counter_sections(counters: dict[str, float]) -> dict[str, dict[str, float]]:
             if name.startswith(prefix) and value
         }
 
+    cache = {
+        label: counters.get(metric, 0.0) for label, metric in _CACHE_COUNTERS.items()
+    }
+    if "engine.rows" not in counters:
+        # A stream recorded while the engine kept a row memo: every row
+        # it was asked for was a hit or a miss.
+        cache["rows"] = counters.get("engine.cache.hit", 0.0) + counters.get(
+            "engine.cache.miss", 0.0
+        )
     return {
-        "cache": {
-            label: counters.get(metric, 0.0)
-            for label, metric in _CACHE_COUNTERS.items()
-        },
+        "cache": cache,
         "health": prefixed("obs.health."),
     }
 
@@ -404,8 +411,7 @@ class FlightRecorder:
         }
         critical = _trace.critical_path(spans)
         sections = counter_sections(counters)
-        cache = sections["cache"]
-        submitted = cache["memo_hits"] + cache["memo_misses"]
+        rows = sections["cache"]["rows"]
         quality = {
             k: v
             for k, v in self.log.model_quality().items()
@@ -421,7 +427,7 @@ class FlightRecorder:
             tuner_config=dataclasses.asdict(self.config) if self.config else {},
             outcome=dict(self._outcome),
             wall_s=wall_s,
-            candidates_per_sec=submitted / wall_s if wall_s > 0 else 0.0,
+            candidates_per_sec=rows / wall_s if wall_s > 0 else 0.0,
             phases=phases,
             funnel=self.log.funnel.to_dict(),
             critical_path=critical,

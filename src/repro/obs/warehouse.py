@@ -147,8 +147,7 @@ def _summarise_events(events: list[dict[str, Any]], stream: str) -> dict[str, An
         "events": state.events_seen,
         "invalid_events": state.invalid_events,
         "heartbeats": state.heartbeats,
-        "memo_hits": cache["memo_hits"],
-        "memo_misses": cache["memo_misses"],
+        "rows": cache["rows"],
         "compile_cache": compile_cache,
         "generations": len(state.generations),
         "lanes": sorted(state.lanes),

@@ -286,7 +286,7 @@ def encode_rows(
 
     Every spatial split is materialised (a split the schedule leaves out
     reads as the identity split), so a schedule and its canonical form
-    encode to one row, one memo key and one simulator jitter key.  Rows
+    encode to one row, one row key and one simulator jitter key.  Rows
     narrower than the widest ``names`` are padded with identity splits.
     """
     width = max((len(row_names) for row_names in names), default=0)
@@ -389,7 +389,7 @@ def render_describes(
 
     The rendered string equals ``schedules_from_rows(...)[i].describe()``
     exactly.  ``indices`` restricts rendering to the rows that need a
-    string (memo-miss rows headed for jitter encoding, trial records).
+    string (rows headed for jitter encoding, trial records).
     """
     order = _sorted_name_order(names)
     rows = slice(None) if indices is None else np.asarray(indices, dtype=np.intp)

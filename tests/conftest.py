@@ -6,13 +6,19 @@ guard that fails any test leaving the intrinsic registry changed."""
 import zlib
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 import repro.engine.engine as engine_mod
+from repro.engine.fingerprint import (
+    computation_fingerprint,
+    hardware_fingerprint,
+    mapping_fingerprint,
+)
 from repro.ir import Tensor, compute, reduce_axis, spatial_axis
 from repro.isa import get_intrinsic, registry
 from repro.model.perf_model import predict_latency
-from repro.schedule.features import schedules_from_rows
+from repro.schedule.features import row_keys, schedules_from_rows
 from repro.schedule.lowering import lower_schedule
 from repro.sim.timing import simulate_cycles
 
@@ -43,9 +49,31 @@ def tensorcore():
 
 @pytest.fixture
 def pool_every_batch(monkeypatch):
-    """With ``n_workers > 1``, evaluate every miss batch on the pool,
+    """With ``n_workers > 1``, evaluate every engine batch on the pool,
     however small (``n_workers=1`` stays in-process)."""
     monkeypatch.setattr(engine_mod, "MIN_POOL_BATCH", 1)
+
+
+def candidate_row_prefix(comp_fp: str, hw_fp: str, mapping_fp: str) -> bytes:
+    """Per-mapping prefix of a candidate's content key: the key is this
+    prefix plus the raw int64 bytes of the candidate's schedule row,
+    splits trimmed to the mapping's own width."""
+    return f"{comp_fp}|{hw_fp}|{mapping_fp}|r:".encode()
+
+
+def candidate_keys(engine, mapping_indices, batch) -> list[bytes]:
+    """Content keys of an engine's batch rows: independent of the
+    batch's padding and of the engine's mapping order."""
+    comp_fp = computation_fingerprint(engine.comp)
+    hw_fp = hardware_fingerprint(engine.hardware)
+    return row_keys(
+        np.asarray(mapping_indices, dtype=np.int64),
+        batch,
+        lambda mi: candidate_row_prefix(
+            comp_fp, hw_fp, mapping_fingerprint(engine.physical[mi])
+        ),
+        lambda mi: int(engine.table.n_spatial[mi]),
+    )
 
 
 @dataclass
@@ -61,26 +89,25 @@ class ParityTally:
 def scalar_parity(monkeypatch):
     """Re-check the rows the engine evaluates against the scalar oracle.
 
-    ``scalar_parity(rate)`` wraps ``EvaluationEngine._evaluate_misses``
-    for the rest of the test, so inline and pooled batches are both seen.
-    A row is sampled when the ``zlib.crc32`` of its memo key is below
+    ``scalar_parity(rate)`` wraps ``EvaluationEngine._evaluate_rows``,
+    the engine's one evaluation call, for the rest of the test, so
+    inline and pooled batches are both seen.  A row is sampled when the
+    ``zlib.crc32`` of its :func:`candidate_keys` key is below
     ``rate * 2**32``: deterministic per candidate, so a tune samples the
     same rows on every run.  Each sampled row is decoded, lowered and run
     through ``predict_latency`` (and ``simulate_cycles`` when the batch
     measures); the pair must equal the engine's result exactly.
     Returns the :class:`ParityTally`; calling again restarts it.
     """
-    evaluate = engine_mod.EvaluationEngine._evaluate_misses
+    evaluate = engine_mod.EvaluationEngine._evaluate_rows
 
     def install(rate: float = 1.0) -> ParityTally:
         tally = ParityTally()
         threshold = int(rate * 0x100000000)
 
-        def checked(self, mapping_indices, batch, measure, use_pool):
-            predicted, measured = evaluate(
-                self, mapping_indices, batch, measure, use_pool
-            )
-            keys = self.row_keys(mapping_indices, batch)
+        def checked(self, mapping_indices, batch, measure):
+            predicted, measured = evaluate(self, mapping_indices, batch, measure)
+            keys = candidate_keys(self, mapping_indices, batch)
             for i, key in enumerate(keys):
                 if zlib.crc32(key) >= threshold:
                     continue
@@ -103,9 +130,7 @@ def scalar_parity(monkeypatch):
                     tally.mismatches.append((key, result, oracle))
             return predicted, measured
 
-        monkeypatch.setattr(
-            engine_mod.EvaluationEngine, "_evaluate_misses", checked
-        )
+        monkeypatch.setattr(engine_mod.EvaluationEngine, "_evaluate_rows", checked)
         return tally
 
     return install

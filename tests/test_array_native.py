@@ -46,12 +46,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.engine import (
-    EvaluationEngine,
-    MemoCache,
-    reset_compile_caches,
-    reset_global_memo,
-)
+from conftest import candidate_keys
+from repro.engine import EvaluationEngine, reset_compile_caches
 from repro.explore.genetic import GAResult, GeneticConfig, genetic_search_rows
 from repro.explore.random_search import random_search
 from repro.explore.tuner import Tuner, TunerConfig
@@ -86,12 +82,10 @@ from repro.sim.timing import simulate_cycles
 def clean_state():
     obs.disable()
     obs.reset()
-    reset_global_memo()
     reset_compile_caches()
     yield
     obs.disable()
     obs.reset()
-    reset_global_memo()
     reset_compile_caches()
 
 
@@ -268,9 +262,7 @@ class TestEngineRowPath:
         schedule objects they encode."""
         hw, comp, physical, _, _ = _ga_context()
         items = self._items(hw, comp, physical)
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
             mi_arr, batch = engine.encode_rows(items)
             row_pred = engine.predict_rows(mi_arr, batch)
             row_p, row_m = engine.measure_rows(mi_arr, batch)
@@ -286,7 +278,8 @@ class TestEngineRowPath:
         schedule that leaves a spatial split out would measure
         differently from its canonical form if it were keyed as is.  The
         object adapter canonicalises first: it measures exactly the
-        canonical schedule, and the canonical row is then a memo hit."""
+        canonical schedule, the canonical row measures the same bits, and
+        each call counts its one row on ``engine.rows``."""
         hw, comp, physical, _, _ = _ga_context()
         pm = physical[0]
         name = ScheduleSpace(pm).spatial_names[0]
@@ -300,30 +293,25 @@ class TestEngineRowPath:
         assert stripped.describe() != canonical.describe()
         sm = lower_schedule(pm, canonical)
         obs.enable()
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
             [(predicted, measured)] = engine.measure_many([(0, stripped)])
             assert predicted == predict_latency(sm, hw).total_us
             assert measured == simulate_cycles(sm, hw).total_us
-            registry = obs.get_registry()
-            hits = registry.counter("engine.cache.hit").value
-            misses = registry.counter("engine.cache.miss").value
+            rows = obs.get_registry().counter("engine.rows")
+            assert rows.value == 1
             mi_arr, batch = engine.encode_rows([(0, canonical)])
             rows_p, rows_m = engine.measure_rows(mi_arr, batch)
-            assert registry.counter("engine.cache.hit").value == hits + 1
-            assert registry.counter("engine.cache.miss").value == misses
+            assert rows.value == 2
         assert (rows_p.tolist(), rows_m.tolist()) == ([predicted], [measured])
 
     def test_row_keys_invariant_to_joint_padding(self):
-        """A schedule's memo key must not depend on which batch it rides
-        in: padding the batch with extra identity-split columns (as a
-        joint population does for narrower mappings) keeps keys equal."""
+        """A row must not depend on which batch it rides in: padding the
+        batch with extra identity-split columns (as a joint population
+        does for narrower mappings) keeps its content key and its
+        evaluated bits equal."""
         hw, comp, physical, _, _ = _ga_context()
         items = self._items(hw, comp, physical, count=4)
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
             mi_arr, batch = engine.encode_rows(items)
             pad = np.ones((len(batch), 2), dtype=np.int64)
             padded = ScheduleBatch(
@@ -334,37 +322,36 @@ class TestEngineRowPath:
                 unroll=batch.unroll,
                 vectorize=batch.vectorize,
             )
-            assert engine.row_keys(mi_arr, batch) == engine.row_keys(mi_arr, padded)
+            assert candidate_keys(engine, mi_arr, batch) == candidate_keys(
+                engine, mi_arr, padded
+            )
+            plain = engine.measure_rows(mi_arr, batch)
+            wide = engine.measure_rows(mi_arr, padded)
+        assert [a.tolist() for a in plain] == [b.tolist() for b in wide]
 
     def test_rows_and_objects_share_the_memo(self):
-        """Objects and their rows address the same memo entry: a
-        predict_rows pass after predict_many of the same candidates
-        computes nothing new and returns the same bits."""
+        """Objects and their rows are one candidate: a predict_rows pass
+        after predict_many of the same candidates returns the same bits,
+        and each pass evaluates (and counts) every row again."""
         hw, comp, physical, _, _ = _ga_context()
         items = self._items(hw, comp, physical, count=6)
         obs.enable()
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
             first = engine.predict_many(items)
-            before = obs.get_registry().counter("engine.cache.miss").value
+            before = obs.get_registry().counter("engine.rows").value
             mi_arr, batch = engine.encode_rows(items)
             second = engine.predict_rows(mi_arr, batch)
-            after = obs.get_registry().counter("engine.cache.miss").value
+            after = obs.get_registry().counter("engine.rows").value
         assert first == second.tolist()
-        assert after == before  # all hits on the warm pass
+        assert before == after - before == len(items)
 
     def test_pooled_rows_equal_inline_rows(self, pool_every_batch):
         hw, comp, physical, _, _ = _ga_context()
         items = self._items(hw, comp, physical, count=10)
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
             mi_arr, batch = engine.encode_rows(items)
             inline = engine.measure_rows(mi_arr, batch)
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=4, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=4) as engine:
             mi_arr, batch = engine.encode_rows(items)
             pooled = engine.measure_rows(mi_arr, batch)
         assert inline[0].tolist() == pooled[0].tolist()
@@ -376,9 +363,7 @@ class TestEngineRowPath:
         hw, comp, physical, _, _ = _ga_context()
         items = self._items(hw, comp, physical, count=8)
         parity = scalar_parity(1.0)
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
             mi_arr, batch = engine.encode_rows(items)
             engine.measure_rows(mi_arr, batch)
         assert parity.checked == len(items)
@@ -461,7 +446,6 @@ def _manifest(result):
 
 
 def _tune(hw_name, params, **overrides):
-    reset_global_memo()
     config = TunerConfig(n_workers=1, **QUICK)
     config = dataclasses.replace(config, **overrides)
     return Tuner(get_hardware(hw_name), config).tune(
@@ -469,11 +453,12 @@ def _tune(hw_name, params, **overrides):
     )
 
 
-#: Candidates ``scalar_parity`` checks in a v100 tune at the QUICK
-#: budget, per sampling rate (the crc32 sample of the row keys is
-#: deterministic, so the count is too; the runtime check it replaced
-#: sampled by the same rule and counted the same).
-WATCHDOG_CHECKED = {0.0: 0, 0.25: 14, 1.0: 35}
+#: Rows ``scalar_parity`` checks in a v100 tune at the QUICK budget, per
+#: sampling rate (the crc32 sample of the candidate keys is
+#: deterministic, so the count is too).  Every row the engine evaluates
+#: is seen, repeats included: at rate 1.0 the count is the tune's
+#: ``engine.rows``.
+WATCHDOG_CHECKED = {0.0: 0, 0.25: 16, 1.0: 39}
 
 
 def _golden(result):
@@ -510,9 +495,8 @@ class TestTunerGaArrays:
             assert got == GOLDEN[hw_name], hw_name
 
     def test_cache_counters_equivalent(self):
-        """The cache telemetry is part of the result: prefilter rows seed
-        the memo entries the GA's seeds re-hit, and the pool changes
-        nothing about which rows hit or miss."""
+        """The engine telemetry is part of the result: the pool changes
+        nothing about how many batches and rows the engine evaluates."""
         counters = {}
         for n_workers in (1, 4):
             obs.reset()
@@ -520,13 +504,13 @@ class TestTunerGaArrays:
             _tune("v100", DEVICES[0][1], n_workers=n_workers)
             registry = obs.get_registry()
             counters[n_workers] = (
-                registry.counter("engine.cache.hit").value,
-                registry.counter("engine.cache.miss").value,
+                sum(s.name == "engine.batch" for s in obs.get_tracer().spans()),
+                registry.counter("engine.rows").value,
                 registry.counter("model.predictions").value,
                 registry.counter("tuner.measurements").value,
             )
             obs.disable()
-        assert counters[1] == counters[4] == (4, 35, 19, 20)
+        assert counters[1] == counters[4] == (9, 39, 19, 20)
 
     @pytest.mark.parametrize("rate", sorted(WATCHDOG_CHECKED))
     def test_watchdog_parity_across_modes(self, rate, scalar_parity):
@@ -655,19 +639,19 @@ class TestTunerGaArrays:
     def test_ga_seed_rows_are_prefilter_memo_hits(self, monkeypatch):
         """With more mappings than the prefilter keeps (105 > 24), the
         GA's generation-0 seed rows — each kept mapping's default
-        schedule, padded to the population's joint width — are served
-        from the memo entries the prefilter's default rows left,
-        and each keys like the same schedule encoded alone, unpadded:
-        padded GA rows and encoded rows share one key format."""
+        schedule, padded to the population's joint width — are rows the
+        prefilter ranked, evaluated again to the prefilter's bits, and
+        each keys like the same schedule encoded alone, unpadded: padded
+        GA rows and encoded rows are one candidate."""
         calls = []
         evaluate = EvaluationEngine._evaluate_rows
 
         def spy(self, mapping_indices, batch, measure):
             mapping_indices = np.asarray(mapping_indices, dtype=np.int64)
-            keys = self.row_keys(mapping_indices, batch)
-            known = [self.memo.get_prediction(k) is not None for k in keys]
-            calls.append((self, mapping_indices, batch, keys, known))
-            return evaluate(self, mapping_indices, batch, measure)
+            keys = candidate_keys(self, mapping_indices, batch)
+            result = evaluate(self, mapping_indices, batch, measure)
+            calls.append((self, mapping_indices, batch, keys, result[0].tolist()))
+            return result
 
         monkeypatch.setattr(EvaluationEngine, "_evaluate_rows", spy)
         config = TunerConfig(
@@ -678,18 +662,20 @@ class TestTunerGaArrays:
         kept = config.prefilter_mappings
         assert result.num_mappings == kept
 
-        _, _, _, prefilter_keys, _ = calls[0]
+        _, _, _, prefilter_keys, prefilter_us = calls[0]
         assert len(prefilter_keys) > kept
-        engine, ga_mi, ga_batch, ga_keys, ga_known = calls[1]
+        engine, ga_mi, ga_batch, ga_keys, ga_us = calls[1]
         seeds = min(kept, config.population)
-        assert ga_known[:seeds] == [True] * seeds
-        assert set(ga_keys[:seeds]) <= set(prefilter_keys)
+        ranked = dict(zip(prefilter_keys, prefilter_us))
+        assert [ranked[key] for key in ga_keys[:seeds]] == ga_us[:seeds]
         padded = 0
         for i in range(seeds):
             names = engine.table.spatial_names(int(ga_mi[i]))
             padded += len(names) < ga_batch.warp.shape[1]
             (schedule,) = schedules_from_rows(names, ga_batch, [i])
-            alone = engine.row_keys(*engine.encode_rows([(int(ga_mi[i]), schedule)]))
+            alone = candidate_keys(
+                engine, *engine.encode_rows([(int(ga_mi[i]), schedule)])
+            )
             assert alone == [ga_keys[i]]
         assert padded  # some seed row is narrower than the population
 
@@ -697,18 +683,18 @@ class TestTunerGaArrays:
         """On xeon_4110 (a 2-warp cap) the prefilter ranks default rows
         under the device's own warp budget: every row it ranks is
         feasible under ``batch_simulate``, and the GA's seed rows are
-        served from the memo entries those rows left.  A 4-warp budget
-        would make every Xeon default row infeasible and every seed a
-        miss."""
+        rows it ranked, evaluated again to its bits.  A 4-warp budget
+        would make every Xeon default row infeasible and no seed one of
+        the ranked rows."""
         calls = []
         evaluate = EvaluationEngine._evaluate_rows
 
         def spy(self, mapping_indices, batch, measure):
             mapping_indices = np.asarray(mapping_indices, dtype=np.int64)
-            keys = self.row_keys(mapping_indices, batch)
-            known = [self.memo.get_prediction(k) is not None for k in keys]
-            calls.append((self, mapping_indices, batch, keys, known))
-            return evaluate(self, mapping_indices, batch, measure)
+            keys = candidate_keys(self, mapping_indices, batch)
+            result = evaluate(self, mapping_indices, batch, measure)
+            calls.append((self, mapping_indices, batch, keys, result[0].tolist()))
+            return result
 
         monkeypatch.setattr(EvaluationEngine, "_evaluate_rows", spy)
         hw = get_hardware("xeon_4110")
@@ -724,15 +710,15 @@ class TestTunerGaArrays:
         kept = config.prefilter_mappings
         assert result.num_mappings == kept
 
-        engine, prefilter_mi, prefilter_batch, prefilter_keys, _ = calls[0]
+        engine, prefilter_mi, prefilter_batch, prefilter_keys, prefilter_us = calls[0]
         assert len(prefilter_keys) > kept
         timing = batch_simulate(engine.table, prefilter_mi, prefilter_batch, hw)
         assert np.isfinite(timing.total_us).all()
 
-        _, _, _, ga_keys, ga_known = calls[1]
+        _, _, _, ga_keys, ga_us = calls[1]
         seeds = min(kept, config.population)
-        assert ga_known[:seeds] == [True] * seeds
-        assert set(ga_keys[:seeds]) <= set(prefilter_keys)
+        ranked = dict(zip(prefilter_keys, prefilter_us))
+        assert [ranked[key] for key in ga_keys[:seeds]] == ga_us[:seeds]
         assert int(prefilter_batch.warp.prod(axis=1).max()) <= (
             hw.max_warps_per_subcore * hw.subcores_per_core
         )
@@ -939,9 +925,7 @@ class TestRandomSearchFitnessMany:
         """One call over every row ranks exactly like scoring each row in
         its own 1-row call."""
         hw, comp, physical = self._setup()
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
             per_row = random_search(
                 physical,
                 lambda mi, b: np.concatenate(
@@ -950,9 +934,7 @@ class TestRandomSearchFitnessMany:
                 trials=24,
                 seed=9,
             )
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
             batched = random_search(physical, engine.predict_rows, trials=24, seed=9)
         assert len(batched) == 24
         assert _ranked(per_row) == _ranked(batched)

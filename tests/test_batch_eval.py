@@ -19,12 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    EvaluationEngine,
-    MemoCache,
-    reset_compile_caches,
-    reset_global_memo,
-)
+from repro.engine import EvaluationEngine, reset_compile_caches
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.isa.registry import intrinsics_for_target
@@ -49,10 +44,8 @@ from repro.sim.timing import simulate_cycles
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    reset_global_memo()
     reset_compile_caches()
     yield
-    reset_global_memo()
     reset_compile_caches()
 
 
@@ -345,7 +338,7 @@ class TestEngineVectorized:
     def test_vectorized_engine_matches_scalar_engine(self):
         hw, comp, physical, items = self._context()
         with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
+            comp, physical, hw, n_workers=1
         ) as engine:
             vec = engine.measure_many(items)
         assert vec == self._scalar(hw, physical, items)
@@ -353,7 +346,7 @@ class TestEngineVectorized:
     def test_vectorized_predictions_match(self):
         hw, comp, physical, items = self._context()
         with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
+            comp, physical, hw, n_workers=1
         ) as engine:
             vec = engine.predict_many(items)
         assert vec == [p for p, _ in self._scalar(hw, physical, items)]
@@ -363,7 +356,7 @@ class TestEngineVectorized:
         numpy scalars, for the persistent compile cache."""
         hw, comp, physical, items = self._context()
         with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
+            comp, physical, hw, n_workers=1
         ) as engine:
             for predicted, measured in engine.measure_many(items[:8]):
                 assert type(predicted) is float
@@ -385,7 +378,6 @@ class TestTunerVectorized:
             refine_neighbors=4,
             n_workers=1,
         )
-        reset_global_memo()
         result = Tuner(hw, config).tune(comp)
         assert result.trials
         for trial in result.trials:

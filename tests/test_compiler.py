@@ -6,7 +6,6 @@ import pytest
 
 import repro.explore.tuner as tuner
 from repro import amos_compile, evaluate_network, get_hardware, make_operator
-from repro.engine.cache import reset_global_memo
 from repro.engine.fingerprint import mapping_fingerprint
 from repro.engine.pool import WorkerPool
 from repro.evaluation import AmosBackend, non_tensor_cost_us
@@ -196,7 +195,6 @@ class TestDefaultInline:
             raise AssertionError("a default compile started a WorkerPool")
 
         monkeypatch.setattr(WorkerPool, "__init__", refuse)
-        reset_global_memo()  # memo hits would hide the evaluations
 
     def test_default_compile_starts_no_pool(self, no_pool):
         kernel = amos_compile(make_operator("C2D", n=1, c=16, k=16, h=8, w=8), "v100")
@@ -211,7 +209,6 @@ class TestDefaultInline:
 
     def test_opt_in_pool_picks_the_same_kernel(self, monkeypatch):
         comp = make_operator("C2D", n=1, c=16, k=16, h=8, w=8)
-        reset_global_memo()
         inline = amos_compile(comp, "v100", TunerConfig(seed=5), emit_source=True)
 
         started = []
@@ -222,7 +219,6 @@ class TestDefaultInline:
             start(self, *args, **kwargs)
 
         monkeypatch.setattr(WorkerPool, "__init__", counting)
-        reset_global_memo()
         pooled = amos_compile(
             comp, "v100", TunerConfig(seed=5, n_workers=2), emit_source=True
         )
@@ -260,12 +256,10 @@ class TestLoweringMemo:
 
     def test_second_compile_lowers_and_tables_nothing(self, counted):
         comp = make_operator("C2D", **self.C2D)
-        reset_global_memo()
         cold = amos_compile(comp, "v100", FAST)
         assert counted["lowered"] >= cold.num_mappings > 1
         assert counted["tables"] == 1
         counted.update(lowered=0, tables=0)
-        reset_global_memo()  # the warm compile evaluates everything again
         warm = amos_compile(comp, "v100", FAST)
         assert counted == {"lowered": 0, "tables": 0}
         assert warm.latency_us == cold.latency_us
@@ -344,12 +338,10 @@ class TestLoweringMemo:
         full = Tuner(hw, FAST).candidate_mappings(comp)
         subset = full[1:9:2]
         Tuner(hw, FAST).tune(comp)  # the full list's table is memoized
-        reset_global_memo()
         shared = Tuner(hw, FAST).tune(comp, mappings=subset)
         assert shared.trial_table.mappings.physical == tuple(subset)
 
         tuner.clear_lowering_memo()
-        reset_global_memo()
         copy = [lower_to_physical(pm.compute) for pm in subset]
         fresh = Tuner(hw, FAST).tune(comp, mappings=copy)
         assert shared.best_us == fresh.best_us

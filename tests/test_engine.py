@@ -1,15 +1,17 @@
-"""The evaluation engine: fingerprints, memo, pool, persistent cache.
+"""The evaluation engine: fingerprints, row evaluation, pool, persistent
+cache.
 
 The engine's contract is "same answer, faster": everything here checks
-that worker count, batch shape, memo temperature and on-disk cache state
-can never change what the tuner or compiler returns — and that invalid
-cache state is ignored rather than served.
+that worker count, batch shape, a repeat tune in one process and on-disk
+cache state can never change what the tuner or compiler returns — and
+that invalid cache state is ignored rather than served.
 """
 
 import dataclasses
 import hashlib
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -19,13 +21,11 @@ from repro.engine import (
     CACHE_VERSION,
     CompileCache,
     EvaluationEngine,
-    MemoCache,
     compile_cache_for,
     computation_fingerprint,
     hardware_fingerprint,
     mapping_fingerprint,
     reset_compile_caches,
-    reset_global_memo,
     resolve_workers,
     tuner_config_fingerprint,
 )
@@ -66,10 +66,8 @@ def tune_fingerprint(result) -> list[tuple]:
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    reset_global_memo()
     reset_compile_caches()
     yield
-    reset_global_memo()
     reset_compile_caches()
 
 
@@ -189,18 +187,45 @@ class TestFingerprints:
 
 
 class TestMemoCache:
+    """The engine keeps no row memo.  What is left of one is the row
+    count perfbench reads as ``engine.memo``."""
+
     def test_roundtrip_and_separation(self):
-        memo = MemoCache()
-        memo.put_prediction(b"k", 1.0)
-        assert memo.get_prediction(b"k") == 1.0
-        assert memo.get_measurement(b"k") is None
+        """``memo.predictions`` counts the rows the engine predicted and
+        ``memo.measurements`` the rows it measured, duplicates included,
+        so perfbench's memo hit fraction reads 0."""
+        comp, physical = small_physical()
+        engine = EvaluationEngine(comp, physical, get_hardware("v100"))
+        sched = default_schedule(physical[0])
+        engine.predict_many([(0, sched), (0, sched)])
+        assert (len(engine.memo.predictions), len(engine.memo.measurements)) == (2, 0)
+        engine.measure_many([(0, sched)] * 3)
+        assert (len(engine.memo.predictions), len(engine.memo.measurements)) == (5, 3)
 
     def test_bounded(self):
-        memo = MemoCache(max_entries=10)
-        for i in range(25):
-            memo.put_prediction(f"k{i}".encode(), float(i))
-        assert len(memo.predictions) <= 10
-        assert memo.get_prediction(b"k24") == 24.0
+        """The engine's memory is bounded by its context, not by the rows
+        it evaluates: evaluating more rows stores nothing per row."""
+        comp, physical = small_physical()
+        engine = EvaluationEngine(comp, physical, get_hardware("v100"))
+
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(engine).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        engine.predict_many([(0, default_schedule(physical[0]))])
+        before = sizes()
+        rng = random.Random(3)
+        engine.measure_many(
+            [
+                (mi, ScheduleSpace(pm).sample(rng))
+                for mi, pm in enumerate(physical)
+                for _ in range(25)
+            ]
+        )
+        assert sizes() == before
 
 
 class TestCompileCache:
@@ -240,31 +265,39 @@ class TestResolveWorkers:
 
 
 class TestEvaluationEngine:
-    def test_memo_and_in_batch_duplicates(self):
+    def test_memo_and_in_batch_duplicates(self, monkeypatch):
+        """In-batch duplicates are evaluated again, in the batch's one
+        model call, and equal their first copy; a repeat batch is
+        evaluated again and returns the same bits."""
+        import repro.engine.engine as engine_mod
+
+        calls = []
+        predict = engine_mod.batch_predict
+
+        def counted(table, mapping_indices, *args, **kwargs):
+            calls.append(len(mapping_indices))
+            return predict(table, mapping_indices, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "batch_predict", counted)
         comp, physical = small_physical()
-        engine = EvaluationEngine(
-            comp, physical, get_hardware("v100"), n_workers=1, memo=MemoCache()
-        )
+        engine = EvaluationEngine(comp, physical, get_hardware("v100"))
         sched = default_schedule(physical[0])
         batch = [(0, sched), (0, sched), (1, default_schedule(physical[1]))]
         first = engine.predict_many(batch)
         assert first[0] == first[1]
-        assert engine.predict_many(batch) == first  # served from memo
-        [key] = engine.row_keys(*engine.encode_rows([(0, sched)]))
-        assert isinstance(key, bytes)
-        assert engine.memo.get_prediction(key) == first[0]
+        assert engine.predict_many(batch) == first
+        assert calls == [3, 3]
 
     def test_measurements_cached_separately(self):
+        """A measure call predicts too: its predictions equal a predict
+        call's, and its measurement equals a later measure call's."""
         comp, physical = small_physical()
-        engine = EvaluationEngine(
-            comp, physical, get_hardware("v100"), n_workers=1, memo=MemoCache()
-        )
+        engine = EvaluationEngine(comp, physical, get_hardware("v100"))
         sched = default_schedule(physical[0])
-        engine.predict_many([(0, sched)])
-        [key] = engine.row_keys(*engine.encode_rows([(0, sched)]))
-        assert engine.memo.get_measurement(key) is None
+        [alone] = engine.predict_many([(0, sched)])
         [(predicted, measured)] = engine.measure_many([(0, sched)])
-        assert engine.memo.get_measurement(key) == measured
+        assert predicted == alone
+        assert engine.measure_many([(0, sched)]) == [(predicted, measured)]
         assert measured > 0 and predicted > 0
 
     def test_pool_matches_inline(self, pool_every_batch):
@@ -272,19 +305,60 @@ class TestEvaluationEngine:
         comp, physical = small_physical()
         hw = get_hardware("v100")
         rng_scheds = []
-        import random
-
         rng = random.Random(0)
         for i, pm in enumerate(physical):
             space = ScheduleSpace(pm)
             rng_scheds.extend((i, space.sample(rng)) for _ in range(3))
 
-        inline = EvaluationEngine(comp, physical, hw, n_workers=1, memo=MemoCache())
+        inline = EvaluationEngine(comp, physical, hw, n_workers=1)
         expected = inline.measure_many(rng_scheds)
         with EvaluationEngine(
-            comp, physical, hw, n_workers=2, memo=MemoCache()
+            comp, physical, hw, n_workers=2
         ) as pooled:
             assert pooled.measure_many(rng_scheds) == expected
+
+
+class TestBatchComposition:
+    """A row's value is a function of the row alone: no batch it rides
+    in — alone, shuffled among other mappings' rows, or next to copies
+    of itself — changes a bit of it."""
+
+    def _rows(self):
+        comp, physical = small_physical(make_operator("C1D", **C1D))
+        engine = EvaluationEngine(comp, physical, get_hardware("v100"))
+        rng = random.Random(11)
+        items = [
+            (mi, ScheduleSpace(pm).sample(rng))
+            for mi, pm in enumerate(physical)
+            for _ in range(3)
+        ]
+        return engine, *engine.encode_rows(items)
+
+    @staticmethod
+    def _evaluate(engine, mapping_indices, batch):
+        """(predicted, predicted while measuring, measured) per row."""
+        predicted = engine.predict_rows(mapping_indices, batch)
+        with_measure, measured = engine.measure_rows(mapping_indices, batch)
+        return list(zip(predicted.tolist(), with_measure.tolist(), measured.tolist()))
+
+    def test_alone_shuffled_and_duplicated_rows_agree(self):
+        engine, mapping_indices, batch = self._rows()
+        assert len(set(mapping_indices.tolist())) > 1
+        n = len(batch)
+        alone = [
+            self._evaluate(engine, mapping_indices[i : i + 1], take_rows(batch, [i]))[0]
+            for i in range(n)
+        ]
+        order = np.random.default_rng(0).permutation(n)
+        shuffled = self._evaluate(
+            engine, mapping_indices[order], take_rows(batch, order)
+        )
+        assert shuffled == [alone[i] for i in order]
+        repeated = np.concatenate([order[: n // 2], np.arange(n), order[: n // 2]])
+        duplicated = self._evaluate(
+            engine, mapping_indices[repeated], take_rows(batch, repeated)
+        )
+        assert duplicated == [alone[i] for i in repeated]
 
 
 class TestScheduleDict:
@@ -305,18 +379,14 @@ class TestGeneticBatchEquivalence:
         ga = GeneticConfig(population=12, generations=4, seed=7)
         calls = []
 
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
 
             def per_generation(mi, batch):
                 calls.append(len(batch))
                 return engine.predict_rows(mi, batch)
 
             batch = genetic_search_rows(physical, per_generation, ga)
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache()
-        ) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=1) as engine:
             serial = genetic_search_rows(
                 physical,
                 lambda mi, rows: np.concatenate(
@@ -342,7 +412,6 @@ class TestGeneticBatchEquivalence:
 
 class TestTunerDeterminism:
     def _tune(self, n_workers):
-        reset_global_memo()
         comp = make_operator("GMM", m=64, n=64, k=64)
         config = dataclasses.replace(FAST, n_workers=n_workers)
         obs.reset()
@@ -367,9 +436,10 @@ class TestTunerDeterminism:
         assert serial_log.samples == pooled_log.samples
 
     def test_warm_memo_is_not_a_search_knob(self):
-        """Cold vs warm in-memory memo: identical everything."""
+        """A first tune and a second tune of the same operator in one
+        process (its operator, admission and lowering memos warm):
+        identical everything."""
         cold, cold_log = self._tune(n_workers=1)
-        # _tune resets the memo first; run twice without the reset.
         comp = make_operator("GMM", m=64, n=64, k=64)
         config = dataclasses.replace(FAST, n_workers=1)
         tuner = Tuner(get_hardware("v100"), config)
@@ -377,7 +447,7 @@ class TestTunerDeterminism:
         obs.enable()
         warm_log = ExploreLog(operator=comp.name, hardware="v100")
         try:
-            tuner.tune(comp)  # populate the memo
+            tuner.tune(comp)
             with use_log(warm_log):
                 warm = tuner.tune(comp)
         finally:
@@ -400,7 +470,6 @@ class TestPersistentCompileCache:
         lines = path.read_text()
         clear_operator_memo()
         reset_compile_caches()  # force a re-read from disk
-        reset_global_memo()
         fresh = make_operator("GMM", m=64, n=64, k=64)
         assert fresh is not comp and fresh != comp
         warm = amos_compile(fresh, "v100", config)
@@ -428,7 +497,6 @@ class TestPersistentCompileCache:
             entry[field] = value
         path.write_text("".join(json.dumps(e) + "\n" for e in entries))
         reset_compile_caches()
-        reset_global_memo()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -456,7 +524,6 @@ class TestPersistentCompileCache:
         cold = amos_compile(make_operator("C1D", **C1D), "v100", config)
         assert cold.num_mappings > 1
         reset_compile_caches()
-        reset_global_memo()
         tuner.clear_lowering_memo()  # else an earlier hit's lowering serves it
 
         enumerated = self._only_restricted_enumeration(monkeypatch)
@@ -522,7 +589,6 @@ class TestPersistentCompileCache:
         physical = cold.scheduled.physical
         stored = (physical.intrinsic.name, physical.compute.matching.data.tobytes())
         reset_compile_caches()
-        reset_global_memo()
 
         def rejecting(comp, intrinsic, y):
             if (intrinsic.name, y.data.tobytes()) == stored:
@@ -552,13 +618,11 @@ class TestPersistentCompileCache:
         del entry["matching"]
         path.write_text(json.dumps(entry) + "\n")
         reset_compile_caches()
-        reset_global_memo()
         redo = self._compile_counting_stores(tmp_path, config)
         assert compile_cache_for(str(tmp_path)).skipped_lines == 0
         assert redo.latency_us == cold.latency_us
 
         reset_compile_caches()
-        reset_global_memo()
 
         enumerated = self._only_restricted_enumeration(monkeypatch)
         lines = path.read_text()
@@ -636,24 +700,22 @@ class TestCliFlags:
         first = capsys.readouterr().out
         assert (tmp_path / CompileCache.FILENAME).exists()
         reset_compile_caches()
-        reset_global_memo()
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
 
 class TestOneArrayCallPerBatch:
-    #: Rows a cold default-config tune of the C2D below hands
-    #: ``batch_predict`` and ``batch_simulate``: the same totals as when
-    #: the engine split every miss batch by mapping (205 model and 43
-    #: simulator calls then, one per mapping group).
-    MODEL_ROWS = 324
-    SIM_ROWS = 112
+    #: Rows a default-config tune of the C2D below hands
+    #: ``batch_predict`` and ``batch_simulate``: every row of every engine
+    #: batch, repeats included.
+    MODEL_ROWS = 410
+    SIM_ROWS = 174
 
     def test_batch_predict_once_per_batch_with_misses(self, monkeypatch):
-        """Every engine batch with misses makes exactly one
-        ``batch_predict`` call over all its distinct misses and at most
-        one ``batch_simulate`` call, whatever mix of mappings it holds;
-        the mapping table is built once per engine."""
+        """Every engine batch makes exactly one ``batch_predict``
+        call over all its rows and, when it measures, one
+        ``batch_simulate`` call, whatever mix of mappings it holds; the
+        mapping table is built once per engine."""
         import repro.engine.engine as engine_mod
         from repro.schedule.features import MappingTable
 
@@ -682,18 +744,11 @@ class TestOneArrayCallPerBatch:
 
         def spy(self, mapping_indices, batch, measure):
             mapping_indices = np.asarray(mapping_indices, dtype=np.int64)
-            keys = self.row_keys(mapping_indices, batch)
-            missing = {
-                key
-                for key in keys
-                if self.memo.get_prediction(key) is None
-                or (measure and self.memo.get_measurement(key) is None)
-            }
             before = len(calls["predict"]), len(calls["simulate"])
             result = evaluate(self, mapping_indices, batch, measure)
             batches.append(
                 (
-                    len(missing),
+                    len(batch),
                     len(set(mapping_indices.tolist())),
                     measure,
                     calls["predict"][before[0] :],
@@ -703,15 +758,14 @@ class TestOneArrayCallPerBatch:
             return result
 
         monkeypatch.setattr(EvaluationEngine, "_evaluate_rows", spy)
-        reset_global_memo()
         clear_lowering_memo()  # a cold tune: its table is not memoized yet
         comp = make_operator("C2D", n=1, c=16, k=16, h=8, w=8)
         Tuner(get_hardware("v100"), TunerConfig()).tune(comp)
 
         assert calls["tables"] == 1
-        assert any(misses and mappings > 1 for misses, mappings, *_ in batches)
-        for misses, _, measure, predicted, simulated in batches:
-            assert predicted == ([misses] if misses else [])
-            assert simulated == ([misses] if misses and measure else [])
+        assert any(rows and mappings > 1 for rows, mappings, *_ in batches)
+        for rows, _, measure, predicted, simulated in batches:
+            assert predicted == [rows]
+            assert simulated == ([rows] if measure else [])
         assert sum(calls["predict"]) == self.MODEL_ROWS
         assert sum(calls["simulate"]) == self.SIM_ROWS

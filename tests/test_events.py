@@ -26,6 +26,7 @@ Covers these contracts:
   warning instead of raising.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -35,7 +36,7 @@ import pytest
 
 import repro.obs as obs
 from repro.cli import main as cli_main
-from repro.engine import reset_compile_caches, reset_global_memo
+from repro.engine import reset_compile_caches
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.model import get_hardware
@@ -69,7 +70,6 @@ def clean_state():
     logging_mod.set_log_level(None)
     logging_mod.set_log_stream(None)
     os.environ.pop(logging_mod.ENV_LEVEL, None)
-    reset_global_memo()
     reset_compile_caches()
     yield
     obs.disable()
@@ -80,7 +80,6 @@ def clean_state():
     logging_mod.set_log_stream(None)
     logging_mod._now_fn = time.time
     os.environ.pop(logging_mod.ENV_LEVEL, None)
-    reset_global_memo()
     reset_compile_caches()
 
 
@@ -228,9 +227,9 @@ class TestEventBus:
         ]
 
     def test_counters_stream_with_tracing_off(self, pool_every_batch):
-        """A pooled tune with only the bus on still streams its memo-cache
-        and pool counts, and no fault or divergence counters; an old
-        stream's divergence counts change no section."""
+        """A pooled tune with only the bus on still streams its engine-row
+        and pool counts, and no memo, fault or divergence counters; an
+        old stream's divergence counts change no section."""
         events_mod.enable_events()
         seen = collect_bus()
         config = fast_config(n_workers=2)
@@ -241,12 +240,14 @@ class TestEventBus:
             if event["type"] == "metric.inc":
                 name = event["data"]["name"]
                 totals[name] = totals.get(name, 0.0) + event["data"]["amount"]
-        assert totals["engine.cache.miss"] > 0
+        assert totals["engine.rows"] > 0
         assert totals["engine.pool.batches"] >= 1
         assert not [
             name
             for name in totals
-            if name.startswith(("engine.fault.", "engine.divergence."))
+            if name.startswith(
+                ("engine.cache.", "engine.fault.", "engine.divergence.")
+            )
         ]
         old = [
             _inc("engine.divergence.checked", 35),
@@ -313,8 +314,7 @@ class TestSocketServer:
             def out(text):
                 frames.append(text)
                 if len(frames) == 1:  # the run progresses mid-watch
-                    events_mod.emit("metric.inc", name="engine.cache.hit", amount=1)
-                    events_mod.emit("metric.inc", name="engine.cache.miss", amount=3)
+                    events_mod.emit("metric.inc", name="engine.rows", amount=4)
                     events_mod.emit("run.end", {"status": "ok"})
 
             code = watch(str(run_dir), interval_s=0.01, out=out, max_updates=10)
@@ -322,7 +322,7 @@ class TestSocketServer:
         assert len(frames) == 2  # stops once run.end has been followed
         assert "status: running" in frames[0]
         assert "status: finished (ok)" in frames[1]
-        assert "memo cache hit rate: 25.0% (1/4) over 1 batches" in frames[1]
+        assert "rows evaluated: 4 over 1 batches" in frames[1]
 
     def test_unix_socket(self, tmp_path):
         events_mod.enable_events()
@@ -473,7 +473,8 @@ def _inc(name, amount, t_wall=0.0):
 
 
 def _batch(hits, misses, t_wall=0.0):
-    """One engine batch as the engine streams it: hit then miss record."""
+    """One engine batch as streams recorded while the engine kept a row
+    memo hold it: a hit then a miss record."""
     return [
         _inc("engine.cache.hit", hits, t_wall),
         _inc("engine.cache.miss", misses, t_wall),
@@ -529,20 +530,18 @@ class TestHealthMonitor:
         assert monitor.check_idle(now_wall=132.0) == []
 
     def test_cache_collapse_needs_warmup(self):
-        config = HealthConfig(cache_window=4, cache_min_heartbeats=4)
-        cold = HealthMonitor(config)
-        fired = []
-        for i in range(12):  # all misses from the start: cold, not collapsed
-            fired += _observe_all(cold, _batch(0, 8, float(i)))
-        assert fired == []
-
-        warm = HealthMonitor(config)
-        fired = []
-        for i in range(6):  # warm up above cache_warm_rate
-            fired += _observe_all(warm, _batch(7, 1, float(i)))
-        for i in range(6, 14):  # then collapse
-            fired += _observe_all(warm, _batch(0, 8, float(i)))
-        assert [w["detector"] for w in fired] == ["cache_collapse"]
+        """The cache-collapse detector went with the engine's row memo:
+        an old stream whose hit rate warms up and then collapses fires
+        nothing, and still counts one heartbeat per engine batch."""
+        assert not [f for f in dataclasses.fields(HealthConfig) if "cache" in f.name]
+        monitor = HealthMonitor()
+        events = [e for i in range(6) for e in _batch(7, 1, float(i))]
+        events += [e for i in range(6, 14) for e in _batch(0, 8, float(i))]
+        assert _observe_all(monitor, events) == []
+        assert monitor.warnings == []
+        state = WatchState().apply_all(events)
+        assert state.heartbeats == 14
+        assert state.sections()["cache"]["rows"] == 6 * 8 + 8 * 8
 
     def test_divergence_spike_warns(self):
         """The divergence detector went with the runtime check: an old
@@ -627,7 +626,6 @@ class TestWorkerCountInvariance:
         streams = {}
         outcomes = {}
         for n in (1, 4):
-            reset_global_memo()  # identical cache temperature per run
             events_mod.reset_events()
             events_mod.enable_events()
             seen = collect_bus()
@@ -696,7 +694,6 @@ class TestLiveAcceptance:
         assert cli_main(argv) == 0
         events_mod.enable_events()
         with JsonlSink(run_dir / "events_pooled.jsonl", bus=events_mod.get_bus()):
-            reset_global_memo()  # cold memo, so the pool sees every batch
             Tuner(
                 get_hardware("v100"),
                 fast_config(n_workers=2, run_dir=str(run_dir)),
@@ -819,7 +816,7 @@ class TestWatch:
             )
         )
         state.apply(_ev("funnel.stage", {"stage": "enumerated", "count": 24, "total": 24}, 1.0))
-        state.apply_all(_batch(2, 6, 2.0))
+        state.apply(_inc("engine.rows", 8, 2.0))
         # A counter from a stream recorded before the pool stopped
         # recovering from faults: folded, but no section shows it.
         state.apply(_inc("engine.fault.retries", 3, 3.0))
@@ -828,7 +825,7 @@ class TestWatch:
         )
         dashboard = render_dashboard(state, now_wall=5.0)
         assert "enumerated" in dashboard
-        assert "25.0%" in dashboard  # memo hit rate 2/8
+        assert "rows evaluated: 8 over 1 batches" in dashboard
         assert "retries" not in dashboard and "faults" not in dashboard
         assert "WARNING [stagnation]" in dashboard
 

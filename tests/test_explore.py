@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine import EvaluationEngine, MemoCache
+from repro.engine import EvaluationEngine
 from repro.explore.genetic import GeneticConfig, genetic_search_rows
 from repro.explore.metrics import pairwise_accuracy, top_k_recall
 from repro.explore.random_search import random_search
@@ -73,7 +73,7 @@ def _model_rows(comp, phys):
     """The analytic model on V100 as a row fitness (an inline engine's
     ``predict_rows``, with its own memo)."""
     engine = EvaluationEngine(
-        comp, phys, get_hardware("v100"), n_workers=1, memo=MemoCache()
+        comp, phys, get_hardware("v100"), n_workers=1
     )
     return engine.predict_rows
 

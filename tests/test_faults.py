@@ -38,9 +38,7 @@ from repro.compiler import amos_compile
 from repro.engine import (
     CompileCache,
     EvaluationEngine,
-    MemoCache,
     reset_compile_caches,
-    reset_global_memo,
 )
 from repro.engine.pool import WorkerPool, _eval_item_with
 from repro.explore.tuner import Tuner, TunerConfig
@@ -69,10 +67,8 @@ PROMPT_S = 5.0
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    reset_global_memo()
     reset_compile_caches()
     yield
-    reset_global_memo()
     reset_compile_caches()
 
 
@@ -214,7 +210,7 @@ class TestWorkerPoolFaults:
             with pytest.raises(IndexError):
                 pool.evaluate(self.bad_items(oracle))
             engine = EvaluationEngine(
-                make_operator("GMM", m=64, n=64, k=64), physical, hw, memo=MemoCache()
+                make_operator("GMM", m=64, n=64, k=64), physical, hw
             )
             _, batch = engine.encode_rows(schedule_items(physical, 3, per_mapping=1))
             with pytest.raises(IndexError):
@@ -252,7 +248,7 @@ class TestWorkerPoolFaults:
         comp, physical = small_physical()
         hw = get_hardware("v100")
         before = {p.pid for p in multiprocessing.active_children()}
-        with EvaluationEngine(comp, physical, hw, n_workers=2, memo=MemoCache()) as engine:
+        with EvaluationEngine(comp, physical, hw, n_workers=2) as engine:
             engine.measure_rows(*engine.encode_rows(schedule_items(physical, 1)))
             kill_one_worker(before)
             refuse_inline(monkeypatch)
@@ -306,11 +302,11 @@ class TestEngineFaults:
         hw = get_hardware("v100")
         items = schedule_items(physical, 1)
 
-        inline = EvaluationEngine(comp, physical, hw, n_workers=1, memo=MemoCache())
+        inline = EvaluationEngine(comp, physical, hw, n_workers=1)
         expected = inline.measure_many(items)
 
         with EvaluationEngine(
-            comp, physical, hw, n_workers=2, memo=MemoCache()
+            comp, physical, hw, n_workers=2
         ) as pooled:
             if rows:
                 predicted, measured = pooled.measure_rows(*pooled.encode_rows(items))
@@ -333,7 +329,6 @@ class TestTuneUnderFaults:
         pooled = dataclasses.replace(FAST, n_workers=2, run_dir=str(pooled_dir))
 
         want = Tuner(get_hardware("v100"), serial).tune(comp)
-        reset_global_memo()
         got = Tuner(get_hardware("v100"), pooled).tune(comp)
 
         assert tune_fingerprint(got) == tune_fingerprint(want)
@@ -397,7 +392,6 @@ class TestCompileCacheCrashSafety:
         first = amos_compile(comp, "v100", config)
         monkeypatch.undo()
         reset_compile_caches()
-        reset_global_memo()
 
         # The torn entry must read as a miss; the re-tune must agree with
         # the first run and leave a well-formed entry behind.
@@ -408,7 +402,6 @@ class TestCompileCacheCrashSafety:
         assert len(cache) == 1
 
         reset_compile_caches()
-        reset_global_memo()
         third = amos_compile(comp, "v100", config)
         assert third.latency_us == first.latency_us
 
@@ -427,29 +420,35 @@ class TestCompileCacheCrashSafety:
 
 class TestMemoCacheLocking:
     def test_concurrent_reads_and_evicting_writes(self):
-        memo = MemoCache(max_entries=64)
+        """The engine keeps no row memo to lock: threads evaluating
+        through one engine at once each get the serial result."""
+        comp, physical = small_physical()
+        engine = EvaluationEngine(comp, physical, get_hardware("v100"))
+        rng = random.Random(5)
+        batches = [
+            engine.encode_rows(
+                [(mi, ScheduleSpace(pm).sample(rng)) for mi, pm in enumerate(physical)]
+            )
+            for _ in range(8)
+        ]
+        serial = [[a.tolist() for a in engine.measure_rows(*b)] for b in batches]
+        results = {}
         errors = []
 
-        def writer():
+        def worker(t):
             try:
-                for i in range(2000):
-                    memo.put_prediction(f"w{i}".encode(), float(i))
+                for _ in range(20):
+                    for i, b in enumerate(batches):
+                        got = [a.tolist() for a in engine.measure_rows(*b)]
+                        results.setdefault((t, i), []).append(got)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        def reader():
-            try:
-                for i in range(2000):
-                    memo.get_prediction(f"w{i % 128}".encode())
-                    memo.get_measurement(f"w{i % 128}".encode())
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=writer) for _ in range(2)] + [
-            threading.Thread(target=reader) for _ in range(2)
-        ]
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         assert not errors
+        for (_, i), runs in results.items():
+            assert all(run == serial[i] for run in runs)

@@ -24,7 +24,7 @@ import pytest
 import repro.obs as obs
 from repro.cli import main as cli_main
 from repro.compiler import amos_compile
-from repro.engine import reset_compile_caches, reset_global_memo
+from repro.engine import reset_compile_caches
 from repro.engine.engine import EvaluationEngine
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
@@ -52,12 +52,10 @@ def clean_state():
     """Obs off and empty, memo/compile caches cold, before and after."""
     obs.disable()
     obs.reset()
-    reset_global_memo()
     reset_compile_caches()
     yield
     obs.disable()
     obs.reset()
-    reset_global_memo()
     reset_compile_caches()
 
 
@@ -143,7 +141,6 @@ class TestMetricsDeltas:
 def _tune_telemetry(n_workers: int):
     """Run one obs-enabled tune; return (funnel, counters)."""
     obs.reset()
-    reset_global_memo()
     obs.enable()
     log = ExploreLog()
     tuner = Tuner(
@@ -273,13 +270,13 @@ class TestRunRecord:
         assert record.outcome["num_mappings"] == kernel.num_mappings
         assert record.schema == RUN_SCHEMA
         assert record.wall_s > 0 and record.candidates_per_sec > 0
-        assert record.cache["memo_misses"] > 0
+        assert record.cache["rows"] > 0
+        assert record.candidates_per_sec == record.cache["rows"] / record.wall_s
         assert "tuner.tune" in record.phases
         assert not obs.enabled()  # recorder restored the toggle
 
         # The manifest's funnel and model-quality numbers are the same
         # an in-process ExploreLog sees for the identical run.
-        reset_global_memo()
         obs.enable()
         log = ExploreLog()
         with use_log(log):
@@ -463,7 +460,6 @@ class TestDivergenceWatchdog:
             tuner = Tuner(get_hardware(name), fast_config(n_workers=1))
             if not tuner.candidate_mappings(comp):
                 continue  # target cannot map a gemm; nothing to check
-            reset_global_memo()
             parity = scalar_parity(1.0)
             tuner.tune(comp)
             assert parity.mismatches == [], f"batch/scalar divergence on {name}"

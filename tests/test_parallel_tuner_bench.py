@@ -2,7 +2,8 @@
 
 ``pyproject.toml`` points pytest at ``tests/`` only, so the quick-mode
 contract of ``benchmarks/bench_parallel_tuner.py`` — identical results
-for any worker count, parallel not slower than serial beyond noise on
+for any worker count and for a repeat tune in the same process, parallel
+not slower than serial beyond noise on
 the tiny in-process workload, and a 100% compile-cache hit rate on the
 second identical ``evaluate_network`` — is re-exported here to run
 under the tier-1 command as well.

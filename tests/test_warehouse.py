@@ -190,9 +190,10 @@ class TestIngest:
         assert Warehouse(corpus).check() == []
 
     def test_event_stream_digested_per_run(self, tmp_path, capsys):
-        """The stream was recorded while the runtime divergence check
-        existed: its ``engine.divergence.*`` records, a mismatch among
-        them, digest into nothing and fire no warning."""
+        """The stream was recorded while the runtime divergence check and
+        the engine's row memo existed: its ``engine.divergence.*``
+        records, a mismatch among them, digest into nothing and fire no
+        warning, and its memo hits and misses digest into engine rows."""
         run = make_run(0, 100.0)
         run_dir = tmp_path / "runs"
         write_run(run, run_dir)
@@ -234,7 +235,7 @@ class TestIngest:
         warehouse = Warehouse(corpus)
         digest = warehouse.events_summary(run.run_id)
         assert digest["heartbeats"] == 2
-        assert digest["memo_hits"] == 5 and digest["memo_misses"] == 1
+        assert digest["rows"] == 6  # an old stream's hits plus misses
         assert digest["compile_cache"] == {"miss": 1}
         assert digest["events"] == 8
         assert digest["warnings"] == []
